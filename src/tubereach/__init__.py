@@ -10,7 +10,7 @@ from .gaussian import (MvnBox, PwaQuantile, build_pwa_quantile,
                        genz_mvn_probability, normal_cdf, normal_quantile)
 from .chance import (AnchorResult, LineSearchResult, build_risk_lp,
                      solve_anchor_cheby, solve_anchor_xmax, solve_line_search)
-from .lpsolve import LinearProgram, LpSolution, simplex_solve, solve_lp
+from .lpsolve import LinearProgram, LpSolution, solve_lp
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "normal_cdf", "normal_quantile",
     "AnchorResult", "LineSearchResult", "build_risk_lp",
     "solve_anchor_cheby", "solve_anchor_xmax", "solve_line_search",
-    "LinearProgram", "LpSolution", "simplex_solve", "solve_lp",
+    "LinearProgram", "LpSolution", "solve_lp",
     "__version__",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gaussian import PwaQuantile
 from .geometry import HPolytope
-from .lpsolve import LinearProgram, LpSolution, Solver, select_solver, solve_lp
+from .lpsolve import LinearProgram, solve_lp
 from .sysmodel import ConcatenatedDynamics, StochasticLTVSystem, TargetTube, \
     concat_matrices
 
@@ -283,8 +283,7 @@ def _lower_bound(prob: RiskAllocatedProblem, deltas: np.ndarray) -> float:
 
 
 def solve_anchor_xmax(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                      pwa: PwaQuantile,
-                      solver: Optional[Solver] = None) -> AnchorResult:
+                      pwa: PwaQuantile) -> AnchorResult:
     """Anchor maximizing the risk-allocation lower bound on the reach
     probability; reports an empty underapproximation when infeasible."""
     prob, lp = build_risk_lp(sys, tube, alpha, pwa, x0_mode="free")
@@ -292,7 +291,7 @@ def solve_anchor_xmax(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     if diag is not None:
         return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
                             mode="xmax", status="empty", diagnostic=diag)
-    sol = solve_lp(lp, solver or select_solver(lp))
+    sol = solve_lp(lp)
     if sol.status == "infeasible":
         return AnchorResult(
             x_anchor=None, U=None, lower_bound=0.0, mode="xmax", status="empty",
@@ -314,8 +313,7 @@ def solve_anchor_xmax(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
 
 
 def solve_anchor_cheby(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                       pwa: PwaQuantile,
-                       solver: Optional[Solver] = None) -> AnchorResult:
+                       pwa: PwaQuantile) -> AnchorResult:
     """Anchor deep inside T_0: maximize the radius of a ball around x0
     contained in T_0 while keeping the risk allocation feasible."""
     prob, lp = build_risk_lp(sys, tube, alpha, pwa, x0_mode="cheby")
@@ -323,7 +321,7 @@ def solve_anchor_cheby(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     if diag is not None:
         return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
                             mode="cheby", status="empty", diagnostic=diag)
-    sol = solve_lp(lp, solver or select_solver(lp))
+    sol = solve_lp(lp)
     if sol.status == "infeasible":
         return AnchorResult(
             x_anchor=None, U=None, lower_bound=0.0, mode="cheby", status="empty",
@@ -341,8 +339,7 @@ def solve_anchor_cheby(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
 
 
 def solve_line_search(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                      pwa: PwaQuantile, anchor, direction,
-                      solver: Optional[Solver] = None) -> LineSearchResult:
+                      pwa: PwaQuantile, anchor, direction) -> LineSearchResult:
     """Maximal step along a direction from the anchor keeping the risk
     allocation feasible; the returned input sequence certifies the
     boundary point's lower bound."""
@@ -358,7 +355,7 @@ def solve_line_search(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     if diag is not None:
         return LineSearchResult(theta_star=0.0, U_star=None, lower_bound=0.0,
                                 status="infeasible", diagnostic=diag)
-    sol = solve_lp(lp, solver or select_solver(lp))
+    sol = solve_lp(lp)
     if not sol.optimal:
         return LineSearchResult(
             theta_star=0.0, U_star=None, lower_bound=0.0, status="infeasible",

@@ -542,12 +542,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError and the library's own input validation alike; solver
+        # failures return EXIT_SOLVER_FAILURE explicitly
         log.error("%s", exc)
         return EXIT_BAD_CONFIG
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

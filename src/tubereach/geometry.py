@@ -1,5 +1,5 @@
-"""Convex-set primitives: boxes, H/V-polytopes, 2D hulls, affine maps,
-scaled Minkowski sums, and direction-vector generation.
+"""Convex-set primitives: boxes, H/V-polytopes, 2D hulls, scaled
+Minkowski sums, and direction-vector generation.
 
 H-representation is used for constraints (input sets, target tubes) and
 V-representation for computed sets.  General H<->V conversion is out of
@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lpsolve import LinearProgram, simplex_solve
+from .lpsolve import LinearProgram, solve_lp
 
 DEFAULT_TOL = 1e-9
 
@@ -51,41 +51,49 @@ class HPolytope:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            lp = LinearProgram(objective=np.zeros(self.dim),
-                               ineq=(self.normals, self.offsets))
-            self._empty = not simplex_solve(lp).optimal
+            box = self.as_box_bounds()
+            if box is not None:
+                self._empty = bool(np.any(box[0] > box[1]))
+            else:
+                lp = LinearProgram(objective=np.zeros(self.dim),
+                                   ineq=(self.normals, self.offsets))
+                self._empty = not solve_lp(lp).optimal
         return self._empty
 
     def is_bounded(self) -> bool:
-        """LP support maximization along +/- each axis."""
+        """Empty sets count as bounded.  A nonempty {x : A x <= b} is
+        bounded iff its recession cone {d : A d <= 0} is {0}, that is
+        (Stiemke's lemma) iff rank A = n and some y > 0 has A^T y = 0."""
         if self._bounded is None:
+            box = self.as_box_bounds()
             if self.is_empty():
                 self._bounded = True
+            elif box is not None:
+                self._bounded = bool(np.all(np.isfinite(box)))
+            elif np.linalg.matrix_rank(self.normals) < self.dim:
+                self._bounded = False
             else:
-                bounded = True
-                for j in range(self.dim):
-                    for sign in (1.0, -1.0):
-                        c = np.zeros(self.dim)
-                        c[j] = -sign  # maximize sign * x_j
-                        lp = LinearProgram(objective=c,
-                                           ineq=(self.normals, self.offsets))
-                        if simplex_solve(lp).status == "unbounded":
-                            bounded = False
-                            break
-                    if not bounded:
-                        break
-                self._bounded = bounded
+                unit = self.normals / np.linalg.norm(self.normals, axis=1,
+                                                     keepdims=True)
+                lp = LinearProgram(objective=np.zeros(self.n_rows),
+                                   eq=(unit.T, np.zeros(self.dim)),
+                                   bounds=[(1.0, np.inf)] * self.n_rows)
+                self._bounded = solve_lp(lp).optimal
         return self._bounded
 
     def interval_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding intervals via 2n support LPs."""
+        """Axis-aligned bounding intervals: the box itself when every face
+        is axis-aligned, else 2n support LPs (+/-inf where unbounded)."""
+        box = self.as_box_bounds()
+        if box is not None:
+            return box
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
         for j in range(self.dim):
             for sign, out in ((1.0, hi), (-1.0, lo)):
                 c = np.zeros(self.dim)
                 c[j] = -sign
-                sol = simplex_solve(LinearProgram(
+                sol = solve_lp(LinearProgram(
                     objective=c, ineq=(self.normals, self.offsets)))
                 if sol.optimal:
                     out[j] = sign * -sol.objective_value
@@ -146,7 +154,7 @@ class VPolytope:
         b_eq = np.concatenate([x, [1.0]])
         lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
                            bounds=[(0.0, 1.0)] * k)
-        return simplex_solve(lp).optimal
+        return solve_lp(lp).optimal
 
     def convex_weights(self, x, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
         """Convex weights reproducing x, or None if x is outside."""
@@ -156,7 +164,7 @@ class VPolytope:
         b_eq = np.concatenate([x, [1.0]])
         lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
                            bounds=[(0.0, 1.0)] * k)
-        sol = simplex_solve(lp)
+        sol = solve_lp(lp)
         return sol.z if sol.optimal else None
 
     def to_json(self) -> str:
@@ -274,7 +282,7 @@ def _in_hull(x: np.ndarray, pts: np.ndarray, tol: float) -> bool:
     b_eq = np.concatenate([x, [1.0]])
     lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
                        bounds=[(0.0, 1.0)] * k)
-    sol = simplex_solve(lp)
+    sol = solve_lp(lp)
     if not sol.optimal:
         return False
     return bool(np.linalg.norm(pts.T @ sol.z - x) <= max(tol, 1e-7))
@@ -289,18 +297,6 @@ def minkowski_interpolate(v1: VPolytope, v2: VPolytope, gamma: float) -> VPolyto
     sums = (gamma * v1.vertices[:, None, :]
             + (1.0 - gamma) * v2.vertices[None, :, :]).reshape(-1, v1.dim)
     return prune_vertices(VPolytope(vertices=sums))
-
-
-def affine_map(vpoly: VPolytope, mat, translate=None) -> VPolytope:
-    """Map vertices v -> M v + t and prune."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[1] != vpoly.dim:
-        raise ValueError("matrix column count must match polytope dimension")
-    t = np.zeros(mat.shape[0]) if translate is None else \
-        np.asarray(translate, dtype=float).ravel()
-    if t.size != mat.shape[0]:
-        raise ValueError("translation dimension mismatch")
-    return prune_vertices(VPolytope(vertices=vpoly.vertices @ mat.T + t))
 
 
 def spread_directions(count: int, dim: int,

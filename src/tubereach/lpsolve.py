@@ -1,23 +1,17 @@
-"""Dense linear-program solver with a pluggable solver interface.
+"""Linear programs in a plain matrix form and their one solver, HiGHS
+(through :func:`scipy.optimize.linprog`).
 
-The bundled solver is a two-phase tableau simplex with a Bland's-rule
-fallback for stall/cycle protection.  A HiGHS-backed solver (via scipy)
-is available for large instances; callers pick a solver explicitly or let
-:func:`select_solver` choose by problem size.
+:func:`solve_lp` is the entry point; it reports the solver's verdict as a
+status string, never as an exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-INFEASIBILITY_TOL = 1e-7
-_PIVOT_TOL = 1e-9
-
-# rows*cols above which select_solver prefers the HiGHS backend
-_DENSE_SIMPLEX_LIMIT = 50_000
+from scipy.optimize import linprog
 
 
 class LpError(ValueError):
@@ -69,27 +63,15 @@ class LinearProgram:
             rows += self.eq[1].size
         return rows
 
-    def dump(self) -> str:
-        """Plain-text fixed-format dump (objective row, then constraint rows)."""
-        lines = ["min " + " ".join(f"{c:.12g}" for c in self.objective)]
-        if self.ineq is not None:
-            for row, rhs in zip(*self.ineq):
-                lines.append("le  " + " ".join(f"{v:.12g}" for v in row) + f" | {rhs:.12g}")
-        if self.eq is not None:
-            for row, rhs in zip(*self.eq):
-                lines.append("eq  " + " ".join(f"{v:.12g}" for v in row) + f" | {rhs:.12g}")
-        if self.bounds is not None:
-            lines.append("bnd " + " ".join(f"[{lo:.6g},{hi:.6g}]" for lo, hi in self.bounds))
-        return "\n".join(lines)
-
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    # optimal | infeasible | unbounded | iteration_limit | numerical_trouble
+    status: str
     z: Optional[np.ndarray] = None
     objective_value: float = np.nan
     # duals for the original ineq rows (nonnegative, Ax <= b convention),
-    # populated by the bundled solver at optimality
+    # populated at optimality
     dual_ineq: Optional[np.ndarray] = None
 
     @property
@@ -97,286 +79,34 @@ class LpSolution:
         return self.status == "optimal"
 
 
-Solver = Callable[[LinearProgram], LpSolution]
-
-
-def _to_standard_form(lp: LinearProgram):
-    """Rewrite into min c@y, A y = b, y >= 0.
-
-    Returns (c, A, b, recover, n_ineq_slack_cols) where recover maps a
-    standard-form solution back to the original variables and
-    n_ineq_slack_cols gives the slack column index for each ineq row.
-    """
-    n = lp.n_vars
-    bounds = lp.bounds if lp.bounds is not None else [(-np.inf, np.inf)] * n
-
-    # per original variable: list of (std column, sign) plus constant shift
-    shift = np.zeros(n)
-    col_of = []  # (col_plus, col_minus or None, sign)
-    extra_rows = []  # (var std col, ub) pairs handled as ineq rows
-    ncols = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo > hi:
-            raise LpError(f"variable {j} has empty bound interval [{lo}, {hi}]")
-        if np.isfinite(lo):
-            col_of.append((ncols, None, 1.0))
-            shift[j] = lo
-            if np.isfinite(hi):
-                extra_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif np.isfinite(hi):
-            col_of.append((ncols, None, -1.0))
-            shift[j] = hi
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1, 1.0))
-            ncols += 2
-
-    def expand(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((mat.shape[0], ncols))
-        for j, (cp, cm, sign) in enumerate(col_of):
-            out[:, cp] += sign * mat[:, j]
-            if cm is not None:
-                out[:, cm] -= mat[:, j]
-        return out
-
-    a_ineq = []
-    b_ineq = []
-    if lp.ineq is not None:
-        ai, bi = lp.ineq
-        a_ineq.append(expand(ai))
-        b_ineq.append(bi - ai @ shift)
-    if extra_rows:
-        ub_mat = np.zeros((len(extra_rows), ncols))
-        ub_rhs = np.empty(len(extra_rows))
-        for i, (col, ub) in enumerate(extra_rows):
-            ub_mat[i, col] = 1.0
-            ub_rhs[i] = ub
-        a_ineq.append(ub_mat)
-        b_ineq.append(ub_rhs)
-
-    m_ineq = sum(b.size for b in b_ineq)
-    m_eq = lp.eq[1].size if lp.eq is not None else 0
-    m = m_ineq + m_eq
-
-    A = np.zeros((m, ncols + m_ineq))
-    b = np.empty(m)
-    r = 0
-    slack_col_of_row = np.full(m_ineq, -1, dtype=int)
-    if m_ineq:
-        A[:m_ineq, :ncols] = np.vstack(a_ineq)
-        b[:m_ineq] = np.concatenate(b_ineq)
-        for i in range(m_ineq):
-            A[i, ncols + i] = 1.0
-            slack_col_of_row[i] = ncols + i
-        r = m_ineq
-    if m_eq:
-        ae, be = lp.eq
-        A[r:, :ncols] = expand(ae)
-        b[r:] = be - ae @ shift
-
-    c = np.zeros(ncols + m_ineq)
-    for j, (cp, cm, sign) in enumerate(col_of):
-        c[cp] += sign * lp.objective[j]
-        if cm is not None:
-            c[cm] -= lp.objective[j]
-
-    # Row equilibration: scale rows with large coefficients down to unit
-    # max magnitude. Scaling a whole row (slack column included) changes
-    # neither the primal solution nor the slack reduced costs used for
-    # dual recovery.
-    if m:
-        row_max = np.abs(A).max(axis=1)
-        scale = np.where(row_max > 1.0, row_max, 1.0)
-        A /= scale[:, None]
-        b /= scale
-
-    n_orig_ineq = lp.ineq[1].size if lp.ineq is not None else 0
-
-    def recover(y: np.ndarray) -> np.ndarray:
-        z = shift.copy()
-        for j, (cp, cm, sign) in enumerate(col_of):
-            z[j] += sign * y[cp]
-            if cm is not None:
-                z[j] -= y[cm]
-        return z
-
-    return c, A, b, recover, slack_col_of_row, n_orig_ineq
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    basis[row] = col
-
-
-def _run_simplex(T, basis, cols, maxiter, stall_limit=200):
-    """Iterate on tableau T (objective in last row, rhs in last column).
-
-    Returns status string: optimal | unbounded | iteration_limit.
-    """
-    m = basis.size
-    best = -np.inf
-    stalled = 0
-    bland = False
-    for _ in range(maxiter):
-        red = T[-1, :cols]
-        if bland:
-            neg = np.flatnonzero(red < -_PIVOT_TOL)
-            if neg.size == 0:
-                return "optimal"
-            col = neg[0]
-        else:
-            col = int(np.argmin(red))
-            if red[col] >= -_PIVOT_TOL:
-                return "optimal"
-        colvals = T[:m, col]
-        pos = colvals > _PIVOT_TOL
-        if not pos.any():
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvals[pos]
-        if bland:
-            rmin = ratios.min()
-            cand = np.flatnonzero(ratios <= rmin + 1e-12)
-            row = cand[np.argmin(basis[cand])]
-        else:
-            row = int(np.argmin(ratios))
-        _pivot(T, basis, row, col)
-        obj = T[-1, -1]
-        if obj > best + 1e-12:
-            best = obj
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled > stall_limit:
-                bland = True
-    return "iteration_limit"
-
-
-def simplex_solve(lp: LinearProgram, maxiter: Optional[int] = None) -> LpSolution:
-    """Bundled two-phase dense simplex."""
-    c, A, b, recover, slack_cols, n_orig_ineq = _to_standard_form(lp)
-    m, ncols = A.shape
-    if maxiter is None:
-        maxiter = 50 * (m + ncols)
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b = np.abs(b)
-
-    # Phase 1: artificial variable per row.
-    T = np.zeros((m + 1, ncols + m + 1))
-    T[:m, :ncols] = A
-    T[:m, ncols:ncols + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, ncols:ncols + m] = 1.0
-    basis = np.arange(ncols, ncols + m)
-    T[-1] -= T[:m].sum(axis=0)  # price out artificials
-
-    status = _run_simplex(T, basis, ncols + m, maxiter)
-    if status == "iteration_limit":
-        return LpSolution(status="iteration_limit")
-    if -T[-1, -1] > INFEASIBILITY_TOL:
-        return LpSolution(status="infeasible")
-
-    # Drive any artificial still basic out of the basis.
-    for row in np.flatnonzero(basis >= ncols):
-        cand = np.flatnonzero(np.abs(T[row, :ncols]) > _PIVOT_TOL)
-        if cand.size:
-            _pivot(T, basis, row, cand[0])
-        else:
-            T[row, :] = 0.0  # redundant row
-
-    # Phase 2: replace objective, drop artificial columns.
-    T2 = np.zeros((m + 1, ncols + 1))
-    T2[:m, :ncols] = T[:m, :ncols]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :ncols] = c
-    for row, col in enumerate(basis):
-        if col < ncols and abs(T2[-1, col]) > 0:
-            T2[-1] -= T2[-1, col] * T2[row]
-
-    status = _run_simplex(T2, basis, ncols, maxiter)
-    if status != "optimal":
-        return LpSolution(status=status)
-
-    y = np.zeros(ncols)
-    valid = basis < ncols
-    y[basis[valid]] = T2[:m, -1][valid]
-    z = recover(y)
-    value = float(lp.objective @ z)
-
-    dual_ineq = None
-    if n_orig_ineq:
-        # reduced cost of slack s_i equals the (nonnegative) dual of row i
-        dual_ineq = np.maximum(T2[-1, slack_cols[:n_orig_ineq]], 0.0)
-
-    # feasibility residual check (absolute, after row scaling)
-    if not _feasible(lp, z, INFEASIBILITY_TOL):
-        return LpSolution(status="iteration_limit", z=z, objective_value=value)
-    return LpSolution(status="optimal", z=z, objective_value=value, dual_ineq=dual_ineq)
-
-
-def _feasible(lp: LinearProgram, z: np.ndarray, tol: float) -> bool:
-    if lp.ineq is not None:
-        a, b = lp.ineq
-        scale = np.maximum(1.0, np.abs(a).sum(axis=1))
-        if np.any((a @ z - b) / scale > tol):
-            return False
-    if lp.eq is not None:
-        a, b = lp.eq
-        scale = np.maximum(1.0, np.abs(a).sum(axis=1))
-        if np.any(np.abs(a @ z - b) / scale > tol):
-            return False
-    if lp.bounds is not None:
-        lo = np.array([bd[0] for bd in lp.bounds])
-        hi = np.array([bd[1] for bd in lp.bounds])
-        if np.any(z < lo - tol) or np.any(z > hi + tol):
-            return False
-    return True
+# scipy.optimize.linprog status codes other than 0 (optimal)
+_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded",
+           4: "numerical_trouble"}
 
 
 def highs_solve(lp: LinearProgram) -> LpSolution:
-    """HiGHS-backed solver for large instances (scipy.optimize.linprog)."""
-    from scipy.optimize import linprog
-
+    """Solve with HiGHS.  An empty bound interval (lo > hi) makes the LP
+    infeasible; a status other than optimal carries no solution."""
     a_ub = b_ub = a_eq = b_eq = None
     if lp.ineq is not None:
         a_ub, b_ub = lp.ineq
     if lp.eq is not None:
         a_eq, b_eq = lp.eq
-    bounds = lp.bounds if lp.bounds is not None else [(None, None)] * lp.n_vars
-    bounds = [
-        (None if not np.isfinite(lo) else lo, None if not np.isfinite(hi) else hi)
-        for lo, hi in bounds
-    ]
+    if lp.bounds is None:
+        bounds = np.tile([-np.inf, np.inf], (lp.n_vars, 1))
+    else:
+        bounds = np.asarray(lp.bounds, dtype=float).reshape(lp.n_vars, 2)
     res = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
-    if res.status == 0:
-        dual = None
-        if res.ineqlin is not None and lp.ineq is not None:
-            dual = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-        return LpSolution(status="optimal", z=np.asarray(res.x),
-                          objective_value=float(res.fun), dual_ineq=dual)
-    if res.status == 2:
-        return LpSolution(status="infeasible")
-    if res.status == 3:
-        return LpSolution(status="unbounded")
-    return LpSolution(status="iteration_limit")
+    if res.status != 0:
+        return LpSolution(status=_STATUS.get(res.status, "numerical_trouble"))
+    dual = None
+    if lp.ineq is not None:
+        dual = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
+    return LpSolution(status="optimal", z=np.asarray(res.x),
+                      objective_value=float(res.fun), dual_ineq=dual)
 
 
-def select_solver(lp: LinearProgram) -> Solver:
-    """Bundled simplex for desk-scale problems, HiGHS beyond it."""
-    if lp.n_rows * max(lp.n_vars, 1) > _DENSE_SIMPLEX_LIMIT:
-        return highs_solve
-    return simplex_solve
-
-
-def solve_lp(lp: LinearProgram, solver: Optional[Solver] = None) -> LpSolution:
-    """Solve with the given solver, defaulting to the bundled simplex."""
-    if solver is None:
-        solver = simplex_solve
-    return solver(lp)
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve lp; see :class:`LpSolution` for the statuses."""
+    return highs_solve(lp)

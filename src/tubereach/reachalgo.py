@@ -144,8 +144,9 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     One line search per direction from the anchor; the hull of the
     successful boundary points is a valid underapproximation after any
     prefix of the direction list (anytime). Per-direction failures are
-    recorded, never fatal. max_directions / time_budget truncate the
-    direction list; jobs caps concurrent searches.
+    recorded, never fatal. max_directions truncates the direction list;
+    a search that would start more than time_budget seconds after the
+    call is skipped (status "skipped"); jobs caps concurrent searches.
     """
     if backend not in ("chance", "genz"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -179,8 +180,15 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
             tasks.append((idx, anc, d))
             idx += 1
 
+    deadline = None if time_budget is None else t0 + time_budget
+
     def search(task):
         i, anc, d = task
+        if deadline is not None and time.perf_counter() > deadline:
+            return BoundaryPoint(index=i, direction=d, theta=0.0,
+                                 point=anc.x_anchor.copy(), U=None,
+                                 lower_bound=0.0, status="skipped",
+                                 diagnostic="time budget exhausted")
         if backend == "chance":
             ls = chance.solve_line_search(sys, tube, alpha, pwa,
                                           anc.x_anchor, d)
@@ -196,21 +204,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                              U=u, lower_bound=lb, status=status,
                              diagnostic=diag)
 
-    points: List[BoundaryPoint] = []
-    deadline = None if time_budget is None else t0 + time_budget
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = []
-        for task in tasks:
-            if deadline is not None and time.perf_counter() > deadline:
-                points.append(BoundaryPoint(
-                    index=task[0], direction=task[2], theta=0.0,
-                    point=task[1].x_anchor.copy(), U=None, lower_bound=0.0,
-                    status="skipped", diagnostic="time budget exhausted"))
-                continue
-            futures.append(pool.submit(search, task))
-        done = {bp.index: bp for bp in (f.result() for f in futures)}
-    skipped = {bp.index: bp for bp in points}
-    points = [done.get(i, skipped.get(i)) for i in range(idx)]
+        points = list(pool.map(search, tasks))
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.extend(a.x_anchor for a in feasible_anchors)
@@ -235,7 +230,7 @@ def interpolate_sets(set1: ReachSetResult, set2: ReachSetResult,
     if set1.is_empty or set2.is_empty:
         raise ValueError("both input sets must be nonempty; recompute at a "
                          "lower threshold or with more directions")
-    gamma = (math.log(a2) - math.log(beta)) / (math.log(a2) - math.log(a1))
+    gamma = interpolation_weight(a1, a2, beta)
     return minkowski_interpolate(set1.polytope, set2.polytope, gamma)
 
 

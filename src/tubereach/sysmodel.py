@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -152,13 +152,6 @@ class ConcatenatedDynamics:
         """Rows of mat for state x_k (k in 1..N)."""
         n = self.state_dim
         return mat[(k - 1) * n:k * n]
-
-    def step_marginal(self, mean: np.ndarray, cov: np.ndarray,
-                      k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Marginal (mu_k, C_k) of state x_k from concatenated moments."""
-        n = self.state_dim
-        sl = slice((k - 1) * n, k * n)
-        return mean[sl], cov[sl, sl]
 
 
 def concat_matrices(sys: StochasticLTVSystem) -> ConcatenatedDynamics:

@@ -186,8 +186,8 @@ def test_criterion_6_vertex_validation(sys2d, tube2d, integrator_sets):
 
 def test_criterion_7_oracles(pwa):
     t0 = time.perf_counter()
-    # (a) bundled LP solver against brute-force vertex enumeration
-    from tubereach.lpsolve import simplex_solve
+    # (a) LP solver against brute-force vertex enumeration
+    from tubereach.lpsolve import solve_lp
     rng = np.random.default_rng(np.random.Philox(11))
     checked = 0
     while checked < 200:
@@ -195,7 +195,7 @@ def test_criterion_7_oracles(pwa):
         ref, _ = brute_force_min(lp)
         if ref is None:
             continue
-        sol = simplex_solve(lp)
+        sol = solve_lp(lp)
         assert sol.optimal
         assert abs(sol.objective_value - ref) < 1e-7
         checked += 1

@@ -89,6 +89,17 @@ def test_missing_required_section_rejected(tmp_path):
                  "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
 
 
+def test_library_validation_error_is_bad_config(tmp_path):
+    # an input set without its lower face is unbounded, which the system
+    # constructor (not the config reader) rejects
+    cfg = scalar_config(tmp_path, [0.6])
+    doc = json.loads(cfg.read_text())
+    doc["system"]["input_set"] = {"normals": [[1.0]], "offsets": [0.1]}
+    cfg.write_text(json.dumps(doc))
+    assert main(["compute", str(cfg),
+                 "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = scalar_config(tmp_path, [0.6])
     a, b = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,8 @@ from tubereach.geometry import (DirectionSet, HPolytope, VPolytope,
                                 box_polytope, contains_point, convex_hull_2d,
                                 minkowski_interpolate, prune_vertices,
                                 spread_directions)
+from tubereach.lpsolve import LinearProgram, solve_lp
+from tubereach.sysmodel import cwh_los_tube
 
 
 def square():
@@ -50,6 +52,15 @@ def test_interval_bounds():
     lo, hi = b.interval_bounds()
     np.testing.assert_allclose(lo, [0.0, -2.0])
     np.testing.assert_allclose(hi, [1.0, 2.0])
+    box_lo, box_hi = b.as_box_bounds()
+    np.testing.assert_array_equal(lo, box_lo)
+    np.testing.assert_array_equal(hi, box_hi)
+    # a degenerate box (lo == hi) is a point: nonempty and bounded
+    point = HPolytope(normals=np.array([[1.0], [-1.0]]),
+                      offsets=np.array([0.5, -0.5]))
+    assert lp_reference(point)[:2] == (False, True)
+    assert not point.is_empty() and point.is_bounded()
+    np.testing.assert_array_equal(point.interval_bounds(), ([0.5], [0.5]))
 
 
 def test_zero_normal_row_rejected():
@@ -183,3 +194,113 @@ def test_hull_contains_all_inputs(seed):
     if hull.n_vertices >= 3:
         for p in pts:
             assert brute_hull_membership(hull.vertices, p, tol=1e-6)
+
+
+def lp_reference(poly):
+    """(empty, bounded, lo, hi) from a feasibility LP and 2n support LPs."""
+    n = poly.dim
+    ineq = (poly.normals, poly.offsets)
+    empty = not solve_lp(LinearProgram(objective=np.zeros(n), ineq=ineq)).optimal
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    bounded = True
+    if not empty:
+        for j in range(n):
+            for sign, out in ((1.0, hi), (-1.0, lo)):
+                c = np.zeros(n)
+                c[j] = -sign
+                sol = solve_lp(LinearProgram(objective=c, ineq=ineq))
+                if sol.status == "unbounded":
+                    bounded = False
+                else:
+                    assert sol.optimal
+                    out[j] = -sign * sol.objective_value
+    return empty, bounded, lo, hi
+
+
+def random_box(rng, n):
+    """Axis-aligned rows with random scales; some faces are dropped (half-
+    open boxes) and some intervals are crossed (empty boxes)."""
+    lo = rng.uniform(-2.0, 1.0, n)
+    hi = lo + rng.uniform(-0.5, 2.0, n)
+    normals, offsets = [], []
+    for j in range(n):
+        for sign, bound in ((1.0, hi[j]), (-1.0, lo[j])):
+            if rng.random() < 0.8 or not normals:
+                scale = rng.uniform(0.5, 2.0)
+                normals.append(sign * scale * np.eye(n)[j])
+                offsets.append(sign * scale * bound)
+    return HPolytope(normals=np.array(normals), offsets=np.array(offsets))
+
+
+def test_box_checks_match_lp_answers():
+    rng = np.random.default_rng(5)
+    seen = {"empty": 0, "open": 0, "general": 0}
+    for _ in range(150):
+        box = random_box(rng, int(rng.integers(1, 4)))
+        empty, bounded, lo, hi = lp_reference(box)
+        assert box.as_box_bounds() is not None
+        assert box.is_empty() == empty
+        assert box.is_bounded() == bounded
+        if not empty:
+            np.testing.assert_allclose(box.interval_bounds(), (lo, hi),
+                                       atol=1e-7)
+        seen["empty"] += empty
+        seen["open"] += not bounded
+        # the same set with a redundant non-axis row (the sum of all rows)
+        # takes the general LP paths
+        extra = box.normals.sum(axis=0)
+        if np.count_nonzero(np.abs(extra) > 1e-9) < 2:
+            continue
+        general = HPolytope(normals=np.vstack([box.normals, extra]),
+                            offsets=np.append(box.offsets,
+                                              box.offsets.sum()))
+        assert general.as_box_bounds() is None
+        assert general.is_empty() == empty
+        assert general.is_bounded() == bounded
+        if not empty:
+            np.testing.assert_allclose(general.interval_bounds(), (lo, hi),
+                                       atol=1e-6)
+        seen["general"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_is_bounded_on_cones_and_slabs():
+    cases = [
+        # the cwh line-of-sight sets: a capped cone and the terminal box
+        *cwh_los_tube(1).sets,
+        # open cone {|x0| <= -x1}
+        HPolytope(normals=np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                  offsets=np.zeros(2)),
+        # the same cone capped by x1 >= -2
+        HPolytope(normals=np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -1.0]]),
+                  offsets=np.array([0.0, 0.0, 2.0])),
+        # slab |x0 + x1| <= 1: rank-deficient normals
+        HPolytope(normals=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                  offsets=np.ones(2)),
+        HPolytope(normals=np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0],
+                                    [0.0, 1.0, 1.0], [0.0, -1.0, -1.0]]),
+                  offsets=np.ones(4)),
+    ]
+    expect = [True, True, False, True, False, False]
+    assert len(cases) == len(expect)
+    for poly, want in zip(cases, expect):
+        assert lp_reference(poly)[1] == want
+        assert poly.is_bounded() == want
+
+
+def test_is_bounded_matches_support_lps_on_random_polytopes():
+    rng = np.random.default_rng(9)
+    verdicts = set()
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(n + 1, 3 * n + 1))
+        poly = HPolytope(normals=rng.normal(size=(k, n)),
+                         offsets=rng.uniform(0.1, 2.0, k))
+        empty, bounded, lo, hi = lp_reference(poly)
+        assert not empty
+        assert poly.is_bounded() == bounded
+        if bounded:
+            np.testing.assert_allclose(poly.interval_bounds(), (lo, hi),
+                                       atol=1e-6)
+        verdicts.add(bounded)
+    assert verdicts == {True, False}

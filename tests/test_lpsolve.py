@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubereach.lpsolve import (LinearProgram, LpError, highs_solve,
-                               select_solver, simplex_solve, solve_lp)
+from tubereach import lpsolve
+from tubereach.lpsolve import LinearProgram, solve_lp
 
 
 def brute_force_min(lp: LinearProgram, tol=1e-9):
@@ -49,7 +50,7 @@ def test_matches_vertex_enumeration_on_random_lps():
         n = int(rng.integers(2, 4))
         lp = random_bounded_lp(rng, n)
         expect, _ = brute_force_min(lp)
-        sol = simplex_solve(lp)
+        sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert abs(sol.objective_value - expect) <= 1e-7
         checked += 1
@@ -69,13 +70,13 @@ def test_infeasible():
     lp = LinearProgram(objective=np.array([1.0]),
                        ineq=(np.array([[1.0], [-1.0]]),
                              np.array([-1.0, -1.0])))
-    assert simplex_solve(lp).status == "infeasible"
+    assert solve_lp(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram(objective=np.array([-1.0]),
                        ineq=(np.array([[-1.0]]), np.array([0.0])))
-    assert simplex_solve(lp).status == "unbounded"
+    assert solve_lp(lp).status == "unbounded"
 
 
 def test_equality_constraints():
@@ -83,61 +84,56 @@ def test_equality_constraints():
     lp = LinearProgram(objective=np.array([1.0, 1.0]),
                        eq=(np.array([[1.0, 1.0]]), np.array([2.0])),
                        bounds=[(0.0, np.inf)] * 2)
-    sol = simplex_solve(lp)
+    sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(2.0)
 
 
 def test_free_variables():
-    # min x with x >= -3 expressed via inequality only (x free)
+    # min x with x >= -3 expressed via inequality only (bounds None: x free)
     lp = LinearProgram(objective=np.array([1.0]),
                        ineq=(np.array([[-1.0]]), np.array([3.0])))
-    sol = simplex_solve(lp)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
     assert sol.z[0] == pytest.approx(-3.0)
+    lp.objective = -lp.objective
+    assert solve_lp(lp).status == "unbounded"
+    assert solve_lp(LinearProgram(objective=np.array([1.0]))).status \
+        == "unbounded"
 
 
 def test_finite_range_bounds():
     lp = LinearProgram(objective=np.array([1.0, -1.0]),
                        bounds=[(-2.0, 3.0), (-2.0, 3.0)])
-    sol = simplex_solve(lp)
+    sol = solve_lp(lp)
     assert sol.z[0] == pytest.approx(-2.0)
     assert sol.z[1] == pytest.approx(3.0)
 
 
 def test_empty_bound_interval_rejected():
     lp = LinearProgram(objective=np.array([1.0]), bounds=[(1.0, 0.0)])
-    with pytest.raises(LpError):
-        simplex_solve(lp)
+    sol = solve_lp(lp)
+    assert sol.status == "infeasible"
+    assert sol.z is None
 
 
 def test_duals_certify_optimum():
-    # weak duality: c^T z* = -b^T lam for ineq-only LPs with free vars
+    # strong duality from the HiGHS marginals: with lam the row duals and
+    # mu = c + A^T lam the bound multipliers (mu > 0 at lower bounds,
+    # mu < 0 at upper), -b^T lam + sum(mu * active bound) = c^T z*
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 4))
         lp = random_bounded_lp(rng, n)
-        sol = simplex_solve(lp)
+        sol = solve_lp(lp)
         assert sol.status == "optimal"
         lam = sol.dual_ineq
         assert lam is not None and np.all(lam >= -1e-9)
-
-
-def test_highs_agrees_with_simplex():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        lp = random_bounded_lp(rng, 3)
-        s1 = simplex_solve(lp)
-        s2 = highs_solve(lp)
-        assert s1.status == s2.status == "optimal"
-        assert abs(s1.objective_value - s2.objective_value) <= 1e-7
-
-
-def test_select_solver_routing():
-    small = LinearProgram(objective=np.zeros(2),
-                          ineq=(np.zeros((3, 2)), np.ones(3)))
-    assert select_solver(small) is simplex_solve
-    big = LinearProgram(objective=np.zeros(500),
-                        ineq=(np.zeros((2000, 500)), np.ones(2000)))
-    assert select_solver(big) is highs_solve
+        a, b = lp.ineq
+        mu = lp.objective + a.T @ lam
+        lo = np.array([bd[0] for bd in lp.bounds])
+        hi = np.array([bd[1] for bd in lp.bounds])
+        dual_value = -b @ lam + np.where(mu > 0, mu * lo, mu * hi).sum()
+        assert dual_value == pytest.approx(sol.objective_value, abs=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,8 +141,21 @@ def test_select_solver_routing():
 def test_random_lp_solution_is_feasible(seed):
     rng = np.random.default_rng(seed)
     lp = random_bounded_lp(rng, int(rng.integers(2, 5)))
-    sol = simplex_solve(lp)
+    sol = solve_lp(lp)
     assert sol.status == "optimal"
     a, b = lp.ineq
     assert np.all(a @ sol.z <= b + 1e-6)
     assert np.all(sol.z >= -5.0 - 1e-9) and np.all(sol.z <= 5.0 + 1e-9)
+
+
+@pytest.mark.parametrize("code, status", [(1, "iteration_limit"),
+                                          (4, "numerical_trouble")])
+def test_solver_trouble_is_never_optimal(monkeypatch, code, status):
+    def stalled(*args, **kwargs):
+        return SimpleNamespace(status=code, x=np.zeros(1), fun=0.0,
+                               ineqlin=None)
+    monkeypatch.setattr(lpsolve, "linprog", stalled)
+    sol = solve_lp(LinearProgram(objective=np.array([1.0]),
+                                 bounds=[(0.0, 1.0)]))
+    assert sol.status == status
+    assert not sol.optimal and sol.z is None

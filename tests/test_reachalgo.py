@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from tubereach import chance, reachalgo
 from tubereach.geometry import DirectionSet, spread_directions, box_polytope
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.reachalgo import (compute_reach_set, dp_level_set, dp_values,
@@ -142,14 +145,48 @@ def test_anytime_prefix_is_contained(sys2d, tube2d, pwa):
         assert full.polytope.contains(v, tol=1e-6)
 
 
-def test_parallel_matches_serial(sys2d, tube2d, pwa):
+def test_parallel_matches_serial(sys2d, tube2d, pwa, tmp_path):
+    # without a time budget the artifacts are byte-identical across jobs
+    # (vertices, thetas, bounds and controllers included)
     dirs = spread_directions(8, 2)
-    one = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa, jobs=1)
-    four = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa, jobs=4)
-    np.testing.assert_array_equal(one.polytope.vertices,
-                                  four.polytope.vertices)
-    for a, b in zip(one.boundary_points, four.boundary_points):
-        assert a.theta == b.theta
+    artifacts = []
+    for jobs in (1, 4):
+        res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
+                                time_budget=None, jobs=jobs)
+        res.vertex_csv(tmp_path / f"j{jobs}.csv")
+        res.timings = {}
+        artifacts.append((res.to_json(),
+                          (tmp_path / f"j{jobs}.csv").read_bytes()))
+    assert artifacts[0] == artifacts[1]
+
+
+def test_zero_time_budget_keeps_only_the_anchor(sys2d, tube2d, pwa):
+    dirs = spread_directions(8, 2)
+    res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
+                            time_budget=0.0, jobs=2)
+    assert [b.status for b in res.boundary_points] == ["skipped"] * 8
+    assert all(b.diagnostic == "time budget exhausted"
+               for b in res.boundary_points)
+    np.testing.assert_array_equal(res.polytope.vertices,
+                                  [res.anchor.x_anchor])
+
+
+def test_time_budget_checked_when_each_search_starts(sys2d, tube2d, pwa,
+                                                     monkeypatch):
+    # a fake clock that advances one second per line search
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(reachalgo, "time",
+                        SimpleNamespace(perf_counter=lambda: clock.now))
+    search = chance.solve_line_search
+
+    def slow_search(*args, **kwargs):
+        clock.now += 1.0
+        return search(*args, **kwargs)
+    monkeypatch.setattr(chance, "solve_line_search", slow_search)
+    res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(8, 2),
+                            pwa=pwa, time_budget=2.5)
+    assert [b.status for b in res.boundary_points] == \
+        ["ok"] * 3 + ["skipped"] * 5
 
 
 def test_backend_and_mode_validation(sys1d, tube1d):
