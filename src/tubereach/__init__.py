@@ -8,8 +8,7 @@ from .sysmodel import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
                        concat_matrices, state_mean_cov)
 from .gaussian import (MvnBox, PwaQuantile, build_pwa_quantile,
                        genz_mvn_probability, normal_cdf, normal_quantile)
-from .chance import (AnchorResult, LineSearchResult, build_risk_lp,
-                     solve_anchor_cheby, solve_anchor_xmax, solve_line_search)
+from .chance import AnchorResult, LineSearchResult, RiskLP
 from .lpsolve import LinearProgram, LpSolution, solve_lp
 
 __version__ = "0.1.0"
@@ -21,8 +20,7 @@ __all__ = [
     "concat_matrices", "state_mean_cov",
     "MvnBox", "PwaQuantile", "build_pwa_quantile", "genz_mvn_probability",
     "normal_cdf", "normal_quantile",
-    "AnchorResult", "LineSearchResult", "build_risk_lp",
-    "solve_anchor_cheby", "solve_anchor_xmax", "solve_line_search",
+    "AnchorResult", "LineSearchResult", "RiskLP",
     "LinearProgram", "LpSolution", "solve_lp",
     "__version__",
 ]

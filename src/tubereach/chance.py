@@ -1,23 +1,25 @@
 """Risk-allocated linear programs for open-loop reach-probability
 maximization: anchor point via maximal lower bound, anchor via Chebyshev
-centering, and directional line search.
+centering, directional line search, and the controller for a fixed
+initial state.
 
 Each half-space constraint of the target tube on a noisy state becomes a
 univariate Gaussian tail condition with its own risk variable; the risks
 share a budget of 1 - alpha (union bound), and the normal quantile is
 replaced by its piecewise-affine overapproximation so everything is
-linear.
+linear.  :class:`RiskLP` assembles these rows once per (system, tube,
+alpha); each question only says how the initial state enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
-from .geometry import HPolytope
 from .lpsolve import LinearProgram, solve_lp
 from .sysmodel import ConcatenatedDynamics, StochasticLTVSystem, TargetTube, \
     concat_matrices
@@ -34,34 +36,6 @@ class TubeRow:
     offset: float
     sigma: float
     mean_const: float  # normal @ (G muW) restricted to step k
-
-
-@dataclass
-class RiskAllocatedProblem:
-    """Assembled risk-allocation data plus the variable layout of the LP."""
-
-    cd: ConcatenatedDynamics
-    stochastic_rows: List[TubeRow]
-    deterministic_rows: List[TubeRow]
-    pwa: PwaQuantile
-    alpha: float
-    mode: str  # fixed | free | cheby | line
-    n_u: int
-    n_risk: int
-    n_extra: int
-    delta_lb: float
-    delta_cap: float
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_u + self.n_risk + self.n_extra
-
-    def split(self, z: np.ndarray):
-        """(U, deltas, extra) from an LP solution vector."""
-        u = z[:self.n_u]
-        deltas = z[self.n_u:self.n_u + self.n_risk]
-        extra = z[self.n_u + self.n_risk:]
-        return u, deltas, extra
 
 
 @dataclass
@@ -84,8 +58,21 @@ class LineSearchResult:
     theta_star: float
     U_star: Optional[np.ndarray]
     lower_bound: float
-    status: str = "optimal"
+    status: str = "optimal"  # optimal | infeasible | solver_failure
     diagnostic: str = ""
+
+
+@dataclass
+class _Solution:
+    status: str  # optimal | infeasible | solver_failure
+    diagnostic: str = ""
+    U: Optional[np.ndarray] = None
+    deltas: Optional[np.ndarray] = None
+    extra: Optional[np.ndarray] = None  # y, then the radius if asked for
+
+    @property
+    def lower_bound(self) -> float:
+        return 0.0 if self.deltas is None else float(1.0 - self.deltas.sum())
 
 
 def _tube_rows(cd: ConcatenatedDynamics, tube: TargetTube):
@@ -104,263 +91,196 @@ def _tube_rows(cd: ConcatenatedDynamics, tube: TargetTube):
     return stochastic, deterministic
 
 
-def build_risk_lp(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                  pwa: PwaQuantile, x0_mode: str = "free",
-                  anchor: Optional[np.ndarray] = None,
-                  direction: Optional[np.ndarray] = None,
-                  x0_fixed: Optional[np.ndarray] = None,
-                  ) -> Tuple[RiskAllocatedProblem, LinearProgram]:
-    """Assemble the risk-allocated LP for the requested initial-state mode.
+class RiskLP:
+    """The risk-allocated LP of one (system, tube, alpha), assembled once.
 
-    Variable layout: [U (m*N) | risk deltas | extra], where extra is x0
-    (free mode), x0 plus the centering radius (cheby mode), the line
-    parameter theta (line mode), or empty (fixed mode).
+    Columns are [U (m*N) | risk deltas | y | radius]: the initial state
+    enters as x0 = c + E y, so each question supplies only (c, E) --
+    c = 0 and E = I for the anchors, c = anchor and E = direction for a
+    line search, c = x0 and no columns for a fixed initial state.  The
+    rows over [U | deltas] are built here in sparse form: one per
+    (stochastic row, PWA piece), then the deterministic tube rows, the
+    shared risk budget and the per-step input rows.  A solve appends the
+    E columns, the T_0 rows and, for the Chebyshev anchor, the radius
+    column.  Nothing is mutated after construction, so threads may share
+    one instance.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    if tube.horizon != sys.horizon:
-        raise ValueError("tube horizon must match the system horizon")
-    if tube.dim != sys.state_dim:
-        raise ValueError("tube dimension must match the state dimension")
 
-    cd = concat_matrices(sys)
-    stochastic, deterministic = _tube_rows(cd, tube)
-    n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
-    n_u = m * nsteps
-    n_risk = len(stochastic)
-    budget = 1.0 - alpha
-    delta_lb, pwa_max = pwa.domain
-    delta_cap = min(pwa_max, budget) if n_risk else pwa_max
+    def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
+                 alpha: float, pwa: PwaQuantile):
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError("alpha must lie in (0, 1]")
+        if tube.horizon != sys.horizon:
+            raise ValueError("tube horizon must match the system horizon")
+        if tube.dim != sys.state_dim:
+            raise ValueError("tube dimension must match the state dimension")
 
-    if x0_mode == "free":
-        n_extra = n
-    elif x0_mode == "cheby":
-        n_extra = n + 1
-    elif x0_mode == "line":
-        if anchor is None or direction is None:
-            raise ValueError("line mode requires anchor and direction")
+        cd = concat_matrices(sys)
+        stochastic, deterministic = _tube_rows(cd, tube)
+        n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
+        self.alpha = alpha
+        self.tube = tube
+        self.deterministic_rows = deterministic
+        self.n_u = m * nsteps
+        self.n_risk = len(stochastic)
+        budget = 1.0 - alpha
+        self.delta_lb, pwa_max = pwa.domain
+        self.delta_cap = min(pwa_max, budget) if self.n_risk else pwa_max
+        floor = self.n_risk * self.delta_lb
+        self._floor_diagnostic = "" if floor <= budget else (
+            f"risk budget {budget:.3g} below the floor {floor:.3g} "
+            f"({self.n_risk} rows at delta_lb {self.delta_lb:.1g}): "
+            "infeasible by construction")
+
+        def coefficients(rows):
+            """(U coefficients, x0 coefficients, rhs) of tube rows."""
+            if not rows:
+                return np.zeros((0, self.n_u)), np.zeros((0, n)), np.zeros(0)
+            return (np.stack([r.normal @ cd.block(cd.H, r.step) for r in rows]),
+                    np.stack([r.normal @ cd.block(cd.Acal, r.step)
+                              for r in rows]),
+                    np.array([r.offset - r.mean_const for r in rows]))
+
+        # x0 coefficients per distinct tube row; the chance rows repeat the
+        # stochastic ones once per PWA piece
+        coef_u, self._x0_stochastic, rhs0 = coefficients(stochastic)
+        det_u, self._x0_deterministic, det_rhs = coefficients(deterministic)
+        pieces = pwa.pieces if self.n_risk else []
+        self._piece_rows = np.tile(np.arange(self.n_risk), len(pieces))
+        sig = np.array([r.sigma for r in stochastic])
+        slopes = np.array([s for s, _ in pieces])
+        chance_delta = sp.coo_array(
+            (np.outer(slopes, sig).ravel(),
+             (np.arange(self._piece_rows.size), self._piece_rows)),
+            shape=(self._piece_rows.size, self.n_risk))
+        groups = [sp.hstack([sp.csr_array(coef_u)[self._piece_rows],
+                             chance_delta]),
+                  sp.hstack([sp.csr_array(det_u),
+                             sp.csr_array((len(deterministic), self.n_risk))])]
+        rhs = [rhs0 - sig * intercept for _, intercept in pieces] + [det_rhs]
+        if self.n_risk:
+            groups.append(sp.csr_array(np.concatenate(
+                [np.zeros(self.n_u), np.ones(self.n_risk)])[None, :]))
+            rhs.append(np.array([budget]))
+
+        # input set rows per step (box input sets are handled via bounds)
+        box = sys.input_set.as_box_bounds() if m else None
+        if m and box is None:
+            inputs = sp.block_diag([sys.input_set.normals] * nsteps)
+            groups.append(sp.hstack(
+                [inputs, sp.csr_array((inputs.shape[0], self.n_risk))]))
+            rhs.extend([sys.input_set.offsets] * nsteps)
+        self.rows = sp.vstack(groups, format="csr")
+        self.rows.eliminate_zeros()  # as the solver's dense input path does
+        self.rhs = np.concatenate(rhs)
+        self._rows_without_x0 = self.rhs.size - self._piece_rows.size \
+            - len(deterministic)
+
+        self._bounds = []
+        if m:
+            if box is not None:
+                self._bounds.extend([(box[0][i], box[1][i])
+                                     for i in range(m)] * nsteps)
+            else:
+                self._bounds.extend([(-np.inf, np.inf)] * self.n_u)
+        self._bounds.extend([(self.delta_lb, self.delta_cap)] * self.n_risk)
+
+    def anchor(self, mode: str) -> AnchorResult:
+        """Anchor maximizing the risk-allocation lower bound on the reach
+        probability ("xmax"), or the center of the largest ball in T_0
+        whose center keeps the risk allocation feasible ("cheby"); an
+        empty underapproximation when infeasible."""
+        if mode not in ("xmax", "cheby"):
+            raise ValueError(f"unknown anchor mode {mode!r}")
+        cheby = mode == "cheby"
+        n = self.tube.dim
+        sol = self._solve(np.zeros(n), np.eye(n), radius=cheby,
+                          maximize=cheby)
+        if sol.status != "optimal":
+            status = "empty" if sol.status == "infeasible" else sol.status
+            return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
+                                mode=mode, status=status,
+                                diagnostic=sol.diagnostic)
+        lb = sol.lower_bound
+        if not cheby and lb < self.alpha - 1e-9:
+            return AnchorResult(x_anchor=None, U=None, lower_bound=lb,
+                                mode=mode, status="empty",
+                                diagnostic=f"best lower bound {lb:.6f} < alpha")
+        return AnchorResult(x_anchor=sol.extra[:n], U=sol.U, lower_bound=lb,
+                            mode=mode,
+                            radius=float(sol.extra[n]) if cheby else None)
+
+    def line(self, anchor, direction) -> LineSearchResult:
+        """Maximal step along a direction from the anchor keeping the risk
+        allocation feasible; the returned input sequence certifies the
+        boundary point's lower bound."""
         anchor = np.asarray(anchor, dtype=float).ravel()
         direction = np.asarray(direction, dtype=float).ravel()
-        n_extra = 1
-    elif x0_mode == "fixed":
-        if x0_fixed is None:
-            raise ValueError("fixed mode requires x0_fixed")
-        x0_fixed = np.asarray(x0_fixed, dtype=float).ravel()
-        n_extra = 0
-    else:
-        raise ValueError(f"unknown x0_mode {x0_mode!r}")
+        if not self.tube[0].contains(anchor, tol=1e-7):
+            return LineSearchResult(theta_star=0.0, U_star=None,
+                                    lower_bound=0.0, status="infeasible",
+                                    diagnostic="anchor lies outside T_0")
+        sol = self._solve(anchor, direction[:, None], y_lo=0.0,
+                          maximize=True)
+        if sol.status != "optimal":
+            return LineSearchResult(theta_star=0.0, U_star=None,
+                                    lower_bound=0.0, status=sol.status,
+                                    diagnostic=sol.diagnostic)
+        return LineSearchResult(theta_star=max(float(sol.extra[0]), 0.0),
+                                U_star=sol.U, lower_bound=sol.lower_bound)
 
-    n_vars = n_u + n_risk + n_extra
-    prob = RiskAllocatedProblem(
-        cd=cd, stochastic_rows=stochastic, deterministic_rows=deterministic,
-        pwa=pwa, alpha=alpha, mode=x0_mode, n_u=n_u, n_risk=n_risk,
-        n_extra=n_extra, delta_lb=delta_lb, delta_cap=delta_cap)
+    def controls(self, x0) -> Optional[np.ndarray]:
+        """Input sequence minimizing the total risk from the fixed initial
+        state x0 (T_0 membership is not imposed), or None without an
+        optimum: the sampling backend's warm start."""
+        x0 = np.asarray(x0, dtype=float).ravel()
+        return self._solve(x0, np.zeros((x0.size, 0))).U
 
-    def x0_columns(coef_x0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(columns over extra vars, constant term) for coef_x0 @ x0 rows."""
-        rows = coef_x0.shape[0]
-        cols = np.zeros((rows, n_extra))
-        const = np.zeros(rows)
-        if x0_mode in ("free", "cheby"):
-            cols[:, :n] = coef_x0
-        elif x0_mode == "line":
-            cols[:, 0] = coef_x0 @ direction
-            const = coef_x0 @ anchor
+    def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
+               radius: bool = False, maximize: bool = False) -> _Solution:
+        """Solve with x0 = c + E y and y >= y_lo.  With E columns, x0 must
+        lie in T_0, by a margin of the radius column when one is asked
+        for.  The objective is the total risk, or with maximize the last
+        column (the step or the radius)."""
+        if self._floor_diagnostic:
+            return _Solution("infeasible", self._floor_diagnostic)
+        n_y, n_r = E.shape[1], int(radius)
+        x0_cols = sp.vstack(
+            [sp.csr_array(self._x0_stochastic @ E)[self._piece_rows],
+             sp.csr_array(self._x0_deterministic @ E),
+             sp.csr_array((self._rows_without_x0, n_y))])
+        x0_const = np.concatenate(
+            [(self._x0_stochastic @ c)[self._piece_rows],
+             self._x0_deterministic @ c, np.zeros(self._rows_without_x0)])
+        blocks = [[self.rows, x0_cols, sp.csr_array((self.rhs.size, n_r))]]
+        rhs = [self.rhs - x0_const]
+        if n_y:
+            t0 = self.tube[0]
+            ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
+                else np.zeros((t0.n_rows, 0))
+            blocks.append([sp.csr_array((t0.n_rows, self.rows.shape[1])),
+                           sp.csr_array(t0.normals @ E), sp.csr_array(ball)])
+            rhs.append(t0.offsets - t0.normals @ c)
+        bounds = self._bounds + [(y_lo, np.inf)] * n_y \
+            + [(0.0, np.inf)] * n_r
+        objective = np.zeros(len(bounds))
+        if maximize:
+            objective[-1] = -1.0
         else:
-            const = coef_x0 @ x0_fixed
-        return cols, const
-
-    a_rows: List[np.ndarray] = []
-    b_rows: List[np.ndarray] = []
-
-    def add_block(coef_u, coef_delta, coef_extra, rhs):
-        block = np.zeros((rhs.size, n_vars))
-        if n_u:
-            block[:, :n_u] = coef_u
-        if coef_delta is not None:
-            block[:, n_u:n_u + n_risk] = coef_delta
-        if n_extra:
-            block[:, n_u + n_risk:] = coef_extra
-        a_rows.append(block)
-        b_rows.append(rhs)
-
-    # chance-constraint rows, one per (stochastic row, PWA piece)
-    if n_risk:
-        coef_u = np.stack([r.normal @ cd.block(cd.H, r.step) for r in stochastic]) \
-            if n_u else np.zeros((n_risk, 0))
-        coef_x0 = np.stack([r.normal @ cd.block(cd.Acal, r.step) for r in stochastic])
-        sig = np.array([r.sigma for r in stochastic])
-        rhs0 = np.array([r.offset - r.mean_const for r in stochastic])
-        x0_cols, x0_const = x0_columns(coef_x0)
-        n_pieces = len(pwa.pieces)
-        for ell, (slope, intercept) in enumerate(pwa.pieces):
-            delta_coef = np.zeros((n_risk, n_risk))
-            np.fill_diagonal(delta_coef, sig * slope)
-            add_block(coef_u, delta_coef, x0_cols,
-                      rhs0 - sig * intercept - x0_const)
-
-    # deterministic tube rows (negligible variance)
-    if deterministic:
-        coef_u = np.stack([r.normal @ cd.block(cd.H, r.step) for r in deterministic]) \
-            if n_u else np.zeros((len(deterministic), 0))
-        coef_x0 = np.stack([r.normal @ cd.block(cd.Acal, r.step)
-                            for r in deterministic])
-        rhs0 = np.array([r.offset - r.mean_const for r in deterministic])
-        x0_cols, x0_const = x0_columns(coef_x0)
-        add_block(coef_u, None, x0_cols, rhs0 - x0_const)
-
-    # shared risk budget
-    if n_risk:
-        row = np.zeros((1, n_vars))
-        row[0, n_u:n_u + n_risk] = 1.0
-        a_rows.append(row)
-        b_rows.append(np.array([budget]))
-
-    # input set rows per step (box input sets are handled via bounds below)
-    box = sys.input_set.as_box_bounds() if m else None
-    if m and box is None:
-        for j in range(nsteps):
-            block = np.zeros((sys.input_set.n_rows, n_vars))
-            block[:, j * m:(j + 1) * m] = sys.input_set.normals
-            a_rows.append(block)
-            b_rows.append(sys.input_set.offsets.copy())
-
-    # x0 membership in T_0 (always deterministic, never risk-allocated)
-    t0 = tube[0]
-    if x0_mode in ("free", "cheby"):
-        block = np.zeros((t0.n_rows, n_vars))
-        block[:, n_u + n_risk:n_u + n_risk + n] = t0.normals
-        rhs = t0.offsets.copy()
-        if x0_mode == "cheby":
-            block[:, -1] = np.linalg.norm(t0.normals, axis=1)
-        a_rows.append(block)
-        b_rows.append(rhs)
-    elif x0_mode == "line":
-        block = np.zeros((t0.n_rows, n_vars))
-        block[:, -1] = t0.normals @ direction
-        a_rows.append(block)
-        b_rows.append(t0.offsets - t0.normals @ anchor)
-
-    bounds: List[Tuple[float, float]] = []
-    if m:
-        if box is not None:
-            bounds.extend([(box[0][i], box[1][i]) for i in range(m)] * nsteps)
-        else:
-            bounds.extend([(-np.inf, np.inf)] * n_u)
-    bounds.extend([(delta_lb, delta_cap)] * n_risk)
-    if x0_mode in ("free", "cheby"):
-        bounds.extend([(-np.inf, np.inf)] * n)
-    if x0_mode == "cheby":
-        bounds.append((0.0, np.inf))
-    if x0_mode == "line":
-        bounds.append((0.0, np.inf))
-
-    objective = np.zeros(n_vars)
-    if x0_mode in ("free", "fixed"):
-        objective[n_u:n_u + n_risk] = 1.0  # minimize total risk
-    elif x0_mode == "cheby":
-        objective[-1] = -1.0  # maximize radius
-    else:
-        objective[-1] = -1.0  # maximize theta
-
-    lp = LinearProgram(objective=objective,
-                       ineq=(np.vstack(a_rows), np.concatenate(b_rows)),
-                       bounds=bounds)
-    return prob, lp
-
-
-def _budget_infeasible(prob: RiskAllocatedProblem) -> Optional[str]:
-    floor = prob.n_risk * prob.delta_lb
-    if floor > 1.0 - prob.alpha:
-        return (f"risk budget {1.0 - prob.alpha:.3g} below the floor "
-                f"{floor:.3g} ({prob.n_risk} rows at delta_lb "
-                f"{prob.delta_lb:.1g}): infeasible by construction")
-    return None
-
-
-def _lower_bound(prob: RiskAllocatedProblem, deltas: np.ndarray) -> float:
-    return float(1.0 - deltas.sum())
-
-
-def solve_anchor_xmax(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                      pwa: PwaQuantile) -> AnchorResult:
-    """Anchor maximizing the risk-allocation lower bound on the reach
-    probability; reports an empty underapproximation when infeasible."""
-    prob, lp = build_risk_lp(sys, tube, alpha, pwa, x0_mode="free")
-    diag = _budget_infeasible(prob)
-    if diag is not None:
-        return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
-                            mode="xmax", status="empty", diagnostic=diag)
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        return AnchorResult(
-            x_anchor=None, U=None, lower_bound=0.0, mode="xmax", status="empty",
-            diagnostic="risk-allocated LP infeasible: the chance-constrained "
-                       "underapproximation is empty (the true reach set may "
-                       "still be nonempty)")
-    if not sol.optimal:
-        return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
-                            mode="xmax", status="solver_failure",
-                            diagnostic=f"LP solver returned {sol.status}")
-    u, deltas, extra = prob.split(sol.z)
-    lb = _lower_bound(prob, deltas)
-    if lb < alpha - 1e-9:
-        return AnchorResult(x_anchor=None, U=None, lower_bound=lb, mode="xmax",
-                            status="empty",
-                            diagnostic=f"best lower bound {lb:.6f} < alpha")
-    return AnchorResult(x_anchor=extra[:sys.state_dim].copy(), U=u.copy(),
-                        lower_bound=lb, mode="xmax")
-
-
-def solve_anchor_cheby(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                       pwa: PwaQuantile) -> AnchorResult:
-    """Anchor deep inside T_0: maximize the radius of a ball around x0
-    contained in T_0 while keeping the risk allocation feasible."""
-    prob, lp = build_risk_lp(sys, tube, alpha, pwa, x0_mode="cheby")
-    diag = _budget_infeasible(prob)
-    if diag is not None:
-        return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
-                            mode="cheby", status="empty", diagnostic=diag)
-    sol = solve_lp(lp)
-    if sol.status == "infeasible":
-        return AnchorResult(
-            x_anchor=None, U=None, lower_bound=0.0, mode="cheby", status="empty",
-            diagnostic="risk-allocated LP infeasible: the chance-constrained "
-                       "underapproximation is empty")
-    if not sol.optimal:
-        return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
-                            mode="cheby", status="solver_failure",
-                            diagnostic=f"LP solver returned {sol.status}")
-    u, deltas, extra = prob.split(sol.z)
-    n = sys.state_dim
-    return AnchorResult(x_anchor=extra[:n].copy(), U=u.copy(),
-                        lower_bound=_lower_bound(prob, deltas), mode="cheby",
-                        radius=float(extra[n]))
-
-
-def solve_line_search(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                      pwa: PwaQuantile, anchor, direction) -> LineSearchResult:
-    """Maximal step along a direction from the anchor keeping the risk
-    allocation feasible; the returned input sequence certifies the
-    boundary point's lower bound."""
-    anchor = np.asarray(anchor, dtype=float).ravel()
-    direction = np.asarray(direction, dtype=float).ravel()
-    if not tube[0].contains(anchor, tol=1e-7):
-        return LineSearchResult(theta_star=0.0, U_star=None, lower_bound=0.0,
-                                status="infeasible",
-                                diagnostic="anchor lies outside T_0")
-    prob, lp = build_risk_lp(sys, tube, alpha, pwa, x0_mode="line",
-                             anchor=anchor, direction=direction)
-    diag = _budget_infeasible(prob)
-    if diag is not None:
-        return LineSearchResult(theta_star=0.0, U_star=None, lower_bound=0.0,
-                                status="infeasible", diagnostic=diag)
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        return LineSearchResult(
-            theta_star=0.0, U_star=None, lower_bound=0.0, status="infeasible",
-            diagnostic=f"line LP returned {sol.status}: infeasible at theta=0")
-    u, deltas, extra = prob.split(sol.z)
-    return LineSearchResult(theta_star=max(float(extra[0]), 0.0),
-                            U_star=u.copy(),
-                            lower_bound=_lower_bound(prob, deltas))
+            objective[self.n_u:self.n_u + self.n_risk] = 1.0
+        lp = LinearProgram(objective=objective,
+                           ineq=(sp.block_array(blocks, format="csr"),
+                                 np.concatenate(rhs)),
+                           bounds=bounds)
+        sol = solve_lp(lp)
+        if sol.status == "infeasible":
+            return _Solution(
+                "infeasible", "risk-allocated LP infeasible: the "
+                "chance-constrained underapproximation is empty (the true "
+                "reach set may still be nonempty)")
+        if not sol.optimal:
+            return _Solution("solver_failure",
+                             f"LP solver returned {sol.status}")
+        k = self.n_u + self.n_risk
+        return _Solution("optimal", U=sol.z[:self.n_u],
+                         deltas=sol.z[self.n_u:k], extra=sol.z[k:])

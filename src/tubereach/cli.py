@@ -16,13 +16,14 @@ import logging
 import os
 import sys as _sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import montecarlo, reachalgo
 from .gaussian import build_pwa_quantile
-from .geometry import DirectionSet, HPolytope, VPolytope, spread_directions
+from .geometry import HPolytope, VPolytope, spread_directions
 from .sysmodel import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
                        cwh_los_tube, make_cwh, make_dubins,
                        make_integrator_chain, make_uncontrolled,
@@ -217,6 +218,7 @@ def cmd_compute(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     seed = int(cfg.get("seed", 0))
     any_empty = False
+    timings: Dict[str, Dict[str, float]] = {}
     for alpha in cfg["alphas"]:
         alpha = float(alpha)
         res = reachalgo.compute_reach_set(
@@ -229,15 +231,14 @@ def cmd_compute(args) -> int:
                       res.anchor.diagnostic)
             return EXIT_SOLVER_FAILURE
         jpath, vpath, bpath = _result_paths(outdir, alpha)
-        # timings go to a side log so reruns are byte-identical
+        # timings go to a sidecar that each run overwrites, so the other
+        # artifacts stay byte-identical across reruns
         doc = json.loads(res.to_json())
-        timings = doc.pop("timings", {})
+        timings[f"{alpha:g}"] = doc.pop("timings")
         with open(jpath, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
-        with open(os.path.join(outdir, "timings.log"), "a") as fh:
-            fh.write(f"alpha={alpha:g} " +
-                     " ".join(f"{k}={v:.4f}s"
-                              for k, v in sorted(timings.items())) + "\n")
+        with open(os.path.join(outdir, "timings.json"), "w") as fh:
+            json.dump(timings, fh, indent=2, sort_keys=True)
         if res.is_empty:
             any_empty = True
             log.warning("alpha=%s: empty set (%s); certificate at %s",
@@ -266,39 +267,9 @@ def _boundary_csv(path, polytope: VPolytope, slice_dims) -> None:
             w.writerow([f"{v:.12g}" for v in p])
 
 
-def _load_result(path: str) -> reachalgo.ReachSetResult:
-    with open(path) as fh:
-        doc = json.load(fh)
-    anchor_doc = doc["anchor"]
-    anchor = reachalgo.AnchorResult(
-        x_anchor=None if anchor_doc["point"] is None
-        else np.asarray(anchor_doc["point"], dtype=float),
-        U=None if anchor_doc["controls"] is None
-        else np.asarray(anchor_doc["controls"], dtype=float),
-        lower_bound=float(anchor_doc["lower_bound"]),
-        mode=anchor_doc["mode"], radius=anchor_doc.get("radius"),
-        status=anchor_doc["status"])
-    points = [
-        reachalgo.BoundaryPoint(
-            index=i, direction=np.asarray(v["direction"], dtype=float),
-            theta=float(v["theta"]),
-            point=np.asarray(v["point"], dtype=float),
-            U=None if v["controls"] is None
-            else np.asarray(v["controls"], dtype=float),
-            lower_bound=float(v["lower_bound"]), status=v["status"])
-        for i, v in enumerate(doc["vertices"])
-    ]
-    polytope = None if doc["polytope"] is None else \
-        VPolytope(np.asarray(doc["polytope"], dtype=float))
-    return reachalgo.ReachSetResult(
-        alpha=float(doc["alpha"]), anchor=anchor, boundary_points=points,
-        polytope=polytope, backend=doc["backend"], status=doc["status"],
-        diagnostic=doc.get("diagnostic", ""), timings=doc.get("timings", {}))
-
-
 def cmd_interpolate(args) -> int:
-    set1 = _load_result(args.set1)
-    set2 = _load_result(args.set2)
+    set1 = reachalgo.ReachSetResult.from_json(Path(args.set1).read_text())
+    set2 = reachalgo.ReachSetResult.from_json(Path(args.set2).read_text())
     if set1.alpha > set2.alpha:
         set1, set2 = set2, set1
     try:
@@ -353,7 +324,8 @@ def cmd_dp(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _, _ = _instantiate(cfg)
-    result = _load_result(args.result)
+    result = reachalgo.ReachSetResult.from_json(
+        Path(args.result).read_text())
     if result.is_empty:
         log.error("result artifact holds an empty set; nothing to validate")
         return EXIT_EMPTY_SET
@@ -376,6 +348,11 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     merged: Dict[str, object] = {"results": [], "validation": None}
+    times = {}
+    tpath = os.path.join(args.dir, "timings.json")
+    if os.path.exists(tpath):
+        with open(tpath) as fh:
+            times = json.load(fh)
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if name.startswith("reach_") and name.endswith(".json"):
@@ -386,7 +363,7 @@ def cmd_report(args) -> int:
                 "backend": doc["backend"],
                 "n_vertices": None if doc["polytope"] is None
                 else len(doc["polytope"]),
-                "timings": doc.get("timings", {}),
+                "timings": times.get(f"{doc['alpha']:g}", {}),
             })
         elif name == "validation.json":
             with open(path) as fh:
@@ -397,18 +374,11 @@ def cmd_report(args) -> int:
     out = os.path.join(args.dir, "summary.json")
     with open(out, "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
-    tlog = os.path.join(args.dir, "timings.log")
-    times = {}
-    if os.path.exists(tlog):
-        with open(tlog) as fh:
-            for line in fh:
-                parts = dict(p.split("=", 1) for p in line.split())
-                if "alpha" in parts and "total" in parts:
-                    times[float(parts["alpha"])] = parts["total"]
     for row in merged["results"]:
+        total = row["timings"].get("total")
+        shown = "n/a" if total is None else f"{total:.4f}s"
         print(f"alpha={row['alpha']:g} status={row['status']} "
-              f"vertices={row['n_vertices']} "
-              f"time={times.get(row['alpha'], 'n/a')}")
+              f"vertices={row['n_vertices']} time={shown}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ quasi-Monte-Carlo multivariate-normal box-probability estimator."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np

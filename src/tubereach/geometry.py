@@ -10,8 +10,8 @@ problem so hulls above 2D are never facet-enumerated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -145,25 +145,29 @@ class VPolytope:
         return self.vertices.shape[0]
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership via LP feasibility over convex weights."""
+        """Membership within tol (max norm) via LP feasibility over convex
+        weights."""
+        return self._weights(x, tol) is not None
+
+    def convex_weights(self, x, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+        """Convex weights reproducing x within tol (max norm), or None if
+        x is farther from the hull."""
+        return self._weights(x, tol)
+
+    def _weights(self, x, tol: float) -> Optional[np.ndarray]:
+        """Some w >= 0 with sum(w) = 1 and |V^T w - x| <= tol elementwise."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise ValueError("dimension mismatch")
+        if tol < 0.0:
+            raise ValueError("tol must be nonnegative")
         k = self.n_vertices
-        a_eq = np.vstack([self.vertices.T, np.ones((1, k))])
-        b_eq = np.concatenate([x, [1.0]])
-        lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
-                           bounds=[(0.0, 1.0)] * k)
-        return solve_lp(lp).optimal
-
-    def convex_weights(self, x, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-        """Convex weights reproducing x, or None if x is outside."""
-        x = np.asarray(x, dtype=float).ravel()
-        k = self.n_vertices
-        a_eq = np.vstack([self.vertices.T, np.ones((1, k))])
-        b_eq = np.concatenate([x, [1.0]])
-        lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
-                           bounds=[(0.0, 1.0)] * k)
+        v = self.vertices.T
+        lp = LinearProgram(objective=np.zeros(k),
+                           ineq=(np.vstack([v, -v]),
+                                 np.concatenate([x + tol, tol - x])),
+                           eq=(np.ones((1, k)), np.ones(1)),
+                           bounds=[(0.0, np.inf)] * k)
         sol = solve_lp(lp)
         return sol.z if sol.optimal else None
 

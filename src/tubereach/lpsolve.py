@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import issparse
 
 
 class LpError(ValueError):
@@ -23,7 +24,8 @@ class LinearProgram:
     """min objective @ z  subject to  ineq, eq, and per-variable bounds.
 
     bounds is a list of (lo, hi) pairs with +/-inf allowed; variables
-    default to free when bounds is None.
+    default to free when bounds is None.  A constraint matrix may be a
+    scipy.sparse array; it is passed to the solver as it is.
     """
 
     objective: np.ndarray
@@ -39,7 +41,8 @@ class LinearProgram:
             if pair is None:
                 continue
             a, b = pair
-            a = np.atleast_2d(np.asarray(a, dtype=float))
+            if not issparse(a):
+                a = np.atleast_2d(np.asarray(a, dtype=float))
             b = np.asarray(b, dtype=float).ravel()
             if a.shape[1] != n or a.shape[0] != b.size:
                 raise LpError(

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -39,7 +39,7 @@ class BoundaryPoint:
     point: np.ndarray
     U: Optional[np.ndarray]
     lower_bound: float
-    status: str  # ok | infeasible | skipped
+    status: str  # ok | infeasible | solver_failure | skipped
     diagnostic: str = ""
 
 
@@ -108,6 +108,31 @@ class ReachSetResult:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, text: str) -> "ReachSetResult":
+        """Inverse of :meth:`to_json`; a document without timings (as
+        `tubereach compute` writes them) reads as having none."""
+        doc = json.loads(text)
+        anchor = doc["anchor"]
+        return cls(
+            alpha=float(doc["alpha"]),
+            anchor=AnchorResult(
+                x_anchor=_array(anchor["point"]), U=_array(anchor["controls"]),
+                lower_bound=float(anchor["lower_bound"]), mode=anchor["mode"],
+                radius=anchor.get("radius"), status=anchor["status"]),
+            boundary_points=[
+                BoundaryPoint(index=i, direction=_array(v["direction"]),
+                              theta=float(v["theta"]), point=_array(v["point"]),
+                              U=_array(v["controls"]),
+                              lower_bound=float(v["lower_bound"]),
+                              status=v["status"])
+                for i, v in enumerate(doc["vertices"])],
+            polytope=None if doc["polytope"] is None
+            else VPolytope(_array(doc["polytope"])),
+            backend=doc["backend"], status=doc["status"],
+            diagnostic=doc.get("diagnostic", ""),
+            timings=doc.get("timings", {}))
+
     def vertex_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -121,16 +146,14 @@ class ReachSetResult:
                            + [f"{v:.12g}" for v in bp.point])
 
 
+def _array(values) -> Optional[np.ndarray]:
+    return None if values is None else np.asarray(values, dtype=float)
+
+
 def _hull(points: np.ndarray) -> VPolytope:
     if points.shape[1] == 2 and points.shape[0] > 3:
         return convex_hull_2d(points)
     return prune_vertices(VPolytope(points))
-
-
-def _empty_result(alpha, anchor, backend, diagnostic) -> ReachSetResult:
-    return ReachSetResult(alpha=alpha, anchor=anchor, boundary_points=[],
-                          polytope=None, backend=backend, status="empty",
-                          diagnostic=diagnostic)
 
 
 def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
@@ -158,16 +181,17 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         pwa = build_pwa_quantile()
     t0 = time.perf_counter()
 
+    # one assembly, shared read-only by the anchors and every search
+    risk = chance.RiskLP(sys, tube, alpha, pwa)
     modes = ["xmax", "cheby"] if anchor_mode == "both" else [anchor_mode]
-    anchors: List[AnchorResult] = []
-    for mode in modes:
-        solve = chance.solve_anchor_xmax if mode == "xmax" \
-            else chance.solve_anchor_cheby
-        anchors.append(solve(sys, tube, alpha, pwa))
+    anchors = [risk.anchor(mode) for mode in modes]
     t_anchor = time.perf_counter() - t0
     feasible_anchors = [a for a in anchors if a.feasible]
     if not feasible_anchors:
-        return _empty_result(alpha, anchors[0], backend, anchors[0].diagnostic)
+        return ReachSetResult(
+            alpha=alpha, anchor=anchors[0], boundary_points=[], polytope=None,
+            backend=backend, status="empty", diagnostic=anchors[0].diagnostic,
+            timings={"anchor": t_anchor, "total": t_anchor})
 
     dirs = directions.directions
     if max_directions is not None:
@@ -190,14 +214,13 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                                  lower_bound=0.0, status="skipped",
                                  diagnostic="time budget exhausted")
         if backend == "chance":
-            ls = chance.solve_line_search(sys, tube, alpha, pwa,
-                                          anc.x_anchor, d)
+            ls = risk.line(anc.x_anchor, d)
             theta, u, lb = ls.theta_star, ls.U_star, ls.lower_bound
-            status = "ok" if ls.status == "optimal" else "infeasible"
+            status = "ok" if ls.status == "optimal" else ls.status
             diag = ls.diagnostic
         else:
             theta, u, lb, status, diag = _genz_line_search(
-                sys, tube, alpha, pwa, anc.x_anchor, d,
+                sys, tube, alpha, risk, anc.x_anchor, d,
                 samples=genz_samples, seed=seed + i)
         point = anc.x_anchor + theta * d
         return BoundaryPoint(index=i, direction=d, theta=theta, point=point,
@@ -513,8 +536,8 @@ def initial_guess_controller(result: ReachSetResult, x0,
     return np.asarray(u), weights
 
 
-def _genz_line_search(sys, tube, alpha, pwa, anchor, d, samples, seed,
-                      tol_frac: float = 0.02):
+def _genz_line_search(sys, tube, alpha, risk: chance.RiskLP, anchor, d,
+                      samples, seed, tol_frac: float = 0.02):
     """Bisection on the step length: a point is feasible when the best
     sampled reach probability over controllers clears alpha. The chance
     LP at the fixed point supplies the controller warm start."""
@@ -532,14 +555,6 @@ def _genz_line_search(sys, tube, alpha, pwa, anchor, d, samples, seed,
                                          sys.horizon, max_evals=120)
         return val, u
 
-    def chance_controls(x0):
-        prob, lp = chance.build_risk_lp(sys, tube, alpha, pwa,
-                                        x0_mode="fixed", x0_fixed=x0)
-        sol = solve_lp(lp)
-        if sol.optimal:
-            return prob.split(sol.z)[0]
-        return None
-
     # exit of the ray from T_0 caps the step length
     t0 = tube[0]
     rates = t0.normals @ d
@@ -547,18 +562,18 @@ def _genz_line_search(sys, tube, alpha, pwa, anchor, d, samples, seed,
     pos = rates > 1e-12
     hi = float(np.min(slack[pos] / rates[pos])) if pos.any() else 1e6
 
-    val0, u0 = best_prob(anchor, chance_controls(anchor))
+    val0, u0 = best_prob(anchor, risk.controls(anchor))
     if val0 < alpha:
         return 0.0, u0, val0, "infeasible", \
             f"estimated probability {val0:.4f} < alpha at the anchor"
     lo, best_u, best_val = 0.0, u0, val0
-    val_hi, u_hi = best_prob(anchor + hi * d, chance_controls(anchor + hi * d))
+    val_hi, u_hi = best_prob(anchor + hi * d, risk.controls(anchor + hi * d))
     if val_hi >= alpha:
         return hi, u_hi, val_hi, "ok", ""
     span = hi
     while hi - lo > tol_frac * span:
         mid = 0.5 * (lo + hi)
-        val, u = best_prob(anchor + mid * d, chance_controls(anchor + mid * d))
+        val, u = best_prob(anchor + mid * d, risk.controls(anchor + mid * d))
         if val >= alpha:
             lo, best_u, best_val = mid, u, val
         else:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tubereach.chance import solve_anchor_xmax
+from tubereach.chance import RiskLP
 from tubereach.cli import EXIT_OK, main as cli_main
 from tubereach.gaussian import (MvnBox, genz_mvn_probability, normal_cdf,
                                 normal_quantile)
@@ -159,7 +159,7 @@ def test_criterion_5_uncontrolled_scaling(pwa):
         times[n] = time.perf_counter() - t1
         assert res.status == "ok"
         if n == 2:
-            anchor = solve_anchor_xmax(sys, tube, 0.6, pwa)
+            anchor = RiskLP(sys, tube, 0.6, pwa).anchor("xmax")
             assert anchor.feasible
             w0, sd = genz_evaluate_W0(sys, tube, anchor.x_anchor, None)
             assert anchor.lower_bound <= w0 + 3 * sd
@@ -264,7 +264,7 @@ def test_criterion_8_anytime_parallel(sys2d, tube2d, pwa, tmp_path):
     assert cli_main(["compute", str(cpath), "-d", str(a), "-j", "1"]) == EXIT_OK
     assert cli_main(["compute", str(cpath), "-d", str(b), "-j", "4"]) == EXIT_OK
     for name in sorted(os.listdir(a)):
-        if name == "timings.log":
+        if name == "timings.json":
             continue
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     announce(8, "prefix hulls nested with certified bounds; 1- vs "

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tubereach.chance import (build_risk_lp, solve_anchor_cheby,
-                              solve_anchor_xmax, solve_line_search)
+from tubereach.chance import RiskLP
 from tubereach.geometry import HPolytope, box_polytope
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
@@ -15,16 +14,19 @@ GRID = 0.01
 
 
 def test_risk_variable_count_scalar_example(sys1d, tube1d, pwa):
-    prob, lp = build_risk_lp(sys1d, tube1d, 0.8, pwa)
+    risk = RiskLP(sys1d, tube1d, 0.8, pwa)
     # two half-spaces per step over five noisy steps
-    assert prob.n_risk == 10
-    assert len(prob.deterministic_rows) == 0
-    # each stochastic row contributes one constraint per envelope piece
-    assert lp.n_rows >= prob.n_risk * len(pwa.pieces)
+    assert risk.n_risk == 10
+    assert len(risk.deterministic_rows) == 0
+    # each stochastic row contributes one constraint per envelope piece,
+    # plus the shared budget; the box input set goes to bounds
+    assert risk.rows.shape == (risk.n_risk * len(pwa.pieces) + 1,
+                               risk.n_u + risk.n_risk)
+    assert risk.rhs.size == risk.rows.shape[0]
 
 
 def test_budget_floor_infeasible_diagnostic(sys1d, tube1d, pwa):
-    res = solve_anchor_xmax(sys1d, tube1d, 1.0, pwa)
+    res = RiskLP(sys1d, tube1d, 1.0, pwa).anchor("xmax")
     assert res.status == "empty"
     assert "floor" in res.diagnostic
 
@@ -35,16 +37,16 @@ def test_zero_covariance_rows_deterministic(pwa):
         np.zeros(1), np.zeros((1, 1)),
         box_polytope(np.zeros(1), np.array([0.5])), 3)
     tube = viability_tube(1, 1.0, 3)
-    prob, _ = build_risk_lp(sys, tube, 0.9, pwa)
-    assert prob.n_risk == 0
-    assert len(prob.deterministic_rows) == 6
-    res = solve_anchor_xmax(sys, tube, 0.9, pwa)
+    risk = RiskLP(sys, tube, 0.9, pwa)
+    assert risk.n_risk == 0
+    assert len(risk.deterministic_rows) == 6
+    res = risk.anchor("xmax")
     assert res.feasible
     assert res.lower_bound == pytest.approx(1.0)
 
 
 def test_xmax_anchor_on_scalar_example(sys1d, tube1d, pwa):
-    res = solve_anchor_xmax(sys1d, tube1d, 0.6, pwa)
+    res = RiskLP(sys1d, tube1d, 0.6, pwa).anchor("xmax")
     assert res.feasible
     assert res.lower_bound >= 0.6
     assert tube1d[0].contains(res.x_anchor, tol=1e-7)
@@ -54,7 +56,7 @@ def test_xmax_anchor_on_scalar_example(sys1d, tube1d, pwa):
 
 def test_xmax_empty_certificate_when_budget_unreachable(sys1d, tube1d, pwa):
     # the final tube box is too tight for a 0.99 requirement
-    res = solve_anchor_xmax(sys1d, tube1d, 0.99, pwa)
+    res = RiskLP(sys1d, tube1d, 0.99, pwa).anchor("xmax")
     assert res.status == "empty"
     assert res.x_anchor is None
 
@@ -65,7 +67,7 @@ def test_cheby_center_of_symmetric_box(pwa):
         np.zeros(2), 1e-6 * np.eye(2),
         box_polytope(np.zeros(2), np.ones(2)), 2)
     tube = viability_tube(2, 1.0, 2)
-    res = solve_anchor_cheby(sys, tube, 0.6, pwa)
+    res = RiskLP(sys, tube, 0.6, pwa).anchor("cheby")
     assert res.feasible
     np.testing.assert_allclose(res.x_anchor, [0.0, 0.0], atol=1e-6)
     assert res.radius == pytest.approx(1.0, abs=1e-6)
@@ -81,14 +83,14 @@ def test_cheby_matches_right_triangle_incenter(pwa):
         np.zeros((2, 2)), np.eye(2), np.zeros(2), 1e-8 * np.eye(2),
         box_polytope(np.zeros(2), np.ones(2)), 1)
     tube = TargetTube([tri, big])
-    res = solve_anchor_cheby(sys, tube, 0.6, pwa)
+    res = RiskLP(sys, tube, 0.6, pwa).anchor("cheby")
     r = (2.0 - np.sqrt(2.0)) / 2.0
     assert res.radius == pytest.approx(r, abs=1e-6)
     np.testing.assert_allclose(res.x_anchor, [r, r], atol=1e-6)
 
 
 def test_cheby_scalar_example_dp_certified(sys1d, tube1d, pwa, dp1d):
-    res = solve_anchor_cheby(sys1d, tube1d, 0.6, pwa)
+    res = RiskLP(sys1d, tube1d, 0.6, pwa).anchor("cheby")
     assert res.feasible and res.radius > 0
     grid = dp1d.grids[0]
     i = int(np.argmin(np.abs(grid - res.x_anchor[0])))
@@ -96,10 +98,11 @@ def test_cheby_scalar_example_dp_certified(sys1d, tube1d, pwa, dp1d):
 
 
 def test_line_search_endpoints_certified(sys1d, tube1d, pwa, dp1d):
-    anchor = solve_anchor_xmax(sys1d, tube1d, 0.6, pwa)
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    anchor = risk.anchor("xmax")
     grid = dp1d.grids[0]
     for d in (np.array([1.0]), np.array([-1.0])):
-        ls = solve_line_search(sys1d, tube1d, 0.6, pwa, anchor.x_anchor, d)
+        ls = risk.line(anchor.x_anchor, d)
         assert ls.status == "optimal"
         assert ls.theta_star > 0
         assert ls.lower_bound >= 0.6 - 1e-9
@@ -109,8 +112,8 @@ def test_line_search_endpoints_certified(sys1d, tube1d, pwa, dp1d):
 
 
 def test_line_search_outside_anchor_rejected(sys1d, tube1d, pwa):
-    ls = solve_line_search(sys1d, tube1d, 0.6, pwa, np.array([5.0]),
-                           np.array([1.0]))
+    ls = RiskLP(sys1d, tube1d, 0.6, pwa).line(np.array([5.0]),
+                                              np.array([1.0]))
     assert ls.theta_star == 0.0
     assert ls.status == "infeasible"
 
@@ -119,20 +122,20 @@ def test_line_search_monotone_in_alpha(sys1d, pwa):
     tube = viability_tube(1, 1.0, 5)
     thetas = {}
     for alpha in (0.6, 0.9):
-        anchor = solve_anchor_cheby(sys1d, tube, alpha, pwa)
-        ls = solve_line_search(sys1d, tube, alpha, pwa,
-                               np.zeros(1), np.array([1.0]))
+        ls = RiskLP(sys1d, tube, alpha, pwa).line(np.zeros(1),
+                                                  np.array([1.0]))
         thetas[alpha] = ls.theta_star
     assert thetas[0.9] <= thetas[0.6] + 1e-9
 
 
 def test_budget_consistency(sys1d, tube1d, pwa):
-    prob, lp = build_risk_lp(sys1d, tube1d, 0.6, pwa)
-    from tubereach.lpsolve import solve_lp
-    sol = solve_lp(lp)
-    _, deltas, _ = prob.split(sol.z)
-    assert deltas.sum() <= (1.0 - 0.6) + 1e-9
-    assert np.all(deltas >= prob.delta_lb - 1e-12)
+    # the free-anchor LP: x0 = y with y unconstrained but for T_0
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    sol = risk._solve(np.zeros(1), np.eye(1))
+    assert sol.status == "optimal"
+    assert sol.deltas.sum() <= (1.0 - 0.6) + 1e-9
+    assert np.all(sol.deltas >= risk.delta_lb - 1e-12)
+    assert sol.lower_bound == pytest.approx(risk.anchor("xmax").lower_bound)
 
 
 def test_near_deterministic_matches_robust_answer(pwa):
@@ -144,27 +147,39 @@ def test_near_deterministic_matches_robust_answer(pwa):
         np.zeros(1), 1e-12 * np.eye(1),
         box_polytope(np.zeros(1), np.array([0.1])), 5)
     tube = viability_tube(1, 1.0, 5)
-    ls = solve_line_search(sys, tube, 0.8, pwa, np.zeros(1), np.array([1.0]))
+    ls = RiskLP(sys, tube, 0.8, pwa).line(np.zeros(1), np.array([1.0]))
     assert ls.theta_star == pytest.approx(1.0, abs=1e-6)
 
 
 def test_conservatism_against_monte_carlo(sys1d, tube1d, pwa):
     # the certified lower bound never exceeds the empirical probability
     # beyond sampling error
-    anchor = solve_anchor_xmax(sys1d, tube1d, 0.6, pwa)
-    ls = solve_line_search(sys1d, tube1d, 0.6, pwa, anchor.x_anchor,
-                           np.array([1.0]))
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    anchor = risk.anchor("xmax")
+    ls = risk.line(anchor.x_anchor, np.array([1.0]))
     x = anchor.x_anchor + ls.theta_star * np.array([1.0])
     p, s = simulate_reach_prob(sys1d, tube1d, x, ls.U_star, 100_000, seed=0)
     assert p >= ls.lower_bound - 3 * s
 
 
 def test_build_modes_validation(sys1d, tube1d, pwa):
-    with pytest.raises(ValueError):
-        build_risk_lp(sys1d, tube1d, 0.6, pwa, x0_mode="line")
-    with pytest.raises(ValueError):
-        build_risk_lp(sys1d, tube1d, 0.6, pwa, x0_mode="fixed")
-    with pytest.raises(ValueError):
-        build_risk_lp(sys1d, tube1d, 1.2, pwa)
-    with pytest.raises(ValueError):
-        build_risk_lp(sys1d, tube1d, 0.6, pwa, x0_mode="bogus")
+    with pytest.raises(ValueError, match="alpha"):
+        RiskLP(sys1d, tube1d, 1.2, pwa)
+    with pytest.raises(ValueError, match="alpha"):
+        RiskLP(sys1d, tube1d, 0.0, pwa)
+    with pytest.raises(ValueError, match="horizon"):
+        RiskLP(sys1d, viability_tube(1, 1.0, 4), 0.6, pwa)
+    with pytest.raises(ValueError, match="dimension"):
+        RiskLP(sys1d, viability_tube(2, 1.0, 5), 0.6, pwa)
+    with pytest.raises(ValueError, match="anchor mode"):
+        RiskLP(sys1d, tube1d, 0.6, pwa).anchor("bogus")
+
+
+def test_controls_at_a_fixed_initial_state(sys1d, tube1d, pwa):
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    anchor = risk.anchor("xmax")
+    u = risk.controls(anchor.x_anchor)
+    assert u.shape == (5,)
+    assert np.all(np.abs(u) <= 0.1 + 1e-9)
+    # far outside every tube set no input sequence keeps the risk budget
+    assert risk.controls(np.array([5.0])) is None

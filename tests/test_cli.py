@@ -57,7 +57,7 @@ def test_compute_writes_artifacts(tmp_path):
     assert doc["status"] == "ok"
     assert "timings" not in doc
     assert (out / "reach_alpha0p6_vertices.csv").exists()
-    assert (out / "timings.log").exists()
+    assert (out / "timings.json").exists()
 
 
 def test_compute_empty_set_exit_code(tmp_path):
@@ -106,7 +106,7 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["compute", str(cfg), "-d", str(a)]) == EXIT_OK
     assert main(["compute", str(cfg), "-d", str(b), "-j", "4"]) == EXIT_OK
     for name in sorted(os.listdir(a)):
-        if name == "timings.log":
+        if name == "timings.json":
             continue
         assert read(a / name) == read(b / name), name
 
@@ -180,9 +180,18 @@ def test_validate_roundtrip(tmp_path):
 
 
 def test_report_summarizes_directory(tmp_path, capsys):
-    cfg = scalar_config(tmp_path, [0.6])
+    # 0.99 gives an empty set, which is timed too
+    cfg = scalar_config(tmp_path, [0.4, 0.6, 0.99])
     out = tmp_path / "out"
-    main(["compute", str(cfg), "-d", str(out)])
+    for _ in range(2):  # a rerun overwrites the timings sidecar
+        assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_EMPTY_SET
+    sidecar = json.loads((out / "timings.json").read_text())
+    assert sorted(sidecar) == ["0.4", "0.6", "0.99"]
     assert main(["report", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "0.6" in text
+    assert "time=n/a" not in text
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]
+    for row in summary["results"]:
+        assert row["timings"]["total"] > 0.0

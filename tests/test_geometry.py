@@ -85,6 +85,19 @@ def test_vpolytope_contains_and_weights():
     assert w.sum() == pytest.approx(1.0)
 
 
+def test_vpolytope_membership_honours_tol():
+    v = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert v.contains([1.05, 0.0], tol=0.1)
+    w = v.convex_weights([1.05, 0.0], tol=0.1)
+    assert w is not None
+    assert np.all(w >= -1e-9) and w.sum() == pytest.approx(1.0)
+    assert np.max(np.abs(v.vertices.T @ w - [1.05, 0.0])) <= 0.1 + 1e-7
+    assert not v.contains([1.05, 0.0], tol=0.0)
+    assert v.convex_weights([1.05, 0.0], tol=0.0) is None
+    with pytest.raises(ValueError, match="tol"):
+        v.contains([0.2, 0.2], tol=-1.0)
+
+
 def test_vpolytope_json_roundtrip():
     v = VPolytope(np.array([[0.0], [1.0]]))
     again = VPolytope.from_json(v.to_json())

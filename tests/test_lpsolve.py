@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from tubereach import lpsolve
 from tubereach.lpsolve import LinearProgram, solve_lp
@@ -55,6 +56,30 @@ def test_matches_vertex_enumeration_on_random_lps():
         assert abs(sol.objective_value - expect) <= 1e-7
         checked += 1
     assert checked == 200
+
+
+def test_sparse_ineq_matches_dense_twin():
+    rng = np.random.default_rng(5)
+    infeasible = LinearProgram(objective=np.array([1.0, 0.0]),
+                               ineq=(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                                     np.array([-1.0, -1.0])))
+    unbounded = LinearProgram(objective=np.array([-1.0, 0.0]),
+                              ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
+    lps = [random_bounded_lp(rng, 4) for _ in range(5)] + [infeasible,
+                                                          unbounded]
+    for dense in lps:
+        a, b = dense.ineq
+        twin = LinearProgram(objective=dense.objective,
+                             ineq=(sparse.csr_array(a), b),
+                             bounds=dense.bounds)
+        assert sparse.issparse(twin.ineq[0])
+        want, got = solve_lp(dense), solve_lp(twin)
+        assert got.status == want.status
+        if want.optimal:
+            assert got.objective_value == pytest.approx(want.objective_value,
+                                                        abs=1e-9)
+            np.testing.assert_allclose(got.dual_ineq, want.dual_ineq,
+                                       atol=1e-9)
 
 
 def test_simple_max():

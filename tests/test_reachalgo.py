@@ -6,12 +6,14 @@ import pytest
 from tubereach import chance, reachalgo
 from tubereach.geometry import DirectionSet, spread_directions, box_polytope
 from tubereach.montecarlo import simulate_reach_prob
-from tubereach.reachalgo import (compute_reach_set, dp_level_set, dp_values,
+from tubereach.lpsolve import LpSolution, solve_lp
+from tubereach.reachalgo import (ReachSetResult, compute_reach_set,
+                                 dp_level_set, dp_values,
                                  genz_evaluate_W0, initial_guess_controller,
                                  interpolate_sets, interpolation_weight,
                                  pattern_search_maximize)
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
-                                viability_tube)
+                                concat_matrices, viability_tube)
 
 DIRS_1D = DirectionSet(np.array([[1.0], [-1.0]]))
 
@@ -177,16 +179,58 @@ def test_time_budget_checked_when_each_search_starts(sys2d, tube2d, pwa,
     clock = SimpleNamespace(now=0.0)
     monkeypatch.setattr(reachalgo, "time",
                         SimpleNamespace(perf_counter=lambda: clock.now))
-    search = chance.solve_line_search
+    search = chance.RiskLP.line
 
     def slow_search(*args, **kwargs):
         clock.now += 1.0
         return search(*args, **kwargs)
-    monkeypatch.setattr(chance, "solve_line_search", slow_search)
+    monkeypatch.setattr(chance.RiskLP, "line", slow_search)
     res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(8, 2),
                             pwa=pwa, time_budget=2.5)
     assert [b.status for b in res.boundary_points] == \
         ["ok"] * 3 + ["skipped"] * 5
+
+
+def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return concat_matrices(sys)
+    monkeypatch.setattr(chance, "concat_matrices", counted)
+    res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(8, 2),
+                            pwa=pwa, jobs=2)
+    assert [b.status for b in res.boundary_points] == ["ok"] * 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trouble", ["iteration_limit", "numerical_trouble"])
+def test_line_search_solver_failure_is_recorded(sys2d, tube2d, pwa,
+                                                monkeypatch, trouble):
+    # the anchor LP solves; every line LP after it stops in trouble, which
+    # is no proof of infeasibility
+    calls = []
+
+    def stalls_after_anchor(lp):
+        calls.append(lp)
+        return solve_lp(lp) if len(calls) == 1 else LpSolution(status=trouble)
+    monkeypatch.setattr(chance, "solve_lp", stalls_after_anchor)
+    res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(4, 2),
+                            pwa=pwa)
+    assert res.anchor.feasible
+    assert [b.status for b in res.boundary_points] == ["solver_failure"] * 4
+    assert all(trouble in b.diagnostic for b in res.boundary_points)
+
+
+def test_result_json_roundtrip(reach06, sys1d, tube1d, pwa):
+    empty = compute_reach_set(sys1d, tube1d, 0.99, DIRS_1D, pwa=pwa)
+    for res in (reach06, empty):
+        text = res.to_json()
+        assert ReachSetResult.from_json(text).to_json() == text
+    again = ReachSetResult.from_json(reach06.to_json())
+    np.testing.assert_array_equal(again.polytope.vertices,
+                                  reach06.polytope.vertices)
+    assert again.boundary_points[0].U.shape == reach06.boundary_points[0].U.shape
 
 
 def test_backend_and_mode_validation(sys1d, tube1d):
