@@ -7,8 +7,11 @@ Each half-space constraint of the target tube on a noisy state becomes a
 univariate Gaussian tail condition with its own risk variable; the risks
 share a budget of 1 - alpha (union bound), and the normal quantile is
 replaced by its piecewise-affine overapproximation so everything is
-linear.  :class:`RiskLP` assembles these rows once per (system, tube,
-alpha); each question only says how the initial state enters.
+linear.  The envelope, a maximum of affine pieces, enters in epigraph
+form: each tail condition is one row in an extra variable t_i, and each
+piece bounds t_i from below by a two-entry row in (delta_i, t_i).
+:class:`RiskLP` assembles these rows once per (system, tube, alpha);
+each question only says how the initial state enters.
 """
 
 from __future__ import annotations
@@ -94,16 +97,22 @@ def _tube_rows(cd: ConcatenatedDynamics, tube: TargetTube):
 class RiskLP:
     """The risk-allocated LP of one (system, tube, alpha), assembled once.
 
-    Columns are [U (m*N) | risk deltas | y | radius]: the initial state
-    enters as x0 = c + E y, so each question supplies only (c, E) --
-    c = 0 and E = I for the anchors, c = anchor and E = direction for a
-    line search, c = x0 and no columns for a fixed initial state.  The
-    rows over [U | deltas] are built here in sparse form: one per
-    (stochastic row, PWA piece), then the deterministic tube rows, the
-    shared risk budget and the per-step input rows.  A solve appends the
-    E columns, the T_0 rows and, for the Chebyshev anchor, the radius
-    column.  Nothing is mutated after construction, so threads may share
-    one instance.
+    Columns are [U (m*N) | risk deltas | t | y | radius], with one epigraph
+    variable t_i per stochastic tube row standing for the PWA quantile
+    envelope at delta_i.  The initial state enters as x0 = c + E y, so
+    each question supplies only (c, E) -- c = 0 and E = I for the
+    anchors, c = anchor and E = direction for a line search, c = x0 and
+    no columns for a fixed initial state.  The rows over [U | deltas | t]
+    are built here in sparse form: each stochastic row once, as
+    p (Acal x0 + H U) + sigma_i t_i <= rhs_i, then the deterministic tube
+    rows, one row m_l delta_i - t_i <= -c_l per (stochastic row, PWA
+    piece), the shared risk budget and the per-step input rows.  Pieces
+    whose left knot lies at or above the delta cap never reach the
+    envelope on [delta_lb, cap] and are left out, and t is bounded by the
+    envelope at the cap and at delta_lb; neither changes the feasible
+    set.  A solve appends the E columns, the T_0 rows and, for the
+    Chebyshev anchor, the radius column.  Nothing is mutated after
+    construction, so threads may share one instance.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -122,7 +131,7 @@ class RiskLP:
         self.tube = tube
         self.deterministic_rows = deterministic
         self.n_u = m * nsteps
-        self.n_risk = len(stochastic)
+        self.n_risk = nr = len(stochastic)
         budget = 1.0 - alpha
         self.delta_lb, pwa_max = pwa.domain
         self.delta_cap = min(pwa_max, budget) if self.n_risk else pwa_max
@@ -141,26 +150,35 @@ class RiskLP:
                               for r in rows]),
                     np.array([r.offset - r.mean_const for r in rows]))
 
-        # x0 coefficients per distinct tube row; the chance rows repeat the
-        # stochastic ones once per PWA piece
-        coef_u, self._x0_stochastic, rhs0 = coefficients(stochastic)
-        det_u, self._x0_deterministic, det_rhs = coefficients(deterministic)
-        pieces = pwa.pieces if self.n_risk else []
-        self._piece_rows = np.tile(np.arange(self.n_risk), len(pieces))
+        # secants are ordered by knot; piece l's left knot lies below the
+        # cap iff it exceeds piece l-1 there
+        slopes, intercepts = np.array(pwa.pieces).T
+        rise = np.diff(slopes) * self.delta_cap + np.diff(intercepts)
+        keep = np.concatenate([[True], rise > 0])
+        slopes, intercepts = slopes[keep], intercepts[keep]
+        self.pieces = list(zip(slopes, intercepts))
+
+        coef_u, x0_stochastic, rhs0 = coefficients(stochastic)
+        det_u, x0_deterministic, det_rhs = coefficients(deterministic)
+        # the x0 coefficients of the rows that come first: the tube rows
+        self._x0 = np.vstack([x0_stochastic, x0_deterministic])
         sig = np.array([r.sigma for r in stochastic])
-        slopes = np.array([s for s, _ in pieces])
-        chance_delta = sp.coo_array(
-            (np.outer(slopes, sig).ravel(),
-             (np.arange(self._piece_rows.size), self._piece_rows)),
-            shape=(self._piece_rows.size, self.n_risk))
-        groups = [sp.hstack([sp.csr_array(coef_u)[self._piece_rows],
-                             chance_delta]),
+        piece = np.repeat(np.arange(slopes.size), nr)
+        row = np.tile(np.arange(nr), slopes.size)
+        epigraph = sp.coo_array(
+            (np.concatenate([slopes[piece], -np.ones(row.size)]),
+             (np.tile(np.arange(row.size), 2),
+              np.concatenate([row, nr + row]))),
+            shape=(row.size, 2 * nr))
+        groups = [sp.hstack([sp.csr_array(coef_u),
+                             sp.csr_array((nr, nr)), sp.diags_array(sig)]),
                   sp.hstack([sp.csr_array(det_u),
-                             sp.csr_array((len(deterministic), self.n_risk))])]
-        rhs = [rhs0 - sig * intercept for _, intercept in pieces] + [det_rhs]
-        if self.n_risk:
+                             sp.csr_array((len(deterministic), 2 * nr))]),
+                  sp.hstack([sp.csr_array((row.size, self.n_u)), epigraph])]
+        rhs = [rhs0, det_rhs, -intercepts[piece]]
+        if nr:
             groups.append(sp.csr_array(np.concatenate(
-                [np.zeros(self.n_u), np.ones(self.n_risk)])[None, :]))
+                [np.zeros(self.n_u), np.ones(nr), np.zeros(nr)])[None, :]))
             rhs.append(np.array([budget]))
 
         # input set rows per step (box input sets are handled via bounds)
@@ -168,13 +186,11 @@ class RiskLP:
         if m and box is None:
             inputs = sp.block_diag([sys.input_set.normals] * nsteps)
             groups.append(sp.hstack(
-                [inputs, sp.csr_array((inputs.shape[0], self.n_risk))]))
+                [inputs, sp.csr_array((inputs.shape[0], 2 * nr))]))
             rhs.extend([sys.input_set.offsets] * nsteps)
         self.rows = sp.vstack(groups, format="csr")
-        self.rows.eliminate_zeros()  # as the solver's dense input path does
+        self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
         self.rhs = np.concatenate(rhs)
-        self._rows_without_x0 = self.rhs.size - self._piece_rows.size \
-            - len(deterministic)
 
         self._bounds = []
         if m:
@@ -183,7 +199,11 @@ class RiskLP:
                                      for i in range(m)] * nsteps)
             else:
                 self._bounds.extend([(-np.inf, np.inf)] * self.n_u)
-        self._bounds.extend([(self.delta_lb, self.delta_cap)] * self.n_risk)
+        self._bounds.extend([(self.delta_lb, self.delta_cap)] * nr)
+        # the envelope decreases, so t_i = envelope(delta_i) fits these;
+        # bounded, presolve settles more of the LP
+        self._bounds.extend([(pwa.envelope(self.delta_cap),
+                              pwa.envelope(self.delta_lb))] * nr)
 
     def anchor(self, mode: str) -> AnchorResult:
         """Anchor maximizing the risk-allocation lower bound on the reach
@@ -245,13 +265,10 @@ class RiskLP:
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
         n_y, n_r = E.shape[1], int(radius)
-        x0_cols = sp.vstack(
-            [sp.csr_array(self._x0_stochastic @ E)[self._piece_rows],
-             sp.csr_array(self._x0_deterministic @ E),
-             sp.csr_array((self._rows_without_x0, n_y))])
-        x0_const = np.concatenate(
-            [(self._x0_stochastic @ c)[self._piece_rows],
-             self._x0_deterministic @ c, np.zeros(self._rows_without_x0)])
+        n_rest = self.rhs.size - self._x0.shape[0]
+        x0_cols = sp.vstack([sp.csr_array(self._x0 @ E),
+                             sp.csr_array((n_rest, n_y))])
+        x0_const = np.concatenate([self._x0 @ c, np.zeros(n_rest)])
         blocks = [[self.rows, x0_cols, sp.csr_array((self.rhs.size, n_r))]]
         rhs = [self.rhs - x0_const]
         if n_y:
@@ -283,4 +300,5 @@ class RiskLP:
                              f"LP solver returned {sol.status}")
         k = self.n_u + self.n_risk
         return _Solution("optimal", U=sol.z[:self.n_u],
-                         deltas=sol.z[self.n_u:k], extra=sol.z[k:])
+                         deltas=sol.z[self.n_u:k],
+                         extra=sol.z[k + self.n_risk:])

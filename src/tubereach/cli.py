@@ -230,6 +230,11 @@ def cmd_compute(args) -> int:
             log.error("solver failure at alpha=%s: %s", alpha,
                       res.anchor.diagnostic)
             return EXIT_SOLVER_FAILURE
+        statuses = {bp.status for bp in res.boundary_points}
+        if "solver_failure" in statuses and "ok" not in statuses:
+            log.error("solver failure at alpha=%s: no line search "
+                      "succeeded; the set would be the anchor alone", alpha)
+            return EXIT_SOLVER_FAILURE
         jpath, vpath, bpath = _result_paths(outdir, alpha)
         # timings go to a sidecar that each run overwrites, so the other
         # artifacts stay byte-identical across reruns

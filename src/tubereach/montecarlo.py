@@ -42,17 +42,33 @@ def simulate_reach_prob(sys: StochasticLTVSystem, tube: TargetTube, x0, U,
         np.asarray(U, dtype=float).ravel()
     rng = np.random.Generator(np.random.Philox(seed))
 
-    x = np.tile(x0, (n_traj, 1))
+    # buffers filled in place at every step: the noise draw (which then
+    # takes the next state), the disturbance, the state, and each
+    # trajectory's projections onto the rows of the tube set
+    rows = max(t.n_rows for t in tube.sets[1:])
+    draw, w, x = (np.empty((n_traj, sys.state_dim)) for _ in range(3))
+    proj = np.empty(n_traj * rows)
+    inside = np.empty(n_traj * rows, dtype=bool)
+    ok = np.empty(n_traj, dtype=bool)
+    x[:] = x0
     alive = np.ones(n_traj, dtype=bool)
     for k in range(sys.horizon):
-        w = rng.standard_normal((n_traj, sys.state_dim)) \
-            @ _cov_factor(sys.disturbance.cov_per_step[k]).T \
-            + sys.disturbance.mean_per_step[k]
-        x = x @ sys.A_seq[k].T + w
+        rng.standard_normal(out=draw)
+        np.matmul(draw, _cov_factor(sys.disturbance.cov_per_step[k]).T,
+                  out=w)
+        w += sys.disturbance.mean_per_step[k]
+        np.matmul(x, sys.A_seq[k].T, out=draw)
+        draw += w
         if m:
-            x = x + sys.B_seq[k] @ u_vec[k * m:(k + 1) * m]
+            draw += sys.B_seq[k] @ u_vec[k * m:(k + 1) * m]
+        x, draw = draw, x
         t = tube[k + 1]
-        alive &= np.all(x @ t.normals.T <= t.offsets + 1e-12, axis=1)
+        shape = (n_traj, t.n_rows)
+        proj_k = proj[:n_traj * t.n_rows].reshape(shape)
+        inside_k = inside[:proj_k.size].reshape(shape)
+        np.matmul(x, t.normals.T, out=proj_k)
+        np.less_equal(proj_k, t.offsets + 1e-12, out=inside_k)
+        alive &= np.all(inside_k, axis=1, out=ok)
     p = float(alive.mean())
     return p, float(np.sqrt(p * (1.0 - p) / n_traj))
 

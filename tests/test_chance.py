@@ -3,9 +3,10 @@ import pytest
 
 from tubereach.chance import RiskLP
 from tubereach.geometry import HPolytope, box_polytope
+from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
-                                TargetTube, viability_tube)
+                                TargetTube, concat_matrices, viability_tube)
 
 # Frozen oracle from the 0.01-grid dynamic program on the scalar example
 # (tests/conftest.py fixtures): V0 >= 0.6 on [-0.495, 0.495].
@@ -18,11 +19,27 @@ def test_risk_variable_count_scalar_example(sys1d, tube1d, pwa):
     # two half-spaces per step over five noisy steps
     assert risk.n_risk == 10
     assert len(risk.deterministic_rows) == 0
-    # each stochastic row contributes one constraint per envelope piece,
-    # plus the shared budget; the box input set goes to bounds
-    assert risk.rows.shape == (risk.n_risk * len(pwa.pieces) + 1,
-                               risk.n_u + risk.n_risk)
+    # at a delta cap of 0.2 six pieces start at or above the cap
+    assert len(risk.pieces) == len(pwa.pieces) - 6
+    # each stochastic row appears once, each (row, kept piece) pair adds a
+    # two-entry epigraph row, plus the shared budget; the box input set
+    # goes to bounds.  Columns are [U | deltas | t].
+    n_piece_rows = risk.n_risk * len(risk.pieces)
+    assert risk.rows.shape == (risk.n_risk + n_piece_rows + 1,
+                               risk.n_u + 2 * risk.n_risk)
     assert risk.rhs.size == risk.rows.shape[0]
+    epigraph = risk.rows[risk.n_risk:risk.n_risk + n_piece_rows]
+    assert np.all(np.diff(epigraph.indptr) == 2)
+
+
+def test_kept_pieces_reproduce_the_envelope(sys1d, tube1d, pwa):
+    for alpha in (0.5, 0.8, 0.9, 0.99):
+        risk = RiskLP(sys1d, tube1d, alpha, pwa)
+        grid = np.linspace(risk.delta_lb, risk.delta_cap, 20_001)
+        kept = np.max([m * grid + c for m, c in risk.pieces], axis=0)
+        np.testing.assert_allclose(kept, pwa.envelope(grid), rtol=0,
+                                   atol=1e-12)
+    assert len(RiskLP(sys1d, tube1d, 0.9, pwa).pieces) == len(pwa) - 11
 
 
 def test_budget_floor_infeasible_diagnostic(sys1d, tube1d, pwa):
@@ -183,3 +200,122 @@ def test_controls_at_a_fixed_initial_state(sys1d, tube1d, pwa):
     assert np.all(np.abs(u) <= 0.1 + 1e-9)
     # far outside every tube set no input sequence keeps the risk budget
     assert risk.controls(np.array([5.0])) is None
+
+
+def copied_rows_solve(sys, tube, alpha, pwa, c, E, y_lo=-np.inf,
+                      radius=False, maximize=False):
+    """The risk LP in its former shape, dense: every stochastic tube row
+    copied once per PWA piece, x0 = c + E y, inputs as rows.  Returns
+    the solution over [U | deltas | y | radius]."""
+    cd = concat_matrices(sys)
+    n, n_u = sys.state_dim, sys.input_dim * sys.horizon
+    cov, mean = cd.G @ cd.CW @ cd.G.T, cd.G @ cd.muW
+    stochastic, deterministic = [], []
+    for k in range(1, sys.horizon + 1):
+        s = slice((k - 1) * n, k * n)
+        for p, q in zip(tube[k].normals, tube[k].offsets):
+            sigma = np.sqrt(max(p @ cov[s, s] @ p, 0.0))
+            row = (p @ cd.H[s], p @ cd.Acal[s] @ E, q - p @ mean[s]
+                   - p @ cd.Acal[s] @ c, sigma)
+            (stochastic if sigma >= 1e-12 else deterministic).append(row)
+    nr, n_y = len(stochastic), E.shape[1]
+    width = n_u + nr + n_y + int(radius)
+    rows, rhs = [], []
+
+    def add(u=None, delta=None, y=None, r=0.0, b=0.0):
+        a = np.zeros(width)
+        if u is not None:
+            a[:n_u] = u
+        if delta is not None:
+            a[n_u:n_u + nr] = delta
+        if y is not None:
+            a[n_u + nr:n_u + nr + n_y] = y
+        if radius:
+            a[-1] = r
+        rows.append(a)
+        rhs.append(b)
+
+    for slope, intercept in pwa.pieces:
+        for i, (hu, hx, b, sigma) in enumerate(stochastic):
+            add(u=hu, delta=sigma * slope * np.eye(nr)[i], y=hx,
+                b=b - sigma * intercept)
+    for hu, hx, b, _ in deterministic:
+        add(u=hu, y=hx, b=b)
+    add(delta=np.ones(nr), b=1.0 - alpha)
+    m = sys.input_dim
+    for k in range(sys.horizon):
+        for a, b in zip(sys.input_set.normals, sys.input_set.offsets):
+            u = np.zeros(n_u)
+            u[k * m:(k + 1) * m] = a
+            add(u=u, b=b)
+    if n_y:
+        for a, b in zip(tube[0].normals, tube[0].offsets):
+            add(y=a @ E, r=np.linalg.norm(a), b=b - a @ c)
+    cap = min(pwa.domain[1], 1.0 - alpha)
+    bounds = [(-np.inf, np.inf)] * n_u + [(pwa.domain[0], cap)] * nr \
+        + [(y_lo, np.inf)] * n_y + [(0.0, np.inf)] * int(radius)
+    objective = np.zeros(width)
+    if maximize:
+        objective[-1] = -1.0
+    else:
+        objective[n_u:n_u + nr] = 1.0
+    sol = solve_lp(LinearProgram(objective=objective,
+                                 ineq=(np.array(rows), np.array(rhs)),
+                                 bounds=bounds))
+    assert sol.optimal, sol.status
+    return sol.z[:n_u], sol.z[n_u:n_u + nr], sol.z[n_u + nr:]
+
+
+def hexagon_input_system():
+    """2-D system whose second coordinate is noise-free (deterministic
+    tube rows) and whose input set is a hexagon (input rows); T_0 sits
+    off centre, so the Chebyshev radius is set by the risk rows."""
+    rng = np.random.default_rng(5)
+    a = np.array([[1.0, 0.1], [0.0, 0.9]]) \
+        + np.triu(0.05 * rng.standard_normal((2, 2)))
+    b = 0.5 * rng.standard_normal((2, 2))
+    angles = np.pi / 3 * np.arange(6)
+    hexagon = HPolytope(np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                        np.full(6, 0.2))
+    sys = StochasticLTVSystem.lti(a, b, np.zeros(2), np.diag([0.05, 0.0]),
+                                  hexagon, 4)
+    later = viability_tube(2, 1.0, 4, terminal_half_width=0.5).sets[1:]
+    return sys, TargetTube([box_polytope([1.2, 0.0], [1.0, 1.0])] + later)
+
+
+@pytest.mark.parametrize("example", ["scalar", "hexagon"])
+def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa):
+    sys, tube = (sys1d, tube1d) if example == "scalar" \
+        else hexagon_input_system()
+    n = sys.state_dim
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    if example == "hexagon":
+        assert risk.deterministic_rows and risk.n_risk
+        assert sys.input_set.as_box_bounds() is None
+
+    xmax = risk.anchor("xmax")
+    _, deltas, _ = copied_rows_solve(sys, tube, 0.6, pwa, np.zeros(n),
+                                     np.eye(n))
+    assert xmax.feasible
+    assert xmax.lower_bound == pytest.approx(1.0 - deltas.sum(), abs=1e-7)
+
+    cheby = risk.anchor("cheby")
+    _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, np.zeros(n),
+                                    np.eye(n), radius=True, maximize=True)
+    assert cheby.feasible
+    assert cheby.radius == pytest.approx(extra[-1], abs=1e-7)
+    if example == "hexagon":
+        assert 0.1 < cheby.radius < 0.9
+
+    # between the two anchors, so every direction has room to move
+    origin = 0.5 * (xmax.x_anchor + cheby.x_anchor)
+    angles = np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3
+    directions = [np.array([1.0]), np.array([-1.0])] if n == 1 else \
+        [np.array([np.cos(t), np.sin(t)]) for t in angles]
+    for d in directions:
+        ls = risk.line(origin, d)
+        _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, origin,
+                                        d[:, None], y_lo=0.0, maximize=True)
+        assert ls.status == "optimal"
+        assert ls.theta_star > 0.0
+        assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
-import pytest
-
-from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK, main)
+from tubereach import chance
+from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK,
+                           EXIT_SOLVER_FAILURE, main)
+from tubereach.lpsolve import LpSolution, solve_lp
 
 
 def scalar_config(tmp_path, alphas, horizon=5, extra=None):
@@ -67,6 +70,36 @@ def test_compute_empty_set_exit_code(tmp_path):
     doc = json.loads((out / "reach_alpha0p99.json").read_text())
     assert doc["status"] == "empty"
     assert doc["diagnostic"]
+
+
+def fail_line_lps(monkeypatch, failing):
+    """Solve the anchor LP; the line LPs numbered in failing (from 1)
+    stop at the iteration limit."""
+    calls = []
+
+    def solve(lp):
+        calls.append(lp)
+        if len(calls) - 1 in failing:
+            return LpSolution(status="iteration_limit")
+        return solve_lp(lp)
+    monkeypatch.setattr(chance, "solve_lp", solve)
+
+
+def test_compute_all_searches_failed_exit_code(tmp_path, monkeypatch):
+    fail_line_lps(monkeypatch, {1, 2})
+    cfg = scalar_config(tmp_path, [0.6])
+    assert main(["compute", str(cfg),
+                 "-d", str(tmp_path / "out")]) == EXIT_SOLVER_FAILURE
+
+
+def test_compute_partial_search_failure_still_ok(tmp_path, monkeypatch):
+    fail_line_lps(monkeypatch, {2})
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    doc = json.loads((out / "reach_alpha0p6.json").read_text())
+    assert [v["status"] for v in doc["vertices"]] == \
+        ["ok", "solver_failure"]
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -195,3 +228,15 @@ def test_report_summarizes_directory(tmp_path, capsys):
     assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]
     for row in summary["results"]:
         assert row["timings"]["total"] > 0.0
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(chance.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = tmp_path / "cfg.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "tubereach", "example", "integrator2",
+         "-o", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(out.read_text())["system"]["type"] == "integrator"

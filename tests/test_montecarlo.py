@@ -7,7 +7,9 @@ from tubereach.geometry import (DirectionSet, VPolytope, box_polytope)
 from tubereach.montecarlo import (simulate_reach_prob, validate_vertices,
                                   volume_ratio)
 from tubereach.reachalgo import compute_reach_set
-from tubereach.sysmodel import StochasticLTVSystem, viability_tube
+from tubereach.sysmodel import (StochasticLTVSystem, cwh_los_tube, make_cwh,
+                                make_integrator_chain, make_uncontrolled,
+                                viability_tube)
 
 
 def test_start_outside_initial_set_is_zero(sys1d, tube1d):
@@ -43,6 +45,31 @@ def test_std_shrinks_with_sample_size(sys1d, tube1d):
     _, s2 = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
                                 40_000, seed=0)
     assert s2 == pytest.approx(s1 / 2, rel=0.2)
+
+
+def test_estimates_frozen_for_fixed_seeds(sys1d, tube1d):
+    # values of the rollout that drew fresh arrays at every step; the
+    # in-place buffers must reproduce them bit for bit.  The cwh tube has
+    # 10 rows per step and 8 at the end; the uncontrolled chain has no input.
+    cwh_u = np.array([0.00966, -0.00612, -0.03455, 0.01602, 0.04953,
+                      -0.02149, -0.03386, 0.02136, 0.00954, -0.01017])
+    cases = [
+        (sys1d, tube1d, [0.1], np.full(5, -0.05), 5000, 42,
+         (0.1488, 0.005033061891135455)),
+        (make_integrator_chain(2, 0.1, 10, 0.01, 0.1),
+         viability_tube(2, 1.0, 10), [0.3, -0.2],
+         0.1 * np.sin(np.arange(10)), 3000, 7,
+         (0.989, 0.001904293394761778)),
+        (make_cwh(), cwh_los_tube(5), [0.0, -0.7071, 0.0, 0.0], cwh_u,
+         2000, 3, (0.85, 0.007984359711335657)),
+        (make_uncontrolled(3),
+         viability_tube(3, 1.0, 10, terminal_half_width=0.8),
+         [0.2, 0.0, -0.1], None, 4000, 11,
+         (0.85175, 0.005618539345328107)),
+    ]
+    for sys, tube, x0, u, n_traj, seed, expected in cases:
+        assert simulate_reach_prob(sys, tube, np.array(x0), u, n_traj,
+                                   seed=seed) == expected
 
 
 def test_small_sample_rejected(sys1d, tube1d):
