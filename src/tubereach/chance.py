@@ -113,6 +113,22 @@ class RiskLP:
     set.  A solve appends the E columns, the T_0 rows and, for the
     Chebyshev anchor, the radius column.  Nothing is mutated after
     construction, so threads may share one instance.
+
+    Each solve also gives every stochastic row its own risk window.  The
+    box of y (a line's step lies in [0, exit of the ray from T_0]) and
+    the interval bounds of the input set bound the row's mean
+    p (Acal x0 + H U) to [m_min, m_max].  Inverting the envelope at the
+    least and the largest margin rhs_i - m gives [delta_min, delta_need],
+    rounded outward and clipped to [delta_lb, cap].  No allocation needs
+    delta_i above delta_need: lowering it there keeps row i and loosens
+    the budget.  Nor can it go below delta_min, which row i itself
+    implies.  So delta_i is bounded to the window and only the pieces
+    whose knot interval meets it are kept; a row with delta_need =
+    delta_lb can never bind, and its tube row and pieces are dropped
+    with delta_i fixed at delta_lb.  The optimal step or total risk is
+    the full LP's; the optimal U and deltas may be another of its
+    optima.  When y is unbounded (the anchors, a ray that never leaves
+    T_0) every window is [delta_lb, cap] and the LP is the full one.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -157,12 +173,25 @@ class RiskLP:
         keep = np.concatenate([[True], rise > 0])
         slopes, intercepts = slopes[keep], intercepts[keep]
         self.pieces = list(zip(slopes, intercepts))
+        # piece l rules the envelope on [knots[l], knots[l + 1]]; inner
+        # knots are where consecutive secants meet
+        self._knots = np.clip(np.concatenate(
+            [[self.delta_lb], -np.diff(intercepts) / np.diff(slopes),
+             [self.delta_cap]]), self.delta_lb, self.delta_cap)
+        self._knot_env = np.max(slopes[:, None] * self._knots
+                                + intercepts[:, None], axis=0)
 
         coef_u, x0_stochastic, rhs0 = coefficients(stochastic)
         det_u, x0_deterministic, det_rhs = coefficients(deterministic)
         # the x0 coefficients of the rows that come first: the tube rows
         self._x0 = np.vstack([x0_stochastic, x0_deterministic])
         sig = np.array([r.sigma for r in stochastic])
+        self._sigma, self._rhs_risk = sig, rhs0
+        u_lo, u_hi = sys.input_set.interval_bounds() if m \
+            else (np.zeros(0), np.zeros(0))
+        # range of the input's share of each stochastic row's mean
+        self._u_range = _interval_range(coef_u, np.tile(u_lo, nsteps),
+                                        np.tile(u_hi, nsteps))
         piece = np.repeat(np.arange(slopes.size), nr)
         row = np.tile(np.arange(nr), slopes.size)
         epigraph = sp.coo_array(
@@ -192,18 +221,13 @@ class RiskLP:
         self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
         self.rhs = np.concatenate(rhs)
 
-        self._bounds = []
-        if m:
-            if box is not None:
-                self._bounds.extend([(box[0][i], box[1][i])
-                                     for i in range(m)] * nsteps)
-            else:
-                self._bounds.extend([(-np.inf, np.inf)] * self.n_u)
-        self._bounds.extend([(self.delta_lb, self.delta_cap)] * nr)
+        # bounds of U and of t; a solve puts each delta_i's window between
+        self._u_bounds = [(box[0][i], box[1][i]) for i in range(m)] \
+            * nsteps if box is not None else [(-np.inf, np.inf)] * self.n_u
         # the envelope decreases, so t_i = envelope(delta_i) fits these;
         # bounded, presolve settles more of the LP
-        self._bounds.extend([(pwa.envelope(self.delta_cap),
-                              pwa.envelope(self.delta_lb))] * nr)
+        self._t_bounds = [(pwa.envelope(self.delta_cap),
+                           pwa.envelope(self.delta_lb))] * nr
 
     def anchor(self, mode: str) -> AnchorResult:
         """Anchor maximizing the risk-allocation lower bound on the reach
@@ -240,7 +264,9 @@ class RiskLP:
             return LineSearchResult(theta_star=0.0, U_star=None,
                                     lower_bound=0.0, status="infeasible",
                                     diagnostic="anchor lies outside T_0")
+        # the T_0 rows imply the cap; as a bound it narrows the windows
         sol = self._solve(anchor, direction[:, None], y_lo=0.0,
+                          y_hi=self.tube[0].ray_exit(anchor, direction),
                           maximize=True)
         if sol.status != "optimal":
             return LineSearchResult(theta_star=0.0, U_star=None,
@@ -257,20 +283,29 @@ class RiskLP:
         return self._solve(x0, np.zeros((x0.size, 0))).U
 
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
-               radius: bool = False, maximize: bool = False) -> _Solution:
-        """Solve with x0 = c + E y and y >= y_lo.  With E columns, x0 must
-        lie in T_0, by a margin of the radius column when one is asked
-        for.  The objective is the total risk, or with maximize the last
-        column (the step or the radius)."""
+               y_hi: float = np.inf, radius: bool = False,
+               maximize: bool = False) -> _Solution:
+        """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the rows
+        that the risk windows keep.  With E columns, x0 must lie in T_0,
+        by a margin of the radius column when one is asked for.  The
+        objective is the total risk, or with maximize the last column
+        (the step or the radius)."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
         n_y, n_r = E.shape[1], int(radius)
-        n_rest = self.rhs.size - self._x0.shape[0]
-        x0_cols = sp.vstack([sp.csr_array(self._x0 @ E),
-                             sp.csr_array((n_rest, n_y))])
-        x0_const = np.concatenate([self._x0 @ c, np.zeros(n_rest)])
-        blocks = [[self.rows, x0_cols, sp.csr_array((self.rhs.size, n_r))]]
-        rhs = [self.rhs - x0_const]
+        x0_cols, x0_const = self._x0 @ E, self._x0 @ c
+        lo, hi, keep = self._windows(x0_cols, x0_const, y_lo, y_hi)
+        rows, row_rhs = self.rows, self.rhs
+        if not keep.all():
+            tube_rows = keep[:x0_const.size]
+            rows, row_rhs = rows[keep], row_rhs[keep]
+            x0_cols, x0_const = x0_cols[tube_rows], x0_const[tube_rows]
+        n_rest = row_rhs.size - x0_const.size
+        blocks = [[rows,
+                   sp.vstack([sp.csr_array(x0_cols),
+                              sp.csr_array((n_rest, n_y))]),
+                   sp.csr_array((row_rhs.size, n_r))]]
+        rhs = [row_rhs - np.concatenate([x0_const, np.zeros(n_rest)])]
         if n_y:
             t0 = self.tube[0]
             ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
@@ -278,8 +313,8 @@ class RiskLP:
             blocks.append([sp.csr_array((t0.n_rows, self.rows.shape[1])),
                            sp.csr_array(t0.normals @ E), sp.csr_array(ball)])
             rhs.append(t0.offsets - t0.normals @ c)
-        bounds = self._bounds + [(y_lo, np.inf)] * n_y \
-            + [(0.0, np.inf)] * n_r
+        bounds = self._u_bounds + list(zip(lo, hi)) + self._t_bounds \
+            + [(y_lo, y_hi)] * n_y + [(0.0, np.inf)] * n_r
         objective = np.zeros(len(bounds))
         if maximize:
             objective[-1] = -1.0
@@ -302,3 +337,45 @@ class RiskLP:
         return _Solution("optimal", U=sol.z[:self.n_u],
                          deltas=sol.z[self.n_u:k],
                          extra=sol.z[k + self.n_risk:])
+
+    def _windows(self, x0_cols: np.ndarray, x0_const: np.ndarray,
+                 y_lo: float, y_hi: float):
+        """(delta_min, delta_need, rows kept): the risk window of each
+        stochastic row for x0 = c + E y with y_lo <= y <= y_hi, given the
+        x0 coefficients of the tube rows times E and times c, and the mask
+        over self.rows of the rows that can bind.  A box of y unbounded on
+        either side keeps the full LP."""
+        nr = self.n_risk
+        if x0_cols.shape[1] and not np.isfinite([y_lo, y_hi]).all():
+            return np.full(nr, self.delta_lb), np.full(nr, self.delta_cap), \
+                np.ones(self.rhs.size, dtype=bool)
+        y_min, y_max = _interval_range(x0_cols[:nr], y_lo, y_hi)
+        mean_min = x0_const[:nr] + y_min + self._u_range[0]
+        mean_max = x0_const[:nr] + y_max + self._u_range[1]
+        # envelope levels t_i that row i leaves room for, widened outward
+        least = (self._rhs_risk - mean_max) / self._sigma
+        most = (self._rhs_risk - mean_min) / self._sigma
+        least -= 1e-9 * (1.0 + np.abs(least))
+        most += 1e-9 * (1.0 + np.abs(most))
+        # the envelope decreases, so it inverts on its reversed knots
+        levels, knots = self._knot_env[::-1], self._knots[::-1]
+        need = np.interp(least, levels, knots)
+        low = np.interp(most, levels, knots)
+        binds = need > self.delta_lb
+        meets = (self._knots[:-1, None] <= need) \
+            & (self._knots[1:, None] >= low) & binds
+        n_det = len(self.deterministic_rows)
+        n_tail = self.rhs.size - nr - n_det - meets.size
+        keep = np.concatenate([binds, np.ones(n_det, dtype=bool),
+                               meets.ravel(), np.ones(n_tail, dtype=bool)])
+        return low, need, keep
+
+
+def _interval_range(coef: np.ndarray, lo, hi):
+    """Least and largest value of each row of coef @ v over the box
+    lo <= v <= hi; zero coefficients add nothing, even where the box is
+    unbounded, so the result is never NaN."""
+    with np.errstate(invalid="ignore"):
+        ends = np.stack([coef * lo, coef * hi])
+    ends[:, coef == 0.0] = 0.0
+    return ends.min(axis=0).sum(axis=1), ends.max(axis=0).sum(axis=1)

@@ -49,6 +49,19 @@ class HPolytope:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return contains_point(self, x, tol)
 
+    def ray_exit(self, point, direction) -> float:
+        """Largest step t >= 0 with point + t * direction still inside
+        (0 when the point lies on or beyond a face the ray crosses), or
+        inf when no face lies ahead.  Faces nearly parallel to the ray are
+        ignored, which can only lengthen the step."""
+        point = np.asarray(point, dtype=float).ravel()
+        rates = self.normals @ np.asarray(direction, dtype=float).ravel()
+        ahead = rates > 1e-12
+        if not ahead.any():
+            return np.inf
+        slack = self.offsets[ahead] - self.normals[ahead] @ point
+        return max(float(np.min(slack / rates[ahead])), 0.0)
+
     def is_empty(self) -> bool:
         if self._empty is None:
             box = self.as_box_bounds()

@@ -170,6 +170,9 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     recorded, never fatal. max_directions truncates the direction list;
     a search that would start more than time_budget seconds after the
     call is skipped (status "skipped"); jobs caps concurrent searches.
+    The timings are the seconds of the risk-LP assembly with the anchors
+    ("anchor"), of the line searches summed ("searches"; they overlap
+    when jobs > 1) and of the whole call ("total").
     """
     if backend not in ("chance", "genz"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -191,7 +194,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         return ReachSetResult(
             alpha=alpha, anchor=anchors[0], boundary_points=[], polytope=None,
             backend=backend, status="empty", diagnostic=anchors[0].diagnostic,
-            timings={"anchor": t_anchor, "total": t_anchor})
+            timings={"anchor": t_anchor, "searches": 0.0,
+                     "total": t_anchor})
 
     dirs = directions.directions
     if max_directions is not None:
@@ -227,8 +231,13 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                              U=u, lower_bound=lb, status=status,
                              diagnostic=diag)
 
+    def timed(task):
+        start = time.perf_counter()
+        return search(task), time.perf_counter() - start
+
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        points = list(pool.map(search, tasks))
+        timed_points = list(pool.map(timed, tasks))
+    points = [bp for bp, _ in timed_points]
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.extend(a.x_anchor for a in feasible_anchors)
@@ -237,6 +246,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         alpha=alpha, anchor=feasible_anchors[0], boundary_points=points,
         polytope=polytope, backend=backend, status="ok",
         timings={"anchor": t_anchor,
+                 "searches": sum(secs for _, secs in timed_points),
                  "total": time.perf_counter() - t0})
 
 
@@ -556,11 +566,7 @@ def _genz_line_search(sys, tube, alpha, risk: chance.RiskLP, anchor, d,
         return val, u
 
     # exit of the ray from T_0 caps the step length
-    t0 = tube[0]
-    rates = t0.normals @ d
-    slack = t0.offsets - t0.normals @ anchor
-    pos = rates > 1e-12
-    hi = float(np.min(slack[pos] / rates[pos])) if pos.any() else 1e6
+    hi = min(tube[0].ray_exit(anchor, d), 1e6)
 
     val0, u0 = best_prob(anchor, risk.controls(anchor))
     if val0 < alpha:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from tubereach.chance import RiskLP
+from tubereach import chance
+from tubereach.chance import RiskLP, _interval_range
 from tubereach.geometry import HPolytope, box_polytope
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
-                                TargetTube, concat_matrices, viability_tube)
+                                TargetTube, concat_matrices,
+                                make_integrator_chain, viability_tube)
 
 # Frozen oracle from the 0.01-grid dynamic program on the scalar example
 # (tests/conftest.py fixtures): V0 >= 0.6 on [-0.495, 0.495].
@@ -283,10 +285,32 @@ def hexagon_input_system():
     return sys, TargetTube([box_polytope([1.2, 0.0], [1.0, 1.0])] + later)
 
 
-@pytest.mark.parametrize("example", ["scalar", "hexagon"])
-def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa):
-    sys, tube = (sys1d, tube1d) if example == "scalar" \
-        else hexagon_input_system()
+
+
+def line_lp_rows(monkeypatch):
+    """Row counts of the LPs that chance.solve_lp receives from now on."""
+    counts = []
+
+    def solve(lp):
+        counts.append(lp.ineq[0].shape[0])
+        return solve_lp(lp)
+    monkeypatch.setattr(chance, "solve_lp", solve)
+    return counts
+
+
+def chain_system(n):
+    """Integrator chain in a wide box tube, as in the integrator40
+    example: most tail conditions have room to spare along a slice."""
+    return make_integrator_chain(n, 0.1, 5, 0.01, 1.0), \
+        viability_tube(n, 10.0, 5, terminal_half_width=8.0)
+
+
+@pytest.mark.parametrize("example", ["scalar", "hexagon", "chain"])
+def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
+                                      monkeypatch):
+    sys, tube = {"scalar": lambda: (sys1d, tube1d),
+                 "hexagon": hexagon_input_system,
+                 "chain": lambda: chain_system(6)}[example]()
     n = sys.state_dim
     risk = RiskLP(sys, tube, 0.6, pwa)
     if example == "hexagon":
@@ -307,11 +331,14 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa):
     if example == "hexagon":
         assert 0.1 < cheby.radius < 0.9
 
-    # between the two anchors, so every direction has room to move
+    # between the two anchors, so every direction has room to move; above
+    # two dimensions the directions lie in the (x0, x1) slice
     origin = 0.5 * (xmax.x_anchor + cheby.x_anchor)
     angles = np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3
     directions = [np.array([1.0]), np.array([-1.0])] if n == 1 else \
-        [np.array([np.cos(t), np.sin(t)]) for t in angles]
+        [np.concatenate([[np.cos(t), np.sin(t)], np.zeros(n - 2)])
+         for t in angles]
+    rows = line_lp_rows(monkeypatch)
     for d in directions:
         ls = risk.line(origin, d)
         _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, origin,
@@ -319,3 +346,111 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa):
         assert ls.status == "optimal"
         assert ls.theta_star > 0.0
         assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+        assert ls.lower_bound >= 0.6 - 1e-9
+    full = risk.rows.shape[0] + tube[0].n_rows
+    assert len(rows) == len(directions) and max(rows) <= full
+    if example == "chain":
+        # the windows drop rows on every direction
+        assert max(rows) < full
+
+
+def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
+    sys, tube = chain_system(40)
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    start = np.zeros(40)
+    d = np.zeros(40)
+    d[:2] = [np.cos(0.4), np.sin(0.4)]
+    rows = line_lp_rows(monkeypatch)
+    ls = risk.line(start, d)
+    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
+    assert ls.status == "optimal" and ls.theta_star > 0.0
+    assert ls.lower_bound >= 0.6 - 1e-9
+    # the full LP: the same step, without the bound on it
+    full = risk._solve(start, d[:, None], y_lo=0.0, maximize=True)
+    assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
+    assert ls.theta_star == pytest.approx(full.extra[0], abs=1e-7)
+
+
+def test_unbounded_ray_keeps_the_full_lp(sys1d, pwa, monkeypatch):
+    # T_0 becomes the half-line x >= -1, so the ray along +1 never leaves
+    # it (TargetTube itself asks for bounded sets; the windows must not
+    # depend on that)
+    tube = TargetTube([box_polytope(np.zeros(1), np.array([0.5]))] * 6)
+    tube.sets[0] = HPolytope(normals=np.array([[-1.0]]),
+                             offsets=np.array([1.0]))
+    risk = RiskLP(sys1d, tube, 0.6, pwa)
+    rows = line_lp_rows(monkeypatch)
+    assert risk.anchor("xmax").feasible
+    d = np.array([1.0])
+    assert tube[0].ray_exit(np.zeros(1), d) == np.inf
+    ls = risk.line(np.zeros(1), d)
+    assert rows == [rows[0], rows[0]]
+    _, _, extra = copied_rows_solve(sys1d, tube, 0.6, pwa, np.zeros(1),
+                                    d[:, None], y_lo=0.0, maximize=True)
+    assert ls.theta_star > 0.0
+    assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+    # the opposite ray leaves T_0, and its LP drops rows
+    ls = risk.line(np.zeros(1), -d)
+    assert ls.status == "optimal"
+    assert rows[-1] < rows[0]
+
+
+def test_interval_range_never_nan():
+    coef = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 1.0]])
+    lo, hi = np.array([-np.inf, 0.0]), np.array([1.0, np.inf])
+    least, most = _interval_range(coef, lo, hi)
+    np.testing.assert_array_equal(least, [0.0, -np.inf, 0.0, -1.0])
+    np.testing.assert_array_equal(most, [np.inf, 1.0, 0.0, np.inf])
+
+
+def test_windows_nan_free_when_unbounded(pwa):
+    sys, tube = chain_system(2)
+    # without its lower face the input set is unbounded (the system's own
+    # constructor rejects this; the windows must not depend on it)
+    sys.input_set = HPolytope(normals=np.array([[1.0]]),
+                              offsets=np.array([1.0]))
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    assert np.isneginf(risk._u_range[0]).any()
+    d = np.array([[1.0], [0.0]])
+    for y_hi in (0.5, np.inf):
+        low, need, keep = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2),
+                                        0.0, y_hi)
+        assert np.all(np.isfinite(low)) and np.all(np.isfinite(need))
+        assert np.all((risk.delta_lb <= low) & (low <= need)
+                      & (need <= risk.delta_cap))
+        assert keep.any()
+    ls = risk.line(np.zeros(2), d[:, 0])
+    assert ls.status == "optimal" and ls.theta_star > 0.0
+
+
+@pytest.mark.parametrize("example", ["hexagon", "planar"])
+def test_kept_pieces_reproduce_the_envelope_on_each_window(example, sys2d,
+                                                           tube2d, pwa):
+    sys, tube = hexagon_input_system() if example == "hexagon" \
+        else (sys2d, tube2d)
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    slopes, intercepts = np.array(risk.pieces).T
+    nr, n_det = risk.n_risk, len(risk.deterministic_rows)
+    start = risk.anchor("cheby").x_anchor
+    dropped = narrowed = raised = False
+    for angle in np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3:
+        d = np.array([np.cos(angle), np.sin(angle)])
+        low, need, keep = risk._windows(risk._x0 @ d[:, None],
+                                        risk._x0 @ start, 0.0,
+                                        tube[0].ray_exit(start, d))
+        pieces = keep[nr + n_det:nr + n_det + slopes.size * nr]
+        pieces = pieces.reshape(-1, nr)
+        binds = keep[:nr]
+        dropped |= not binds.all()
+        narrowed |= (need[binds] < risk.delta_cap).any()
+        raised |= (low[binds] > risk.delta_lb).any()
+        for i in np.flatnonzero(binds):
+            grid = np.linspace(low[i], need[i], 501)
+            kept = np.max(slopes[pieces[:, i], None] * grid
+                          + intercepts[pieces[:, i], None], axis=0)
+            np.testing.assert_allclose(kept, pwa.envelope(grid), rtol=0,
+                                       atol=1e-12)
+        # a dropped row has room at delta_lb for every step and input
+        assert np.all(need[~binds] == risk.delta_lb)
+    # rows are dropped, and windows end inside the domain on both sides
+    assert dropped and narrowed and raised

@@ -212,6 +212,37 @@ def test_validate_roundtrip(tmp_path):
     assert doc["mean_error"] >= -0.05
 
 
+def test_validate_and_report_carry_the_pooled_std(tmp_path, capsys):
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "2000", "-d", str(out)]) == EXIT_OK
+    pooled = json.loads((out / "validation.json").read_text())[
+        "pooled_binomial_std"]
+    assert f"pooled_binomial_std={pooled:.6f}" in capsys.readouterr().out
+    assert main(["report", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["validation"]["pooled_binomial_std"] == pooled
+
+
+def test_time_budget_zero_skips_every_search(tmp_path):
+    cfg = scalar_config(tmp_path, [0.6], extra={"time_budget": 0})
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    doc = json.loads((out / "reach_alpha0p6.json").read_text())
+    assert [v["status"] for v in doc["vertices"]] == ["skipped", "skipped"]
+    assert doc["polytope"] == [doc["anchor"]["point"]]
+
+
+def test_time_budget_must_be_a_nonnegative_number(tmp_path):
+    for budget in (-1, "soon", True):
+        cfg = scalar_config(tmp_path, [0.6], extra={"time_budget": budget})
+        assert main(["compute", str(cfg),
+                     "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+
+
 def test_report_summarizes_directory(tmp_path, capsys):
     # 0.99 gives an empty set, which is timed too
     cfg = scalar_config(tmp_path, [0.4, 0.6, 0.99])
@@ -224,10 +255,12 @@ def test_report_summarizes_directory(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "0.6" in text
     assert "time=n/a" not in text
+    assert "searches=n/a" not in text
     summary = json.loads((out / "summary.json").read_text())
     assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]
     for row in summary["results"]:
         assert row["timings"]["total"] > 0.0
+        assert 0.0 <= row["timings"]["searches"] <= row["timings"]["total"]
 
 
 def test_python_m_runs_the_cli(tmp_path):

@@ -63,6 +63,23 @@ def test_interval_bounds():
     np.testing.assert_array_equal(point.interval_bounds(), ([0.5], [0.5]))
 
 
+def test_ray_exit():
+    box = box_polytope([0.0, 0.0], [1.0, 2.0])
+    assert box.ray_exit([0.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    assert box.ray_exit([0.5, 0.0], [-0.6, 0.8]) == pytest.approx(2.5)
+    # a half-plane has no face ahead of a ray running away from it
+    half = HPolytope(normals=np.array([[1.0, 1.0]]), offsets=np.array([1.0]))
+    assert half.ray_exit([0.0, 0.0], [-1.0, 0.0]) == np.inf
+    assert half.ray_exit([0.0, 0.0], [1.0, -1.0]) == np.inf
+    assert half.ray_exit([0.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    # on a face, or just beyond it, the ray leaves at once
+    assert box.ray_exit([1.0, 0.3], [1.0, 0.0]) == 0.0
+    assert box.ray_exit([1.0 + 1e-8, 0.3], [1.0, 0.0]) == 0.0
+    # a face the ray runs away from does not stop it
+    assert box.ray_exit([1.0 + 1e-8, 0.3], [-1.0, 0.0]) == pytest.approx(
+        2.0 + 1e-8)
+
+
 def test_zero_normal_row_rejected():
     with pytest.raises(ValueError):
         HPolytope(normals=np.array([[0.0, 0.0]]), offsets=np.array([1.0]))
