@@ -127,8 +127,9 @@ class RiskLP:
     delta_lb can never bind, and its tube row and pieces are dropped
     with delta_i fixed at delta_lb.  The optimal step or total risk is
     the full LP's; the optimal U and deltas may be another of its
-    optima.  When y is unbounded (the anchors, a ray that never leaves
-    T_0) every window is [delta_lb, cap] and the LP is the full one.
+    optima.  A row whose mean is unbounded above over the box gets the
+    full window [delta_lb, cap]; at the anchors, where x0 is free, that
+    is every row that depends on x0.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -343,12 +344,9 @@ class RiskLP:
         """(delta_min, delta_need, rows kept): the risk window of each
         stochastic row for x0 = c + E y with y_lo <= y <= y_hi, given the
         x0 coefficients of the tube rows times E and times c, and the mask
-        over self.rows of the rows that can bind.  A box of y unbounded on
-        either side keeps the full LP."""
+        over self.rows of the rows that can bind.  Unbounded mean ranges
+        invert to the ends of the envelope's domain, never to NaN."""
         nr = self.n_risk
-        if x0_cols.shape[1] and not np.isfinite([y_lo, y_hi]).all():
-            return np.full(nr, self.delta_lb), np.full(nr, self.delta_cap), \
-                np.ones(self.rhs.size, dtype=bool)
         y_min, y_max = _interval_range(x0_cols[:nr], y_lo, y_hi)
         mean_min = x0_const[:nr] + y_min + self._u_range[0]
         mean_max = x0_const[:nr] + y_max + self._u_range[1]

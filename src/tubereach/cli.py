@@ -156,8 +156,7 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
 
 
 _TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions", "backend",
-             "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation",
-             "time_budget"}
+             "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation"}
 
 
 def load_config(path: str) -> dict:
@@ -184,12 +183,6 @@ def load_config(path: str) -> dict:
     _check_keys(pwa, {"tolerance", "delta_lb"}, "pwa")
     if cfg.get("backend", "chance") not in ("chance", "genz"):
         raise ConfigError("backend must be 'chance' or 'genz'")
-    budget = cfg.get("time_budget")
-    if budget is not None and (isinstance(budget, bool)
-                               or not isinstance(budget, (int, float))
-                               or not budget >= 0):
-        raise ConfigError(f"time_budget {budget!r} is not a nonnegative "
-                          "number of seconds")
     return cfg
 
 
@@ -232,8 +225,7 @@ def cmd_compute(args) -> int:
             sys, tube, alpha, directions,
             anchor_mode=cfg.get("anchor_mode"),
             backend=cfg.get("backend", "chance"),
-            pwa=pwa, time_budget=cfg.get("time_budget"), jobs=args.jobs,
-            seed=seed)
+            pwa=pwa, jobs=args.jobs, seed=seed)
         if res.anchor.status == "solver_failure":
             log.error("solver failure at alpha=%s: %s", alpha,
                       res.anchor.diagnostic)
@@ -382,19 +374,20 @@ def cmd_report(args) -> int:
         elif name == "validation.json":
             with open(path) as fh:
                 doc = json.load(fh)
-            merged["validation"] = {
-                key: doc[key] for key in ("mean_error", "std_error",
-                                          "pooled_binomial_std", "n_traj")}
+            merged["validation"] = {"mean_error": doc["mean_error"],
+                                    "std_error": doc["std_error"],
+                                    "n_traj": doc["n_traj"],
+                                    # absent from older validation.json
+                                    "pooled_binomial_std":
+                                        doc.get("pooled_binomial_std")}
     out = os.path.join(args.dir, "summary.json")
     with open(out, "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
     for row in merged["results"]:
-        shown = {key: "n/a" if row["timings"].get(key) is None
-                 else f"{row['timings'][key]:.4f}s"
-                 for key in ("total", "searches")}
+        total = row["timings"].get("total")
+        shown = "n/a" if total is None else f"{total:.4f}s"
         print(f"alpha={row['alpha']:g} status={row['status']} "
-              f"vertices={row['n_vertices']} time={shown['total']} "
-              f"searches={shown['searches']}")
+              f"vertices={row['n_vertices']} time={shown}")
     return EXIT_OK
 
 

@@ -170,9 +170,6 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     recorded, never fatal. max_directions truncates the direction list;
     a search that would start more than time_budget seconds after the
     call is skipped (status "skipped"); jobs caps concurrent searches.
-    The timings are the seconds of the risk-LP assembly with the anchors
-    ("anchor"), of the line searches summed ("searches"; they overlap
-    when jobs > 1) and of the whole call ("total").
     """
     if backend not in ("chance", "genz"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -194,8 +191,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         return ReachSetResult(
             alpha=alpha, anchor=anchors[0], boundary_points=[], polytope=None,
             backend=backend, status="empty", diagnostic=anchors[0].diagnostic,
-            timings={"anchor": t_anchor, "searches": 0.0,
-                     "total": t_anchor})
+            timings={"anchor": t_anchor, "total": t_anchor})
 
     dirs = directions.directions
     if max_directions is not None:
@@ -231,13 +227,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                              U=u, lower_bound=lb, status=status,
                              diagnostic=diag)
 
-    def timed(task):
-        start = time.perf_counter()
-        return search(task), time.perf_counter() - start
-
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        timed_points = list(pool.map(timed, tasks))
-    points = [bp for bp, _ in timed_points]
+        points = list(pool.map(search, tasks))
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.extend(a.x_anchor for a in feasible_anchors)
@@ -246,7 +237,6 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         alpha=alpha, anchor=feasible_anchors[0], boundary_points=points,
         polytope=polytope, backend=backend, status="ok",
         timings={"anchor": t_anchor,
-                 "searches": sum(secs for _, secs in timed_points),
                  "total": time.perf_counter() - t0})
 
 

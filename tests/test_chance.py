@@ -365,13 +365,17 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
     assert ls.status == "optimal" and ls.theta_star > 0.0
     assert ls.lower_bound >= 0.6 - 1e-9
-    # the full LP: the same step, without the bound on it
-    full = risk._solve(start, d[:, None], y_lo=0.0, maximize=True)
+    # the full LP: every window [delta_lb, cap], every row kept
+    monkeypatch.setattr(risk, "_windows", lambda *_: (
+        np.full(risk.n_risk, risk.delta_lb),
+        np.full(risk.n_risk, risk.delta_cap),
+        np.ones(risk.rhs.size, dtype=bool)))
+    full = risk.line(start, d)
     assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
-    assert ls.theta_star == pytest.approx(full.extra[0], abs=1e-7)
+    assert ls.theta_star == pytest.approx(full.theta_star, abs=1e-7)
 
 
-def test_unbounded_ray_keeps_the_full_lp(sys1d, pwa, monkeypatch):
+def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
     # T_0 becomes the half-line x >= -1, so the ray along +1 never leaves
     # it (TargetTube itself asks for bounded sets; the windows must not
     # depend on that)
@@ -380,18 +384,20 @@ def test_unbounded_ray_keeps_the_full_lp(sys1d, pwa, monkeypatch):
                              offsets=np.array([1.0]))
     risk = RiskLP(sys1d, tube, 0.6, pwa)
     rows = line_lp_rows(monkeypatch)
+    # x0 is free at the anchor, so every row can bind there
     assert risk.anchor("xmax").feasible
+    assert rows == [risk.rows.shape[0] + tube[0].n_rows]
     d = np.array([1.0])
     assert tube[0].ray_exit(np.zeros(1), d) == np.inf
-    ls = risk.line(np.zeros(1), d)
-    assert rows == [rows[0], rows[0]]
-    _, _, extra = copied_rows_solve(sys1d, tube, 0.6, pwa, np.zeros(1),
-                                    d[:, None], y_lo=0.0, maximize=True)
-    assert ls.theta_star > 0.0
-    assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+    for sign in (1.0, -1.0):
+        ls = risk.line(np.zeros(1), sign * d)
+        _, _, extra = copied_rows_solve(sys1d, tube, 0.6, pwa, np.zeros(1),
+                                        sign * d[:, None], y_lo=0.0,
+                                        maximize=True)
+        assert ls.status == "optimal" and ls.theta_star > 0.0
+        assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+        assert ls.lower_bound >= 0.6 - 1e-9
     # the opposite ray leaves T_0, and its LP drops rows
-    ls = risk.line(np.zeros(1), -d)
-    assert ls.status == "optimal"
     assert rows[-1] < rows[0]
 
 

@@ -227,20 +227,17 @@ def test_validate_and_report_carry_the_pooled_std(tmp_path, capsys):
     assert summary["validation"]["pooled_binomial_std"] == pooled
 
 
-def test_time_budget_zero_skips_every_search(tmp_path):
-    cfg = scalar_config(tmp_path, [0.6], extra={"time_budget": 0})
+def test_report_reads_validation_without_the_pooled_std(tmp_path):
+    # validation.json written before the pooled std was recorded
+    cfg = scalar_config(tmp_path, [0.6])
     out = tmp_path / "out"
     assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
-    doc = json.loads((out / "reach_alpha0p6.json").read_text())
-    assert [v["status"] for v in doc["vertices"]] == ["skipped", "skipped"]
-    assert doc["polytope"] == [doc["anchor"]["point"]]
-
-
-def test_time_budget_must_be_a_nonnegative_number(tmp_path):
-    for budget in (-1, "soon", True):
-        cfg = scalar_config(tmp_path, [0.6], extra={"time_budget": budget})
-        assert main(["compute", str(cfg),
-                     "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+    (out / "validation.json").write_text(json.dumps(
+        {"mean_error": 0.01, "std_error": 0.002, "n_traj": 1000}))
+    assert main(["report", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["validation"]["pooled_binomial_std"] is None
+    assert summary["validation"]["mean_error"] == 0.01
 
 
 def test_report_summarizes_directory(tmp_path, capsys):
@@ -255,12 +252,10 @@ def test_report_summarizes_directory(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "0.6" in text
     assert "time=n/a" not in text
-    assert "searches=n/a" not in text
     summary = json.loads((out / "summary.json").read_text())
     assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]
     for row in summary["results"]:
         assert row["timings"]["total"] > 0.0
-        assert 0.0 <= row["timings"]["searches"] <= row["timings"]["total"]
 
 
 def test_python_m_runs_the_cli(tmp_path):
