@@ -130,6 +130,22 @@ class RiskLP:
     optima.  A row whose mean is unbounded above over the box gets the
     full window [delta_lb, cap]; at the anchors, where x0 is free, that
     is every row that depends on x0.
+
+    So an anchor first solves a trial LP that pins more rows: every
+    stochastic row with room at delta_lb at a seed, the centres of T_0's
+    box and of the input box, is dropped with its pieces and delta_i
+    fixed at delta_lb.  The mask depends only on (system, tube, alpha)
+    and is found here; without a bounded box for T_0 (a cone, a
+    half-line) or with no row to pin there is no trial.  Any solution of
+    the full LP maps to one of the trial with the same x0 and U, by
+    lowering each pinned delta_i to delta_lb, so the trial is a
+    relaxation.  Its optimum is returned only if every pinned row holds
+    at delta_lb there, p (Acal x0 + H U) + sigma_i envelope(delta_lb) <=
+    rhs_i with no tolerance: it is then feasible, hence optimal, for the
+    full LP.  Otherwise, or if the trial has no optimum, the full LP is
+    solved, so an anchor takes at most two solves.  The optimal radius
+    or total risk is the full LP's; the anchor's point, U and
+    lower_bound may be another of its optima.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -190,9 +206,25 @@ class RiskLP:
         self._sigma, self._rhs_risk = sig, rhs0
         u_lo, u_hi = sys.input_set.interval_bounds() if m \
             else (np.zeros(0), np.zeros(0))
+        u_lo, u_hi = np.tile(u_lo, nsteps), np.tile(u_hi, nsteps)
         # range of the input's share of each stochastic row's mean
-        self._u_range = _interval_range(coef_u, np.tile(u_lo, nsteps),
-                                        np.tile(u_hi, nsteps))
+        self._u_range = _interval_range(coef_u, u_lo, u_hi)
+        # the anchors' trial pins the rows with room at delta_lb at the
+        # seed: the centres of T_0's box and of the input box
+        self._pinned = None
+        env_lb = pwa.envelope(self.delta_lb)
+        t0_box = tube[0].as_box_bounds()
+        if nr and t0_box is not None:
+            seed_x0 = 0.5 * (t0_box[0] + t0_box[1])
+            seed_u = 0.5 * (u_lo + u_hi)
+            if np.isfinite(seed_x0).all() and np.isfinite(seed_u).all():
+                limit = rhs0 - sig * env_lb
+                pinned = coef_u @ seed_u + x0_stochastic @ seed_x0 <= limit
+                if pinned.any():
+                    self._pinned = pinned
+                    self._pinned_rows = (coef_u[pinned],
+                                         x0_stochastic[pinned],
+                                         limit[pinned])
         piece = np.repeat(np.arange(slopes.size), nr)
         row = np.tile(np.arange(nr), slopes.size)
         epigraph = sp.coo_array(
@@ -227,8 +259,7 @@ class RiskLP:
             * nsteps if box is not None else [(-np.inf, np.inf)] * self.n_u
         # the envelope decreases, so t_i = envelope(delta_i) fits these;
         # bounded, presolve settles more of the LP
-        self._t_bounds = [(pwa.envelope(self.delta_cap),
-                           pwa.envelope(self.delta_lb))] * nr
+        self._t_bounds = [(pwa.envelope(self.delta_cap), env_lb)] * nr
 
     def anchor(self, mode: str) -> AnchorResult:
         """Anchor maximizing the risk-allocation lower bound on the reach
@@ -239,8 +270,15 @@ class RiskLP:
             raise ValueError(f"unknown anchor mode {mode!r}")
         cheby = mode == "cheby"
         n = self.tube.dim
-        sol = self._solve(np.zeros(n), np.eye(n), radius=cheby,
-                          maximize=cheby)
+
+        def solve(pinned=None):
+            return self._solve(np.zeros(n), np.eye(n), radius=cheby,
+                               maximize=cheby, pinned=pinned)
+        sol = solve(self._pinned)
+        if self._pinned is not None and not (
+                sol.status == "optimal"
+                and self._pinned_rows_hold(sol.extra[:n], sol.U)):
+            sol = solve()
         if sol.status != "optimal":
             status = "empty" if sol.status == "infeasible" else sol.status
             return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
@@ -254,6 +292,12 @@ class RiskLP:
         return AnchorResult(x_anchor=sol.extra[:n], U=sol.U, lower_bound=lb,
                             mode=mode,
                             radius=float(sol.extra[n]) if cheby else None)
+
+    def _pinned_rows_hold(self, x0: np.ndarray, U: np.ndarray) -> bool:
+        """Whether every row the trial pinned holds at delta_lb at
+        (x0, U), with no tolerance."""
+        coef_u, coef_x0, limit = self._pinned_rows
+        return bool(np.all(coef_u @ U + coef_x0 @ x0 <= limit))
 
     def line(self, anchor, direction) -> LineSearchResult:
         """Maximal step along a direction from the anchor keeping the risk
@@ -285,17 +329,19 @@ class RiskLP:
 
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
                y_hi: float = np.inf, radius: bool = False,
-               maximize: bool = False) -> _Solution:
+               maximize: bool = False,
+               pinned: Optional[np.ndarray] = None) -> _Solution:
         """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the rows
-        that the risk windows keep.  With E columns, x0 must lie in T_0,
-        by a margin of the radius column when one is asked for.  The
+        that the risk windows keep, less the stochastic rows in pinned,
+        whose risk is fixed at delta_lb.  With E columns, x0 must lie in
+        T_0, by a margin of the radius column when one is asked for.  The
         objective is the total risk, or with maximize the last column
         (the step or the radius)."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
         n_y, n_r = E.shape[1], int(radius)
         x0_cols, x0_const = self._x0 @ E, self._x0 @ c
-        lo, hi, keep = self._windows(x0_cols, x0_const, y_lo, y_hi)
+        lo, hi, keep = self._windows(x0_cols, x0_const, y_lo, y_hi, pinned)
         rows, row_rhs = self.rows, self.rhs
         if not keep.all():
             tube_rows = keep[:x0_const.size]
@@ -340,12 +386,14 @@ class RiskLP:
                          extra=sol.z[k + self.n_risk:])
 
     def _windows(self, x0_cols: np.ndarray, x0_const: np.ndarray,
-                 y_lo: float, y_hi: float):
+                 y_lo: float, y_hi: float,
+                 pinned: Optional[np.ndarray] = None):
         """(delta_min, delta_need, rows kept): the risk window of each
         stochastic row for x0 = c + E y with y_lo <= y <= y_hi, given the
         x0 coefficients of the tube rows times E and times c, and the mask
         over self.rows of the rows that can bind.  Unbounded mean ranges
-        invert to the ends of the envelope's domain, never to NaN."""
+        invert to the ends of the envelope's domain, never to NaN.  A
+        pinned row gets the window [delta_lb, delta_lb] and is dropped."""
         nr = self.n_risk
         y_min, y_max = _interval_range(x0_cols[:nr], y_lo, y_hi)
         mean_min = x0_const[:nr] + y_min + self._u_range[0]
@@ -359,6 +407,8 @@ class RiskLP:
         levels, knots = self._knot_env[::-1], self._knots[::-1]
         need = np.interp(least, levels, knots)
         low = np.interp(most, levels, knots)
+        if pinned is not None:
+            need[pinned] = low[pinned] = self.delta_lb
         binds = need > self.delta_lb
         meets = (self._knots[:-1, None] <= need) \
             & (self._knots[1:, None] >= low) & binds

@@ -521,9 +521,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except ValueError as exc:
-        # ConfigError and the library's own input validation alike; solver
-        # failures return EXIT_SOLVER_FAILURE explicitly
+    except (ValueError, OSError) as exc:
+        # ConfigError, the library's own input validation and unreadable
+        # or missing files alike; solver failures return
+        # EXIT_SOLVER_FAILURE explicitly
         log.error("%s", exc)
         return EXIT_BAD_CONFIG
 

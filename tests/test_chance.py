@@ -4,7 +4,7 @@ import pytest
 from tubereach import chance
 from tubereach.chance import RiskLP, _interval_range
 from tubereach.geometry import HPolytope, box_polytope
-from tubereach.lpsolve import LinearProgram, solve_lp
+from tubereach.lpsolve import LinearProgram, LpSolution, solve_lp
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
                                 TargetTube, concat_matrices,
@@ -287,6 +287,24 @@ def hexagon_input_system():
 
 
 
+def room_at_delta_lb(sys, tube, pwa, x0, U):
+    """rhs - mean - sigma envelope(delta_lb) of each stochastic tube row
+    at (x0, U), in the risk LP's row order (step, then face)."""
+    cd = concat_matrices(sys)
+    n = sys.state_dim
+    cov = cd.G @ cd.CW @ cd.G.T
+    mean = cd.Acal @ x0 + cd.H @ U + cd.G @ cd.muW
+    room = []
+    for k in range(1, sys.horizon + 1):
+        s = slice((k - 1) * n, k * n)
+        for p, q in zip(tube[k].normals, tube[k].offsets):
+            sigma = np.sqrt(max(p @ cov[s, s] @ p, 0.0))
+            if sigma >= 1e-12:
+                room.append(q - p @ mean[s]
+                            - sigma * pwa.envelope(pwa.domain[0]))
+    return np.array(room)
+
+
 def line_lp_rows(monkeypatch):
     """Row counts of the LPs that chance.solve_lp receives from now on."""
     counts = []
@@ -317,19 +335,35 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
         assert risk.deterministic_rows and risk.n_risk
         assert sys.input_set.as_box_bounds() is None
 
+    solves = line_lp_rows(monkeypatch)
     xmax = risk.anchor("xmax")
+    xmax_solves = len(solves)
     _, deltas, _ = copied_rows_solve(sys, tube, 0.6, pwa, np.zeros(n),
                                      np.eye(n))
     assert xmax.feasible
     assert xmax.lower_bound == pytest.approx(1.0 - deltas.sum(), abs=1e-7)
 
     cheby = risk.anchor("cheby")
+    cheby_solves = len(solves) - xmax_solves
     _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, np.zeros(n),
                                     np.eye(n), radius=True, maximize=True)
     assert cheby.feasible
     assert cheby.radius == pytest.approx(extra[-1], abs=1e-7)
     if example == "hexagon":
         assert 0.1 < cheby.radius < 0.9
+    # an anchor of one solve is the trial's: every row it drops holds at
+    # delta_lb, with no tolerance; otherwise the full LP was solved too
+    assert risk._pinned is not None
+    accepted = []
+    for anchor, count in (("xmax", xmax_solves), ("cheby", cheby_solves)):
+        assert count in (1, 2)
+        if count == 1:
+            found = xmax if anchor == "xmax" else cheby
+            room = room_at_delta_lb(sys, tube, pwa, found.x_anchor, found.U)
+            assert np.all(room[risk._pinned] >= 0.0)
+            accepted.append(anchor)
+    assert accepted == {"scalar": ["xmax", "cheby"], "hexagon": [],
+                        "chain": ["cheby"]}[example]
 
     # between the two anchors, so every direction has room to move; above
     # two dimensions the directions lie in the (x0, x1) slice
@@ -338,7 +372,6 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
     directions = [np.array([1.0]), np.array([-1.0])] if n == 1 else \
         [np.concatenate([[np.cos(t), np.sin(t)], np.zeros(n - 2)])
          for t in angles]
-    rows = line_lp_rows(monkeypatch)
     for d in directions:
         ls = risk.line(origin, d)
         _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, origin,
@@ -347,6 +380,7 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
         assert ls.theta_star > 0.0
         assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
         assert ls.lower_bound >= 0.6 - 1e-9
+    rows = solves[xmax_solves + cheby_solves:]
     full = risk.rows.shape[0] + tube[0].n_rows
     assert len(rows) == len(directions) and max(rows) <= full
     if example == "chain":
@@ -373,6 +407,64 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     full = risk.line(start, d)
     assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
     assert ls.theta_star == pytest.approx(full.theta_star, abs=1e-7)
+
+
+def test_chain_anchor_is_one_small_trial(pwa, monkeypatch):
+    sys, tube = chain_system(40)
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    rows = line_lp_rows(monkeypatch)
+    cheby = risk.anchor("cheby")
+    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
+    assert cheby.feasible and cheby.lower_bound >= 0.6 - 1e-9
+    # the full LP, without the trial, has the same radius
+    monkeypatch.setattr(risk, "_pinned", None)
+    full = risk.anchor("cheby")
+    assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
+    assert cheby.radius == pytest.approx(full.radius, abs=1e-7)
+
+
+def dubins_example():
+    from tubereach.cli import _EXAMPLES, _instantiate
+    sys, tube, _, pwa = _instantiate(_EXAMPLES["dubins"])
+    return sys, tube, pwa
+
+
+def test_rejected_trial_falls_back_to_the_full_lp(monkeypatch):
+    sys, tube, pwa = dubins_example()
+    risk = RiskLP(sys, tube, 0.8, pwa)
+    assert risk._pinned is not None
+    rows = line_lp_rows(monkeypatch)
+    monkeypatch.setattr(risk, "_pinned_rows_hold", lambda *_: False)
+    cheby = risk.anchor("cheby")
+    full = risk.rows.shape[0] + tube[0].n_rows
+    assert len(rows) == 2 and rows[0] < rows[1] == full
+    # the anchor of the full LP alone, as without the trial
+    monkeypatch.setattr(risk, "_pinned", None)
+    alone = risk.anchor("cheby")
+    assert rows[2:] == [full]
+    np.testing.assert_array_equal(cheby.x_anchor, alone.x_anchor)
+    np.testing.assert_array_equal(cheby.U, alone.U)
+    assert (cheby.lower_bound, cheby.radius) == \
+        (alone.lower_bound, alone.radius)
+
+
+@pytest.mark.parametrize("mode", ["xmax", "cheby"])
+def test_trial_without_verdict_falls_back(sys2d, tube2d, pwa, mode,
+                                          monkeypatch):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    assert risk._pinned is not None
+    rows = []
+
+    def stalls_first(lp):
+        rows.append(lp.ineq[0].shape[0])
+        if len(rows) == 1:
+            return LpSolution(status="iteration_limit")
+        return solve_lp(lp)
+    monkeypatch.setattr(chance, "solve_lp", stalls_first)
+    anchor = risk.anchor(mode)
+    assert anchor.status == "optimal"
+    assert len(rows) == 2 and rows[0] < rows[1]
+    assert rows[1] == risk.rows.shape[0] + tube2d[0].n_rows
 
 
 def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):

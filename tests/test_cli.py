@@ -133,6 +133,37 @@ def test_library_validation_error_is_bad_config(tmp_path):
                  "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
 
 
+def missing_input_is_bad_config(argv, missing, caplog):
+    """main(argv) names the missing path in one logged error and returns
+    EXIT_BAD_CONFIG instead of raising."""
+    assert main(argv) == EXIT_BAD_CONFIG
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(missing) in errors[0].getMessage()
+
+
+def test_report_of_a_missing_directory(tmp_path, caplog):
+    missing = tmp_path / "nowhere"
+    missing_input_is_bad_config(["report", str(missing)], missing, caplog)
+
+
+def test_validate_with_a_missing_result(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    missing = tmp_path / "reach_alpha0p6.json"
+    missing_input_is_bad_config(["validate", str(cfg), "--result",
+                                 str(missing)], missing, caplog)
+
+
+def test_interpolate_with_a_missing_set(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    missing = tmp_path / "reach_alpha0p4.json"
+    missing_input_is_bad_config(
+        ["interpolate", "--set1", str(missing),
+         "--set2", str(out / "reach_alpha0p6.json"), "--beta", "0.5",
+         "-o", str(tmp_path / "x.json")], missing, caplog)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = scalar_config(tmp_path, [0.6])
     a, b = tmp_path / "a", tmp_path / "b"

@@ -191,6 +191,17 @@ def test_time_budget_checked_when_each_search_starts(sys2d, tube2d, pwa,
         ["ok"] * 3 + ["skipped"] * 5
 
 
+@pytest.mark.parametrize("alpha", [0.6, 0.99])
+def test_timings_split_assembly_from_anchor(sys1d, tube1d, pwa, alpha):
+    # 0.99 gives an empty set, which is timed too
+    res = compute_reach_set(sys1d, tube1d, alpha, DIRS_1D, pwa=pwa)
+    assert res.status == ("ok" if alpha == 0.6 else "empty")
+    t = res.timings
+    assert sorted(t) == ["anchor", "assemble", "total"]
+    assert t["assemble"] > 0.0 and t["anchor"] >= 0.0
+    assert t["assemble"] + t["anchor"] <= t["total"]
+
+
 def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
     calls = []
 
