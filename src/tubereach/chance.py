@@ -131,21 +131,24 @@ class RiskLP:
     full window [delta_lb, cap]; at the anchors, where x0 is free, that
     is every row that depends on x0.
 
-    So an anchor first solves a trial LP that pins more rows: every
-    stochastic row with room at delta_lb at a seed, the centres of T_0's
-    box and of the input box, is dropped with its pieces and delta_i
-    fixed at delta_lb.  The mask depends only on (system, tube, alpha)
-    and is found here; without a bounded box for T_0 (a cone, a
+    So the Chebyshev anchor first solves a trial LP that pins more rows:
+    every stochastic row with room at delta_lb at a seed, the centres of
+    T_0's box and of the input box, is dropped with its pieces and
+    delta_i fixed at delta_lb.  The mask depends only on (system, tube,
+    alpha) and is found here; without a bounded box for T_0 (a cone, a
     half-line) or with no row to pin there is no trial.  Any solution of
     the full LP maps to one of the trial with the same x0 and U, by
     lowering each pinned delta_i to delta_lb, so the trial is a
-    relaxation.  Its optimum is returned only if every pinned row holds
-    at delta_lb there, p (Acal x0 + H U) + sigma_i envelope(delta_lb) <=
-    rhs_i with no tolerance: it is then feasible, hence optimal, for the
-    full LP.  Otherwise, or if the trial has no optimum, the full LP is
-    solved, so an anchor takes at most two solves.  The optimal radius
-    or total risk is the full LP's; the anchor's point, U and
-    lower_bound may be another of its optima.
+    relaxation, and an infeasible trial is returned as it is.  Its
+    optimum is returned only if every pinned row holds at delta_lb
+    there, p (Acal x0 + H U) + sigma_i envelope(delta_lb) <= rhs_i with
+    no tolerance: it is then feasible, hence optimal, for the full LP.
+    Otherwise, or if the trial stops without a verdict, the full LP is
+    solved, so the anchor takes at most two solves.  The optimal radius
+    is the full LP's; the anchor's point, U and lower_bound may be
+    another of its optima.  The xmax anchor solves the full LP alone:
+    when the trial pins every row that depends on x0 its objective is
+    constant over T_0, and its optimum mostly breaks a pinned row.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -209,8 +212,8 @@ class RiskLP:
         u_lo, u_hi = np.tile(u_lo, nsteps), np.tile(u_hi, nsteps)
         # range of the input's share of each stochastic row's mean
         self._u_range = _interval_range(coef_u, u_lo, u_hi)
-        # the anchors' trial pins the rows with room at delta_lb at the
-        # seed: the centres of T_0's box and of the input box
+        # the Chebyshev anchor's trial pins the rows with room at delta_lb
+        # at the seed: the centres of T_0's box and of the input box
         self._pinned = None
         env_lb = pwa.envelope(self.delta_lb)
         t0_box = tube[0].as_box_bounds()
@@ -274,8 +277,10 @@ class RiskLP:
         def solve(pinned=None):
             return self._solve(np.zeros(n), np.eye(n), radius=cheby,
                                maximize=cheby, pinned=pinned)
-        sol = solve(self._pinned)
-        if self._pinned is not None and not (
+        trial = cheby and self._pinned is not None
+        sol = solve(self._pinned if trial else None)
+        # an infeasible relaxation proves the full LP infeasible
+        if trial and sol.status != "infeasible" and not (
                 sol.status == "optimal"
                 and self._pinned_rows_hold(sol.extra[:n], sol.U)):
             sol = solve()

@@ -522,9 +522,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # ConfigError, the library's own input validation and unreadable
-        # or missing files alike; solver failures return
-        # EXIT_SOLVER_FAILURE explicitly
+        # ConfigError, the library's own input validation and any I/O
+        # error (missing or unreadable inputs, unwritable outputs) alike;
+        # solver failures return EXIT_SOLVER_FAILURE explicitly
         log.error("%s", exc)
         return EXIT_BAD_CONFIG
 

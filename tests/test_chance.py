@@ -336,8 +336,11 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
         assert sys.input_set.as_box_bounds() is None
 
     solves = line_lp_rows(monkeypatch)
+    full = risk.rows.shape[0] + tube[0].n_rows
     xmax = risk.anchor("xmax")
     xmax_solves = len(solves)
+    # the xmax anchor has no trial
+    assert solves == [full]
     _, deltas, _ = copied_rows_solve(sys, tube, 0.6, pwa, np.zeros(n),
                                      np.eye(n))
     assert xmax.feasible
@@ -351,19 +354,16 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
     assert cheby.radius == pytest.approx(extra[-1], abs=1e-7)
     if example == "hexagon":
         assert 0.1 < cheby.radius < 0.9
-    # an anchor of one solve is the trial's: every row it drops holds at
-    # delta_lb, with no tolerance; otherwise the full LP was solved too
+    # a Chebyshev anchor of one solve is the trial's: every row it drops
+    # holds at delta_lb, with no tolerance; otherwise the full LP was
+    # solved too
     assert risk._pinned is not None
-    accepted = []
-    for anchor, count in (("xmax", xmax_solves), ("cheby", cheby_solves)):
-        assert count in (1, 2)
-        if count == 1:
-            found = xmax if anchor == "xmax" else cheby
-            room = room_at_delta_lb(sys, tube, pwa, found.x_anchor, found.U)
-            assert np.all(room[risk._pinned] >= 0.0)
-            accepted.append(anchor)
-    assert accepted == {"scalar": ["xmax", "cheby"], "hexagon": [],
-                        "chain": ["cheby"]}[example]
+    assert cheby_solves in (1, 2)
+    if cheby_solves == 1:
+        room = room_at_delta_lb(sys, tube, pwa, cheby.x_anchor, cheby.U)
+        assert np.all(room[risk._pinned] >= 0.0)
+    else:
+        assert solves[-1] == full
 
     # between the two anchors, so every direction has room to move; above
     # two dimensions the directions lie in the (x0, x1) slice
@@ -381,7 +381,6 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
         assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
         assert ls.lower_bound >= 0.6 - 1e-9
     rows = solves[xmax_solves + cheby_solves:]
-    full = risk.rows.shape[0] + tube[0].n_rows
     assert len(rows) == len(directions) and max(rows) <= full
     if example == "chain":
         # the windows drop rows on every direction
@@ -448,23 +447,37 @@ def test_rejected_trial_falls_back_to_the_full_lp(monkeypatch):
         (alone.lower_bound, alone.radius)
 
 
-@pytest.mark.parametrize("mode", ["xmax", "cheby"])
-def test_trial_without_verdict_falls_back(sys2d, tube2d, pwa, mode,
-                                          monkeypatch):
-    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
-    assert risk._pinned is not None
+def fake_trial(monkeypatch, status):
+    """Row counts of the LPs solved from now on; the first, the trial,
+    ends with the given status unsolved."""
     rows = []
 
-    def stalls_first(lp):
+    def fails_first(lp):
         rows.append(lp.ineq[0].shape[0])
         if len(rows) == 1:
-            return LpSolution(status="iteration_limit")
+            return LpSolution(status=status)
         return solve_lp(lp)
-    monkeypatch.setattr(chance, "solve_lp", stalls_first)
-    anchor = risk.anchor(mode)
+    monkeypatch.setattr(chance, "solve_lp", fails_first)
+    return rows
+
+
+def test_trial_without_verdict_falls_back(sys2d, tube2d, pwa, monkeypatch):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    assert risk._pinned is not None
+    rows = fake_trial(monkeypatch, "iteration_limit")
+    anchor = risk.anchor("cheby")
     assert anchor.status == "optimal"
     assert len(rows) == 2 and rows[0] < rows[1]
     assert rows[1] == risk.rows.shape[0] + tube2d[0].n_rows
+
+
+def test_infeasible_trial_is_the_verdict(sys2d, tube2d, pwa, monkeypatch):
+    # the trial is a relaxation, so its infeasibility is the full LP's
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    rows = fake_trial(monkeypatch, "infeasible")
+    anchor = risk.anchor("cheby")
+    assert anchor.status == "empty" and anchor.x_anchor is None
+    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] + tube2d[0].n_rows
 
 
 def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
