@@ -1,7 +1,6 @@
 """Risk-allocated linear programs for open-loop reach-probability
 maximization: anchor point via maximal lower bound, anchor via Chebyshev
-centering, directional line search, and the controller for a fixed
-initial state.
+centering, and directional line search.
 
 Each half-space constraint of the target tube on a noisy state becomes a
 univariate Gaussian tail condition with its own risk variable; the risks
@@ -101,8 +100,8 @@ class RiskLP:
     variable t_i per stochastic tube row standing for the PWA quantile
     envelope at delta_i.  The initial state enters as x0 = c + E y, so
     each question supplies only (c, E) -- c = 0 and E = I for the
-    anchors, c = anchor and E = direction for a line search, c = x0 and
-    no columns for a fixed initial state.  The rows over [U | deltas | t]
+    anchors, c = anchor and E = direction for a line search; every
+    solve keeps x0 in T_0.  The rows over [U | deltas | t]
     are built here in sparse form: each stochastic row once, as
     p (Acal x0 + H U) + sigma_i t_i <= rhs_i, then the deterministic tube
     rows, one row m_l delta_i - t_i <= -c_l per (stochastic row, PWA
@@ -325,23 +324,16 @@ class RiskLP:
         return LineSearchResult(theta_star=max(float(sol.extra[0]), 0.0),
                                 U_star=sol.U, lower_bound=sol.lower_bound)
 
-    def controls(self, x0) -> Optional[np.ndarray]:
-        """Input sequence minimizing the total risk from the fixed initial
-        state x0 (T_0 membership is not imposed), or None without an
-        optimum: the sampling backend's warm start."""
-        x0 = np.asarray(x0, dtype=float).ravel()
-        return self._solve(x0, np.zeros((x0.size, 0))).U
-
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
                y_hi: float = np.inf, radius: bool = False,
                maximize: bool = False,
                pinned: Optional[np.ndarray] = None) -> _Solution:
         """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the rows
         that the risk windows keep, less the stochastic rows in pinned,
-        whose risk is fixed at delta_lb.  With E columns, x0 must lie in
-        T_0, by a margin of the radius column when one is asked for.  The
-        objective is the total risk, or with maximize the last column
-        (the step or the radius)."""
+        whose risk is fixed at delta_lb.  x0 must lie in T_0, by a margin
+        of the radius column when one is asked for.  The objective is the
+        total risk, or with maximize the last column (the step or the
+        radius)."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
         n_y, n_r = E.shape[1], int(radius)
@@ -353,18 +345,17 @@ class RiskLP:
             rows, row_rhs = rows[keep], row_rhs[keep]
             x0_cols, x0_const = x0_cols[tube_rows], x0_const[tube_rows]
         n_rest = row_rhs.size - x0_const.size
+        t0 = self.tube[0]
+        ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
+            else np.zeros((t0.n_rows, 0))
         blocks = [[rows,
                    sp.vstack([sp.csr_array(x0_cols),
                               sp.csr_array((n_rest, n_y))]),
-                   sp.csr_array((row_rhs.size, n_r))]]
-        rhs = [row_rhs - np.concatenate([x0_const, np.zeros(n_rest)])]
-        if n_y:
-            t0 = self.tube[0]
-            ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
-                else np.zeros((t0.n_rows, 0))
-            blocks.append([sp.csr_array((t0.n_rows, self.rows.shape[1])),
-                           sp.csr_array(t0.normals @ E), sp.csr_array(ball)])
-            rhs.append(t0.offsets - t0.normals @ c)
+                   sp.csr_array((row_rhs.size, n_r))],
+                  [sp.csr_array((t0.n_rows, self.rows.shape[1])),
+                   sp.csr_array(t0.normals @ E), sp.csr_array(ball)]]
+        rhs = [row_rhs - np.concatenate([x0_const, np.zeros(n_rest)]),
+               t0.offsets - t0.normals @ c]
         bounds = self._u_bounds + list(zip(lo, hi)) + self._t_bounds \
             + [(y_lo, y_hi)] * n_y + [(0.0, np.inf)] * n_r
         objective = np.zeros(len(bounds))

@@ -155,7 +155,7 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
     raise ConfigError(f"unknown tube type {kind!r}")
 
 
-_TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions", "backend",
+_TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions",
              "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation"}
 
 
@@ -181,8 +181,6 @@ def load_config(path: str) -> dict:
     _check_keys(dirs, {"count", "slice"}, "directions")
     pwa = cfg.get("pwa", {})
     _check_keys(pwa, {"tolerance", "delta_lb"}, "pwa")
-    if cfg.get("backend", "chance") not in ("chance", "genz"):
-        raise ConfigError("backend must be 'chance' or 'genz'")
     return cfg
 
 
@@ -216,16 +214,14 @@ def cmd_compute(args) -> int:
     sys, tube, directions, pwa = _instantiate(cfg)
     outdir = args.output_dir or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
     any_empty = False
     timings: Dict[str, Dict[str, float]] = {}
     for alpha in cfg["alphas"]:
         alpha = float(alpha)
         res = reachalgo.compute_reach_set(
             sys, tube, alpha, directions,
-            anchor_mode=cfg.get("anchor_mode"),
-            backend=cfg.get("backend", "chance"),
-            pwa=pwa, jobs=args.jobs, seed=seed)
+            anchor_mode=cfg.get("anchor_mode", "cheby"), pwa=pwa,
+            jobs=args.jobs)
         if res.anchor.status == "solver_failure":
             log.error("solver failure at alpha=%s: %s", alpha,
                       res.anchor.diagnostic)
@@ -366,7 +362,6 @@ def cmd_report(args) -> int:
                 doc = json.load(fh)
             merged["results"].append({
                 "alpha": doc["alpha"], "status": doc["status"],
-                "backend": doc["backend"],
                 "n_vertices": None if doc["polytope"] is None
                 else len(doc["polytope"]),
                 "timings": times.get(f"{doc['alpha']:g}", {}),
@@ -400,7 +395,6 @@ _EXAMPLES: Dict[str, dict] = {
         "horizon": 10,
         "alphas": [0.6, 0.9],
         "directions": {"count": 32},
-        "backend": "chance",
         "dp": {"state_spacing": 0.05, "input_spacing": 0.05},
         "seed": 0,
     },
@@ -413,7 +407,6 @@ _EXAMPLES: Dict[str, dict] = {
         "horizon": 5,
         "alphas": [0.6, 0.9],
         "directions": {"count": 8, "slice": [0, 1]},
-        "backend": "chance",
         "validation": {"n_traj": 10000},
         "seed": 0,
     },
@@ -424,7 +417,6 @@ _EXAMPLES: Dict[str, dict] = {
         "horizon": 10,
         "alphas": [0.6],
         "directions": {"count": 8},
-        "backend": "chance",
         "seed": 0,
     },
     "cwh": {
@@ -433,7 +425,6 @@ _EXAMPLES: Dict[str, dict] = {
         "horizon": 5,
         "alphas": [0.8],
         "directions": {"count": 8, "slice": [0, 1]},
-        "backend": "chance",
         "validation": {"n_traj": 100000},
         "seed": 0,
     },
@@ -448,7 +439,6 @@ _EXAMPLES: Dict[str, dict] = {
         "horizon": 50,
         "alphas": [0.8],
         "directions": {"count": 8},
-        "backend": "chance",
         "seed": 0,
     },
 }

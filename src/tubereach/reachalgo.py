@@ -3,9 +3,8 @@
 Main entry points: compute_reach_set (anchor + directional line searches,
 anytime and parallelizable), interpolate_sets (cross-threshold Minkowski
 interpolation), dp_values / dp_level_set (grid dynamic-programming
-baseline for 1D/2D instances), and a sampling backend built on the
-multivariate-normal box estimator with a derivative-free controller
-search.
+baseline for 1D/2D instances) and initial_guess_controller (a warm start
+blended from the stored vertex controllers).
 """
 
 from __future__ import annotations
@@ -16,19 +15,17 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import chance
 from .chance import AnchorResult
-from .gaussian import PwaQuantile, build_pwa_quantile, genz_mvn_probability, MvnBox
+from .gaussian import PwaQuantile, build_pwa_quantile
 from .geometry import (DirectionSet, HPolytope, VPolytope, convex_hull_2d,
                        minkowski_interpolate, prune_vertices)
-from .lpsolve import LinearProgram, solve_lp
-from .sysmodel import StochasticLTVSystem, TargetTube, concat_matrices, \
-    state_mean_cov
+from .sysmodel import StochasticLTVSystem, TargetTube
 
 
 @dataclass
@@ -52,7 +49,6 @@ class ReachSetResult:
     anchor: AnchorResult
     boundary_points: List[BoundaryPoint]
     polytope: Optional[VPolytope]
-    backend: str  # chance | genz
     status: str  # ok | empty
     diagnostic: str = ""
     timings: Dict[str, float] = field(default_factory=dict)
@@ -78,7 +74,6 @@ class ReachSetResult:
     def to_json(self) -> str:
         doc = {
             "alpha": self.alpha,
-            "backend": self.backend,
             "status": self.status,
             "diagnostic": self.diagnostic,
             "anchor": {
@@ -111,7 +106,8 @@ class ReachSetResult:
     @classmethod
     def from_json(cls, text: str) -> "ReachSetResult":
         """Inverse of :meth:`to_json`; a document without timings (as
-        `tubereach compute` writes them) reads as having none."""
+        `tubereach compute` writes them) reads as having none, and the
+        "backend" key that older releases wrote is ignored."""
         doc = json.loads(text)
         anchor = doc["anchor"]
         return cls(
@@ -129,7 +125,7 @@ class ReachSetResult:
                 for i, v in enumerate(doc["vertices"])],
             polytope=None if doc["polytope"] is None
             else VPolytope(_array(doc["polytope"])),
-            backend=doc["backend"], status=doc["status"],
+            status=doc["status"],
             diagnostic=doc.get("diagnostic", ""),
             timings=doc.get("timings", {}))
 
@@ -157,88 +153,68 @@ def _hull(points: np.ndarray) -> VPolytope:
 
 
 def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
-                      directions: DirectionSet, anchor_mode: Optional[str] = None,
-                      backend: str = "chance", pwa: Optional[PwaQuantile] = None,
+                      directions: DirectionSet, anchor_mode: str = "cheby",
+                      pwa: Optional[PwaQuantile] = None,
                       max_directions: Optional[int] = None,
-                      time_budget: Optional[float] = None, jobs: int = 1,
-                      seed: int = 0, genz_samples: int = 2048) -> ReachSetResult:
+                      time_budget: Optional[float] = None,
+                      jobs: int = 1) -> ReachSetResult:
     """Polytopic underapproximation of the alpha-level reach set.
 
-    One line search per direction from the anchor; the hull of the
-    successful boundary points is a valid underapproximation after any
-    prefix of the direction list (anytime). Per-direction failures are
-    recorded, never fatal. max_directions truncates the direction list;
-    a search that would start more than time_budget seconds after the
-    call is skipped (status "skipped"); jobs caps concurrent searches.
+    One anchor ("cheby" or "xmax"), then one line search per direction
+    from it; the hull of the anchor and the successful boundary points is
+    a valid underapproximation after any prefix of the direction list
+    (anytime). Per-direction failures are recorded, never fatal.
+    max_directions truncates the direction list; a search that would
+    start more than time_budget seconds after the call is skipped (status
+    "skipped"); jobs caps concurrent searches.
     """
-    if backend not in ("chance", "genz"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if anchor_mode is None:
-        anchor_mode = "cheby" if backend == "chance" else "xmax"
-    if anchor_mode not in ("xmax", "cheby", "both"):
+    if anchor_mode not in ("xmax", "cheby"):
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
     if pwa is None:
         pwa = build_pwa_quantile()
     t0 = time.perf_counter()
 
-    # one assembly, shared read-only by the anchors and every search
+    # one assembly, shared read-only by the anchor and every search
     risk = chance.RiskLP(sys, tube, alpha, pwa)
     t_assembled = time.perf_counter()
-    modes = ["xmax", "cheby"] if anchor_mode == "both" else [anchor_mode]
-    anchors = [risk.anchor(mode) for mode in modes]
+    anchor = risk.anchor(anchor_mode)
     t_anchored = time.perf_counter()
     timings = {"assemble": t_assembled - t0,
                "anchor": t_anchored - t_assembled}
-    feasible_anchors = [a for a in anchors if a.feasible]
-    if not feasible_anchors:
+    if not anchor.feasible:
         return ReachSetResult(
-            alpha=alpha, anchor=anchors[0], boundary_points=[], polytope=None,
-            backend=backend, status="empty", diagnostic=anchors[0].diagnostic,
+            alpha=alpha, anchor=anchor, boundary_points=[], polytope=None,
+            status="empty", diagnostic=anchor.diagnostic,
             timings={**timings, "total": t_anchored - t0})
 
     dirs = directions.directions
     if max_directions is not None:
         dirs = dirs[:max_directions]
-
-    tasks: List[Tuple[int, AnchorResult, np.ndarray]] = []
-    idx = 0
-    for anc in feasible_anchors:
-        for d in dirs:
-            tasks.append((idx, anc, d))
-            idx += 1
-
     deadline = None if time_budget is None else t0 + time_budget
 
-    def search(task):
-        i, anc, d = task
+    def search(i: int) -> BoundaryPoint:
+        d = dirs[i]
         if deadline is not None and time.perf_counter() > deadline:
             return BoundaryPoint(index=i, direction=d, theta=0.0,
-                                 point=anc.x_anchor.copy(), U=None,
+                                 point=anchor.x_anchor.copy(), U=None,
                                  lower_bound=0.0, status="skipped",
                                  diagnostic="time budget exhausted")
-        if backend == "chance":
-            ls = risk.line(anc.x_anchor, d)
-            theta, u, lb = ls.theta_star, ls.U_star, ls.lower_bound
-            status = "ok" if ls.status == "optimal" else ls.status
-            diag = ls.diagnostic
-        else:
-            theta, u, lb, status, diag = _genz_line_search(
-                sys, tube, alpha, risk, anc.x_anchor, d,
-                samples=genz_samples, seed=seed + i)
-        point = anc.x_anchor + theta * d
-        return BoundaryPoint(index=i, direction=d, theta=theta, point=point,
-                             U=u, lower_bound=lb, status=status,
-                             diagnostic=diag)
+        ls = risk.line(anchor.x_anchor, d)
+        return BoundaryPoint(
+            index=i, direction=d, theta=ls.theta_star,
+            point=anchor.x_anchor + ls.theta_star * d, U=ls.U_star,
+            lower_bound=ls.lower_bound,
+            status="ok" if ls.status == "optimal" else ls.status,
+            diagnostic=ls.diagnostic)
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        points = list(pool.map(search, tasks))
+        points = list(pool.map(search, range(len(dirs))))
 
     verts = [bp.point for bp in points if bp.status == "ok"]
-    verts.extend(a.x_anchor for a in feasible_anchors)
-    polytope = _hull(np.stack(verts))
+    verts.append(anchor.x_anchor)
     return ReachSetResult(
-        alpha=alpha, anchor=feasible_anchors[0], boundary_points=points,
-        polytope=polytope, backend=backend, status="ok",
+        alpha=alpha, anchor=anchor, boundary_points=points,
+        polytope=_hull(np.stack(verts)), status="ok",
         timings={**timings, "total": time.perf_counter() - t0})
 
 
@@ -416,113 +392,8 @@ def dp_level_set(table: DpTable, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# Sampling backend: MVN box estimate + derivative-free controller search
+# Controller warm starts
 # ---------------------------------------------------------------------------
-
-def genz_evaluate_W0(sys: StochasticLTVSystem, tube: TargetTube, x0, U,
-                     samples: int = 2048, batches: int = 10,
-                     seed: int = 0) -> Tuple[float, float]:
-    """Open-loop reach probability for a box tube: probability that the
-    concatenated state trajectory lies in the stacked per-step boxes.
-    Returns (estimate, standard error); exactly 0 when x0 is outside T_0.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if not tube[0].contains(x0):
-        return 0.0, 0.0
-    lows, highs = [], []
-    for k in range(1, tube.horizon + 1):
-        box = tube[k].as_box_bounds()
-        if box is None:
-            raise ValueError("sampling backend requires axis-aligned box "
-                             "tube steps; use the chance backend instead")
-        lows.append(box[0])
-        highs.append(box[1])
-    cd = concat_matrices(sys)
-    u = None if sys.input_dim == 0 else np.asarray(U, dtype=float).ravel()
-    mean, cov = state_mean_cov(cd, x0, u)
-    box = MvnBox(mean=mean, cov=cov, lower=np.concatenate(lows),
-                 upper=np.concatenate(highs))
-    return genz_mvn_probability(box, samples=samples, batches=batches,
-                                seed=seed)
-
-
-def pattern_search_maximize(objective: Callable[[np.ndarray], float],
-                            u_init, input_set: Optional[HPolytope],
-                            horizon: int, step_init: float = 0.25,
-                            step_min: float = 1e-3,
-                            max_evals: int = 500) -> Tuple[np.ndarray, float]:
-    """Compass search over the coordinate directions with step halving.
-
-    Candidates are clamped (box input sets) or projected (general
-    polytopes) back into the per-step input set; the incumbent value is
-    monotone nondecreasing.
-    """
-    u = np.asarray(u_init, dtype=float).ravel().copy()
-    if input_set is not None and u.size:
-        m = input_set.dim
-        for j in range(horizon):
-            if not input_set.contains(u[j * m:(j + 1) * m], tol=1e-9):
-                raise ValueError("initial controller violates the input set")
-    best = objective(u)
-    evals = 1
-    step = step_init
-
-    def feasible(cand: np.ndarray) -> np.ndarray:
-        if input_set is None or not cand.size:
-            return cand
-        m = input_set.dim
-        box = input_set.as_box_bounds()
-        out = cand.copy()
-        for j in range(horizon):
-            seg = out[j * m:(j + 1) * m]
-            if box is not None:
-                np.clip(seg, box[0], box[1], out=seg)
-            elif not input_set.contains(seg, tol=1e-9):
-                out[j * m:(j + 1) * m] = _project_into(input_set, seg)
-        return out
-
-    while step >= step_min and evals < max_evals:
-        improved = False
-        for i in range(u.size):
-            for sgn in (1.0, -1.0):
-                cand = u.copy()
-                cand[i] += sgn * step
-                cand = feasible(cand)
-                val = objective(cand)
-                evals += 1
-                if val > best:
-                    best, u = val, cand
-                    improved = True
-                    break
-                if evals >= max_evals:
-                    break
-            if evals >= max_evals:
-                break
-        if not improved:
-            step /= 2.0
-    return u, best
-
-
-def _project_into(poly: HPolytope, point: np.ndarray) -> np.ndarray:
-    """L1 projection into an H-polytope via an LP with split residuals."""
-    n = poly.dim
-    # variables: [x, t] with t >= |x - point| componentwise
-    a = []
-    b = []
-    a.append(np.hstack([poly.normals, np.zeros((poly.n_rows, n))]))
-    b.append(poly.offsets)
-    eye = np.eye(n)
-    a.append(np.hstack([eye, -eye]))
-    b.append(point)
-    a.append(np.hstack([-eye, -eye]))
-    b.append(-point)
-    lp = LinearProgram(objective=np.concatenate([np.zeros(n), np.ones(n)]),
-                       ineq=(np.vstack(a), np.concatenate(b)))
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        raise ValueError("input-set projection failed")
-    return sol.z[:n]
-
 
 def initial_guess_controller(result: ReachSetResult, x0,
                              tol: float = 1e-7):
@@ -536,44 +407,3 @@ def initial_guess_controller(result: ReachSetResult, x0,
         raise ValueError("x0 lies outside the computed polytope")
     u = sum(w * c for w, c in zip(weights, ctrls))
     return np.asarray(u), weights
-
-
-def _genz_line_search(sys, tube, alpha, risk: chance.RiskLP, anchor, d,
-                      samples, seed, tol_frac: float = 0.02):
-    """Bisection on the step length: a point is feasible when the best
-    sampled reach probability over controllers clears alpha. The chance
-    LP at the fixed point supplies the controller warm start."""
-    if not tube[0].contains(anchor, tol=1e-7):
-        return 0.0, None, 0.0, "infeasible", "anchor lies outside T_0"
-
-    def best_prob(x0, u_start):
-        if u_start is None:
-            u_start = np.zeros(sys.input_dim * sys.horizon)
-
-        def obj(u):
-            return genz_evaluate_W0(sys, tube, x0, u, samples=samples,
-                                    seed=seed)[0]
-        u, val = pattern_search_maximize(obj, u_start, sys.input_set,
-                                         sys.horizon, max_evals=120)
-        return val, u
-
-    # exit of the ray from T_0 caps the step length
-    hi = min(tube[0].ray_exit(anchor, d), 1e6)
-
-    val0, u0 = best_prob(anchor, risk.controls(anchor))
-    if val0 < alpha:
-        return 0.0, u0, val0, "infeasible", \
-            f"estimated probability {val0:.4f} < alpha at the anchor"
-    lo, best_u, best_val = 0.0, u0, val0
-    val_hi, u_hi = best_prob(anchor + hi * d, risk.controls(anchor + hi * d))
-    if val_hi >= alpha:
-        return hi, u_hi, val_hi, "ok", ""
-    span = hi
-    while hi - lo > tol_frac * span:
-        mid = 0.5 * (lo + hi)
-        val, u = best_prob(anchor + mid * d, risk.controls(anchor + mid * d))
-        if val >= alpha:
-            lo, best_u, best_val = mid, u, val
-        else:
-            hi = mid
-    return lo, best_u, best_val, "ok", ""

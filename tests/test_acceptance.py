@@ -18,10 +18,10 @@ from tubereach.gaussian import (MvnBox, genz_mvn_probability, normal_cdf,
                                 normal_quantile)
 from tubereach.geometry import DirectionSet, spread_directions
 from tubereach.montecarlo import validate_vertices
-from tubereach.reachalgo import (compute_reach_set, dp_values,
-                                 genz_evaluate_W0, interpolate_sets)
+from tubereach.reachalgo import compute_reach_set, dp_values, interpolate_sets
 from tubereach.sysmodel import (concat_matrices, make_integrator_chain,
-                                make_uncontrolled, viability_tube)
+                                make_uncontrolled, state_mean_cov,
+                                viability_tube)
 
 from test_lpsolve import brute_force_min, random_bounded_lp
 
@@ -161,7 +161,15 @@ def test_criterion_5_uncontrolled_scaling(pwa):
         if n == 2:
             anchor = RiskLP(sys, tube, 0.6, pwa).anchor("xmax")
             assert anchor.feasible
-            w0, sd = genz_evaluate_W0(sys, tube, anchor.x_anchor, None)
+            # the reach probability from the anchor with no inputs: the
+            # stacked state must lie in the stacked boxes T_1 .. T_N
+            assert tube[0].contains(anchor.x_anchor)
+            mean, cov = state_mean_cov(concat_matrices(sys), anchor.x_anchor)
+            lows, highs = zip(*(tube[k].as_box_bounds()
+                                for k in range(1, tube.horizon + 1)))
+            w0, sd = genz_mvn_probability(
+                MvnBox(mean=mean, cov=cov, lower=np.concatenate(lows),
+                       upper=np.concatenate(highs)), samples=2048)
             assert anchor.lower_bound <= w0 + 3 * sd
     # per-n runtime grows no worse than quadratically in the tube rows
     # (generous constant to absorb timing noise)

@@ -194,16 +194,6 @@ def test_build_modes_validation(sys1d, tube1d, pwa):
         RiskLP(sys1d, tube1d, 0.6, pwa).anchor("bogus")
 
 
-def test_controls_at_a_fixed_initial_state(sys1d, tube1d, pwa):
-    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
-    anchor = risk.anchor("xmax")
-    u = risk.controls(anchor.x_anchor)
-    assert u.shape == (5,)
-    assert np.all(np.abs(u) <= 0.1 + 1e-9)
-    # far outside every tube set no input sequence keeps the risk budget
-    assert risk.controls(np.array([5.0])) is None
-
-
 def copied_rows_solve(sys, tube, alpha, pwa, c, E, y_lo=-np.inf,
                       radius=False, maximize=False):
     """The risk LP in its former shape, dense: every stochastic tube row

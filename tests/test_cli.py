@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tubereach import chance
 from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK,
                            EXIT_SOLVER_FAILURE, main)
@@ -106,6 +108,22 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = scalar_config(tmp_path, [0.6], extra={"bogus": 1})
     assert main(["compute", str(cfg),
                  "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("backend", ["chance", "genz"])
+def test_backend_key_rejected(tmp_path, caplog, backend):
+    # configs that `tubereach example` wrote in earlier releases carry it
+    cfg = scalar_config(tmp_path, [0.6], extra={"backend": backend})
+    assert main(["compute", str(cfg),
+                 "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+    assert "unknown key(s) in config: ['backend']" in caplog.text
+
+
+def test_anchor_mode_both_rejected(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6], extra={"anchor_mode": "both"})
+    assert main(["compute", str(cfg),
+                 "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+    assert "unknown anchor_mode 'both'" in caplog.text
 
 
 def test_malformed_json_rejected(tmp_path):

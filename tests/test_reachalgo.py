@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,15 +6,13 @@ import pytest
 
 from tubereach import chance, reachalgo
 from tubereach.geometry import DirectionSet, spread_directions, box_polytope
-from tubereach.montecarlo import simulate_reach_prob
 from tubereach.lpsolve import LpSolution, solve_lp
 from tubereach.reachalgo import (ReachSetResult, compute_reach_set,
                                  dp_level_set, dp_values,
-                                 genz_evaluate_W0, initial_guess_controller,
-                                 interpolate_sets, interpolation_weight,
-                                 pattern_search_maximize)
-from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
-                                concat_matrices, viability_tube)
+                                 initial_guess_controller, interpolate_sets,
+                                 interpolation_weight)
+from tubereach.sysmodel import (StochasticLTVSystem, concat_matrices,
+                                viability_tube)
 
 DIRS_1D = DirectionSet(np.array([[1.0], [-1.0]]))
 
@@ -242,13 +241,18 @@ def test_result_json_roundtrip(reach06, sys1d, tube1d, pwa):
     np.testing.assert_array_equal(again.polytope.vertices,
                                   reach06.polytope.vertices)
     assert again.boundary_points[0].U.shape == reach06.boundary_points[0].U.shape
+    # documents written by older releases carry a "backend" key
+    old = json.loads(reach06.to_json())
+    old["backend"] = "chance"
+    rewritten = ReachSetResult.from_json(json.dumps(old)).to_json()
+    assert "backend" not in json.loads(rewritten)
+    assert rewritten == reach06.to_json()
 
 
 def test_backend_and_mode_validation(sys1d, tube1d):
-    with pytest.raises(ValueError, match="backend"):
-        compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, backend="nope")
-    with pytest.raises(ValueError, match="anchor_mode"):
-        compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, anchor_mode="nope")
+    for mode in ("both", "nope"):
+        with pytest.raises(ValueError, match="anchor_mode"):
+            compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, anchor_mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -283,82 +287,6 @@ def test_interpolation_input_validation(sys1d, tube1d, pwa):
     empty = compute_reach_set(sys1d, tube1d, 0.99, DIRS_1D, pwa=pwa)
     with pytest.raises(ValueError, match="nonempty"):
         interpolate_sets(a, empty, 0.8)
-
-
-# ---------------------------------------------------------------------------
-# sampling backend
-# ---------------------------------------------------------------------------
-
-def test_w0_outside_initial_set_is_exactly_zero(sys1d, tube1d):
-    p, s = genz_evaluate_W0(sys1d, tube1d, np.array([2.0]),
-                            np.zeros(sys1d.horizon))
-    assert p == 0.0 and s == 0.0
-
-
-def test_w0_near_one_with_negligible_noise():
-    sys = StochasticLTVSystem.lti(
-        np.array([[1.0]]), np.array([[1.0]]),
-        np.zeros(1), 1e-10 * np.eye(1),
-        box_polytope(np.zeros(1), np.array([0.5])), 3)
-    tube = viability_tube(1, 1.0, 3)
-    p, _ = genz_evaluate_W0(sys, tube, np.zeros(1), np.zeros(3))
-    assert p == pytest.approx(1.0, abs=1e-6)
-
-
-def test_w0_matches_plain_monte_carlo(sys1d, tube1d):
-    u = np.zeros(sys1d.horizon)
-    x0 = np.array([0.1])
-    p, s = genz_evaluate_W0(sys1d, tube1d, x0, u)
-    p_mc, s_mc = simulate_reach_prob(sys1d, tube1d, x0, u, 200_000, seed=3)
-    assert abs(p - p_mc) <= 3 * np.hypot(s, s_mc) + 1e-3
-
-
-def test_w0_rejects_non_box_tube(sys2d):
-    from tubereach.geometry import HPolytope
-    diamond = HPolytope(normals=np.array([[1.0, 1.0], [1.0, -1.0],
-                                          [-1.0, 1.0], [-1.0, -1.0]]),
-                        offsets=np.ones(4))
-    tube = TargetTube([box_polytope(np.zeros(2), np.ones(2))] * 10 +
-                      [diamond])
-    with pytest.raises(ValueError, match="box"):
-        genz_evaluate_W0(sys2d, tube, np.zeros(2), np.zeros(10))
-
-
-def test_pattern_search_finds_quadratic_peak():
-    target = np.array([0.3, -0.2, 0.05])
-    u, val = pattern_search_maximize(
-        lambda u: -np.sum((u - target) ** 2), np.zeros(3),
-        box_polytope(np.zeros(1), np.array([1.0])), 3)
-    np.testing.assert_allclose(u, target, atol=2e-3)
-    assert val == pytest.approx(0.0, abs=1e-5)
-
-
-def test_pattern_search_clamps_to_corner():
-    u, _ = pattern_search_maximize(
-        lambda u: u.sum(), np.zeros(2),
-        box_polytope(np.zeros(1), np.array([0.4])), 2)
-    np.testing.assert_allclose(u, [0.4, 0.4], atol=1e-9)
-
-
-def test_pattern_search_monotone_incumbent():
-    vals = []
-
-    def f(u):
-        v = -np.abs(u).sum()
-        vals.append(v)
-        return v
-
-    _, best = pattern_search_maximize(f, np.array([0.3, -0.3]),
-                                      box_polytope(np.zeros(1),
-                                                   np.array([1.0])), 2)
-    assert best == pytest.approx(max(vals))
-    assert best == pytest.approx(0.0, abs=2e-3)
-
-
-def test_pattern_search_infeasible_start_rejected():
-    with pytest.raises(ValueError, match="input set"):
-        pattern_search_maximize(lambda u: 0.0, np.array([2.0]),
-                                box_polytope(np.zeros(1), np.array([1.0])), 1)
 
 
 # ---------------------------------------------------------------------------
