@@ -4,10 +4,9 @@ and cross-threshold interpolation."""
 
 from .geometry import (DirectionSet, HPolytope, VPolytope, box_polytope,
                        minkowski_interpolate, spread_directions)
-from .sysmodel import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
-                       concat_matrices, state_mean_cov)
-from .gaussian import (MvnBox, PwaQuantile, build_pwa_quantile,
-                       genz_mvn_probability, normal_cdf, normal_quantile)
+from .sysmodel import GaussianDisturbance, StochasticLTVSystem, TargetTube
+from .gaussian import (PwaQuantile, build_pwa_quantile, normal_cdf,
+                       normal_quantile)
 from .chance import AnchorResult, LineSearchResult, RiskLP
 from .lpsolve import LinearProgram, LpSolution, solve_lp
 
@@ -17,9 +16,7 @@ __all__ = [
     "DirectionSet", "HPolytope", "VPolytope", "box_polytope",
     "minkowski_interpolate", "spread_directions",
     "GaussianDisturbance", "StochasticLTVSystem", "TargetTube",
-    "concat_matrices", "state_mean_cov",
-    "MvnBox", "PwaQuantile", "build_pwa_quantile", "genz_mvn_probability",
-    "normal_cdf", "normal_quantile",
+    "PwaQuantile", "build_pwa_quantile", "normal_cdf", "normal_quantile",
     "AnchorResult", "LineSearchResult", "RiskLP",
     "LinearProgram", "LpSolution", "solve_lp",
     "__version__",

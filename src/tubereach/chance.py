@@ -23,8 +23,7 @@ import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
 from .lpsolve import LinearProgram, solve_lp
-from .sysmodel import ConcatenatedDynamics, StochasticLTVSystem, TargetTube, \
-    concat_matrices
+from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
 
@@ -37,7 +36,7 @@ class TubeRow:
     normal: np.ndarray
     offset: float
     sigma: float
-    mean_const: float  # normal @ (G muW) restricted to step k
+    mean_const: float  # normal @ mu_k, the noise mean's share of x_k
 
 
 @dataclass
@@ -77,18 +76,13 @@ class _Solution:
         return 0.0 if self.deltas is None else float(1.0 - self.deltas.sum())
 
 
-def _tube_rows(cd: ConcatenatedDynamics, tube: TargetTube):
-    cov_x = cd.G @ cd.CW @ cd.G.T
-    gmu = cd.G @ cd.muW
-    n = cd.state_dim
+def _tube_rows(moments, tube: TargetTube):
     stochastic, deterministic = [], []
-    for k in range(1, tube.horizon + 1):
-        cov_k = cov_x[(k - 1) * n:k * n, (k - 1) * n:k * n]
-        gmu_k = gmu[(k - 1) * n:k * n]
+    for k, (_, _, mu_k, cov_k) in enumerate(moments, start=1):
         for p, q in zip(tube[k].normals, tube[k].offsets):
             sigma = float(np.sqrt(max(p @ cov_k @ p, 0.0)))
             row = TubeRow(step=k, normal=p, offset=float(q), sigma=sigma,
-                          mean_const=float(p @ gmu_k))
+                          mean_const=float(p @ mu_k))
             (stochastic if sigma >= SIGMA_DETERMINISTIC else deterministic).append(row)
     return stochastic, deterministic
 
@@ -103,7 +97,8 @@ class RiskLP:
     anchors, c = anchor and E = direction for a line search; every
     solve keeps x0 in T_0.  The rows over [U | deltas | t]
     are built here in sparse form: each stochastic row once, as
-    p (Acal x0 + H U) + sigma_i t_i <= rhs_i, then the deterministic tube
+    p (Phi_k x0 + H_k U) + sigma_i t_i <= rhs_i with the step moments of
+    sysmodel.step_moments (rhs_i takes p mu_k), then the deterministic tube
     rows, one row m_l delta_i - t_i <= -c_l per (stochastic row, PWA
     piece), the shared risk budget and the per-step input rows.  Pieces
     whose left knot lies at or above the delta cap never reach the
@@ -116,7 +111,7 @@ class RiskLP:
     Each solve also gives every stochastic row its own risk window.  The
     box of y (a line's step lies in [0, exit of the ray from T_0]) and
     the interval bounds of the input set bound the row's mean
-    p (Acal x0 + H U) to [m_min, m_max].  Inverting the envelope at the
+    p (Phi_k x0 + H_k U) to [m_min, m_max].  Inverting the envelope at the
     least and the largest margin rhs_i - m gives [delta_min, delta_need],
     rounded outward and clipped to [delta_lb, cap].  No allocation needs
     delta_i above delta_need: lowering it there keeps row i and loosens
@@ -140,7 +135,7 @@ class RiskLP:
     lowering each pinned delta_i to delta_lb, so the trial is a
     relaxation, and an infeasible trial is returned as it is.  Its
     optimum is returned only if every pinned row holds at delta_lb
-    there, p (Acal x0 + H U) + sigma_i envelope(delta_lb) <= rhs_i with
+    there, p (Phi_k x0 + H_k U) + sigma_i envelope(delta_lb) <= rhs_i with
     no tolerance: it is then feasible, hence optimal, for the full LP.
     Otherwise, or if the trial stops without a verdict, the full LP is
     solved, so the anchor takes at most two solves.  The optimal radius
@@ -159,8 +154,8 @@ class RiskLP:
         if tube.dim != sys.state_dim:
             raise ValueError("tube dimension must match the state dimension")
 
-        cd = concat_matrices(sys)
-        stochastic, deterministic = _tube_rows(cd, tube)
+        moments = step_moments(sys)
+        stochastic, deterministic = _tube_rows(moments, tube)
         n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
         self.alpha = alpha
         self.tube = tube
@@ -180,8 +175,9 @@ class RiskLP:
             """(U coefficients, x0 coefficients, rhs) of tube rows."""
             if not rows:
                 return np.zeros((0, self.n_u)), np.zeros((0, n)), np.zeros(0)
-            return (np.stack([r.normal @ cd.block(cd.H, r.step) for r in rows]),
-                    np.stack([r.normal @ cd.block(cd.Acal, r.step)
+            return (np.stack([r.normal @ moments[r.step - 1][1]
+                              for r in rows]),
+                    np.stack([r.normal @ moments[r.step - 1][0]
                               for r in rows]),
                     np.array([r.offset - r.mean_const for r in rows]))
 

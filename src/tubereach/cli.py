@@ -177,6 +177,9 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"alpha {a} outside (0, 1]")
     if int(cfg["horizon"]) < 1:
         raise ConfigError("horizon must be >= 1")
+    anchor_mode = cfg.get("anchor_mode", "cheby")
+    if anchor_mode not in ("cheby", "xmax"):
+        raise ConfigError(f"unknown anchor_mode {anchor_mode!r}")
     dirs = cfg.get("directions", {})
     _check_keys(dirs, {"count", "slice"}, "directions")
     pwa = cfg.get("pwa", {})

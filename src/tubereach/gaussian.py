@@ -1,6 +1,5 @@
-"""Scalar normal CDF/quantile, a piecewise-affine overapproximation of the
-standard-normal quantile (used to linearize chance constraints), and a
-quasi-Monte-Carlo multivariate-normal box-probability estimator."""
+"""Scalar normal CDF/quantile and a piecewise-affine overapproximation of
+the standard-normal quantile (used to linearize chance constraints)."""
 
 from __future__ import annotations
 
@@ -121,142 +120,3 @@ def build_pwa_quantile(delta_lb: float = 1e-6, delta_max: float = 0.5,
         slope = (fb - fa) / (b - a)
         pieces.append((slope, fa - slope * a))
     return PwaQuantile(pieces=pieces, domain=(delta_lb, delta_max), tol=tol)
-
-
-@dataclass
-class MvnBox:
-    """Axis-aligned integration region for a multivariate normal."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).ravel()
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        self.lower = np.asarray(self.lower, dtype=float).ravel()
-        self.upper = np.asarray(self.upper, dtype=float).ravel()
-        d = self.mean.size
-        if self.cov.shape != (d, d):
-            raise ValueError("covariance shape mismatch")
-        if self.lower.size != d or self.upper.size != d:
-            raise ValueError("bound length mismatch")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower > upper")
-        sym = 0.5 * (self.cov + self.cov.T)
-        if np.max(np.abs(self.cov - sym)) > 1e-8 * max(1.0, np.abs(self.cov).max()):
-            raise ValueError("covariance must be symmetric")
-        if d and np.min(np.linalg.eigvalsh(sym)) < -1e-10:
-            raise ValueError("covariance is not positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-def _pivoted_cholesky(cov: np.ndarray, tol: float = 1e-10):
-    """Cholesky with diagonal pivoting; returns (L, perm) with cov[p][:,p] ~= L L^T.
-
-    Handles rank-deficient PSD matrices; raises on indefinite input.
-    """
-    d = cov.shape[0]
-    a = cov.copy()
-    perm = np.arange(d)
-    L = np.zeros((d, d))
-    scale = max(np.max(np.abs(np.diag(cov))), 1.0)
-    for i in range(d):
-        diag = np.diag(a)[i:]
-        j = i + int(np.argmax(diag))
-        if a[j, j] < -tol * scale:
-            raise ValueError("covariance is not positive semidefinite")
-        if a[j, j] <= tol * scale:
-            break
-        for arr in (a,):
-            arr[[i, j], :] = arr[[j, i], :]
-            arr[:, [i, j]] = arr[:, [j, i]]
-        L[[i, j], :] = L[[j, i], :]
-        perm[[i, j]] = perm[[j, i]]
-        piv = math.sqrt(a[i, i])
-        L[i, i] = piv
-        if i + 1 < d:
-            L[i + 1:, i] = a[i + 1:, i] / piv
-            a[i + 1:, i + 1:] -= np.outer(L[i + 1:, i], L[i + 1:, i])
-    return L, perm
-
-
-_PRIMES = None
-
-
-def _kronecker_roots(d: int) -> np.ndarray:
-    """Square roots of the first d primes, the Richtmyer lattice generator."""
-    global _PRIMES
-    if _PRIMES is None or len(_PRIMES) < d:
-        primes = []
-        n = 2
-        while len(primes) < max(d, 64):
-            if all(n % p for p in primes):
-                primes.append(n)
-            n += 1
-        _PRIMES = primes
-    return np.sqrt(np.array(_PRIMES[:d], dtype=float))
-
-
-def genz_mvn_probability(box: MvnBox, samples: int = 1024, batches: int = 10,
-                         seed: int = 0) -> Tuple[float, float]:
-    """Estimate P(lower <= X <= upper) for X ~ N(mean, cov).
-
-    Sequential-conditioning transform to the unit cube via pivoted
-    Cholesky, integrated with a randomly shifted Kronecker lattice (plain
-    Monte Carlo beyond 100 dimensions).  Returns (estimate, std_error)
-    where std_error is the batch standard deviation over sqrt(batches).
-    """
-    if samples < 100 or batches < 2:
-        raise ValueError("require samples >= 100 and batches >= 2")
-    d = box.dim
-    L, perm = _pivoted_cholesky(box.cov)
-    lo = (box.lower - box.mean)[perm]
-    hi = (box.upper - box.mean)[perm]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    use_lattice = d <= 100
-    roots = _kronecker_roots(max(d - 1, 1)) if use_lattice else None
-
-    batch_means = np.empty(batches)
-    for b in range(batches):
-        if use_lattice:
-            shift = rng.random(max(d - 1, 1))
-            k = np.arange(1, samples + 1)[:, None]
-            w = np.mod(k * roots[None, :] + shift[None, :], 1.0)
-        else:
-            w = rng.random((samples, max(d - 1, 1)))
-        batch_means[b] = _genz_transform(L, lo, hi, w)
-    est = float(np.clip(batch_means.mean(), 0.0, 1.0))
-    err = float(batch_means.std(ddof=1) / math.sqrt(batches))
-    return est, err
-
-
-def _genz_transform(L: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    w: np.ndarray) -> float:
-    """Genz sequential conditioning; w holds unit-cube points, one row each."""
-    nsamp = w.shape[0]
-    d = lo.size
-    f = np.ones(nsamp)
-    y = np.zeros((nsamp, d))
-    for i in range(d):
-        drift = y[:, :i] @ L[i, :i] if i else 0.0
-        li = L[i, i]
-        if li > 1e-13:
-            a = normal_cdf(np.clip((lo[i] - drift) / li, -38, 38))
-            bnd = normal_cdf(np.clip((hi[i] - drift) / li, -38, 38))
-        else:
-            # degenerate coordinate: 0/1 indicator given earlier draws
-            inside = (drift >= lo[i] - 1e-12) & (drift <= hi[i] + 1e-12)
-            a = np.zeros(nsamp)
-            bnd = np.where(inside, 1.0, 0.0)
-        width = np.maximum(bnd - a, 0.0)
-        f *= width
-        if i < d - 1:
-            u = a + w[:, i] * width
-            u = np.clip(u, 1e-16, 1.0 - 1e-16)
-            y[:, i] = ndtri(u)
-    return float(f.mean())

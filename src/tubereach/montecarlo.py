@@ -13,7 +13,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import VPolytope, convex_hull_2d
 from .reachalgo import ReachSetResult
 from .sysmodel import StochasticLTVSystem, TargetTube
 
@@ -231,40 +230,3 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     return ValidationReport(records=records, alpha=result.alpha,
                             n_traj=n_traj, seed=seed,
                             pooled_binomial_std=pooled)
-
-
-def _membership(vp: VPolytope, pts: np.ndarray) -> np.ndarray:
-    """Vectorized point-in-polytope for 2D hulls; LP fallback otherwise."""
-    if vp.dim == 2 and vp.n_vertices >= 3:
-        hull = convex_hull_2d(vp.vertices)
-        v = hull.vertices
-        out = np.ones(pts.shape[0], dtype=bool)
-        for i in range(v.shape[0]):
-            a, b = v[i], v[(i + 1) % v.shape[0]]
-            edge = b - a
-            # counterclockwise hull: interior lies left of each edge
-            cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
-            out &= cross >= -1e-12
-        return out
-    return np.array([vp.contains(p) for p in pts])
-
-
-def volume_ratio(inner: VPolytope, outer: VPolytope, bounding_box,
-                 n_samples: int = 20000,
-                 seed: int = 0) -> Tuple[float, float, int]:
-    """Hit-or-miss estimate of vol(outer \\ inner) / vol(box).
-
-    Returns (ratio, sampling std, count of sampled points found in inner
-    but not outer — nonzero indicates inner is not contained in outer).
-    """
-    lo = np.asarray(bounding_box[0], dtype=float).ravel()
-    hi = np.asarray(bounding_box[1], dtype=float).ravel()
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = rng.uniform(lo, hi, size=(n_samples, lo.size))
-    in_inner = _membership(inner, pts)
-    in_outer = _membership(outer, pts)
-    hits = in_outer & ~in_inner
-    ratio = float(hits.mean())
-    std = float(np.sqrt(ratio * (1.0 - ratio) / n_samples))
-    violations = int(np.count_nonzero(in_inner & ~in_outer))
-    return ratio, std, violations

@@ -1,7 +1,7 @@
-"""Linear time-varying Gaussian system definitions, concatenated dynamics
-matrices, and benchmark system generators (integrator chain, spacecraft
-relative motion, Dubins vehicle with known turning rates, uncontrolled
-stable system)."""
+"""Linear time-varying Gaussian system definitions, per-step moments by
+forward recursion, and benchmark system generators (integrator chain,
+spacecraft relative motion, Dubins vehicle with known turning rates,
+uncontrolled stable system)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .geometry import HPolytope, box_polytope
 
@@ -130,69 +130,25 @@ class TargetTube:
     def __getitem__(self, k: int) -> HPolytope:
         return self.sets[k]
 
-    def contains_trajectory(self, states: np.ndarray, tol: float = 1e-9) -> bool:
-        """states has rows x_0..x_N."""
-        return all(poly.contains(states[k], tol) for k, poly in enumerate(self.sets))
 
-
-@dataclass
-class ConcatenatedDynamics:
-    """X = Acal x0 + H U + G W for X = [x_1; ...; x_N]."""
-
-    Acal: np.ndarray
-    H: np.ndarray
-    G: np.ndarray
-    muW: np.ndarray
-    CW: np.ndarray
-    state_dim: int
-    input_dim: int
-    horizon: int
-
-    def block(self, mat: np.ndarray, k: int) -> np.ndarray:
-        """Rows of mat for state x_k (k in 1..N)."""
-        n = self.state_dim
-        return mat[(k - 1) * n:k * n]
-
-
-def concat_matrices(sys: StochasticLTVSystem) -> ConcatenatedDynamics:
-    """Stack the dynamics over the horizon into block matrices."""
+def step_moments(sys: StochasticLTVSystem):
+    """Per-step moments of x_k = Phi_k x0 + H_k U + (noise) for k = 1..N,
+    in one forward pass: a list of (Phi_k, H_k, mu_k, Sigma_k), where H_k
+    (n x mN) maps the stacked input U, and mu_k and Sigma_k are the mean
+    and covariance of the noise's share of x_k."""
     n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
-    acal = np.zeros((n * nsteps, n))
-    hmat = np.zeros((n * nsteps, m * nsteps))
-    gmat = np.zeros((n * nsteps, n * nsteps))
-    # prod[k] = A_{k-1} ... A_0 maps x0 to the mean path; build row blocks
-    # cumulatively: block for x_{k+1} = A_k @ block for x_k
-    cur = np.eye(n)
+    phi, h = np.eye(n), np.zeros((n, m * nsteps))
+    mu, cov = np.zeros(n), np.zeros((n, n))
+    moments = []
     for k in range(nsteps):
-        cur = sys.A_seq[k] @ cur
-        acal[k * n:(k + 1) * n] = cur
-    for k in range(nsteps):      # state x_{k+1} occupies block row k
-        for j in range(k + 1):   # contribution of u_j / w_j
-            prod = np.eye(n)
-            for i in range(j + 1, k + 1):
-                prod = sys.A_seq[i] @ prod
-            if m:
-                hmat[k * n:(k + 1) * n, j * m:(j + 1) * m] = prod @ sys.B_seq[j]
-            gmat[k * n:(k + 1) * n, j * n:(j + 1) * n] = prod
-    muw = np.concatenate(sys.disturbance.mean_per_step)
-    cw = block_diag(*sys.disturbance.cov_per_step)
-    return ConcatenatedDynamics(Acal=acal, H=hmat, G=gmat, muW=muw,
-                                CW=np.atleast_2d(cw), state_dim=n,
-                                input_dim=m, horizon=nsteps)
-
-
-def state_mean_cov(cd: ConcatenatedDynamics, x0, u_seq=None):
-    """Mean and covariance of the concatenated state X."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != cd.state_dim:
-        raise ValueError("x0 dimension mismatch")
-    u_vec = np.zeros(cd.input_dim * cd.horizon) if u_seq is None else \
-        np.asarray(u_seq, dtype=float).ravel()
-    if u_vec.size != cd.input_dim * cd.horizon:
-        raise ValueError("input vector length mismatch")
-    mean = cd.Acal @ x0 + cd.H @ u_vec + cd.G @ cd.muW
-    cov = cd.G @ cd.CW @ cd.G.T
-    return mean, cov
+        a = sys.A_seq[k]
+        phi = a @ phi
+        h = a @ h
+        h[:, k * m:(k + 1) * m] = sys.B_seq[k]
+        mu = a @ mu + sys.disturbance.mean_per_step[k]
+        cov = a @ cov @ a.T + sys.disturbance.cov_per_step[k]
+        moments.append((phi, h, mu, cov))
+    return moments
 
 
 def make_integrator_chain(n: int, sampling_time: float, horizon: int,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tubereach import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
-                       box_polytope, build_pwa_quantile)
+from tubereach import (StochasticLTVSystem, TargetTube, box_polytope,
+                       build_pwa_quantile)
 from tubereach.sysmodel import make_integrator_chain, viability_tube
 
 

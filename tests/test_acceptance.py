@@ -14,15 +14,15 @@ import pytest
 
 from tubereach.chance import RiskLP
 from tubereach.cli import EXIT_OK, main as cli_main
-from tubereach.gaussian import (MvnBox, genz_mvn_probability, normal_cdf,
-                                normal_quantile)
+from tubereach.gaussian import normal_cdf, normal_quantile
 from tubereach.geometry import DirectionSet, spread_directions
 from tubereach.montecarlo import validate_vertices
 from tubereach.reachalgo import compute_reach_set, dp_values, interpolate_sets
-from tubereach.sysmodel import (concat_matrices, make_integrator_chain,
-                                make_uncontrolled, state_mean_cov,
-                                viability_tube)
+from tubereach.sysmodel import (make_integrator_chain, make_uncontrolled,
+                                step_moments, viability_tube)
 
+from oracles import (MvnBox, concat_matrices, genz_mvn_probability,
+                     state_mean_cov)
 from test_lpsolve import brute_force_min, random_bounded_lp
 
 
@@ -228,19 +228,28 @@ def test_criterion_7_oracles(pwa):
                         - normal_cdf(lo / np.sqrt(var)))
         assert abs(est - exact) <= 3 * sd + 1e-6
 
-    # (d) stacked one-shot propagation against step-by-step simulation
+    # (d) stacked one-shot propagation, and the forward recursion's mean
+    # path, against step-by-step simulation
     sys = make_integrator_chain(3, 0.1, 6, 0.01, 0.5)
     cd = concat_matrices(sys)
+    moments = step_moments(sys)
     for _ in range(1000):
         x0 = rng.normal(size=3)
         u = rng.uniform(-0.5, 0.5, 6)
         w = rng.normal(0.0, 0.1, (6, 3))
         x, traj = x0.copy(), []
+        x_mean, mean_path = x0.copy(), []
         for k in range(6):
             x = sys.A_seq[k] @ x + sys.B_seq[k][:, 0] * u[k] + w[k]
             traj.append(x)
+            x_mean = sys.A_seq[k] @ x_mean + sys.B_seq[k][:, 0] * u[k] \
+                + sys.disturbance.mean_per_step[k]
+            mean_path.append(x_mean)
         stacked = cd.Acal @ x0 + cd.H @ u + cd.G @ w.ravel()
         assert np.abs(stacked - np.concatenate(traj)).max() < 1e-10
+        recursed = [phi @ x0 + h @ u + mu for phi, h, mu, _ in moments]
+        assert np.abs(np.concatenate(recursed)
+                      - np.concatenate(mean_path)).max() < 1e-10
     announce(7, "LP / quantile envelope / box probability / propagation "
                 "oracles all match", time.perf_counter() - t0)
 

@@ -6,9 +6,10 @@ from tubereach.chance import RiskLP, _interval_range
 from tubereach.geometry import HPolytope, box_polytope
 from tubereach.lpsolve import LinearProgram, LpSolution, solve_lp
 from tubereach.montecarlo import simulate_reach_prob
-from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
-                                TargetTube, concat_matrices,
+from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 make_integrator_chain, viability_tube)
+
+from oracles import concat_matrices
 
 # Frozen oracle from the 0.01-grid dynamic program on the scalar example
 # (tests/conftest.py fixtures): V0 >= 0.6 on [-0.495, 0.495].

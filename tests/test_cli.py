@@ -124,6 +124,8 @@ def test_anchor_mode_both_rejected(tmp_path, caplog):
     assert main(["compute", str(cfg),
                  "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
     assert "unknown anchor_mode 'both'" in caplog.text
+    # rejected before any side effect: no output directory is left behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json_rejected(tmp_path):

@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubereach.geometry import (DirectionSet, HPolytope, VPolytope,
-                                box_polytope, contains_point, convex_hull_2d,
+from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
+                                contains_point, convex_hull_2d,
                                 minkowski_interpolate, prune_vertices,
                                 spread_directions)
 from tubereach.lpsolve import LinearProgram, solve_lp

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tubereach"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "tubereach"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -32,9 +34,12 @@ def unused_imports(source: str):
 
 def test_modules_found():
     assert {"chance.py", "reachalgo.py", "cli.py"} <= {m.name for m in MODULES}
+    assert {"conftest.py", "oracles.py"} <= {m.name for m in TEST_MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

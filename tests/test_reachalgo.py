@@ -11,7 +11,7 @@ from tubereach.reachalgo import (ReachSetResult, compute_reach_set,
                                  dp_level_set, dp_values,
                                  initial_guess_controller, interpolate_sets,
                                  interpolation_weight)
-from tubereach.sysmodel import (StochasticLTVSystem, concat_matrices,
+from tubereach.sysmodel import (StochasticLTVSystem, step_moments,
                                 viability_tube)
 
 DIRS_1D = DirectionSet(np.array([[1.0], [-1.0]]))
@@ -206,8 +206,8 @@ def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
 
     def counted(sys):
         calls.append(sys)
-        return concat_matrices(sys)
-    monkeypatch.setattr(chance, "concat_matrices", counted)
+        return step_moments(sys)
+    monkeypatch.setattr(chance, "step_moments", counted)
     res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(8, 2),
                             pwa=pwa, jobs=2)
     assert [b.status for b in res.boundary_points] == ["ok"] * 8

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from tubereach.geometry import box_polytope
-from tubereach.sysmodel import (ConcatenatedDynamics, GaussianDisturbance,
-                                StochasticLTVSystem, TargetTube,
-                                concat_matrices, cwh_los_tube,
-                                dubins_headings, make_cwh, make_dubins,
-                                make_integrator_chain, make_uncontrolled,
-                                nominal_dubins_tube, state_mean_cov,
-                                viability_tube)
+from tubereach.sysmodel import (GaussianDisturbance, StochasticLTVSystem,
+                                TargetTube, cwh_los_tube, dubins_headings,
+                                make_cwh, make_dubins, make_integrator_chain,
+                                make_uncontrolled, nominal_dubins_tube,
+                                step_moments, viability_tube)
+
+from oracles import concat_matrices, contains_trajectory, state_mean_cov
 
 
 def test_disturbance_validation():
@@ -63,6 +63,47 @@ def test_concat_matches_step_simulation():
             traj.append(x)
         stacked = cd.Acal @ x0 + cd.H @ u + cd.G @ w
         np.testing.assert_allclose(stacked, np.concatenate(traj), atol=1e-10)
+
+
+def random_ltv_system(rng, n, m, nsteps):
+    """Time-varying system with nonzero, per-step disturbance means and
+    full covariances."""
+    covs = []
+    for _ in range(nsteps):
+        f = rng.normal(size=(n, n))
+        covs.append(f @ f.T)
+    dist = GaussianDisturbance([rng.normal(size=n) for _ in range(nsteps)],
+                               covs)
+    return StochasticLTVSystem(
+        A_seq=[rng.normal(size=(n, n)) for _ in range(nsteps)],
+        B_seq=[rng.normal(size=(n, m)) for _ in range(nsteps)],
+        disturbance=dist,
+        input_set=box_polytope(np.zeros(m), np.ones(m)) if m else None,
+        horizon=nsteps)
+
+
+def assert_close(actual, expected):
+    scale = np.abs(expected).max(initial=0.0)
+    assert np.abs(actual - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", [2, 0])
+def test_step_moments_match_stacked_oracle(m):
+    rng = np.random.default_rng(7 + m)
+    n, nsteps = 3, 6
+    sys = random_ltv_system(rng, n, m, nsteps)
+    cd = concat_matrices(sys)
+    mean_w = cd.G @ cd.muW
+    cov_w = cd.G @ cd.CW @ cd.G.T
+    moments = step_moments(sys)
+    assert len(moments) == nsteps
+    for k, (phi, h, mu, cov) in enumerate(moments, start=1):
+        rows = slice((k - 1) * n, k * n)
+        assert h.shape == (n, m * nsteps)
+        assert_close(phi, cd.Acal[rows])
+        assert_close(h, cd.H[rows])
+        assert_close(mu, mean_w[rows])
+        assert_close(cov, cov_w[rows, rows])
 
 
 def test_state_mean_cov_shapes():
@@ -142,8 +183,8 @@ def test_target_tube_validation():
 
 def test_target_tube_contains_trajectory():
     tube = viability_tube(1, 1.0, 2)
-    assert tube.contains_trajectory([[0.0], [0.5], [-0.5]])
-    assert not tube.contains_trajectory([[0.0], [1.5], [0.0]])
+    assert contains_trajectory(tube, [[0.0], [0.5], [-0.5]])
+    assert not contains_trajectory(tube, [[0.0], [1.5], [0.0]])
 
 
 def test_viability_tube_terminal_override():
