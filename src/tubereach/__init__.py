@@ -7,7 +7,7 @@ from .geometry import (DirectionSet, HPolytope, VPolytope, box_polytope,
 from .sysmodel import GaussianDisturbance, StochasticLTVSystem, TargetTube
 from .gaussian import (PwaQuantile, build_pwa_quantile, normal_cdf,
                        normal_quantile)
-from .chance import AnchorResult, LineSearchResult, RiskLP
+from .chance import AnchorResult, BoundaryPoint, RiskLP
 from .lpsolve import LinearProgram, LpSolution, solve_lp
 
 __version__ = "0.1.0"
@@ -17,7 +17,7 @@ __all__ = [
     "minkowski_interpolate", "spread_directions",
     "GaussianDisturbance", "StochasticLTVSystem", "TargetTube",
     "PwaQuantile", "build_pwa_quantile", "normal_cdf", "normal_quantile",
-    "AnchorResult", "LineSearchResult", "RiskLP",
+    "AnchorResult", "BoundaryPoint", "RiskLP",
     "LinearProgram", "LpSolution", "solve_lp",
     "__version__",
 ]

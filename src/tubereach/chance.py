@@ -55,11 +55,16 @@ class AnchorResult:
 
 
 @dataclass
-class LineSearchResult:
-    theta_star: float
-    U_star: Optional[np.ndarray]
+class BoundaryPoint:
+    """The point anchor + theta * direction that a line search certifies,
+    with the open-loop controller U behind its lower bound."""
+
+    direction: np.ndarray
+    theta: float
+    point: np.ndarray
+    U: Optional[np.ndarray]
     lower_bound: float
-    status: str = "optimal"  # optimal | infeasible | solver_failure
+    status: str  # ok | infeasible | solver_failure | skipped
     diagnostic: str = ""
 
 
@@ -299,26 +304,28 @@ class RiskLP:
         coef_u, coef_x0, limit = self._pinned_rows
         return bool(np.all(coef_u @ U + coef_x0 @ x0 <= limit))
 
-    def line(self, anchor, direction) -> LineSearchResult:
-        """Maximal step along a direction from the anchor keeping the risk
-        allocation feasible; the returned input sequence certifies the
-        boundary point's lower bound."""
+    def line(self, anchor, direction) -> BoundaryPoint:
+        """Boundary point at the maximal step along a direction from the
+        anchor keeping the risk allocation feasible; its input sequence
+        certifies its lower bound.  A failed search stays at the anchor."""
         anchor = np.asarray(anchor, dtype=float).ravel()
         direction = np.asarray(direction, dtype=float).ravel()
+
+        def at(theta, U=None, lower_bound=0.0, status="ok", diagnostic=""):
+            return BoundaryPoint(direction=direction, theta=theta,
+                                 point=anchor + theta * direction, U=U,
+                                 lower_bound=lower_bound, status=status,
+                                 diagnostic=diagnostic)
         if not self.tube[0].contains(anchor, tol=1e-7):
-            return LineSearchResult(theta_star=0.0, U_star=None,
-                                    lower_bound=0.0, status="infeasible",
-                                    diagnostic="anchor lies outside T_0")
+            return at(0.0, status="infeasible",
+                      diagnostic="anchor lies outside T_0")
         # the T_0 rows imply the cap; as a bound it narrows the windows
         sol = self._solve(anchor, direction[:, None], y_lo=0.0,
                           y_hi=self.tube[0].ray_exit(anchor, direction),
                           maximize=True)
         if sol.status != "optimal":
-            return LineSearchResult(theta_star=0.0, U_star=None,
-                                    lower_bound=0.0, status=sol.status,
-                                    diagnostic=sol.diagnostic)
-        return LineSearchResult(theta_star=max(float(sol.extra[0]), 0.0),
-                                U_star=sol.U, lower_bound=sol.lower_bound)
+            return at(0.0, status=sol.status, diagnostic=sol.diagnostic)
+        return at(max(float(sol.extra[0]), 0.0), sol.U, sol.lower_bound)
 
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
                y_hi: float = np.inf, radius: bool = False,

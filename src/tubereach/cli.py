@@ -205,18 +205,32 @@ def _instantiate(cfg: dict):
     return sys, tube, directions, pwa
 
 
+def _alpha_tag(alpha: float) -> str:
+    """The file name part for a threshold: 0.6 -> alpha0p6."""
+    return f"alpha{alpha:g}".replace(".", "p")
+
+
 def _result_paths(outdir: str, alpha: float):
-    tag = f"alpha{alpha:g}".replace(".", "p")
+    tag = _alpha_tag(alpha)
     return (os.path.join(outdir, f"reach_{tag}.json"),
             os.path.join(outdir, f"reach_{tag}_vertices.csv"),
             os.path.join(outdir, f"reach_{tag}_boundary.csv"))
+
+
+def _read_result(path) -> reachalgo.ReachSetResult:
+    """A result file as `compute` writes it; a malformed one raises
+    ValueError naming the file."""
+    text = Path(path).read_text()
+    try:
+        return reachalgo.ReachSetResult.from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_compute(args) -> int:
     cfg = load_config(args.config)
     sys, tube, directions, pwa = _instantiate(cfg)
     outdir = args.output_dir or cfg.get("output_dir", ".")
-    os.makedirs(outdir, exist_ok=True)
     any_empty = False
     timings: Dict[str, Dict[str, float]] = {}
     for alpha in cfg["alphas"]:
@@ -234,13 +248,13 @@ def cmd_compute(args) -> int:
             log.error("solver failure at alpha=%s: no line search "
                       "succeeded; the set would be the anchor alone", alpha)
             return EXIT_SOLVER_FAILURE
+        os.makedirs(outdir, exist_ok=True)
         jpath, vpath, bpath = _result_paths(outdir, alpha)
+        with open(jpath, "w") as fh:
+            fh.write(res.to_json())
         # timings go to a sidecar that each run overwrites, so the other
         # artifacts stay byte-identical across reruns
-        doc = json.loads(res.to_json())
-        timings[f"{alpha:g}"] = doc.pop("timings")
-        with open(jpath, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        timings[f"{alpha:g}"] = res.timings
         with open(os.path.join(outdir, "timings.json"), "w") as fh:
             json.dump(timings, fh, indent=2, sort_keys=True)
         if res.is_empty:
@@ -272,8 +286,7 @@ def _boundary_csv(path, polytope: VPolytope, slice_dims) -> None:
 
 
 def cmd_interpolate(args) -> int:
-    set1 = reachalgo.ReachSetResult.from_json(Path(args.set1).read_text())
-    set2 = reachalgo.ReachSetResult.from_json(Path(args.set2).read_text())
+    set1, set2 = _read_result(args.set1), _read_result(args.set2)
     if set1.alpha > set2.alpha:
         set1, set2 = set2, set1
     try:
@@ -312,9 +325,9 @@ def cmd_dp(args) -> int:
     table.to_csv(os.path.join(outdir, "dp_values.csv"))
     for alpha in cfg["alphas"]:
         mask, polygon = reachalgo.dp_level_set(table, float(alpha))
-        tag = f"alpha{float(alpha):g}".replace(".", "p")
         if polygon is not None:
-            path = os.path.join(outdir, f"dp_level_{tag}.csv")
+            path = os.path.join(outdir,
+                                f"dp_level_{_alpha_tag(float(alpha))}.csv")
             with open(path, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["x0", "x1"])
@@ -328,14 +341,14 @@ def cmd_dp(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _, _ = _instantiate(cfg)
-    result = reachalgo.ReachSetResult.from_json(
-        Path(args.result).read_text())
+    result = _read_result(args.result)
     if result.is_empty:
         log.error("result artifact holds an empty set; nothing to validate")
         return EXIT_EMPTY_SET
     val_cfg = cfg.get("validation", {})
     _check_keys(val_cfg, {"n_traj", "seed"}, "validation")
-    n_traj = args.n_traj or int(val_cfg.get("n_traj", 100000))
+    n_traj = args.n_traj if args.n_traj is not None \
+        else int(val_cfg.get("n_traj", 100000))
     seed = int(val_cfg.get("seed", cfg.get("seed", 0)))
     report = montecarlo.validate_vertices(result, sys, tube, n_traj,
                                           seed=seed)
@@ -361,13 +374,12 @@ def cmd_report(args) -> int:
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if name.startswith("reach_") and name.endswith(".json"):
-            with open(path) as fh:
-                doc = json.load(fh)
+            res = _read_result(path)
             merged["results"].append({
-                "alpha": doc["alpha"], "status": doc["status"],
-                "n_vertices": None if doc["polytope"] is None
-                else len(doc["polytope"]),
-                "timings": times.get(f"{doc['alpha']:g}", {}),
+                "alpha": res.alpha, "status": res.status,
+                "n_vertices": None if res.is_empty
+                else res.polytope.n_vertices,
+                "timings": times.get(f"{res.alpha:g}", {}),
             })
         elif name == "validation.json":
             with open(path) as fh:
@@ -508,7 +520,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means an empty reach set
+        # here; --help exits 0
+        return EXIT_BAD_CONFIG if exc.code else EXIT_OK
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=_sys.stderr, level=level,
                         format="%(levelname)s %(message)s")

@@ -9,7 +9,6 @@ problem so hulls above 2D are never facet-enumerated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -47,7 +46,14 @@ class HPolytope:
         return self.offsets.size
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return contains_point(self, x, tol)
+        """Closed-set membership: normals @ x <= offsets + tol elementwise."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.dim:
+            raise ValueError(f"point dimension {x.size} != polytope "
+                             f"dimension {self.dim}")
+        if tol < 0.0:
+            raise ValueError("tol must be nonnegative")
+        return bool(np.all(self.normals @ x <= self.offsets + tol))
 
     def ray_exit(self, point, direction) -> float:
         """Largest step t >= 0 with point + t * direction still inside
@@ -127,16 +133,6 @@ class HPolytope:
                 lo[j] = max(lo[j], off / row[j])
         return lo, hi
 
-    def to_json(self) -> str:
-        return json.dumps({"normals": self.normals.tolist(),
-                           "offsets": self.offsets.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HPolytope":
-        data = json.loads(text)
-        return cls(normals=np.array(data["normals"], dtype=float),
-                   offsets=np.array(data["offsets"], dtype=float))
-
 
 @dataclass
 class VPolytope:
@@ -160,15 +156,12 @@ class VPolytope:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Membership within tol (max norm) via LP feasibility over convex
         weights."""
-        return self._weights(x, tol) is not None
+        return self.convex_weights(x, tol) is not None
 
     def convex_weights(self, x, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-        """Convex weights reproducing x within tol (max norm), or None if
-        x is farther from the hull."""
-        return self._weights(x, tol)
-
-    def _weights(self, x, tol: float) -> Optional[np.ndarray]:
-        """Some w >= 0 with sum(w) = 1 and |V^T w - x| <= tol elementwise."""
+        """Some w >= 0 with sum(w) = 1 and |V^T w - x| <= tol elementwise
+        (convex weights reproducing x within tol, max norm), or None if x
+        is farther from the hull."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise ValueError("dimension mismatch")
@@ -183,13 +176,6 @@ class VPolytope:
                            bounds=[(0.0, np.inf)] * k)
         sol = solve_lp(lp)
         return sol.z if sol.optimal else None
-
-    def to_json(self) -> str:
-        return json.dumps({"vertices": self.vertices.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "VPolytope":
-        return cls(vertices=np.array(json.loads(text)["vertices"], dtype=float))
 
 
 @dataclass
@@ -225,16 +211,6 @@ def box_polytope(center, half_widths) -> HPolytope:
     normals = np.vstack([eye, -eye])
     offsets = np.concatenate([center + half, -center + half])
     return HPolytope(normals=normals, offsets=offsets)
-
-
-def contains_point(poly: HPolytope, x, tol: float = DEFAULT_TOL) -> bool:
-    """Closed-set membership: normals @ x <= offsets + tol elementwise."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != poly.dim:
-        raise ValueError(f"point dimension {x.size} != polytope dimension {poly.dim}")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    return bool(np.all(poly.normals @ x <= poly.offsets + tol))
 
 
 def _cross(o, a, b) -> float:

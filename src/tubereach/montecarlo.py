@@ -207,11 +207,9 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     against alpha.
 
     Every vertex is rolled out on the same n_traj trajectories, drawn from
-    the Philox stream `seed` (common random numbers; releases before the
-    shared draw used stream seed + i for vertex i, so their estimates
-    differ within binomial error).  Each vertex's estimate equals
-    simulate_reach_prob of that vertex alone at `seed`, and memory is
-    bounded by the trajectory chunk, whatever n_traj."""
+    the Philox stream `seed` (common random numbers).  Each vertex's
+    estimate equals simulate_reach_prob of that vertex alone at `seed`,
+    and memory is bounded by the trajectory chunk, whatever n_traj."""
     if result.is_empty:
         raise ValueError("cannot validate an empty result")
     points = [(bp.point, bp.U) for bp in result.boundary_points

@@ -21,23 +21,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import chance
-from .chance import AnchorResult
+from .chance import AnchorResult, BoundaryPoint
 from .gaussian import PwaQuantile, build_pwa_quantile
 from .geometry import (DirectionSet, HPolytope, VPolytope, convex_hull_2d,
                        minkowski_interpolate, prune_vertices)
 from .sysmodel import StochasticLTVSystem, TargetTube
-
-
-@dataclass
-class BoundaryPoint:
-    index: int
-    direction: np.ndarray
-    theta: float
-    point: np.ndarray
-    U: Optional[np.ndarray]
-    lower_bound: float
-    status: str  # ok | infeasible | solver_failure | skipped
-    diagnostic: str = ""
 
 
 @dataclass
@@ -51,6 +39,7 @@ class ReachSetResult:
     polytope: Optional[VPolytope]
     status: str  # ok | empty
     diagnostic: str = ""
+    # seconds per phase of this run; not part of the JSON document
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -72,6 +61,8 @@ class ReachSetResult:
         return np.stack(pts), ctrls
 
     def to_json(self) -> str:
+        """The result document that `tubereach compute` stores: everything
+        but the timings, so that reruns give the same bytes."""
         doc = {
             "alpha": self.alpha,
             "status": self.status,
@@ -99,35 +90,41 @@ class ReachSetResult:
             ],
             "polytope": None if self.polytope is None
             else self.polytope.vertices.tolist(),
-            "timings": self.timings,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ReachSetResult":
-        """Inverse of :meth:`to_json`; a document without timings (as
-        `tubereach compute` writes them) reads as having none, and the
-        "backend" key that older releases wrote is ignored."""
+        """Inverse of :meth:`to_json`.  The "timings" and "backend" keys
+        that older releases wrote are ignored; a document that lacks a key
+        raises ValueError naming it."""
         doc = json.loads(text)
-        anchor = doc["anchor"]
-        return cls(
-            alpha=float(doc["alpha"]),
-            anchor=AnchorResult(
-                x_anchor=_array(anchor["point"]), U=_array(anchor["controls"]),
-                lower_bound=float(anchor["lower_bound"]), mode=anchor["mode"],
-                radius=anchor.get("radius"), status=anchor["status"]),
-            boundary_points=[
-                BoundaryPoint(index=i, direction=_array(v["direction"]),
-                              theta=float(v["theta"]), point=_array(v["point"]),
-                              U=_array(v["controls"]),
-                              lower_bound=float(v["lower_bound"]),
-                              status=v["status"])
-                for i, v in enumerate(doc["vertices"])],
-            polytope=None if doc["polytope"] is None
-            else VPolytope(_array(doc["polytope"])),
-            status=doc["status"],
-            diagnostic=doc.get("diagnostic", ""),
-            timings=doc.get("timings", {}))
+        try:
+            anchor = doc["anchor"]
+            return cls(
+                alpha=float(doc["alpha"]),
+                anchor=AnchorResult(
+                    x_anchor=_array(anchor["point"]),
+                    U=_array(anchor["controls"]),
+                    lower_bound=float(anchor["lower_bound"]),
+                    mode=anchor["mode"], radius=anchor.get("radius"),
+                    status=anchor["status"]),
+                boundary_points=[
+                    BoundaryPoint(direction=_array(v["direction"]),
+                                  theta=float(v["theta"]),
+                                  point=_array(v["point"]),
+                                  U=_array(v["controls"]),
+                                  lower_bound=float(v["lower_bound"]),
+                                  status=v["status"])
+                    for v in doc["vertices"]],
+                polytope=None if doc["polytope"] is None
+                else VPolytope(_array(doc["polytope"])),
+                status=doc["status"],
+                diagnostic=doc.get("diagnostic", ""))
+        except KeyError as exc:
+            raise ValueError(f"result document lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed result document: {exc}") from None
 
     def vertex_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -136,20 +133,14 @@ class ReachSetResult:
                 else (self.anchor.x_anchor.size if self.anchor.x_anchor is not None else 0)
             w.writerow(["index", "status", "theta", "lower_bound"]
                        + [f"x{i}" for i in range(dim)])
-            for bp in self.boundary_points:
-                w.writerow([bp.index, bp.status, f"{bp.theta:.12g}",
+            for i, bp in enumerate(self.boundary_points):
+                w.writerow([i, bp.status, f"{bp.theta:.12g}",
                             f"{bp.lower_bound:.12g}"]
                            + [f"{v:.12g}" for v in bp.point])
 
 
 def _array(values) -> Optional[np.ndarray]:
     return None if values is None else np.asarray(values, dtype=float)
-
-
-def _hull(points: np.ndarray) -> VPolytope:
-    if points.shape[1] == 2 and points.shape[0] > 3:
-        return convex_hull_2d(points)
-    return prune_vertices(VPolytope(points))
 
 
 def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
@@ -166,10 +157,12 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     (anytime). Per-direction failures are recorded, never fatal.
     max_directions truncates the direction list; a search that would
     start more than time_budget seconds after the call is skipped (status
-    "skipped"); jobs caps concurrent searches.
+    "skipped"); jobs (at least 1) caps concurrent searches.
     """
     if anchor_mode not in ("xmax", "cheby"):
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if pwa is None:
         pwa = build_pwa_quantile()
     t0 = time.perf_counter()
@@ -192,29 +185,22 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         dirs = dirs[:max_directions]
     deadline = None if time_budget is None else t0 + time_budget
 
-    def search(i: int) -> BoundaryPoint:
-        d = dirs[i]
+    def search(d: np.ndarray) -> BoundaryPoint:
         if deadline is not None and time.perf_counter() > deadline:
-            return BoundaryPoint(index=i, direction=d, theta=0.0,
+            return BoundaryPoint(direction=d, theta=0.0,
                                  point=anchor.x_anchor.copy(), U=None,
                                  lower_bound=0.0, status="skipped",
                                  diagnostic="time budget exhausted")
-        ls = risk.line(anchor.x_anchor, d)
-        return BoundaryPoint(
-            index=i, direction=d, theta=ls.theta_star,
-            point=anchor.x_anchor + ls.theta_star * d, U=ls.U_star,
-            lower_bound=ls.lower_bound,
-            status="ok" if ls.status == "optimal" else ls.status,
-            diagnostic=ls.diagnostic)
+        return risk.line(anchor.x_anchor, d)
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        points = list(pool.map(search, range(len(dirs))))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        points = list(pool.map(search, dirs))
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.append(anchor.x_anchor)
     return ReachSetResult(
         alpha=alpha, anchor=anchor, boundary_points=points,
-        polytope=_hull(np.stack(verts)), status="ok",
+        polytope=prune_vertices(VPolytope(np.stack(verts))), status="ok",
         timings={**timings, "total": time.perf_counter() - t0})
 
 

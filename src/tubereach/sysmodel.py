@@ -95,13 +95,6 @@ class StochasticLTVSystem:
         return cls(A_seq=[a] * horizon, B_seq=[b] * horizon,
                    disturbance=dist, input_set=input_set, horizon=horizon)
 
-    def step(self, k: int, x: np.ndarray, u: Optional[np.ndarray],
-             w: np.ndarray) -> np.ndarray:
-        out = self.A_seq[k] @ x + w
-        if self.input_dim:
-            out = out + self.B_seq[k] @ u
-        return out
-
 
 @dataclass
 class TargetTube:

@@ -123,10 +123,11 @@ def test_line_search_endpoints_certified(sys1d, tube1d, pwa, dp1d):
     grid = dp1d.grids[0]
     for d in (np.array([1.0]), np.array([-1.0])):
         ls = risk.line(anchor.x_anchor, d)
-        assert ls.status == "optimal"
-        assert ls.theta_star > 0
+        assert ls.status == "ok"
+        assert ls.theta > 0
         assert ls.lower_bound >= 0.6 - 1e-9
-        x = anchor.x_anchor + ls.theta_star * d
+        x = ls.point
+        np.testing.assert_array_equal(x, anchor.x_anchor + ls.theta * d)
         i = int(np.argmin(np.abs(grid - x[0])))
         assert dp1d.values[0][i] >= 0.6 - 0.02
 
@@ -134,7 +135,7 @@ def test_line_search_endpoints_certified(sys1d, tube1d, pwa, dp1d):
 def test_line_search_outside_anchor_rejected(sys1d, tube1d, pwa):
     ls = RiskLP(sys1d, tube1d, 0.6, pwa).line(np.array([5.0]),
                                               np.array([1.0]))
-    assert ls.theta_star == 0.0
+    assert ls.theta == 0.0
     assert ls.status == "infeasible"
 
 
@@ -144,7 +145,7 @@ def test_line_search_monotone_in_alpha(sys1d, pwa):
     for alpha in (0.6, 0.9):
         ls = RiskLP(sys1d, tube, alpha, pwa).line(np.zeros(1),
                                                   np.array([1.0]))
-        thetas[alpha] = ls.theta_star
+        thetas[alpha] = ls.theta
     assert thetas[0.9] <= thetas[0.6] + 1e-9
 
 
@@ -168,7 +169,7 @@ def test_near_deterministic_matches_robust_answer(pwa):
         box_polytope(np.zeros(1), np.array([0.1])), 5)
     tube = viability_tube(1, 1.0, 5)
     ls = RiskLP(sys, tube, 0.8, pwa).line(np.zeros(1), np.array([1.0]))
-    assert ls.theta_star == pytest.approx(1.0, abs=1e-6)
+    assert ls.theta == pytest.approx(1.0, abs=1e-6)
 
 
 def test_conservatism_against_monte_carlo(sys1d, tube1d, pwa):
@@ -177,8 +178,8 @@ def test_conservatism_against_monte_carlo(sys1d, tube1d, pwa):
     risk = RiskLP(sys1d, tube1d, 0.6, pwa)
     anchor = risk.anchor("xmax")
     ls = risk.line(anchor.x_anchor, np.array([1.0]))
-    x = anchor.x_anchor + ls.theta_star * np.array([1.0])
-    p, s = simulate_reach_prob(sys1d, tube1d, x, ls.U_star, 100_000, seed=0)
+    p, s = simulate_reach_prob(sys1d, tube1d, ls.point, ls.U, 100_000,
+                               seed=0)
     assert p >= ls.lower_bound - 3 * s
 
 
@@ -367,9 +368,9 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
         ls = risk.line(origin, d)
         _, _, extra = copied_rows_solve(sys, tube, 0.6, pwa, origin,
                                         d[:, None], y_lo=0.0, maximize=True)
-        assert ls.status == "optimal"
-        assert ls.theta_star > 0.0
-        assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+        assert ls.status == "ok"
+        assert ls.theta > 0.0
+        assert ls.theta == pytest.approx(extra[0], abs=1e-7)
         assert ls.lower_bound >= 0.6 - 1e-9
     rows = solves[xmax_solves + cheby_solves:]
     assert len(rows) == len(directions) and max(rows) <= full
@@ -387,7 +388,7 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     rows = line_lp_rows(monkeypatch)
     ls = risk.line(start, d)
     assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
-    assert ls.status == "optimal" and ls.theta_star > 0.0
+    assert ls.status == "ok" and ls.theta > 0.0
     assert ls.lower_bound >= 0.6 - 1e-9
     # the full LP: every window [delta_lb, cap], every row kept
     monkeypatch.setattr(risk, "_windows", lambda *_: (
@@ -396,7 +397,7 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
         np.ones(risk.rhs.size, dtype=bool)))
     full = risk.line(start, d)
     assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
-    assert ls.theta_star == pytest.approx(full.theta_star, abs=1e-7)
+    assert ls.theta == pytest.approx(full.theta, abs=1e-7)
 
 
 def test_chain_anchor_is_one_small_trial(pwa, monkeypatch):
@@ -490,8 +491,8 @@ def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
         _, _, extra = copied_rows_solve(sys1d, tube, 0.6, pwa, np.zeros(1),
                                         sign * d[:, None], y_lo=0.0,
                                         maximize=True)
-        assert ls.status == "optimal" and ls.theta_star > 0.0
-        assert ls.theta_star == pytest.approx(extra[0], abs=1e-7)
+        assert ls.status == "ok" and ls.theta > 0.0
+        assert ls.theta == pytest.approx(extra[0], abs=1e-7)
         assert ls.lower_bound >= 0.6 - 1e-9
     # the opposite ray leaves T_0, and its LP drops rows
     assert rows[-1] < rows[0]
@@ -522,7 +523,7 @@ def test_windows_nan_free_when_unbounded(pwa):
                       & (need <= risk.delta_cap))
         assert keep.any()
     ls = risk.line(np.zeros(2), d[:, 0])
-    assert ls.status == "optimal" and ls.theta_star > 0.0
+    assert ls.status == "ok" and ls.theta > 0.0
 
 
 @pytest.mark.parametrize("example", ["hexagon", "planar"])

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from tubereach import chance
+from tubereach import chance, reachalgo
 from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK,
                            EXIT_SOLVER_FAILURE, main)
+from tubereach.reachalgo import ReachSetResult
 from tubereach.lpsolve import LpSolution, solve_lp
 
 
@@ -63,6 +64,28 @@ def test_compute_writes_artifacts(tmp_path):
     assert "timings" not in doc
     assert (out / "reach_alpha0p6_vertices.csv").exists()
     assert (out / "timings.json").exists()
+
+
+@pytest.mark.parametrize("name", ["integrator2", "integrator40",
+                                  "stochy-uncontrolled", "cwh", "dubins"])
+def test_compute_stores_each_result_as_to_json(tmp_path, monkeypatch, name):
+    computed = []
+
+    def recorded(*args, **kwargs):
+        computed.append(compute(*args, **kwargs))
+        return computed[-1]
+    compute = reachalgo.compute_reach_set
+    monkeypatch.setattr(reachalgo, "compute_reach_set", recorded)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    assert main(["example", name, "-o", str(cfg)]) == EXIT_OK
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert [res.alpha for res in computed] == \
+        json.loads(cfg.read_text())["alphas"]
+    for res in computed:
+        tag = f"alpha{res.alpha:g}".replace(".", "p")
+        text = (out / f"reach_{tag}.json").read_text()
+        assert text == res.to_json()
+        assert ReachSetResult.from_json(text).to_json() == text
 
 
 def test_compute_empty_set_exit_code(tmp_path):
@@ -184,6 +207,85 @@ def test_interpolate_with_a_missing_set(tmp_path, caplog):
          "-o", str(tmp_path / "x.json")], missing, caplog)
 
 
+def malformed_input_is_bad_config(argv, bad, key, caplog):
+    """main(argv) logs one error naming the malformed file and the key it
+    lacks, and returns EXIT_BAD_CONFIG instead of raising."""
+    assert main(argv) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert str(bad) in errors[0] and repr(key) in errors[0]
+
+
+def test_report_with_a_malformed_result(tmp_path, caplog):
+    bad = tmp_path / "reach_bad.json"
+    bad.write_text("{}")
+    malformed_input_is_bad_config(["report", str(tmp_path)], bad, "anchor",
+                                  caplog)
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_validate_with_a_malformed_result(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    bad = tmp_path / "reach_alpha0p6.json"
+    bad.write_text(json.dumps({"alpha": 0.6}))
+    malformed_input_is_bad_config(
+        ["validate", str(cfg), "--result", str(bad), "-d",
+         str(tmp_path / "out")], bad, "anchor", caplog)
+    assert not (tmp_path / "out").exists()
+
+
+def test_interpolate_with_a_malformed_set(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    good = out / "reach_alpha0p6.json"
+    doc = json.loads(good.read_text())
+    del doc["vertices"][0]["controls"]
+    bad = tmp_path / "reach_alpha0p4.json"
+    bad.write_text(json.dumps(doc))
+    malformed_input_is_bad_config(
+        ["interpolate", "--set1", str(bad), "--set2", str(good),
+         "--beta", "0.5", "-o", str(tmp_path / "x.json")], bad, "controls",
+        caplog)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["compute"],
+                                  ["compute", "cfg.json", "--jobs", "two"],
+                                  ["report", "out", "--bogus"]])
+def test_usage_error_is_bad_config(argv, capsys):
+    # argparse's own exit status, 2, means an empty reach set here
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert "usage: tubereach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"]])
+def test_help_exits_ok(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert "usage: tubereach" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compute_rejects_fewer_than_one_job(tmp_path, caplog, jobs):
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out),
+                 "-j", jobs]) == EXIT_BAD_CONFIG
+    assert f"jobs must be at least 1, not {jobs}" in caplog.text
+    assert not out.exists()
+
+
+def test_validate_rejects_zero_trajectories(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "0", "-d", str(out)]) == EXIT_BAD_CONFIG
+    assert "n_traj must be at least 100" in caplog.text
+    assert not (out / "validation.json").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = scalar_config(tmp_path, [0.6])
     a, b = tmp_path / "a", tmp_path / "b"
@@ -289,6 +391,21 @@ def test_report_reads_validation_without_the_pooled_std(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["validation"]["pooled_binomial_std"] is None
     assert summary["validation"]["mean_error"] == 0.01
+
+
+def test_report_reads_a_legacy_result(tmp_path):
+    # result files of older releases carry "timings" and "backend" keys
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert main(["report", str(out)]) == EXIT_OK
+    summary = (out / "summary.json").read_text()
+    path = out / "reach_alpha0p6.json"
+    doc = json.loads(path.read_text())
+    doc.update(timings={"total": 1.0}, backend="chance")
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(out)]) == EXIT_OK
+    assert (out / "summary.json").read_text() == summary
 
 
 def test_report_summarizes_directory(tmp_path, capsys):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
-                                contains_point, convex_hull_2d,
-                                minkowski_interpolate, prune_vertices,
-                                spread_directions)
+                                convex_hull_2d, minkowski_interpolate,
+                                prune_vertices, spread_directions)
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
@@ -83,13 +82,6 @@ def test_zero_normal_row_rejected():
         HPolytope(normals=np.array([[0.0, 0.0]]), offsets=np.array([1.0]))
 
 
-def test_hpolytope_json_roundtrip():
-    b = square()
-    again = HPolytope.from_json(b.to_json())
-    np.testing.assert_allclose(again.normals, b.normals)
-    np.testing.assert_allclose(again.offsets, b.offsets)
-
-
 def test_vpolytope_contains_and_weights():
     v = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert v.contains([0.2, 0.2])
@@ -111,12 +103,6 @@ def test_vpolytope_membership_honours_tol():
     assert v.convex_weights([1.05, 0.0], tol=0.0) is None
     with pytest.raises(ValueError, match="tol"):
         v.contains([0.2, 0.2], tol=-1.0)
-
-
-def test_vpolytope_json_roundtrip():
-    v = VPolytope(np.array([[0.0], [1.0]]))
-    again = VPolytope.from_json(v.to_json())
-    np.testing.assert_allclose(again.vertices, v.vertices)
 
 
 def brute_hull_membership(points, x, tol=1e-9):
@@ -210,7 +196,7 @@ def test_spread_directions_needs_slice_above_2d():
 
 def test_contains_point_dim_mismatch():
     with pytest.raises(ValueError):
-        contains_point(square(), [0.0, 0.0, 0.0])
+        square().contains([0.0, 0.0, 0.0])
 
 
 @settings(max_examples=30, deadline=None)

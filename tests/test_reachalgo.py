@@ -155,7 +155,6 @@ def test_parallel_matches_serial(sys2d, tube2d, pwa, tmp_path):
         res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
                                 time_budget=None, jobs=jobs)
         res.vertex_csv(tmp_path / f"j{jobs}.csv")
-        res.timings = {}
         artifacts.append((res.to_json(),
                           (tmp_path / f"j{jobs}.csv").read_bytes()))
     assert artifacts[0] == artifacts[1]
@@ -249,10 +248,27 @@ def test_result_json_roundtrip(reach06, sys1d, tube1d, pwa):
     assert rewritten == reach06.to_json()
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("{}", "lacks the key 'anchor'"),
+    ('{"alpha": 0.6, "anchor": null}', "malformed result document"),
+    ("[]", "malformed result document")])
+def test_malformed_result_json_is_a_value_error(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        ReachSetResult.from_json(text)
+
+
 def test_backend_and_mode_validation(sys1d, tube1d):
     for mode in ("both", "nope"):
         with pytest.raises(ValueError, match="anchor_mode"):
             compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, anchor_mode=mode)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_rejected_before_assembly(sys1d, tube1d,
+                                                     monkeypatch, jobs):
+    monkeypatch.setattr(chance, "step_moments", None)  # any call fails
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,6 @@ def test_zero_input_dimension():
     assert sys.input_dim == 0
     cd = concat_matrices(sys)
     assert cd.H.shape[1] == 0
-    x = sys.step(0, np.ones(3), None, np.zeros(3))
-    np.testing.assert_allclose(x, 0.8 * np.ones(3))
 
 
 def test_uncontrolled_concat_geometric_decay():
