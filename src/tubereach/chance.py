@@ -16,13 +16,14 @@ each question only says how the initial state enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
-from .lpsolve import LinearProgram, solve_lp
+from .lpsolve import (DEVEX, LinearProgram, LpModel, LpSolution,
+                      highs_solve, solve_lp)
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
@@ -304,28 +305,78 @@ class RiskLP:
         coef_u, coef_x0, limit = self._pinned_rows
         return bool(np.all(coef_u @ U + coef_x0 @ x0 <= limit))
 
-    def line(self, anchor, direction) -> BoundaryPoint:
-        """Boundary point at the maximal step along a direction from the
-        anchor keeping the risk allocation feasible; its input sequence
-        certifies its lower bound.  A failed search stays at the anchor."""
-        anchor = np.asarray(anchor, dtype=float).ravel()
-        direction = np.asarray(direction, dtype=float).ravel()
+    def lines(self, anchor, directions) -> Iterator[BoundaryPoint]:
+        """Boundary points at the maximal steps along directions from the
+        anchor keeping the risk allocation feasible, yielded in order,
+        each solved when it is asked for; each point's input sequence
+        certifies its lower bound.  A failed search stays at the anchor
+        and marks only its own direction.
 
-        def at(theta, U=None, lower_bound=0.0, status="ok", diagnostic=""):
-            return BoundaryPoint(direction=direction, theta=theta,
-                                 point=anchor + theta * direction, U=U,
+        The directions form one chain: one LP model, re-solved from the
+        last basis with devex pricing.  Every direction's risk window is
+        found first, and the model holds every row that the window of
+        any direction keeps.  For each direction only the step column y
+        changes -- its coefficients on the kept tube rows and on the T_0
+        rows, and its upper bound, the exit of the ray from T_0 (which
+        the T_0 rows already imply) -- and the risk columns take its
+        window as bounds.  The step found is still the full LP's: a
+        stochastic row that this direction's window drops has room at
+        delta_lb for every step and input in the box, so with delta_i
+        fixed at delta_lb and t_i <= envelope(delta_lb) it holds
+        whatever the other columns are, and its pieces only bound t_i
+        from below by at most envelope(delta_lb); the pieces kept for
+        other directions lie below the envelope.  So the chain's LP has
+        every row of this direction's windowed LP and only rows of the
+        full LP besides, and both of those have the full LP's optimal
+        step.  U and the deltas may be another of its optima."""
+        anchor = np.asarray(anchor, dtype=float).ravel()
+        directions = [np.asarray(d, dtype=float).ravel()
+                      for d in directions]
+
+        def at(d, theta, U=None, lower_bound=0.0, status="ok",
+               diagnostic=""):
+            return BoundaryPoint(direction=d, theta=theta,
+                                 point=anchor + theta * d, U=U,
                                  lower_bound=lower_bound, status=status,
                                  diagnostic=diagnostic)
-        if not self.tube[0].contains(anchor, tol=1e-7):
-            return at(0.0, status="infeasible",
-                      diagnostic="anchor lies outside T_0")
-        # the T_0 rows imply the cap; as a bound it narrows the windows
-        sol = self._solve(anchor, direction[:, None], y_lo=0.0,
-                          y_hi=self.tube[0].ray_exit(anchor, direction),
-                          maximize=True)
-        if sol.status != "optimal":
-            return at(0.0, status=sol.status, diagnostic=sol.diagnostic)
-        return at(max(float(sol.extra[0]), 0.0), sol.U, sol.lower_bound)
+        t0 = self.tube[0]
+        failed = "anchor lies outside T_0" \
+            if not t0.contains(anchor, tol=1e-7) else self._floor_diagnostic
+        if failed:
+            for d in directions:
+                yield at(d, 0.0, status="infeasible", diagnostic=failed)
+            return
+        x0_const = self._x0 @ anchor
+        exits = [t0.ray_exit(anchor, d) for d in directions]
+        x0_cols = [self._x0 @ d for d in directions]
+        windows = [self._windows(col[:, None], x0_const, 0.0, top)
+                   for col, top in zip(x0_cols, exits)]
+        keep = np.logical_or.reduce([w[2] for w in windows])
+        tube_rows = keep[:x0_const.size]
+        lo, hi, _ = windows[0]
+        model = LpModel(self._program(anchor, directions[0][:, None],
+                                      lo, hi, keep, 0.0, exits[0],
+                                      maximize=True), DEVEX)
+        # the step column, its rows (kept tube rows, then T_0's) and the
+        # columns whose bounds change with the direction
+        y = self.n_u + 2 * self.n_risk
+        y_rows = np.concatenate([np.arange(tube_rows.sum()),
+                                 keep.sum() + np.arange(t0.n_rows)])
+        bounded = np.append(np.arange(self.n_u, self.n_u + self.n_risk), y)
+        for j, (d, col, top, (lo, hi, _)) in enumerate(
+                zip(directions, x0_cols, exits, windows)):
+            if j:
+                model.change_column(y, y_rows, np.concatenate(
+                    [col[tube_rows], t0.normals @ d]))
+                model.change_bounds(bounded, np.append(lo, 0.0),
+                                    np.append(hi, top))
+            sol = self._solution(highs_solve(model))
+            if sol.status != "optimal":
+                yield at(d, 0.0, status=sol.status,
+                         diagnostic=sol.diagnostic)
+            else:
+                yield at(d, max(float(sol.extra[0]), 0.0), sol.U,
+                         sol.lower_bound)
 
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
                y_hi: float = np.inf, radius: bool = False,
@@ -333,15 +384,25 @@ class RiskLP:
                pinned: Optional[np.ndarray] = None) -> _Solution:
         """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the rows
         that the risk windows keep, less the stochastic rows in pinned,
-        whose risk is fixed at delta_lb.  x0 must lie in T_0, by a margin
-        of the radius column when one is asked for.  The objective is the
-        total risk, or with maximize the last column (the step or the
-        radius)."""
+        whose risk is fixed at delta_lb."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
+        lo, hi, keep = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi,
+                                     pinned)
+        return self._solution(solve_lp(self._program(
+            c, E, lo, hi, keep, y_lo, y_hi, radius, maximize)))
+
+    def _program(self, c: np.ndarray, E: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, keep: np.ndarray, y_lo: float, y_hi: float,
+                 radius: bool = False, maximize: bool = False
+                 ) -> LinearProgram:
+        """The LP with x0 = c + E y and y_lo <= y <= y_hi over the rows of
+        self.rows in keep, then the T_0 rows, and with each delta_i in
+        [lo_i, hi_i].  x0 must lie in T_0, by a margin of the radius
+        column when one is asked for.  The objective is the total risk,
+        or with maximize the last column (the step or the radius)."""
         n_y, n_r = E.shape[1], int(radius)
         x0_cols, x0_const = self._x0 @ E, self._x0 @ c
-        lo, hi, keep = self._windows(x0_cols, x0_const, y_lo, y_hi, pinned)
         rows, row_rhs = self.rows, self.rhs
         if not keep.all():
             tube_rows = keep[:x0_const.size]
@@ -366,11 +427,12 @@ class RiskLP:
             objective[-1] = -1.0
         else:
             objective[self.n_u:self.n_u + self.n_risk] = 1.0
-        lp = LinearProgram(objective=objective,
-                           ineq=(sp.block_array(blocks, format="csr"),
-                                 np.concatenate(rhs)),
-                           bounds=bounds)
-        sol = solve_lp(lp)
+        return LinearProgram(objective=objective,
+                             ineq=(sp.block_array(blocks, format="csr"),
+                                   np.concatenate(rhs)),
+                             bounds=bounds)
+
+    def _solution(self, sol: LpSolution) -> _Solution:
         if sol.status == "infeasible":
             return _Solution(
                 "infeasible", "risk-allocated LP infeasible: the "

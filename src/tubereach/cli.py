@@ -220,9 +220,15 @@ def _result_paths(outdir: str, alpha: float):
 def _read_result(path) -> reachalgo.ReachSetResult:
     """A result file as `compute` writes it; a malformed one raises
     ValueError naming the file."""
+    return _read(path, reachalgo.ReachSetResult.from_json)
+
+
+def _read(path, reader):
+    """reader applied to the text of a file; a ValueError it raises
+    names the file."""
     text = Path(path).read_text()
     try:
-        return reachalgo.ReachSetResult.from_json(text)
+        return reader(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -382,14 +388,11 @@ def cmd_report(args) -> int:
                 "timings": times.get(f"{res.alpha:g}", {}),
             })
         elif name == "validation.json":
-            with open(path) as fh:
-                doc = json.load(fh)
-            merged["validation"] = {"mean_error": doc["mean_error"],
-                                    "std_error": doc["std_error"],
-                                    "n_traj": doc["n_traj"],
-                                    # absent from older validation.json
-                                    "pooled_binomial_std":
-                                        doc.get("pooled_binomial_std")}
+            report = _read(path, montecarlo.ValidationReport.from_json)
+            merged["validation"] = {
+                "mean_error": report.mean_error,
+                "std_error": report.std_error, "n_traj": report.n_traj,
+                "pooled_binomial_std": report.pooled_binomial_std}
     out = os.path.join(args.dir, "summary.json")
     with open(out, "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)

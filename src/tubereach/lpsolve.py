@@ -1,8 +1,11 @@
-"""Linear programs in a plain matrix form and their one solver, HiGHS
-(through :func:`scipy.optimize.linprog`).
+"""Linear programs in a plain matrix form and their one solver, HiGHS,
+called through the bindings that scipy bundles.
 
-:func:`solve_lp` is the entry point; it reports the solver's verdict as a
-status string, never as an exception.
+:func:`solve_lp` is the entry point for one LP; it reports the solver's
+verdict as a status string, never as an exception.  :class:`LpModel`
+keeps one HiGHS instance, so that a sequence of LPs that differ in one
+column's coefficients and some column bounds is re-solved from the last
+basis; :func:`highs_solve` is the one function that runs the solver.
 """
 
 from __future__ import annotations
@@ -11,8 +14,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import issparse
+import scipy.sparse as sp
+from scipy.optimize._highspy import _core
+
+# what scipy's own HiGHS front end sets; everything else is HiGHS's default
+_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
+            "simplex_strategy": 1}  # the dual simplex
+# dual simplex pricing by Harris's devex weights, which need no rebuild
+# when a basis is reused
+DEVEX = {"simplex_dual_edge_weight_strategy": 1}
 
 
 class LpError(ValueError):
@@ -41,7 +51,7 @@ class LinearProgram:
             if pair is None:
                 continue
             a, b = pair
-            if not issparse(a):
+            if not sp.issparse(a):
                 a = np.atleast_2d(np.asarray(a, dtype=float))
             b = np.asarray(b, dtype=float).ravel()
             if a.shape[1] != n or a.shape[0] != b.size:
@@ -52,6 +62,15 @@ class LinearProgram:
             setattr(self, name, (a, b))
         if self.bounds is not None and len(self.bounds) != n:
             raise LpError("bounds length must equal variable count")
+        # HiGHS takes NaN without complaint and may call the LP optimal
+        parts = [self.objective, np.asarray(
+            [] if self.bounds is None else self.bounds, dtype=float)]
+        for pair in (self.ineq, self.eq):
+            if pair is not None:
+                parts += [pair[0].data if sp.issparse(pair[0]) else pair[0],
+                          pair[1]]
+        if any(np.isnan(part).any() for part in parts):
+            raise LpError("linear program holds NaN")
 
     @property
     def n_vars(self) -> int:
@@ -73,43 +92,94 @@ class LpSolution:
     status: str
     z: Optional[np.ndarray] = None
     objective_value: float = np.nan
-    # duals for the original ineq rows (nonnegative, Ax <= b convention),
-    # populated at optimality
-    dual_ineq: Optional[np.ndarray] = None
+    iterations: int = 0  # simplex iterations of this solve
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
 
-# scipy.optimize.linprog status codes other than 0 (optimal)
-_STATUS = {1: "iteration_limit", 2: "infeasible", 3: "unbounded",
-           4: "numerical_trouble"}
+class LpModel:
+    """One LP held by a HiGHS instance: the rows as a column-wise matrix
+    (the inequalities, then the equalities) and the column bounds.  Each
+    solve after the first starts from the last basis, so changing one
+    column's coefficients or some bounds and solving again costs only the
+    simplex iterations the change asks for.  Not for concurrent use."""
+
+    def __init__(self, lp: LinearProgram, options: Optional[dict] = None):
+        n = lp.n_vars
+        blocks, lower, upper = [], [], []
+        if lp.ineq is not None:
+            blocks.append(lp.ineq[0])
+            lower.append(np.full(lp.ineq[1].size, -np.inf))
+            upper.append(lp.ineq[1])
+        if lp.eq is not None:
+            blocks.append(lp.eq[0])
+            lower.append(lp.eq[1])
+            upper.append(lp.eq[1])
+        a = sp.csc_array(sp.vstack([sp.csr_array(b) for b in blocks])
+                         if blocks else (0, n))
+        self.n_vars, self.n_rows = n, a.shape[0]
+        bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
+            else np.asarray(lp.bounds, dtype=float).reshape(n, 2)
+        model = _core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = n
+        model.num_row_ = model.a_matrix_.num_row_ = self.n_rows
+        model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        model.a_matrix_.start_ = a.indptr
+        model.a_matrix_.index_ = a.indices
+        model.a_matrix_.value_ = a.data
+        model.col_cost_ = lp.objective
+        model.col_lower_, model.col_upper_ = bounds[:, 0], bounds[:, 1]
+        model.row_lower_ = np.concatenate(lower) if lower else np.zeros(0)
+        model.row_upper_ = np.concatenate(upper) if upper else np.zeros(0)
+        self.highs = _core._Highs()
+        for name, value in {**_OPTIONS, **(options or {})}.items():
+            self.highs.setOptionValue(name, value)
+        # a model HiGHS rejects makes run() fail; inconsistent bounds pass
+        # with a warning and solve as infeasible
+        self.highs.passModel(model)
+
+    def change_column(self, col: int, rows, values) -> None:
+        """Set column col's coefficients in the given rows; a zero
+        removes the entry."""
+        for row, value in zip(rows, values):
+            self.highs.changeCoeff(int(row), col, float(value))
+
+    def change_bounds(self, cols, lower, upper) -> None:
+        """Set the bounds of the given columns."""
+        cols = np.asarray(cols, dtype=np.int32)
+        self.highs.changeColsBounds(cols.size, cols,
+                                    np.asarray(lower, dtype=float),
+                                    np.asarray(upper, dtype=float))
 
 
-def highs_solve(lp: LinearProgram) -> LpSolution:
-    """Solve with HiGHS.  An empty bound interval (lo > hi) makes the LP
-    infeasible; a status other than optimal carries no solution."""
-    a_ub = b_ub = a_eq = b_eq = None
-    if lp.ineq is not None:
-        a_ub, b_ub = lp.ineq
-    if lp.eq is not None:
-        a_eq, b_eq = lp.eq
-    if lp.bounds is None:
-        bounds = np.tile([-np.inf, np.inf], (lp.n_vars, 1))
-    else:
-        bounds = np.asarray(lp.bounds, dtype=float).reshape(lp.n_vars, 2)
-    res = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        return LpSolution(status=_STATUS.get(res.status, "numerical_trouble"))
-    dual = None
-    if lp.ineq is not None:
-        dual = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-    return LpSolution(status="optimal", z=np.asarray(res.x),
-                      objective_value=float(res.fun), dual_ineq=dual)
+# HiGHS model statuses other than optimal, mapped as scipy maps them
+_STATUS = {_core.HighsModelStatus.kInfeasible: "infeasible",
+           _core.HighsModelStatus.kUnbounded: "unbounded",
+           _core.HighsModelStatus.kIterationLimit: "iteration_limit",
+           _core.HighsModelStatus.kTimeLimit: "iteration_limit"}
+
+
+def highs_solve(model: LpModel) -> LpSolution:
+    """Solve the model as it stands, from its last basis if it has one.
+    An empty bound interval (lo > hi) makes the LP infeasible; a status
+    other than optimal carries no solution."""
+    highs = model.highs
+    if highs.run() == _core.HighsStatus.kError:
+        return LpSolution(status="numerical_trouble")
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if status != _core.HighsModelStatus.kOptimal:
+        return LpSolution(status=_STATUS.get(status, "numerical_trouble"),
+                          iterations=iterations)
+    return LpSolution(status="optimal",
+                      z=np.array(highs.getSolution().col_value),
+                      objective_value=float(info.objective_function_value),
+                      iterations=iterations)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve lp; see :class:`LpSolution` for the statuses."""
-    return highs_solve(lp)
+    """Solve lp cold; see :class:`LpSolution` for the statuses."""
+    return highs_solve(LpModel(lp))

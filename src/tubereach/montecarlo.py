@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,13 +150,14 @@ class ValidationReport:
     pooled_binomial_std is the standard error of mean_error.  The vertices
     share their trajectories, so their estimates are correlated and it is
     measured over the trajectories: the spread of the share of vertices
-    each trajectory keeps in the tube."""
+    each trajectory keeps in the tube.  None in documents written before
+    it was recorded."""
 
     records: List[VertexRecord]
     alpha: float
     n_traj: int
     seed: int
-    pooled_binomial_std: float
+    pooled_binomial_std: Optional[float]
 
     @property
     def errors(self) -> np.ndarray:
@@ -186,6 +187,27 @@ class ValidationReport:
                 for r in self.records
             ],
         }, indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ValidationReport":
+        """Inverse of :meth:`to_json`; a document that lacks a key other
+        than pooled_binomial_std raises ValueError naming it."""
+        doc = json.loads(text)
+        try:
+            alpha = float(doc["alpha"])
+            return cls(
+                records=[VertexRecord(
+                    point=np.asarray(r["point"], dtype=float), alpha=alpha,
+                    empirical_probability=float(r["empirical_probability"]),
+                    binomial_std=float(r["binomial_std"]))
+                    for r in doc["records"]],
+                alpha=alpha, n_traj=int(doc["n_traj"]), seed=int(doc["seed"]),
+                pooled_binomial_std=doc.get("pooled_binomial_std"))
+        except KeyError as exc:
+            raise ValueError(
+                f"validation document lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed validation document: {exc}") from None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -9,7 +9,7 @@ from tubereach import chance, reachalgo
 from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK,
                            EXIT_SOLVER_FAILURE, main)
 from tubereach.reachalgo import ReachSetResult
-from tubereach.lpsolve import LpSolution, solve_lp
+from tubereach.lpsolve import LpSolution, highs_solve
 
 
 def scalar_config(tmp_path, alphas, horizon=5, extra=None):
@@ -102,12 +102,12 @@ def fail_line_lps(monkeypatch, failing):
     stop at the iteration limit."""
     calls = []
 
-    def solve(lp):
-        calls.append(lp)
-        if len(calls) - 1 in failing:
+    def solve(model):
+        calls.append(model)
+        if len(calls) in failing:
             return LpSolution(status="iteration_limit")
-        return solve_lp(lp)
-    monkeypatch.setattr(chance, "solve_lp", solve)
+        return highs_solve(model)
+    monkeypatch.setattr(chance, "highs_solve", solve)
 
 
 def test_compute_all_searches_failed_exit_code(tmp_path, monkeypatch):
@@ -385,12 +385,28 @@ def test_report_reads_validation_without_the_pooled_std(tmp_path):
     cfg = scalar_config(tmp_path, [0.6])
     out = tmp_path / "out"
     assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
-    (out / "validation.json").write_text(json.dumps(
-        {"mean_error": 0.01, "std_error": 0.002, "n_traj": 1000}))
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "2000", "-d", str(out)]) == EXIT_OK
+    path = out / "validation.json"
+    doc = json.loads(path.read_text())
+    del doc["pooled_binomial_std"]
+    path.write_text(json.dumps(doc))
     assert main(["report", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["validation"]["pooled_binomial_std"] is None
-    assert summary["validation"]["mean_error"] == 0.01
+    assert summary["validation"]["mean_error"] == doc["mean_error"]
+    assert summary["validation"]["std_error"] == doc["std_error"]
+
+
+def test_report_with_a_malformed_validation(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    assert main(["compute", str(cfg), "-d", str(tmp_path)]) == EXIT_OK
+    bad = tmp_path / "validation.json"
+    bad.write_text("{}")
+    malformed_input_is_bad_config(["report", str(tmp_path)], bad, "alpha",
+                                  caplog)
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_report_reads_a_legacy_result(tmp_path):

@@ -129,6 +129,6 @@ def test_pivoted_cholesky_reconstructs():
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-6, 0.5))
-def test_pwa_single_point_overapproximation(delta):
-    pwa = build_pwa_quantile()
+def test_pwa_single_point_overapproximation(pwa, delta):
+    # pwa, the default envelope, is built once (tests/conftest.py)
     assert pwa.envelope(np.array([delta]))[0] >= -ndtri(delta) - 1e-12

@@ -6,8 +6,8 @@ import pytest
 from tubereach import montecarlo
 from tubereach.geometry import (DirectionSet, VPolytope, box_polytope,
                                 spread_directions)
-from tubereach.montecarlo import (simulate_reach_prob, simulate_reach_probs,
-                                  validate_vertices)
+from tubereach.montecarlo import (ValidationReport, simulate_reach_prob,
+                                  simulate_reach_probs, validate_vertices)
 from tubereach.reachalgo import compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 cwh_los_tube, make_cwh, make_dubins,
@@ -228,6 +228,31 @@ def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("x0,")
     assert len(lines) == len(report.records) + 1
+
+
+def test_validation_report_json_roundtrip(reach06, sys1d, tube1d):
+    report = validate_vertices(reach06, sys1d, tube1d, 1000, seed=1)
+    text = report.to_json()
+    again = ValidationReport.from_json(text)
+    assert again.to_json() == text
+    assert again.mean_error == report.mean_error
+    # documents written before the pooled std was recorded
+    old = json.loads(text)
+    del old["pooled_binomial_std"]
+    assert ValidationReport.from_json(
+        json.dumps(old)).pooled_binomial_std is None
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{}", "lacks the key 'alpha'"),
+    ('{"alpha": 0.6, "n_traj": 10, "seed": 0, "records": [{}]}',
+     "lacks the key 'point'"),
+    ('{"alpha": 0.6, "records": null, "n_traj": 10, "seed": 0}',
+     "malformed validation document"),
+    ("[]", "malformed validation document")])
+def test_malformed_validation_json_is_a_value_error(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        ValidationReport.from_json(text)
 
 
 def square(half):

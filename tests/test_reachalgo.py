@@ -6,7 +6,7 @@ import pytest
 
 from tubereach import chance, reachalgo
 from tubereach.geometry import DirectionSet, spread_directions, box_polytope
-from tubereach.lpsolve import LpSolution, solve_lp
+from tubereach.lpsolve import LpSolution
 from tubereach.reachalgo import (ReachSetResult, compute_reach_set,
                                  dp_level_set, dp_values,
                                  initial_guess_controller, interpolate_sets,
@@ -148,8 +148,11 @@ def test_anytime_prefix_is_contained(sys2d, tube2d, pwa):
 
 def test_parallel_matches_serial(sys2d, tube2d, pwa, tmp_path):
     # without a time budget the artifacts are byte-identical across jobs
-    # (vertices, thetas, bounds and controllers included)
-    dirs = spread_directions(8, 2)
+    # (vertices, thetas, bounds and controllers included); 20 directions
+    # make three chains, which one worker runs in turn at -j 1 and three
+    # run side by side at -j 4
+    dirs = spread_directions(20, 2)
+    assert 2 * reachalgo.CHAIN_LENGTH < len(dirs) <= 3 * reachalgo.CHAIN_LENGTH
     artifacts = []
     for jobs in (1, 4):
         res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
@@ -177,12 +180,13 @@ def test_time_budget_checked_when_each_search_starts(sys2d, tube2d, pwa,
     clock = SimpleNamespace(now=0.0)
     monkeypatch.setattr(reachalgo, "time",
                         SimpleNamespace(perf_counter=lambda: clock.now))
-    search = chance.RiskLP.line
+    search = chance.RiskLP.lines
 
     def slow_search(*args, **kwargs):
-        clock.now += 1.0
-        return search(*args, **kwargs)
-    monkeypatch.setattr(chance.RiskLP, "line", slow_search)
+        for point in search(*args, **kwargs):
+            clock.now += 1.0
+            yield point
+    monkeypatch.setattr(chance.RiskLP, "lines", slow_search)
     res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(8, 2),
                             pwa=pwa, time_budget=2.5)
     assert [b.status for b in res.boundary_points] == \
@@ -195,9 +199,12 @@ def test_timings_split_assembly_from_anchor(sys1d, tube1d, pwa, alpha):
     res = compute_reach_set(sys1d, tube1d, alpha, DIRS_1D, pwa=pwa)
     assert res.status == ("ok" if alpha == 0.6 else "empty")
     t = res.timings
-    assert sorted(t) == ["anchor", "assemble", "total"]
+    # an empty set has no line searches
+    phases = ["anchor", "assemble", "searches", "total"] if alpha == 0.6 \
+        else ["anchor", "assemble", "total"]
+    assert sorted(t) == phases
     assert t["assemble"] > 0.0 and t["anchor"] >= 0.0
-    assert t["assemble"] + t["anchor"] <= t["total"]
+    assert t["assemble"] + t["anchor"] + t.get("searches", 0.0) <= t["total"]
 
 
 def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
@@ -216,19 +223,37 @@ def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
 @pytest.mark.parametrize("trouble", ["iteration_limit", "numerical_trouble"])
 def test_line_search_solver_failure_is_recorded(sys2d, tube2d, pwa,
                                                 monkeypatch, trouble):
-    # the anchor LP solves; every line LP after it stops in trouble, which
-    # is no proof of infeasibility
-    calls = []
-
-    def stalls_after_anchor(lp):
-        calls.append(lp)
-        return solve_lp(lp) if len(calls) == 1 else LpSolution(status=trouble)
-    monkeypatch.setattr(chance, "solve_lp", stalls_after_anchor)
+    # the anchor LP solves; every line LP stops in trouble, which is no
+    # proof of infeasibility
+    monkeypatch.setattr(chance, "highs_solve",
+                        lambda model: LpSolution(status=trouble))
     res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(4, 2),
                             pwa=pwa)
     assert res.anchor.feasible
     assert [b.status for b in res.boundary_points] == ["solver_failure"] * 4
     assert all(trouble in b.diagnostic for b in res.boundary_points)
+
+
+def test_failed_search_marks_only_its_own_direction(sys2d, tube2d, pwa,
+                                                   monkeypatch):
+    # the third line LP of the chain stops at the iteration limit; the
+    # chain goes on from the basis it had
+    dirs = spread_directions(8, 2)
+    clean = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa)
+    solve, calls = chance.highs_solve, []
+
+    def third_fails(model):
+        calls.append(model)
+        return LpSolution(status="iteration_limit") if len(calls) == 3 \
+            else solve(model)
+    monkeypatch.setattr(chance, "highs_solve", third_fails)
+    res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa)
+    assert len({id(model) for model in calls}) == 1
+    assert [b.status for b in res.boundary_points] == \
+        ["ok"] * 2 + ["solver_failure"] + ["ok"] * 5
+    for got, want in zip(res.boundary_points, clean.boundary_points):
+        if got.status == "ok":
+            assert got.theta == pytest.approx(want.theta, abs=1e-8)
 
 
 def test_result_json_roundtrip(reach06, sys1d, tube1d, pwa):
