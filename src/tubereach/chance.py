@@ -6,9 +6,9 @@ Each half-space constraint of the target tube on a noisy state becomes a
 univariate Gaussian tail condition with its own risk variable; the risks
 share a budget of 1 - alpha (union bound), and the normal quantile is
 replaced by its piecewise-affine overapproximation so everything is
-linear.  The envelope, a maximum of affine pieces, enters in epigraph
-form: each tail condition is one row in an extra variable t_i, and each
-piece bounds t_i from below by a two-entry row in (delta_i, t_i).
+linear.  The envelope is convex, so it enters in segment form: each tail
+condition's risk is delta_lb plus one bounded column per envelope piece,
+and its row weighs each column by that piece's slope.
 :class:`RiskLP` assembles these rows once per (system, tube, alpha);
 each question only says how the initial state enters.
 """
@@ -49,6 +49,7 @@ class AnchorResult:
     radius: Optional[float] = None
     status: str = "optimal"  # optimal | empty | solver_failure
     diagnostic: str = ""
+    iterations: int = 0  # simplex iterations of its LPs; not stored
 
     @property
     def feasible(self) -> bool:
@@ -67,6 +68,10 @@ class BoundaryPoint:
     lower_bound: float
     status: str  # ok | infeasible | solver_failure | skipped
     diagnostic: str = ""
+    # simplex iterations of its solve and its chain's LP size; not stored
+    iterations: int = 0
+    lp_rows: int = 0
+    lp_cols: int = 0
 
 
 @dataclass
@@ -76,6 +81,7 @@ class _Solution:
     U: Optional[np.ndarray] = None
     deltas: Optional[np.ndarray] = None
     extra: Optional[np.ndarray] = None  # y, then the radius if asked for
+    iterations: int = 0
 
     @property
     def lower_bound(self) -> float:
@@ -96,59 +102,56 @@ def _tube_rows(moments, tube: TargetTube):
 class RiskLP:
     """The risk-allocated LP of one (system, tube, alpha), assembled once.
 
-    Columns are [U (m*N) | risk deltas | t | y | radius], with one epigraph
-    variable t_i per stochastic tube row standing for the PWA quantile
-    envelope at delta_i.  The initial state enters as x0 = c + E y, so
-    each question supplies only (c, E) -- c = 0 and E = I for the
-    anchors, c = anchor and E = direction for a line search; every
-    solve keeps x0 in T_0.  The rows over [U | deltas | t]
-    are built here in sparse form: each stochastic row once, as
-    p (Phi_k x0 + H_k U) + sigma_i t_i <= rhs_i with the step moments of
-    sysmodel.step_moments (rhs_i takes p mu_k), then the deterministic tube
-    rows, one row m_l delta_i - t_i <= -c_l per (stochastic row, PWA
-    piece), the shared risk budget and the per-step input rows.  Pieces
-    whose left knot lies at or above the delta cap never reach the
-    envelope on [delta_lb, cap] and are left out, and t is bounded by the
-    envelope at the cap and at delta_lb; neither changes the feasible
-    set.  A solve appends the E columns, the T_0 rows and, for the
-    Chebyshev anchor, the radius column.  Nothing is mutated after
-    construction, so threads may share one instance.
+    Columns are [U (m*N) | segments | y | radius].  The PWA envelope is
+    convex, its slopes m_l rising from piece to piece, so on [delta_lb,
+    cap] it is envelope(delta_lb) plus one segment per piece (the
+    delta-method of Markowitz & Manne, 1957): stochastic tube row i gets
+    columns s_il in [0, knot_l+1 - knot_l], delta_i = delta_lb + sum_l
+    s_il, and the row p (Phi_k x0 + H_k U) + sigma_i sum_l m_l s_il <=
+    rhs_i - sigma_i envelope(delta_lb), with the step moments of
+    sysmodel.step_moments (rhs_i takes p mu_k).  The steepest-first fill
+    gives sum_l m_l s_il = envelope(delta_i) - envelope(delta_lb) and any
+    other fill more, so every solution meets the row under the envelope
+    and the feasible set in (x0, U, delta) is the envelope's.  Then come
+    the deterministic tube rows, the budget sum s_il <= 1 - alpha -
+    n_risk delta_lb and the per-step input rows.  Pieces whose left knot
+    lies at or above the delta cap get no column.  The initial state
+    enters as x0 = c + E y: c = 0 and E = I for the anchors, c = anchor
+    and E = direction for a line search; every solve keeps x0 in T_0.  A
+    solve appends the E columns, the T_0 rows and, for the Chebyshev
+    anchor, the radius column.  Nothing is mutated after construction,
+    so threads may share one instance.
 
-    Each solve also gives every stochastic row its own risk window.  The
-    box of y (a line's step lies in [0, exit of the ray from T_0]) and
-    the interval bounds of the input set bound the row's mean
-    p (Phi_k x0 + H_k U) to [m_min, m_max].  Inverting the envelope at the
-    least and the largest margin rhs_i - m gives [delta_min, delta_need],
-    rounded outward and clipped to [delta_lb, cap].  No allocation needs
-    delta_i above delta_need: lowering it there keeps row i and loosens
-    the budget.  Nor can it go below delta_min, which row i itself
-    implies.  So delta_i is bounded to the window and only the pieces
-    whose knot interval meets it are kept; a row with delta_need =
-    delta_lb can never bind, and its tube row and pieces are dropped
-    with delta_i fixed at delta_lb.  The optimal step or total risk is
-    the full LP's; the optimal U and deltas may be another of its
-    optima.  A row whose mean is unbounded above over the box gets the
-    full window [delta_lb, cap]; at the anchors, where x0 is free, that
-    is every row that depends on x0.
+    Each solve gives every stochastic row a risk window [delta_lb,
+    delta_need]: over the box of y (a line's step lies in [0, exit of
+    the ray from T_0]) and of the inputs the row's mean has a largest
+    value, and delta_need is the envelope inverted at that least margin,
+    rounded up.  No allocation needs more: lowering delta_i there keeps
+    row i and loosens the budget.  So each segment is clipped at
+    delta_need and those wholly above it are left out; a row with
+    delta_need = delta_lb can never bind, and is dropped with its
+    columns.  The optimal step or total risk is the full LP's; U and the
+    deltas may be another of its optima.  At the anchors, where x0 is
+    free, every row that depends on x0 keeps all its columns.
 
-    So the Chebyshev anchor first solves a trial LP that pins more rows:
-    every stochastic row with room at delta_lb at a seed, the centres of
-    T_0's box and of the input box, is dropped with its pieces and
-    delta_i fixed at delta_lb.  The mask depends only on (system, tube,
-    alpha) and is found here; without a bounded box for T_0 (a cone, a
-    half-line) or with no row to pin there is no trial.  Any solution of
-    the full LP maps to one of the trial with the same x0 and U, by
-    lowering each pinned delta_i to delta_lb, so the trial is a
-    relaxation, and an infeasible trial is returned as it is.  Its
-    optimum is returned only if every pinned row holds at delta_lb
-    there, p (Phi_k x0 + H_k U) + sigma_i envelope(delta_lb) <= rhs_i with
-    no tolerance: it is then feasible, hence optimal, for the full LP.
-    Otherwise, or if the trial stops without a verdict, the full LP is
-    solved, so the anchor takes at most two solves.  The optimal radius
-    is the full LP's; the anchor's point, U and lower_bound may be
-    another of its optima.  The xmax anchor solves the full LP alone:
-    when the trial pins every row that depends on x0 its objective is
-    constant over T_0, and its optimum mostly breaks a pinned row.
+    So the Chebyshev anchor first solves a trial LP in which every
+    stochastic row with room at delta_lb at a seed, the centres of T_0's
+    box and of the input box, loses its columns and is dropped.  The mask
+    depends only on (system, tube, alpha) and is found here; without a
+    bounded box for T_0 (a cone, a half-line) or with no row to pin there
+    is no trial.  Any solution of the full LP maps to one of the trial
+    with the same x0 and U, by lowering each pinned delta_i to delta_lb,
+    so the trial is a relaxation, and an infeasible trial is returned as
+    it is.  Its optimum is returned only if every pinned row holds at
+    delta_lb there, p (Phi_k x0 + H_k U) + sigma_i envelope(delta_lb) <=
+    rhs_i with no tolerance: it is then feasible, hence optimal, for the
+    full LP.  Otherwise, or if the trial stops without a verdict, the
+    full LP is solved, so the anchor takes at most two solves.  The
+    optimal radius is the full LP's; the anchor's point, U and
+    lower_bound may be another of its optima.  The xmax anchor solves
+    the full LP alone: when the trial pins every row that depends on x0
+    its objective is constant over T_0, and its optimum mostly breaks a
+    pinned row.
     """
 
     def __init__(self, sys: StochasticLTVSystem, tube: TargetTube,
@@ -211,59 +214,50 @@ class RiskLP:
         u_lo, u_hi = sys.input_set.interval_bounds() if m \
             else (np.zeros(0), np.zeros(0))
         u_lo, u_hi = np.tile(u_lo, nsteps), np.tile(u_hi, nsteps)
-        # range of the input's share of each stochastic row's mean
-        self._u_range = _interval_range(coef_u, u_lo, u_hi)
+        # largest value of the input's share of each stochastic row's mean
+        self._u_max = _interval_range(coef_u, u_lo, u_hi)[1]
+        limit = rhs0 - sig * self._knot_env[0]
         # the Chebyshev anchor's trial pins the rows with room at delta_lb
         # at the seed: the centres of T_0's box and of the input box
         self._pinned = None
-        env_lb = pwa.envelope(self.delta_lb)
         t0_box = tube[0].as_box_bounds()
         if nr and t0_box is not None:
             seed_x0 = 0.5 * (t0_box[0] + t0_box[1])
             seed_u = 0.5 * (u_lo + u_hi)
             if np.isfinite(seed_x0).all() and np.isfinite(seed_u).all():
-                limit = rhs0 - sig * env_lb
                 pinned = coef_u @ seed_u + x0_stochastic @ seed_x0 <= limit
                 if pinned.any():
                     self._pinned = pinned
                     self._pinned_rows = (coef_u[pinned],
                                          x0_stochastic[pinned],
                                          limit[pinned])
-        piece = np.repeat(np.arange(slopes.size), nr)
-        row = np.tile(np.arange(nr), slopes.size)
-        epigraph = sp.coo_array(
-            (np.concatenate([slopes[piece], -np.ones(row.size)]),
-             (np.tile(np.arange(row.size), 2),
-              np.concatenate([row, nr + row]))),
-            shape=(row.size, 2 * nr))
-        groups = [sp.hstack([sp.csr_array(coef_u),
-                             sp.csr_array((nr, nr)), sp.diags_array(sig)]),
+        # segment column (i, l) is column n_u + i * len(pieces) + l
+        n_seg = nr * slopes.size
+        row = np.repeat(np.arange(nr), slopes.size)
+        segments = sp.csr_array(
+            (sig[row] * np.tile(slopes, nr), (row, np.arange(n_seg))),
+            shape=(nr, n_seg))
+        groups = [sp.hstack([sp.csr_array(coef_u), segments]),
                   sp.hstack([sp.csr_array(det_u),
-                             sp.csr_array((len(deterministic), 2 * nr))]),
-                  sp.hstack([sp.csr_array((row.size, self.n_u)), epigraph])]
-        rhs = [rhs0, det_rhs, -intercepts[piece]]
+                             sp.csr_array((len(deterministic), n_seg))])]
+        rhs = [limit, det_rhs]
         if nr:
             groups.append(sp.csr_array(np.concatenate(
-                [np.zeros(self.n_u), np.ones(nr), np.zeros(nr)])[None, :]))
-            rhs.append(np.array([budget]))
+                [np.zeros(self.n_u), np.ones(n_seg)])[None, :]))
+            rhs.append(np.array([budget - floor]))
 
         # input set rows per step (box input sets are handled via bounds)
         box = sys.input_set.as_box_bounds() if m else None
         if m and box is None:
             inputs = sp.block_diag([sys.input_set.normals] * nsteps)
             groups.append(sp.hstack(
-                [inputs, sp.csr_array((inputs.shape[0], 2 * nr))]))
+                [inputs, sp.csr_array((inputs.shape[0], n_seg))]))
             rhs.extend([sys.input_set.offsets] * nsteps)
         self.rows = sp.vstack(groups, format="csr")
         self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
         self.rhs = np.concatenate(rhs)
-
-        # bounds of U and of t; a solve puts each delta_i's window between
-        self._u_bounds = [(box[0][i], box[1][i]) for i in range(m)] \
-            * nsteps if box is not None else [(-np.inf, np.inf)] * self.n_u
-        # the envelope decreases, so t_i = envelope(delta_i) fits these;
-        # bounded, presolve settles more of the LP
-        self._t_bounds = [(pwa.envelope(self.delta_cap), env_lb)] * nr
+        self._u_bounds = np.tile(np.column_stack(box), (nsteps, 1)) \
+            if box is not None else np.tile([-np.inf, np.inf], (self.n_u, 1))
 
     def anchor(self, mode: str) -> AnchorResult:
         """Anchor maximizing the risk-allocation lower bound on the reach
@@ -284,20 +278,25 @@ class RiskLP:
         if trial and sol.status != "infeasible" and not (
                 sol.status == "optimal"
                 and self._pinned_rows_hold(sol.extra[:n], sol.U)):
+            iterations = sol.iterations
             sol = solve()
+            sol.iterations += iterations
+        lb = sol.lower_bound
         if sol.status != "optimal":
             status = "empty" if sol.status == "infeasible" else sol.status
-            return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
-                                mode=mode, status=status,
-                                diagnostic=sol.diagnostic)
-        lb = sol.lower_bound
-        if not cheby and lb < self.alpha - 1e-9:
-            return AnchorResult(x_anchor=None, U=None, lower_bound=lb,
-                                mode=mode, status="empty",
-                                diagnostic=f"best lower bound {lb:.6f} < alpha")
-        return AnchorResult(x_anchor=sol.extra[:n], U=sol.U, lower_bound=lb,
-                            mode=mode,
-                            radius=float(sol.extra[n]) if cheby else None)
+            res = AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
+                               mode=mode, status=status,
+                               diagnostic=sol.diagnostic)
+        elif not cheby and lb < self.alpha - 1e-9:
+            res = AnchorResult(x_anchor=None, U=None, lower_bound=lb,
+                               mode=mode, status="empty",
+                               diagnostic=f"best lower bound {lb:.6f} < alpha")
+        else:
+            res = AnchorResult(x_anchor=sol.extra[:n], U=sol.U,
+                               lower_bound=lb, mode=mode,
+                               radius=float(sol.extra[n]) if cheby else None)
+        res.iterations = sol.iterations
+        return res
 
     def _pinned_rows_hold(self, x0: np.ndarray, U: np.ndarray) -> bool:
         """Whether every row the trial pinned holds at delta_lb at
@@ -314,170 +313,169 @@ class RiskLP:
 
         The directions form one chain: one LP model, re-solved from the
         last basis with devex pricing.  Every direction's risk window is
-        found first, and the model holds every row that the window of
-        any direction keeps.  For each direction only the step column y
-        changes -- its coefficients on the kept tube rows and on the T_0
-        rows, and its upper bound, the exit of the ray from T_0 (which
-        the T_0 rows already imply) -- and the risk columns take its
-        window as bounds.  The step found is still the full LP's: a
-        stochastic row that this direction's window drops has room at
-        delta_lb for every step and input in the box, so with delta_i
-        fixed at delta_lb and t_i <= envelope(delta_lb) it holds
-        whatever the other columns are, and its pieces only bound t_i
-        from below by at most envelope(delta_lb); the pieces kept for
-        other directions lie below the envelope.  So the chain's LP has
-        every row of this direction's windowed LP and only rows of the
+        found first, and the model holds every segment column that the
+        window of any direction keeps, with its row.  For each direction
+        only the step column y changes -- its coefficients on the kept
+        tube rows and on the T_0 rows, and its upper bound, the exit of
+        the ray from T_0 (which the T_0 rows already imply) -- and the
+        segments whose clip at delta_need moved take their new bounds.
+        The step found is still the full LP's: a row that this
+        direction's window drops has all its segments bounded to 0, and
+        then holds for every step and input in the box.  So the chain's
+        LP has this direction's windowed LP's rows, and only rows of the
         full LP besides, and both of those have the full LP's optimal
         step.  U and the deltas may be another of its optima."""
         anchor = np.asarray(anchor, dtype=float).ravel()
         directions = [np.asarray(d, dtype=float).ravel()
                       for d in directions]
-
-        def at(d, theta, U=None, lower_bound=0.0, status="ok",
-               diagnostic=""):
-            return BoundaryPoint(direction=d, theta=theta,
-                                 point=anchor + theta * d, U=U,
-                                 lower_bound=lower_bound, status=status,
-                                 diagnostic=diagnostic)
         t0 = self.tube[0]
         failed = "anchor lies outside T_0" \
             if not t0.contains(anchor, tol=1e-7) else self._floor_diagnostic
         if failed:
             for d in directions:
-                yield at(d, 0.0, status="infeasible", diagnostic=failed)
+                yield BoundaryPoint(direction=d, theta=0.0,
+                                    point=anchor.copy(), U=None,
+                                    lower_bound=0.0, status="infeasible",
+                                    diagnostic=failed)
             return
         x0_const = self._x0 @ anchor
         exits = [t0.ray_exit(anchor, d) for d in directions]
         x0_cols = [self._x0 @ d for d in directions]
         windows = [self._windows(col[:, None], x0_const, 0.0, top)
                    for col, top in zip(x0_cols, exits)]
-        keep = np.logical_or.reduce([w[2] for w in windows])
-        tube_rows = keep[:x0_const.size]
-        lo, hi, _ = windows[0]
-        model = LpModel(self._program(anchor, directions[0][:, None],
-                                      lo, hi, keep, 0.0, exits[0],
+        cols = np.logical_or.reduce([hi > 0.0 for hi in windows])
+        model = LpModel(self._program(anchor, directions[0][:, None], cols,
+                                      windows[0], 0.0, exits[0],
                                       maximize=True), DEVEX)
-        # the step column, its rows (kept tube rows, then T_0's) and the
-        # columns whose bounds change with the direction
-        y = self.n_u + 2 * self.n_risk
+        # the step column and its rows: kept tube rows, then T_0's
+        tube_rows = self._tube_rows_kept(cols)
+        y = model.n_vars - 1
         y_rows = np.concatenate([np.arange(tube_rows.sum()),
-                                 keep.sum() + np.arange(t0.n_rows)])
-        bounded = np.append(np.arange(self.n_u, self.n_u + self.n_risk), y)
-        for j, (d, col, top, (lo, hi, _)) in enumerate(
+                                 model.n_rows - t0.n_rows
+                                 + np.arange(t0.n_rows)])
+        upper = windows[0][cols]
+        for j, (d, col, top, hi) in enumerate(
                 zip(directions, x0_cols, exits, windows)):
             if j:
                 model.change_column(y, y_rows, np.concatenate(
                     [col[tube_rows], t0.normals @ d]))
-                model.change_bounds(bounded, np.append(lo, 0.0),
-                                    np.append(hi, top))
-            sol = self._solution(highs_solve(model))
-            if sol.status != "optimal":
-                yield at(d, 0.0, status=sol.status,
-                         diagnostic=sol.diagnostic)
-            else:
-                yield at(d, max(float(sol.extra[0]), 0.0), sol.U,
-                         sol.lower_bound)
+                moved = np.flatnonzero(hi[cols] != upper)
+                upper = hi[cols]
+                model.change_bounds(np.append(self.n_u + moved, y),
+                                    np.zeros(moved.size + 1),
+                                    np.append(upper[moved], top))
+            sol = self._solution(highs_solve(model), cols)
+            ok = sol.status == "optimal"
+            theta = max(float(sol.extra[0]), 0.0) if ok else 0.0
+            yield BoundaryPoint(
+                direction=d, theta=theta, point=anchor + theta * d, U=sol.U,
+                lower_bound=sol.lower_bound, status="ok" if ok else sol.status,
+                diagnostic=sol.diagnostic, iterations=sol.iterations,
+                lp_rows=model.n_rows, lp_cols=model.n_vars)
 
     def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
                y_hi: float = np.inf, radius: bool = False,
                maximize: bool = False,
                pinned: Optional[np.ndarray] = None) -> _Solution:
-        """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the rows
-        that the risk windows keep, less the stochastic rows in pinned,
-        whose risk is fixed at delta_lb."""
+        """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the
+        segment columns that the risk windows keep, less those of the
+        stochastic rows in pinned, whose risk stays at delta_lb."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
-        lo, hi, keep = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi,
-                                     pinned)
+        hi = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
+        cols = hi > 0.0
         return self._solution(solve_lp(self._program(
-            c, E, lo, hi, keep, y_lo, y_hi, radius, maximize)))
+            c, E, cols, hi, y_lo, y_hi, radius, maximize)), cols)
 
-    def _program(self, c: np.ndarray, E: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, keep: np.ndarray, y_lo: float, y_hi: float,
+    def _tube_rows_kept(self, cols: np.ndarray) -> np.ndarray:
+        """The tube rows kept with the segment columns in cols."""
+        return np.concatenate([cols.any(axis=1),
+                               np.ones(len(self.deterministic_rows), bool)])
+
+    def _program(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
+                 hi: np.ndarray, y_lo: float, y_hi: float,
                  radius: bool = False, maximize: bool = False
                  ) -> LinearProgram:
-        """The LP with x0 = c + E y and y_lo <= y <= y_hi over the rows of
-        self.rows in keep, then the T_0 rows, and with each delta_i in
-        [lo_i, hi_i].  x0 must lie in T_0, by a margin of the radius
-        column when one is asked for.  The objective is the total risk,
-        or with maximize the last column (the step or the radius)."""
+        """The LP with x0 = c + E y and y_lo <= y <= y_hi, over the
+        segment columns in cols, each in [0, hi], the rows of self.rows
+        that hold any of them or no segment column at all, then the T_0
+        rows.  x0 must lie in T_0, by a margin of the radius column when
+        one is asked for.  The objective is the total risk, or with
+        maximize the last column (the step or the radius)."""
         n_y, n_r = E.shape[1], int(radius)
-        x0_cols, x0_const = self._x0 @ E, self._x0 @ c
-        rows, row_rhs = self.rows, self.rhs
-        if not keep.all():
-            tube_rows = keep[:x0_const.size]
-            rows, row_rhs = rows[keep], row_rhs[keep]
-            x0_cols, x0_const = x0_cols[tube_rows], x0_const[tube_rows]
-        n_rest = row_rhs.size - x0_const.size
+        tube_rows = self._tube_rows_kept(cols)
+        keep = np.concatenate([tube_rows, np.ones(
+            self.rhs.size - tube_rows.size, dtype=bool)])
+        segments = np.flatnonzero(cols)
+        rows = self.rows[keep][:, np.concatenate(
+            [np.arange(self.n_u), self.n_u + segments])]
+        x0_cols, x0_const = (self._x0 @ E)[tube_rows], \
+            (self._x0 @ c)[tube_rows]
+        n_rest = rows.shape[0] - x0_const.size
         t0 = self.tube[0]
         ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
             else np.zeros((t0.n_rows, 0))
         blocks = [[rows,
                    sp.vstack([sp.csr_array(x0_cols),
                               sp.csr_array((n_rest, n_y))]),
-                   sp.csr_array((row_rhs.size, n_r))],
-                  [sp.csr_array((t0.n_rows, self.rows.shape[1])),
+                   sp.csr_array((rows.shape[0], n_r))],
+                  [sp.csr_array((t0.n_rows, rows.shape[1])),
                    sp.csr_array(t0.normals @ E), sp.csr_array(ball)]]
-        rhs = [row_rhs - np.concatenate([x0_const, np.zeros(n_rest)]),
+        rhs = [self.rhs[keep] - np.concatenate([x0_const, np.zeros(n_rest)]),
                t0.offsets - t0.normals @ c]
-        bounds = self._u_bounds + list(zip(lo, hi)) + self._t_bounds \
-            + [(y_lo, y_hi)] * n_y + [(0.0, np.inf)] * n_r
+        bounds = np.concatenate([
+            self._u_bounds,
+            np.column_stack([np.zeros(segments.size), hi[cols]]),
+            np.tile([y_lo, y_hi], (n_y, 1)),
+            np.tile([0.0, np.inf], (n_r, 1))])
         objective = np.zeros(len(bounds))
         if maximize:
             objective[-1] = -1.0
         else:
-            objective[self.n_u:self.n_u + self.n_risk] = 1.0
+            objective[self.n_u:self.n_u + segments.size] = 1.0
         return LinearProgram(objective=objective,
                              ineq=(sp.block_array(blocks, format="csr"),
                                    np.concatenate(rhs)),
                              bounds=bounds)
 
-    def _solution(self, sol: LpSolution) -> _Solution:
+    def _solution(self, sol: LpSolution, cols: np.ndarray) -> _Solution:
+        """The solution of an LP over the segment columns in cols."""
         if sol.status == "infeasible":
             return _Solution(
                 "infeasible", "risk-allocated LP infeasible: the "
                 "chance-constrained underapproximation is empty (the true "
-                "reach set may still be nonempty)")
+                "reach set may still be nonempty)",
+                iterations=sol.iterations)
         if not sol.optimal:
             return _Solution("solver_failure",
-                             f"LP solver returned {sol.status}")
-        k = self.n_u + self.n_risk
-        return _Solution("optimal", U=sol.z[:self.n_u],
-                         deltas=sol.z[self.n_u:k],
-                         extra=sol.z[k + self.n_risk:])
+                             f"LP solver returned {sol.status}",
+                             iterations=sol.iterations)
+        k = self.n_u + int(cols.sum())
+        owner = np.flatnonzero(cols) // cols.shape[1]
+        deltas = self.delta_lb + np.bincount(
+            owner, weights=sol.z[self.n_u:k], minlength=self.n_risk)
+        return _Solution("optimal", U=sol.z[:self.n_u], deltas=deltas,
+                         extra=sol.z[k:], iterations=sol.iterations)
 
     def _windows(self, x0_cols: np.ndarray, x0_const: np.ndarray,
                  y_lo: float, y_hi: float,
-                 pinned: Optional[np.ndarray] = None):
-        """(delta_min, delta_need, rows kept): the risk window of each
-        stochastic row for x0 = c + E y with y_lo <= y <= y_hi, given the
-        x0 coefficients of the tube rows times E and times c, and the mask
-        over self.rows of the rows that can bind.  Unbounded mean ranges
-        invert to the ends of the envelope's domain, never to NaN.  A
-        pinned row gets the window [delta_lb, delta_lb] and is dropped."""
+                 pinned: Optional[np.ndarray] = None) -> np.ndarray:
+        """Upper bounds (n_risk, pieces) of the segment columns for x0 =
+        c + E y, y_lo <= y <= y_hi, given the tube rows' x0 coefficients
+        times E and times c: each row's window [delta_lb, delta_need] cut
+        at the knots, never NaN.  A pinned row's bounds are all 0."""
         nr = self.n_risk
-        y_min, y_max = _interval_range(x0_cols[:nr], y_lo, y_hi)
-        mean_min = x0_const[:nr] + y_min + self._u_range[0]
-        mean_max = x0_const[:nr] + y_max + self._u_range[1]
-        # envelope levels t_i that row i leaves room for, widened outward
+        mean_max = x0_const[:nr] + self._u_max \
+            + _interval_range(x0_cols[:nr], y_lo, y_hi)[1]
+        # the envelope level that row i leaves room for, lowered
         least = (self._rhs_risk - mean_max) / self._sigma
-        most = (self._rhs_risk - mean_min) / self._sigma
         least -= 1e-9 * (1.0 + np.abs(least))
-        most += 1e-9 * (1.0 + np.abs(most))
         # the envelope decreases, so it inverts on its reversed knots
-        levels, knots = self._knot_env[::-1], self._knots[::-1]
-        need = np.interp(least, levels, knots)
-        low = np.interp(most, levels, knots)
+        need = np.interp(least, self._knot_env[::-1], self._knots[::-1])
         if pinned is not None:
-            need[pinned] = low[pinned] = self.delta_lb
-        binds = need > self.delta_lb
-        meets = (self._knots[:-1, None] <= need) \
-            & (self._knots[1:, None] >= low) & binds
-        n_det = len(self.deterministic_rows)
-        n_tail = self.rhs.size - nr - n_det - meets.size
-        keep = np.concatenate([binds, np.ones(n_det, dtype=bool),
-                               meets.ravel(), np.ones(n_tail, dtype=bool)])
-        return low, need, keep
+            need[pinned] = self.delta_lb
+        return np.clip(need[:, None] - self._knots[:-1], 0.0,
+                       np.diff(self._knots))
 
 
 def _interval_range(coef: np.ndarray, lo, hi):

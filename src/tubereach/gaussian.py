@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -76,7 +75,10 @@ def _secant_gap(a: float, b: float) -> float:
     da, db = _upper_quantile_deriv(a), _upper_quantile_deriv(b)
     if not (da < slope < db):
         return 0.0
-    x = brentq(lambda t: _upper_quantile_deriv(t) - slope, a, b, xtol=1e-14)
+    # f'(x) = -sqrt(2 pi) exp(q^2 / 2) at x = Phi(-q), so the tangent
+    # point of the secant's slope is in closed form
+    q = math.sqrt(2.0 * math.log(-slope / _SQRT2PI))
+    x = float(ndtr(-q))
     return fa + slope * (x - a) - _upper_quantile(x)
 
 

@@ -11,7 +11,7 @@ basis; :func:`highs_solve` is the one function that runs the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,15 +33,17 @@ class LpError(ValueError):
 class LinearProgram:
     """min objective @ z  subject to  ineq, eq, and per-variable bounds.
 
-    bounds is a list of (lo, hi) pairs with +/-inf allowed; variables
-    default to free when bounds is None.  A constraint matrix may be a
-    scipy.sparse array; it is passed to the solver as it is.
+    bounds holds one (lo, hi) pair per variable, +/-inf allowed, as an
+    (n, 2) array or a list of pairs; it is kept as an (n, 2) float
+    array.  Variables default to free when bounds is None.  A constraint
+    matrix may be a scipy.sparse array; it is passed to the solver as it
+    is.
     """
 
     objective: np.ndarray
     ineq: Optional[Tuple[np.ndarray, np.ndarray]] = None
     eq: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    bounds: Optional[Sequence[Tuple[float, float]]] = None
+    bounds: Optional[Union[np.ndarray, Sequence[Tuple[float, float]]]] = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float).ravel()
@@ -60,11 +62,16 @@ class LinearProgram:
                     f"{n} variables / {b.size} rhs entries"
                 )
             setattr(self, name, (a, b))
-        if self.bounds is not None and len(self.bounds) != n:
-            raise LpError("bounds length must equal variable count")
+        if self.bounds is not None:
+            self.bounds = np.asarray(self.bounds, dtype=float)
+            if not self.bounds.size:
+                self.bounds = self.bounds.reshape(0, 2)
+            if self.bounds.shape != (n, 2):
+                raise LpError("bounds must hold one (lo, hi) pair per "
+                              "variable")
         # HiGHS takes NaN without complaint and may call the LP optimal
-        parts = [self.objective, np.asarray(
-            [] if self.bounds is None else self.bounds, dtype=float)]
+        parts = [self.objective,
+                 np.zeros(0) if self.bounds is None else self.bounds]
         for pair in (self.ineq, self.eq):
             if pair is not None:
                 parts += [pair[0].data if sp.issparse(pair[0]) else pair[0],
@@ -121,7 +128,7 @@ class LpModel:
                          if blocks else (0, n))
         self.n_vars, self.n_rows = n, a.shape[0]
         bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
-            else np.asarray(lp.bounds, dtype=float).reshape(n, 2)
+            else lp.bounds
         model = _core.HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = n
         model.num_row_ = model.a_matrix_.num_row_ = self.n_rows

@@ -42,7 +42,9 @@ class ReachSetResult:
     polytope: Optional[VPolytope]
     status: str  # ok | empty
     diagnostic: str = ""
-    # seconds per phase of this run; not part of the JSON document
+    # seconds per phase of this run, the simplex iterations of the anchor
+    # and of the searches, and the rows and columns of the largest search
+    # LP; not part of the JSON document
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -178,7 +180,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     anchor = risk.anchor(anchor_mode)
     t_anchored = time.perf_counter()
     timings = {"assemble": t_assembled - t0,
-               "anchor": t_anchored - t_assembled}
+               "anchor": t_anchored - t_assembled,
+               "anchor_iterations": anchor.iterations}
     if not anchor.feasible:
         return ReachSetResult(
             alpha=alpha, anchor=anchor, boundary_points=[], polytope=None,
@@ -212,6 +215,10 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         points = [bp for found in pool.map(search, chains) for bp in found]
     timings["searches"] = time.perf_counter() - t_anchored
+    # simplex iterations of every search, and the largest chain's LP
+    timings["search_iterations"] = sum(bp.iterations for bp in points)
+    timings["search_rows"] = max((bp.lp_rows for bp in points), default=0)
+    timings["search_cols"] = max((bp.lp_cols for bp in points), default=0)
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.append(anchor.x_anchor)

@@ -6,6 +6,9 @@
   probability (Genz, JCGS 1992): the reference for certified bounds.
 - A hit-or-miss estimate of the volume gap between two polytopes.
 - Membership of a whole trajectory in a target tube.
+- The largest gap between a secant and the upper normal quantile, with
+  the tangent point found by Brent's method: the reference for the
+  closed form in gaussian._secant_gap.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from typing import Tuple
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from tubereach.gaussian import normal_cdf
+from tubereach.gaussian import (_upper_quantile, _upper_quantile_deriv,
+                                normal_cdf)
 from tubereach.geometry import VPolytope, convex_hull_2d
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
 
@@ -263,3 +268,16 @@ def volume_ratio(inner: VPolytope, outer: VPolytope, bounding_box,
     std = float(np.sqrt(ratio * (1.0 - ratio) / n_samples))
     violations = int(np.count_nonzero(in_inner & ~in_outer))
     return ratio, std, violations
+
+
+def brentq_secant_gap(a: float, b: float) -> float:
+    """Max of secant-minus-function over [a, b] for the upper quantile
+    Phi^{-1}(1 - delta), with the tangent point found by Brent's method
+    (the former gaussian._secant_gap)."""
+    fa, fb = _upper_quantile(a), _upper_quantile(b)
+    slope = (fb - fa) / (b - a)
+    da, db = _upper_quantile_deriv(a), _upper_quantile_deriv(b)
+    if not (da < slope < db):
+        return 0.0
+    x = brentq(lambda t: _upper_quantile_deriv(t) - slope, a, b, xtol=1e-14)
+    return fa + slope * (x - a) - _upper_quantile(x)

@@ -1,13 +1,20 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.special import ndtri
 
 from tubereach import chance
 from tubereach.chance import RiskLP, _interval_range
+from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
-from tubereach.lpsolve import (LinearProgram, LpModel, LpSolution,
+from tubereach.lpsolve import (DEVEX, LinearProgram, LpModel, LpSolution,
                                highs_solve, solve_lp)
 from tubereach.montecarlo import simulate_reach_prob
-from tubereach.reachalgo import CHAIN_LENGTH
+from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 make_integrator_chain, viability_tube)
 
@@ -32,15 +39,17 @@ def test_risk_variable_count_scalar_example(sys1d, tube1d, pwa):
     assert len(risk.deterministic_rows) == 0
     # at a delta cap of 0.2 six pieces start at or above the cap
     assert len(risk.pieces) == len(pwa.pieces) - 6
-    # each stochastic row appears once, each (row, kept piece) pair adds a
-    # two-entry epigraph row, plus the shared budget; the box input set
-    # goes to bounds.  Columns are [U | deltas | t].
-    n_piece_rows = risk.n_risk * len(risk.pieces)
-    assert risk.rows.shape == (risk.n_risk + n_piece_rows + 1,
-                               risk.n_u + 2 * risk.n_risk)
+    # each stochastic row appears once, plus the shared budget; the box
+    # input set goes to bounds.  Columns are [U | segments], one segment
+    # per (row, kept piece), each in its row and in the budget.
+    n_segments = risk.n_risk * len(risk.pieces)
+    assert risk.rows.shape == (risk.n_risk + 1, risk.n_u + n_segments)
     assert risk.rhs.size == risk.rows.shape[0]
-    epigraph = risk.rows[risk.n_risk:risk.n_risk + n_piece_rows]
-    assert np.all(np.diff(epigraph.indptr) == 2)
+    segments = risk.rows.tocsc()[:, risk.n_u:]
+    assert np.all(np.diff(segments.indptr) == 2)
+    assert np.all(segments.indices.reshape(-1, 2)
+                  == [[i, risk.n_risk] for i in range(risk.n_risk)
+                      for _ in risk.pieces])
 
 
 def test_kept_pieces_reproduce_the_envelope(sys1d, tube1d, pwa):
@@ -51,6 +60,54 @@ def test_kept_pieces_reproduce_the_envelope(sys1d, tube1d, pwa):
         np.testing.assert_allclose(kept, pwa.envelope(grid), rtol=0,
                                    atol=1e-12)
     assert len(RiskLP(sys1d, tube1d, 0.9, pwa).pieces) == len(pwa) - 11
+
+
+def segment_envelope(risk, delta, upper=None):
+    """envelope(delta_lb) plus each piece's slope times its segment
+    filled up to delta, steepest first, each segment clipped at upper
+    (its length by default)."""
+    slopes = np.array(risk.pieces)[:, 0]
+    lengths = np.diff(risk._knots) if upper is None else upper
+    fill = np.clip(np.asarray(delta)[..., None] - risk._knots[:-1], 0.0,
+                   lengths)
+    return risk._knot_env[0] + fill @ slopes
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.99])
+def test_segments_bound_the_quantile_within_tol(sys1d, tube1d, pwa, alpha):
+    risk = RiskLP(sys1d, tube1d, alpha, pwa)
+    grid = np.exp(np.linspace(np.log(risk.delta_lb),
+                              np.log(risk.delta_cap), 20_001))
+    value = segment_envelope(risk, grid)
+    assert np.all(value >= -ndtri(grid))
+    assert np.all(value <= -ndtri(grid) + pwa.tol + 1e-9)
+
+
+def test_any_fill_of_the_segments_overestimates_the_envelope(
+        sys1d, tube1d, pwa):
+    # a row that holds for some fill of its segments holds under the
+    # envelope at delta_lb plus their sum: the steepest-first fill is the
+    # envelope and is the least
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    slopes = np.array(risk.pieces)[:, 0]
+    lengths = np.diff(risk._knots)
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        fill = lengths * rng.uniform(size=lengths.size) \
+            * (rng.uniform(size=lengths.size) < 0.3)
+        delta = risk.delta_lb + fill.sum()
+        value = risk._knot_env[0] + slopes @ fill
+        assert value >= pwa.envelope(delta) - 1e-12
+        assert value >= segment_envelope(risk, delta) - 1e-12
+    # the shallowest-first fill of the same risk, against steepest-first
+    delta = risk.delta_lb + 0.5 * lengths.sum()
+    reverse = np.clip(delta - risk.delta_lb
+                      - np.cumsum(lengths[::-1]) + lengths[::-1], 0.0,
+                      lengths[::-1])[::-1]
+    assert reverse.sum() == pytest.approx(delta - risk.delta_lb)
+    assert risk._knot_env[0] + slopes @ reverse \
+        > segment_envelope(risk, delta) + 0.1
+    assert segment_envelope(risk, delta) >= -ndtri(delta)
 
 
 def test_budget_floor_infeasible_diagnostic(sys1d, tube1d, pwa):
@@ -204,68 +261,103 @@ def test_build_modes_validation(sys1d, tube1d, pwa):
         RiskLP(sys1d, tube1d, 0.6, pwa).anchor("bogus")
 
 
+class CopiedRows:
+    """The risk LP in its former shape: every stochastic tube row copied
+    once per PWA piece, inputs as rows, moments from the stacked
+    dynamics, and x0 = c + E y."""
+
+    def __init__(self, sys, tube, alpha, pwa):
+        cd = concat_matrices(sys)
+        n, n_u = sys.state_dim, sys.input_dim * sys.horizon
+        cov, mean = cd.G @ cd.CW @ cd.G.T, cd.G @ cd.muW
+        stochastic, deterministic = [], []
+        for k in range(1, sys.horizon + 1):
+            s = slice((k - 1) * n, k * n)
+            for p, q in zip(tube[k].normals, tube[k].offsets):
+                sigma = np.sqrt(max(p @ cov[s, s] @ p, 0.0))
+                row = (p @ cd.H[s], p @ cd.Acal[s], q - p @ mean[s], sigma)
+                (stochastic if sigma >= 1e-12 else deterministic).append(row)
+
+        def stack(rows, widths):
+            """The fields of rows as arrays, one row per tube row."""
+            return [np.array([r[j] for r in rows], dtype=float)
+                    .reshape(len(rows), w) for j, w in enumerate(widths)]
+        hu, hx, b, sigma = stack(stochastic, (n_u, n, 1, 1))
+        du, dx, db = stack(deterministic, (n_u, n, 1))
+        b, sigma = b.ravel(), sigma.ravel()
+        self.n_u, self.nr = n_u, len(stochastic)
+        nr = self.nr
+        # [U | deltas] of each row but T_0's, then its x0 coefficients
+        # and rhs at x0 = 0
+        u_rows = [[sp.csr_array(hu), sp.diags_array(sigma * slope)]
+                  for slope, _ in pwa.pieces]
+        u_rows += [[sp.csr_array(du), sp.csr_array((len(db), nr))],
+                   [sp.csr_array((1, n_u)), sp.csr_array(np.ones((1, nr)))]]
+        x0_rows = [hx] * len(pwa.pieces) + [dx, np.zeros((1, n))]
+        rhs = [b - sigma * c for _, c in pwa.pieces] \
+            + [db.ravel(), [1.0 - alpha]]
+        if sys.input_dim:
+            inputs = sp.block_diag([sys.input_set.normals] * sys.horizon)
+            u_rows.append([inputs, sp.csr_array((inputs.shape[0], nr))])
+            x0_rows.append(np.zeros((inputs.shape[0], n)))
+            rhs.append(np.tile(sys.input_set.offsets, sys.horizon))
+        self.rows = sp.block_array(u_rows, format="csr")
+        self.tube = tube
+        # the x0 coefficients of every row, T_0's last
+        self.x0_rows = np.vstack(x0_rows + [tube[0].normals])
+        self.rhs = np.concatenate(rhs + [tube[0].offsets])
+        self.delta_bounds = (pwa.domain[0], min(pwa.domain[1], 1.0 - alpha))
+
+    def program(self, c, E, y_lo=-np.inf, radius=False, maximize=False):
+        """The LP over [U | deltas | y | radius]."""
+        n_y, n_r, t0 = E.shape[1], int(radius), self.tube[0]
+        ball = np.linalg.norm(t0.normals, axis=1)[:, None][:, :n_r]
+        n_rest = self.rows.shape[0]
+        matrix = sp.hstack(
+            [sp.vstack([self.rows,
+                        sp.csr_array((t0.n_rows, self.rows.shape[1]))]),
+             sp.csr_array(self.x0_rows @ E),
+             sp.csr_array(np.vstack([np.zeros((n_rest, n_r)), ball]))],
+            format="csr")
+        bounds = [(-np.inf, np.inf)] * self.n_u \
+            + [self.delta_bounds] * self.nr + [(y_lo, np.inf)] * n_y \
+            + [(0.0, np.inf)] * n_r
+        objective = np.zeros(len(bounds))
+        if maximize:
+            objective[-1] = -1.0
+        else:
+            objective[self.n_u:self.n_u + self.nr] = 1.0
+        return LinearProgram(objective=objective,
+                             ineq=(matrix, self.rhs - self.x0_rows @ c),
+                             bounds=bounds)
+
+    def solve(self, c, E, y_lo=-np.inf, radius=False, maximize=False):
+        """The solution over [U | deltas | y | radius], solved cold."""
+        sol = solve_lp(self.program(c, E, y_lo, radius, maximize))
+        assert sol.optimal, sol.status
+        k = self.n_u + self.nr
+        return sol.z[:self.n_u], sol.z[self.n_u:k], sol.z[k:]
+
+    def steps(self, anchor, directions):
+        """The maximal step along each direction from the anchor: one
+        model re-solved per direction with its y column changed.  Each
+        step is the optimum of its own LP, so solving from the last
+        basis changes only the time it takes."""
+        model = LpModel(self.program(anchor, directions[0][:, None],
+                                     y_lo=0.0, maximize=True), DEVEX)
+        rows = np.arange(self.rhs.size)
+        for d in directions:
+            model.change_column(model.n_vars - 1, rows, self.x0_rows @ d)
+            sol = highs_solve(model)
+            assert sol.optimal, sol.status
+            yield sol.z[-1]
+
+
 def copied_rows_solve(sys, tube, alpha, pwa, c, E, y_lo=-np.inf,
                       radius=False, maximize=False):
-    """The risk LP in its former shape, dense: every stochastic tube row
-    copied once per PWA piece, x0 = c + E y, inputs as rows.  Returns
-    the solution over [U | deltas | y | radius]."""
-    cd = concat_matrices(sys)
-    n, n_u = sys.state_dim, sys.input_dim * sys.horizon
-    cov, mean = cd.G @ cd.CW @ cd.G.T, cd.G @ cd.muW
-    stochastic, deterministic = [], []
-    for k in range(1, sys.horizon + 1):
-        s = slice((k - 1) * n, k * n)
-        for p, q in zip(tube[k].normals, tube[k].offsets):
-            sigma = np.sqrt(max(p @ cov[s, s] @ p, 0.0))
-            row = (p @ cd.H[s], p @ cd.Acal[s] @ E, q - p @ mean[s]
-                   - p @ cd.Acal[s] @ c, sigma)
-            (stochastic if sigma >= 1e-12 else deterministic).append(row)
-    nr, n_y = len(stochastic), E.shape[1]
-    width = n_u + nr + n_y + int(radius)
-    rows, rhs = [], []
-
-    def add(u=None, delta=None, y=None, r=0.0, b=0.0):
-        a = np.zeros(width)
-        if u is not None:
-            a[:n_u] = u
-        if delta is not None:
-            a[n_u:n_u + nr] = delta
-        if y is not None:
-            a[n_u + nr:n_u + nr + n_y] = y
-        if radius:
-            a[-1] = r
-        rows.append(a)
-        rhs.append(b)
-
-    for slope, intercept in pwa.pieces:
-        for i, (hu, hx, b, sigma) in enumerate(stochastic):
-            add(u=hu, delta=sigma * slope * np.eye(nr)[i], y=hx,
-                b=b - sigma * intercept)
-    for hu, hx, b, _ in deterministic:
-        add(u=hu, y=hx, b=b)
-    add(delta=np.ones(nr), b=1.0 - alpha)
-    m = sys.input_dim
-    for k in range(sys.horizon):
-        for a, b in zip(sys.input_set.normals, sys.input_set.offsets):
-            u = np.zeros(n_u)
-            u[k * m:(k + 1) * m] = a
-            add(u=u, b=b)
-    if n_y:
-        for a, b in zip(tube[0].normals, tube[0].offsets):
-            add(y=a @ E, r=np.linalg.norm(a), b=b - a @ c)
-    cap = min(pwa.domain[1], 1.0 - alpha)
-    bounds = [(-np.inf, np.inf)] * n_u + [(pwa.domain[0], cap)] * nr \
-        + [(y_lo, np.inf)] * n_y + [(0.0, np.inf)] * int(radius)
-    objective = np.zeros(width)
-    if maximize:
-        objective[-1] = -1.0
-    else:
-        objective[n_u:n_u + nr] = 1.0
-    sol = solve_lp(LinearProgram(objective=objective,
-                                 ineq=(np.array(rows), np.array(rhs)),
-                                 bounds=bounds))
-    assert sol.optimal, sol.status
-    return sol.z[:n_u], sol.z[n_u:n_u + nr], sol.z[n_u + nr:]
+    """One cold solve of :class:`CopiedRows`."""
+    return CopiedRows(sys, tube, alpha, pwa).solve(c, E, y_lo, radius,
+                                                    maximize)
 
 
 def hexagon_input_system():
@@ -402,14 +494,14 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     d[:2] = [np.cos(0.4), np.sin(0.4)]
     rows = line_lp_rows(monkeypatch)
     ls = line(risk, start, d)
-    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
+    # fewer than a tenth of the tail rows, then the budget and T_0 rows
+    assert len(rows) == 1
+    assert rows[0] - 1 - tube[0].n_rows < risk.n_risk / 10
     assert ls.status == "ok" and ls.theta > 0.0
     assert ls.lower_bound >= 0.6 - 1e-9
-    # the full LP: every window [delta_lb, cap], every row kept
-    monkeypatch.setattr(risk, "_windows", lambda *_: (
-        np.full(risk.n_risk, risk.delta_lb),
-        np.full(risk.n_risk, risk.delta_cap),
-        np.ones(risk.rhs.size, dtype=bool)))
+    # the full LP: every window [delta_lb, cap], every segment and row kept
+    monkeypatch.setattr(risk, "_windows", lambda *_: np.tile(
+        np.diff(risk._knots), (risk.n_risk, 1)))
     full = line(risk, start, d)
     assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
     assert ls.theta == pytest.approx(full.theta, abs=1e-7)
@@ -420,7 +512,8 @@ def test_chain_anchor_is_one_small_trial(pwa, monkeypatch):
     risk = RiskLP(sys, tube, 0.6, pwa)
     rows = line_lp_rows(monkeypatch)
     cheby = risk.anchor("cheby")
-    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] / 10
+    # every tail row is pinned: the trial keeps the budget and T_0 rows
+    assert len(rows) == 1 and rows[0] == 1 + tube[0].n_rows
     assert cheby.feasible and cheby.lower_bound >= 0.6 - 1e-9
     # the full LP, without the trial, has the same radius
     monkeypatch.setattr(risk, "_pinned", None)
@@ -430,7 +523,6 @@ def test_chain_anchor_is_one_small_trial(pwa, monkeypatch):
 
 
 def dubins_example():
-    from tubereach.cli import _EXAMPLES, _instantiate
     sys, tube, _, pwa = _instantiate(_EXAMPLES["dubins"])
     return sys, tube, pwa
 
@@ -528,15 +620,15 @@ def test_windows_nan_free_when_unbounded(pwa):
     sys.input_set = HPolytope(normals=np.array([[1.0]]),
                               offsets=np.array([1.0]))
     risk = RiskLP(sys, tube, 0.6, pwa)
-    assert np.isneginf(risk._u_range[0]).any()
+    assert np.isposinf(risk._u_max).any()
+    lengths = np.diff(risk._knots)
     d = np.array([[1.0], [0.0]])
     for y_hi in (0.5, np.inf):
-        low, need, keep = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2),
-                                        0.0, y_hi)
-        assert np.all(np.isfinite(low)) and np.all(np.isfinite(need))
-        assert np.all((risk.delta_lb <= low) & (low <= need)
-                      & (need <= risk.delta_cap))
-        assert keep.any()
+        upper = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2), 0.0,
+                              y_hi)
+        assert np.all(np.isfinite(upper))
+        assert np.all((0.0 <= upper) & (upper <= lengths))
+        assert (upper > 0.0).any()
     ls = line(risk, np.zeros(2), d[:, 0])
     assert ls.status == "ok" and ls.theta > 0.0
 
@@ -547,31 +639,30 @@ def test_kept_pieces_reproduce_the_envelope_on_each_window(example, sys2d,
     sys, tube = hexagon_input_system() if example == "hexagon" \
         else (sys2d, tube2d)
     risk = RiskLP(sys, tube, 0.6, pwa)
-    slopes, intercepts = np.array(risk.pieces).T
-    nr, n_det = risk.n_risk, len(risk.deterministic_rows)
+    lengths = np.diff(risk._knots)
     start = risk.anchor("cheby").x_anchor
-    dropped = narrowed = raised = False
+    dropped = narrowed = False
     for angle in np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3:
         d = np.array([np.cos(angle), np.sin(angle)])
-        low, need, keep = risk._windows(risk._x0 @ d[:, None],
-                                        risk._x0 @ start, 0.0,
-                                        tube[0].ray_exit(start, d))
-        pieces = keep[nr + n_det:nr + n_det + slopes.size * nr]
-        pieces = pieces.reshape(-1, nr)
-        binds = keep[:nr]
+        upper = risk._windows(risk._x0 @ d[:, None], risk._x0 @ start, 0.0,
+                              tube[0].ray_exit(start, d))
+        need = risk.delta_lb + upper.sum(axis=1)
+        binds = upper[:, 0] > 0.0
         dropped |= not binds.all()
         narrowed |= (need[binds] < risk.delta_cap).any()
-        raised |= (low[binds] > risk.delta_lb).any()
         for i in np.flatnonzero(binds):
-            grid = np.linspace(low[i], need[i], 501)
-            kept = np.max(slopes[pieces[:, i], None] * grid
-                          + intercepts[pieces[:, i], None], axis=0)
-            np.testing.assert_allclose(kept, pwa.envelope(grid), rtol=0,
-                                       atol=1e-12)
+            # a window is whole segments, then one cut, then none
+            full = upper[i] == lengths
+            assert np.all(np.diff(full.astype(int)) <= 0)
+            assert np.count_nonzero(~full & (upper[i] > 0.0)) <= 1
+            grid = np.linspace(risk.delta_lb, need[i], 501)
+            np.testing.assert_allclose(
+                segment_envelope(risk, grid, upper[i]), pwa.envelope(grid),
+                rtol=0, atol=1e-12)
         # a dropped row has room at delta_lb for every step and input
-        assert np.all(need[~binds] == risk.delta_lb)
-    # rows are dropped, and windows end inside the domain on both sides
-    assert dropped and narrowed and raised
+        assert np.all(upper[~binds] == 0.0)
+    # rows are dropped, and windows end inside the domain
+    assert dropped and narrowed
 
 
 def test_chain_steps_match_the_copied_rows_oracle(sys2d, tube2d, pwa):
@@ -605,8 +696,79 @@ def test_chains_take_fewer_simplex_iterations_than_cold_solves(
     alone = [line(risk, start, d) for d in directions]
     cold = sum(iterations) - warm
     assert len(iterations) == 64
-    # 1 961 against 5 630 with scipy 1.17.1
+    # 971 against 1 868 with scipy 1.17.1 (1 961 against 5 630 in the
+    # epigraph form, one row per tail condition and piece)
     assert warm < cold
     for a, b in zip(chained, alone):
         assert a.status == b.status == "ok"
         assert a.theta == pytest.approx(b.theta, abs=1e-8)
+
+
+def bench_checks():
+    """bench/checks.py, the benchmark's own re-check of certificates."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EXAMPLE_SETS = [(name, alpha) for name in sorted(_EXAMPLES)
+                for alpha in _EXAMPLES[name]["alphas"]]
+
+
+@functools.lru_cache(maxsize=None)
+def example_set(example, alpha):
+    """(system, tube, reach set, copied-rows oracle) of a shipped
+    example at one of its thresholds."""
+    sys, tube, directions, pwa = _instantiate(_EXAMPLES[example])
+    res = compute_reach_set(sys, tube, alpha, directions, pwa=pwa)
+    return sys, tube, res, CopiedRows(sys, tube, alpha, pwa)
+
+
+@pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)
+def test_example_anchors_match_the_copied_rows_oracle(example, alpha):
+    sys, tube, res, oracle = example_set(example, alpha)
+    n = sys.state_dim
+    *_, extra = oracle.solve(np.zeros(n), np.eye(n), radius=True,
+                             maximize=True)
+    assert abs(res.anchor.radius - extra[-1]) <= 1e-8
+    # the anchor and every ok vertex re-check at alpha or more
+    union_bound = bench_checks().union_bound
+    ok = [bp for bp in res.boundary_points if bp.status == "ok"]
+    assert ok
+    for x0, U in [(res.anchor.x_anchor, res.anchor.U)] \
+            + [(bp.point, bp.U) for bp in ok]:
+        bound, why = union_bound(sys, tube, x0, U)
+        assert bound is not None, why
+        assert bound >= alpha
+
+
+@pytest.mark.parametrize("half", [0, 1])
+@pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)
+def test_example_steps_match_the_copied_rows_oracle(example, alpha, half):
+    _, _, res, oracle = example_set(example, alpha)
+    ok = [bp for bp in res.boundary_points if bp.status == "ok"]
+    ok = ok[:len(ok) // 2] if half == 0 else ok[len(ok) // 2:]
+    steps = oracle.steps(res.anchor.x_anchor, [bp.direction for bp in ok])
+    for bp, theta in zip(ok, steps):
+        assert abs(bp.theta - theta) <= 1e-8
+
+
+def test_dubins_line_searches_take_few_simplex_iterations(monkeypatch):
+    # 6 196 in the epigraph form (one row per tail condition and piece),
+    # 1 134 in segment form, with scipy 1.17.1
+    sys, tube, directions, pwa = _instantiate(_EXAMPLES["dubins"])
+    risk = RiskLP(sys, tube, 0.8, pwa)
+    start = risk.anchor("cheby").x_anchor
+    iterations = []
+
+    def counted(model):
+        sol = highs_solve(model)
+        iterations.append(sol.iterations)
+        return sol
+    monkeypatch.setattr(chance, "highs_solve", counted)
+    points = list(risk.lines(start, directions.directions))
+    assert [bp.iterations for bp in points] == iterations
+    assert len(points) == 8 and all(bp.status == "ok" for bp in points)
+    assert sum(iterations) < 2500

@@ -432,6 +432,14 @@ def test_report_summarizes_directory(tmp_path, capsys):
         assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_EMPTY_SET
     sidecar = json.loads((out / "timings.json").read_text())
     assert sorted(sidecar) == ["0.4", "0.6", "0.99"]
+    # the LP counts of each set; the empty set had no searches
+    for alpha in ("0.4", "0.6"):
+        assert sidecar[alpha]["search_iterations"] >= 0
+        assert sidecar[alpha]["search_rows"] > 0
+        assert sidecar[alpha]["search_cols"] > 0
+    assert "search_rows" not in sidecar["0.99"]
+    assert all(sidecar[alpha]["anchor_iterations"] >= 0
+               for alpha in sidecar)
     assert main(["report", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "0.6" in text

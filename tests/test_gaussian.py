@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
+from tubereach import gaussian
 from tubereach.gaussian import (build_pwa_quantile, normal_cdf,
                                 normal_quantile)
 
-from oracles import MvnBox, genz_mvn_probability, _pivoted_cholesky
+from oracles import (MvnBox, brentq_secant_gap, genz_mvn_probability,
+                     _pivoted_cholesky)
 
 
 def test_normal_cdf_basics():
@@ -40,6 +42,33 @@ def test_pwa_envelope_overapproximates_everywhere():
     gap = env - exact
     assert gap.min() >= -1e-12
     assert gap.max() <= 1e-3 + 1e-9
+
+
+def test_closed_form_secant_gap_matches_root_finding():
+    rng = np.random.default_rng(3)
+    pairs = np.sort(np.exp(rng.uniform(np.log(1e-6), np.log(0.5),
+                                       (2000, 2))), axis=1)
+    for a, b in pairs:
+        # both sum terms near Phi^{-1}(1 - 1e-6) ~ 4.75, so a few ulps of
+        # that apart (1.8e-15 at worst over 5 000 pairs)
+        assert abs(gaussian._secant_gap(a, b) - brentq_secant_gap(a, b)) \
+            <= 4e-15
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+def test_closed_form_envelope_matches_root_finding(tol, monkeypatch):
+    closed = build_pwa_quantile(tol=tol)
+    monkeypatch.setattr(gaussian, "_secant_gap", brentq_secant_gap)
+    brent = build_pwa_quantile(tol=tol)
+    assert len(closed) == len(brent)
+    # a bisection step whose gap lies within an ulp of tol may go either
+    # way, which moves that knot and the ones after it in the last bits
+    # (at most 1.6e-10 relative on the pieces at tol 1e-4)
+    np.testing.assert_allclose(closed.pieces, brent.pieces, rtol=1e-9,
+                               atol=0)
+    grid = np.exp(np.linspace(np.log(1e-6), np.log(0.5), 20_001))
+    np.testing.assert_allclose(closed.envelope(grid), brent.envelope(grid),
+                               rtol=0, atol=1e-11)
 
 
 def test_pwa_tighter_tolerance_needs_more_pieces():

@@ -214,3 +214,16 @@ def test_model_resolve_matches_a_cold_solve():
     # a zero removes the entry: y leaves the first row
     model.change_column(1, [0], [0.0])
     assert highs_solve(model).z[1] == pytest.approx(3.0)
+
+
+def test_bounds_kept_as_one_array():
+    pairs = [(-2.0, 3.0), (0.0, np.inf)]
+    for given in (pairs, np.array(pairs)):
+        lp = LinearProgram(objective=np.ones(2), bounds=given)
+        assert isinstance(lp.bounds, np.ndarray)
+        np.testing.assert_array_equal(lp.bounds, pairs)
+    assert LinearProgram(objective=np.zeros(0), bounds=[]).bounds.shape \
+        == (0, 2)
+    for wrong in ([(0.0, 1.0)], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(LpError, match="pair per variable"):
+            LinearProgram(objective=np.ones(2), bounds=wrong)

@@ -200,11 +200,20 @@ def test_timings_split_assembly_from_anchor(sys1d, tube1d, pwa, alpha):
     assert res.status == ("ok" if alpha == 0.6 else "empty")
     t = res.timings
     # an empty set has no line searches
-    phases = ["anchor", "assemble", "searches", "total"] if alpha == 0.6 \
-        else ["anchor", "assemble", "total"]
-    assert sorted(t) == phases
+    searches = ["search_cols", "search_iterations", "search_rows",
+                "searches"] if alpha == 0.6 else []
+    assert sorted(t) == sorted(["anchor", "anchor_iterations", "assemble",
+                                "total"] + searches)
     assert t["assemble"] > 0.0 and t["anchor"] >= 0.0
     assert t["assemble"] + t["anchor"] + t.get("searches", 0.0) <= t["total"]
+    assert t["anchor_iterations"] == res.anchor.iterations >= 0
+    if searches:
+        assert t["search_iterations"] == \
+            sum(bp.iterations for bp in res.boundary_points)
+        # one chain: the budget row, a tail row and T_0's two rows, over
+        # U, segment columns and the step
+        assert 4 <= t["search_rows"] <= 1 + 10 + 2
+        assert t["search_cols"] > 5 + 1
 
 
 def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
