@@ -27,6 +27,9 @@ from .lpsolve import (DEVEX, LinearProgram, LpModel, LpSolution,
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
+# every risk LP is solved without HiGHS presolve: each model is solved
+# once or re-solved from its basis, and a cold solve is mostly presolve
+NO_PRESOLVE = {"presolve": "off"}
 
 
 @dataclass
@@ -91,10 +94,15 @@ class _Solution:
 def _tube_rows(moments, tube: TargetTube):
     stochastic, deterministic = [], []
     for k, (_, _, mu_k, cov_k) in enumerate(moments, start=1):
-        for p, q in zip(tube[k].normals, tube[k].offsets):
-            sigma = float(np.sqrt(max(p @ cov_k @ p, 0.0)))
-            row = TubeRow(step=k, normal=p, offset=float(q), sigma=sigma,
-                          mean_const=float(p @ mu_k))
+        normals = tube[k].normals
+        # every row's p cov_k p and p mu_k at once
+        variances = np.einsum("ij,ij->i", normals @ cov_k, normals)
+        sigmas = np.sqrt(np.maximum(variances, 0.0))
+        means = normals @ mu_k
+        for p, q, sigma, mean in zip(normals, tube[k].offsets, sigmas,
+                                     means):
+            row = TubeRow(step=k, normal=p, offset=float(q),
+                          sigma=float(sigma), mean_const=float(mean))
             (stochastic if sigma >= SIGMA_DETERMINISTIC else deterministic).append(row)
     return stochastic, deterministic
 
@@ -312,13 +320,14 @@ class RiskLP:
         and marks only its own direction.
 
         The directions form one chain: one LP model, re-solved from the
-        last basis with devex pricing.  Every direction's risk window is
-        found first, and the model holds every segment column that the
-        window of any direction keeps, with its row.  For each direction
-        only the step column y changes -- its coefficients on the kept
-        tube rows and on the T_0 rows, and its upper bound, the exit of
-        the ray from T_0 (which the T_0 rows already imply) -- and the
-        segments whose clip at delta_need moved take their new bounds.
+        last basis with devex pricing and, like every risk LP, without
+        presolve.  Every direction's risk window is found first, and the
+        model holds every segment column that the window of any
+        direction keeps, with its row.  For each direction only the step
+        column y changes -- its coefficients on the kept tube rows and on
+        the T_0 rows, and its upper bound, the exit of the ray from T_0
+        (which the T_0 rows already imply) -- and the segments whose clip
+        at delta_need moved take their new bounds.
         The step found is still the full LP's: a row that this
         direction's window drops has all its segments bounded to 0, and
         then holds for every step and input in the box.  So the chain's
@@ -346,7 +355,8 @@ class RiskLP:
         cols = np.logical_or.reduce([hi > 0.0 for hi in windows])
         model = LpModel(self._program(anchor, directions[0][:, None], cols,
                                       windows[0], 0.0, exits[0],
-                                      maximize=True), DEVEX)
+                                      maximize=True),
+                        {**DEVEX, **NO_PRESOLVE})
         # the step column and its rows: kept tube rows, then T_0's
         tube_rows = self._tube_rows_kept(cols)
         y = model.n_vars - 1
@@ -384,8 +394,8 @@ class RiskLP:
             return _Solution("infeasible", self._floor_diagnostic)
         hi = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
         cols = hi > 0.0
-        return self._solution(solve_lp(self._program(
-            c, E, cols, hi, y_lo, y_hi, radius, maximize)), cols)
+        lp = self._program(c, E, cols, hi, y_lo, y_hi, radius, maximize)
+        return self._solution(solve_lp(lp, NO_PRESOLVE), cols)
 
     def _tube_rows_kept(self, cols: np.ndarray) -> np.ndarray:
         """The tube rows kept with the segment columns in cols."""

@@ -397,10 +397,14 @@ def cmd_report(args) -> int:
     with open(out, "w") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
     for row in merged["results"]:
-        total = row["timings"].get("total")
+        spent = row["timings"]
+        total = spent.get("total")
         shown = "n/a" if total is None else f"{total:.4f}s"
+        phases = "".join(f" {phase}={spent[phase]:.4f}s" for phase in
+                         ("assemble", "anchor", "searches", "hull")
+                         if phase in spent)
         print(f"alpha={row['alpha']:g} status={row['status']} "
-              f"vertices={row['n_vertices']} time={shown}")
+              f"vertices={row['n_vertices']} time={shown}{phases}")
     return EXIT_OK
 
 

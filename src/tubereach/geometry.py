@@ -225,27 +225,49 @@ def convex_hull_2d(points, tol: float = 1e-12) -> VPolytope:
         raise ValueError("need at least one point")
     if pts.shape[1] != 2:
         raise ValueError("convex_hull_2d expects 2D points")
-    uniq = np.unique(pts, axis=0)  # lexicographic sort
-    if uniq.shape[0] <= 2:
-        return VPolytope(vertices=uniq)
-    lower: List[np.ndarray] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= tol:
+    return VPolytope(vertices=pts[_hull_2d(pts, tol)])
+
+
+def _hull_2d(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Indices of the counterclockwise extreme points of the 2D points,
+    each the first of its duplicates; both ends when all are collinear."""
+    # the unique points in lexicographic order
+    _, order = np.unique(pts, axis=0, return_index=True)
+    if order.size <= 2:
+        return order
+    lower: List[int] = []
+    for i in order:
+        while len(lower) >= 2 and \
+                _cross(pts[lower[-2]], pts[lower[-1]], pts[i]) <= tol:
             lower.pop()
-        lower.append(p)
-    upper: List[np.ndarray] = []
-    for p in uniq[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= tol:
+        lower.append(i)
+    upper: List[int] = []
+    for i in order[::-1]:
+        while len(upper) >= 2 and \
+                _cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= tol:
             upper.pop()
-        upper.append(p)
+        upper.append(i)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all points collinear
-        return VPolytope(vertices=np.vstack([uniq[0], uniq[-1]]))
-    return VPolytope(vertices=np.vstack(hull))
+        return order[[0, -1]]
+    return np.array(hull)
+
+
+# a point set above 2D is flat when at most two singular values of its
+# offsets from its first point exceed this share of the largest
+_FLAT_RCOND = 1e-10
 
 
 def prune_vertices(vpoly: VPolytope, tol: float = DEFAULT_TOL) -> VPolytope:
-    """Drop duplicates and points in the convex hull of the others."""
+    """Drop duplicates and points in the convex hull of the others.
+
+    Points within tol of an earlier point are duplicates.  In 2D the rest
+    is the monotone-chain hull.  Above 2D, points that span only a line
+    or a plane (see _FLAT_RCOND) are pruned there with no LP: to the two
+    ends of the line, or by the 2D hull in the plane's coordinates; the
+    survivors are input rows, bit for bit, in input order.  Points that
+    span more keep those farther than max(tol, 1e-7) from the hull of
+    the others, one feasibility LP per point."""
     verts = vpoly.vertices
     if vpoly.dim == 2 and verts.shape[0] > 3:
         return convex_hull_2d(verts)  # hull drops duplicates itself
@@ -258,6 +280,17 @@ def prune_vertices(vpoly: VPolytope, tol: float = DEFAULT_TOL) -> VPolytope:
     verts = verts[keep]
     if verts.shape[0] <= 1:
         return VPolytope(vertices=verts)
+    if vpoly.dim > 2:
+        offsets = verts - verts[0]
+        _, sv, axes = np.linalg.svd(offsets, full_matrices=False)
+        rank = int(np.count_nonzero(sv > _FLAT_RCOND * sv[0]))
+        if rank == 1:
+            along = offsets @ axes[0]
+            ends = [int(np.argmin(along)), int(np.argmax(along))]
+            return VPolytope(vertices=verts[sorted(ends)])
+        if rank == 2:
+            flat = offsets @ axes[:2].T
+            return VPolytope(vertices=verts[np.sort(_hull_2d(flat))])
     survivors = list(range(verts.shape[0]))
     i = 0
     while i < len(survivors):

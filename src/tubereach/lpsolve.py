@@ -6,6 +6,15 @@ verdict as a status string, never as an exception.  :class:`LpModel`
 keeps one HiGHS instance, so that a sequence of LPs that differ in one
 column's coefficients and some column bounds is re-solved from the last
 basis; :func:`highs_solve` is the one function that runs the solver.
+
+Every LP runs with the options scipy's own HiGHS front end sets
+(``_OPTIONS``: presolve on, dual simplex), and a caller may set others
+on top.  The risk LPs of :mod:`tubereach.chance` run without presolve:
+each is solved once, or re-solved from its basis, and a cold solve of
+one is mostly presolve.  The geometry LPs keep scipy's settings: an LP
+with many optima, such as the weight LP of
+``VPolytope.convex_weights``, returns whichever one the solver reaches,
+and presolve changes which.
 """
 
 from __future__ import annotations
@@ -187,6 +196,8 @@ def highs_solve(model: LpModel) -> LpSolution:
                       iterations=iterations)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve lp cold; see :class:`LpSolution` for the statuses."""
-    return highs_solve(LpModel(lp))
+def solve_lp(lp: LinearProgram, options: Optional[dict] = None
+             ) -> LpSolution:
+    """Solve lp cold, with options on top of _OPTIONS; see
+    :class:`LpSolution` for the statuses."""
+    return highs_solve(LpModel(lp, options))

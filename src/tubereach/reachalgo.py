@@ -42,9 +42,10 @@ class ReachSetResult:
     polytope: Optional[VPolytope]
     status: str  # ok | empty
     diagnostic: str = ""
-    # seconds per phase of this run, the simplex iterations of the anchor
-    # and of the searches, and the rows and columns of the largest search
-    # LP; not part of the JSON document
+    # seconds per phase of this run (assemble, anchor, searches, hull and
+    # total; an empty set stops after the anchor), the simplex iterations
+    # of the anchor and of the searches, and the rows and columns of the
+    # largest search LP; not part of the JSON document
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -222,10 +223,14 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
 
     verts = [bp.point for bp in points if bp.status == "ok"]
     verts.append(anchor.x_anchor)
+    t_hull = time.perf_counter()
+    polytope = prune_vertices(VPolytope(np.stack(verts)))
+    t_end = time.perf_counter()
+    timings["hull"] = t_end - t_hull
     return ReachSetResult(
         alpha=alpha, anchor=anchor, boundary_points=points,
-        polytope=prune_vertices(VPolytope(np.stack(verts))), status="ok",
-        timings={**timings, "total": time.perf_counter() - t0})
+        polytope=polytope, status="ok",
+        timings={**timings, "total": t_end - t0})
 
 
 def interpolate_sets(set1: ReachSetResult, set2: ReachSetResult,

@@ -9,6 +9,8 @@
 - The largest gap between a secant and the upper normal quantile, with
   the tangent point found by Brent's method: the reference for the
   closed form in gaussian._secant_gap.
+- Vertex pruning by one feasibility LP per point, in any dimension: the
+  reference for the planar path of geometry.prune_vertices.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from scipy.special import ndtri
 from tubereach.gaussian import (_upper_quantile, _upper_quantile_deriv,
                                 normal_cdf)
 from tubereach.geometry import VPolytope, convex_hull_2d
+from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
 
 
@@ -281,3 +284,31 @@ def brentq_secant_gap(a: float, b: float) -> float:
         return 0.0
     x = brentq(lambda t: _upper_quantile_deriv(t) - slope, a, b, xtol=1e-14)
     return fa + slope * (x - a) - _upper_quantile(x)
+
+
+def lp_prune_vertices(verts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The rows of verts left after dropping, in order, each point within
+    tol of an earlier one, then each point that some convex weights on
+    the remaining others reproduce within max(tol, 1e-7) (one LP per
+    point; the former loop of geometry.prune_vertices)."""
+    keep = []
+    for i, v in enumerate(verts):
+        if not keep or np.linalg.norm(verts[keep] - v, axis=1).min() > tol:
+            keep.append(i)
+    verts = verts[keep]
+    survivors = list(range(verts.shape[0]))
+    i = 0
+    while i < len(survivors) and len(survivors) > 1:
+        others = verts[[s for s in survivors if s != survivors[i]]]
+        x = verts[survivors[i]]
+        k = others.shape[0]
+        sol = solve_lp(LinearProgram(
+            objective=np.zeros(k),
+            eq=(np.vstack([others.T, np.ones((1, k))]), np.append(x, 1.0)),
+            bounds=[(0.0, 1.0)] * k))
+        if sol.optimal and \
+                np.linalg.norm(others.T @ sol.z - x) <= max(tol, 1e-7):
+            survivors.pop(i)
+        else:
+            i += 1
+    return verts[survivors]

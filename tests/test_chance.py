@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from tubereach import chance
+from tubereach import chance, lpsolve
 from tubereach.chance import RiskLP, _interval_range
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
@@ -401,7 +401,8 @@ def patch_highs_solve(monkeypatch, solve):
     """Send the LPs that chance solves, the anchors' (solve_lp) and the
     line searches' (highs_solve), to solve(model)."""
     monkeypatch.setattr(chance, "highs_solve", solve)
-    monkeypatch.setattr(chance, "solve_lp", lambda lp: solve(LpModel(lp)))
+    monkeypatch.setattr(chance, "solve_lp",
+                        lambda lp, options=None: solve(LpModel(lp, options)))
 
 
 def line_lp_rows(monkeypatch):
@@ -413,6 +414,57 @@ def line_lp_rows(monkeypatch):
         return highs_solve(model)
     patch_highs_solve(monkeypatch, solve)
     return counts
+
+
+def solver_options(monkeypatch, names=("presolve",)):
+    """The given HiGHS options of every model that chance solves from now
+    on, cold (solve_lp) or in a chain (highs_solve), one dict a solve."""
+    seen = []
+
+    def solve(model):
+        seen.append({name: model.highs.getOptionValue(name)[1]
+                     for name in names})
+        return highs_solve(model)
+    monkeypatch.setattr(lpsolve, "highs_solve", solve)
+    monkeypatch.setattr(chance, "highs_solve", solve)
+    return seen
+
+
+def test_risk_lps_run_without_presolve(sys2d, tube2d, pwa, monkeypatch):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    assert risk._pinned is not None
+    seen = solver_options(monkeypatch, ("presolve",
+                                        "simplex_dual_edge_weight_strategy"))
+    assert risk.anchor("xmax").feasible
+    # the Chebyshev trial, then the full anchor LP
+    monkeypatch.setattr(risk, "_pinned_rows_hold", lambda *_: False)
+    cheby = risk.anchor("cheby")
+    assert cheby.feasible
+    anchors = len(seen)
+    directions = spread_directions(8, 2).directions
+    assert all(bp.status == "ok"
+               for bp in risk.lines(cheby.x_anchor, directions))
+    assert anchors == 3 and len(seen) == anchors + len(directions)
+    assert all(opts["presolve"] == "off" for opts in seen)
+    # the chain keeps devex pricing, the anchors HiGHS's default
+    assert [opts["simplex_dual_edge_weight_strategy"] for opts in seen] \
+        == [DEVEX["simplex_dual_edge_weight_strategy"] if i >= anchors
+            else -1 for i in range(len(seen))]
+
+
+def test_infeasible_risk_lp_is_empty_without_presolve(sys1d, tube1d, pwa,
+                                                      monkeypatch):
+    # the budget floor allows 0.99, so the LP itself must say infeasible
+    risk = RiskLP(sys1d, tube1d, 0.99, pwa)
+    assert not risk._floor_diagnostic
+    seen = solver_options(monkeypatch)
+    for mode in ("xmax", "cheby"):
+        res = risk.anchor(mode)
+        assert res.status == "empty" and res.x_anchor is None
+        assert "LP infeasible" in res.diagnostic
+    for bp in risk.lines(np.zeros(1), [np.array([1.0]), np.array([-1.0])]):
+        assert bp.status == "infeasible" and bp.theta == 0.0
+    assert seen == [{"presolve": "off"}] * len(seen) and len(seen) == 4
 
 
 def chain_system(n):
@@ -696,8 +748,9 @@ def test_chains_take_fewer_simplex_iterations_than_cold_solves(
     alone = [line(risk, start, d) for d in directions]
     cold = sum(iterations) - warm
     assert len(iterations) == 64
-    # 971 against 1 868 with scipy 1.17.1 (1 961 against 5 630 in the
-    # epigraph form, one row per tail condition and piece)
+    # 962 against 1 836 with scipy 1.17.1 (971 against 1 868 with
+    # presolve; 1 961 against 5 630 in the epigraph form, one row per
+    # tail condition and piece)
     assert warm < cold
     for a, b in zip(chained, alone):
         assert a.status == b.status == "ok"
@@ -757,7 +810,7 @@ def test_example_steps_match_the_copied_rows_oracle(example, alpha, half):
 
 def test_dubins_line_searches_take_few_simplex_iterations(monkeypatch):
     # 6 196 in the epigraph form (one row per tail condition and piece),
-    # 1 134 in segment form, with scipy 1.17.1
+    # 1 134 in segment form and 897 without presolve, with scipy 1.17.1
     sys, tube, directions, pwa = _instantiate(_EXAMPLES["dubins"])
     risk = RiskLP(sys, tube, 0.8, pwa)
     start = risk.anchor("cheby").x_anchor

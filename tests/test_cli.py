@@ -437,13 +437,23 @@ def test_report_summarizes_directory(tmp_path, capsys):
         assert sidecar[alpha]["search_iterations"] >= 0
         assert sidecar[alpha]["search_rows"] > 0
         assert sidecar[alpha]["search_cols"] > 0
+        assert sidecar[alpha]["hull"] >= 0.0
     assert "search_rows" not in sidecar["0.99"]
+    assert "hull" not in sidecar["0.99"]
     assert all(sidecar[alpha]["anchor_iterations"] >= 0
                for alpha in sidecar)
+    capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "0.6" in text
     assert "time=n/a" not in text
+    # each phase of a set; the empty set stops after its anchor
+    lines = dict(line.split(" ", 1) for line in text.splitlines())
+    for alpha in ("0.4", "0.6"):
+        for phase in ("assemble", "anchor", "searches", "hull"):
+            assert f" {phase}=" in lines[f"alpha={alpha}"]
+    assert " anchor=" in lines["alpha=0.99"]
+    assert " hull=" not in lines["alpha=0.99"]
     summary = json.loads((out / "summary.json").read_text())
     assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]
     for row in summary["results"]:

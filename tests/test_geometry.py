@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tubereach import geometry
 from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
                                 convex_hull_2d, minkowski_interpolate,
                                 prune_vertices, spread_directions)
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import cwh_los_tube
+
+from oracles import lp_prune_vertices
 
 
 def square():
@@ -151,6 +154,76 @@ def test_prune_vertices_high_dim():
     v = VPolytope(np.vstack([np.eye(4), [[0.25, 0.25, 0.25, 0.25]]]))
     pruned = prune_vertices(v)
     assert pruned.n_vertices == 4
+
+
+def hull_lps(monkeypatch):
+    """Points prune_vertices tests by an LP from now on."""
+    tested = []
+
+    def in_hull(x, pts, tol):
+        tested.append(x)
+        return in_hull.real(x, pts, tol)
+    in_hull.real = geometry._in_hull
+    monkeypatch.setattr(geometry, "_in_hull", in_hull)
+    return tested
+
+
+def planar_points(rng, dim):
+    """Hull points of a random convex polygon, points inside it and
+    near-duplicates of both, rotated and shifted into R^dim; and the
+    polygon's vertices among them."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 12))
+    # keep corners at least 0.2 rad apart, so none is nearly flat
+    angles = angles[np.concatenate([[True], np.diff(angles) > 0.2])]
+    if 2.0 * np.pi - angles[-1] + angles[0] <= 0.2:
+        angles = angles[:-1]
+    corners = np.column_stack([np.cos(angles), np.sin(angles)]) \
+        * rng.uniform(1.0, 3.0)
+    # convex combinations pulled towards the centroid: strictly inside
+    centroid = corners.mean(axis=0)
+    inside = centroid + 0.9 * (rng.dirichlet(np.ones(len(corners)), size=8)
+                               @ corners - centroid)
+    flat = np.vstack([corners, inside])
+    flat = np.vstack([flat, flat[rng.choice(len(flat), 5)]
+                      + rng.normal(scale=1e-11, size=(5, 2))])
+    order = rng.permutation(len(flat))
+    rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    points = np.pad(flat[order], ((0, 0), (0, dim - 2))) @ rotation.T \
+        + rng.normal(scale=5.0, size=dim)
+    return points, len(corners)
+
+
+@pytest.mark.parametrize("dim", [3, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_planar_prune_matches_the_lp_oracle(dim, seed, monkeypatch):
+    points, n_corners = planar_points(np.random.default_rng(seed), dim)
+    want = lp_prune_vertices(points)
+    tested = hull_lps(monkeypatch)
+    got = prune_vertices(VPolytope(points)).vertices
+    # the same input rows, bit for bit and in input order, with no LP
+    np.testing.assert_array_equal(got, want)
+    assert len(got) == n_corners and not tested
+
+
+def test_collinear_points_keep_their_ends(monkeypatch):
+    rng = np.random.default_rng(7)
+    start, step = rng.normal(size=5), rng.normal(size=5)
+    points = start + np.array([0.3, -1.2, 0.0, 2.5, 1.0, 0.3])[:, None] * step
+    tested = hull_lps(monkeypatch)
+    got = prune_vertices(VPolytope(points)).vertices
+    np.testing.assert_array_equal(got, points[[1, 3]])
+    assert not tested
+
+
+def test_full_rank_points_keep_the_lp_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    points = np.vstack([rng.normal(size=(8, 3)), np.zeros((1, 3)),
+                        0.1 * rng.normal(size=(4, 3))])
+    want = lp_prune_vertices(points)
+    tested = hull_lps(monkeypatch)
+    got = prune_vertices(VPolytope(points)).vertices
+    np.testing.assert_array_equal(got, want)
+    assert tested and len(got) < len(points)
 
 
 def test_minkowski_interpolate_endpoints():

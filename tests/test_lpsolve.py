@@ -8,8 +8,9 @@ from scipy import sparse
 
 import scipy
 from scipy.optimize._highspy import _core
-from tubereach.lpsolve import (DEVEX, LinearProgram, LpError, LpModel,
-                               highs_solve, solve_lp)
+from tubereach import lpsolve
+from tubereach.lpsolve import (_OPTIONS, DEVEX, LinearProgram, LpError,
+                               LpModel, highs_solve, solve_lp)
 
 
 def brute_force_min(lp: LinearProgram, tol=1e-9):
@@ -227,3 +228,20 @@ def test_bounds_kept_as_one_array():
     for wrong in ([(0.0, 1.0)], [0.0, 1.0, 2.0, 3.0]):
         with pytest.raises(LpError, match="pair per variable"):
             LinearProgram(objective=np.ones(2), bounds=wrong)
+
+
+def test_solve_lp_adds_options_to_the_defaults(monkeypatch):
+    seen = []
+
+    def solve(model):
+        seen.append({name: model.highs.getOptionValue(name)[1]
+                     for name in _OPTIONS})
+        return highs_solve(model)
+    monkeypatch.setattr(lpsolve, "highs_solve", solve)
+    lp = LinearProgram(objective=np.array([1.0, 1.0]),
+                       ineq=(np.array([[-1.0, -2.0]]), np.array([-2.0])),
+                       bounds=[(0.0, np.inf)] * 2)
+    plain, off = solve_lp(lp), solve_lp(lp, {"presolve": "off"})
+    assert seen == [_OPTIONS, {**_OPTIONS, "presolve": "off"}]
+    assert plain.status == off.status == "optimal"
+    assert plain.objective_value == pytest.approx(off.objective_value)

@@ -199,13 +199,14 @@ def test_timings_split_assembly_from_anchor(sys1d, tube1d, pwa, alpha):
     res = compute_reach_set(sys1d, tube1d, alpha, DIRS_1D, pwa=pwa)
     assert res.status == ("ok" if alpha == 0.6 else "empty")
     t = res.timings
-    # an empty set has no line searches
-    searches = ["search_cols", "search_iterations", "search_rows",
+    # an empty set has no line searches and no hull
+    searches = ["hull", "search_cols", "search_iterations", "search_rows",
                 "searches"] if alpha == 0.6 else []
     assert sorted(t) == sorted(["anchor", "anchor_iterations", "assemble",
                                 "total"] + searches)
     assert t["assemble"] > 0.0 and t["anchor"] >= 0.0
-    assert t["assemble"] + t["anchor"] + t.get("searches", 0.0) <= t["total"]
+    assert t["assemble"] + t["anchor"] + t.get("searches", 0.0) \
+        + t.get("hull", 0.0) <= t["total"]
     assert t["anchor_iterations"] == res.anchor.iterations >= 0
     if searches:
         assert t["search_iterations"] == \
