@@ -217,24 +217,23 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points, tol: float = 1e-12) -> VPolytope:
-    """Monotone-chain hull; counterclockwise extreme points, collinear
-    interior points removed."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("need at least one point")
-    if pts.shape[1] != 2:
+def convex_hull_2d(points) -> VPolytope:
+    """The hull vertices of 2D points, counterclockwise (see
+    extreme_indices)."""
+    vpoly = VPolytope(points)
+    if vpoly.dim != 2:
         raise ValueError("convex_hull_2d expects 2D points")
-    return VPolytope(vertices=pts[_hull_2d(pts, tol)])
+    return prune_vertices(vpoly)
 
 
-def _hull_2d(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _hull_2d(pts: np.ndarray) -> np.ndarray:
     """Indices of the counterclockwise extreme points of the 2D points,
     each the first of its duplicates; both ends when all are collinear."""
     # the unique points in lexicographic order
     _, order = np.unique(pts, axis=0, return_index=True)
     if order.size <= 2:
         return order
+    tol = 1e-12  # cross products this small count as collinear
     lower: List[int] = []
     for i in order:
         while len(lower) >= 2 and \
@@ -253,65 +252,55 @@ def _hull_2d(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array(hull)
 
 
-# a point set above 2D is flat when at most two singular values of its
-# offsets from its first point exceed this share of the largest
+# a point set is flat when at most two singular values of its offsets
+# from its first point exceed this share of the largest
 _FLAT_RCOND = 1e-10
 
 
-def prune_vertices(vpoly: VPolytope, tol: float = DEFAULT_TOL) -> VPolytope:
-    """Drop duplicates and points in the convex hull of the others.
+def extreme_indices(points) -> np.ndarray:
+    """Row indices of the vertices of the convex hull of points (n x d).
 
-    Points within tol of an earlier point are duplicates.  In 2D the rest
-    is the monotone-chain hull.  Above 2D, points that span only a line
-    or a plane (see _FLAT_RCOND) are pruned there with no LP: to the two
-    ends of the line, or by the 2D hull in the plane's coordinates; the
-    survivors are input rows, bit for bit, in input order.  Points that
-    span more keep those farther than max(tol, 1e-7) from the hull of
-    the others, one feasibility LP per point."""
-    verts = vpoly.vertices
-    if vpoly.dim == 2 and verts.shape[0] > 3:
-        return convex_hull_2d(verts)  # hull drops duplicates itself
-    # deduplicate within tolerance
-    dist = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
+    In 2D: the monotone chain (Andrew, 1979), counterclockwise, each
+    vertex the first of its exact duplicates.  In other dimensions,
+    points within DEFAULT_TOL of an earlier point are dropped first and
+    the indices come in input order: the two ends of a set that spans at
+    most a line (every 1-D set); the 2D hull in the plane's coordinates
+    of a set that spans a plane (see _FLAT_RCOND); else, one feasibility
+    LP per point, the points farther than 1e-7 from the hull of the
+    others."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] == 2:
+        return _hull_2d(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     keep: List[int] = []
-    for i in range(verts.shape[0]):
-        if not keep or dist[i, keep].min() > tol:
+    for i in range(pts.shape[0]):
+        if not keep or dist[i, keep].min() > DEFAULT_TOL:
             keep.append(i)
-    verts = verts[keep]
-    if verts.shape[0] <= 1:
-        return VPolytope(vertices=verts)
-    if vpoly.dim > 2:
-        offsets = verts - verts[0]
-        _, sv, axes = np.linalg.svd(offsets, full_matrices=False)
-        rank = int(np.count_nonzero(sv > _FLAT_RCOND * sv[0]))
-        if rank == 1:
-            along = offsets @ axes[0]
-            ends = [int(np.argmin(along)), int(np.argmax(along))]
-            return VPolytope(vertices=verts[sorted(ends)])
-        if rank == 2:
-            flat = offsets @ axes[:2].T
-            return VPolytope(vertices=verts[np.sort(_hull_2d(flat))])
-    survivors = list(range(verts.shape[0]))
+    if len(keep) <= 1:
+        return np.array(keep, dtype=int)
+    offsets = pts[keep] - pts[keep[0]]
+    _, sv, axes = np.linalg.svd(offsets, full_matrices=False)
+    rank = int(np.count_nonzero(sv > _FLAT_RCOND * sv[0]))
+    if rank == 1:
+        along = offsets @ axes[0]
+        return np.array(keep)[np.sort([np.argmin(along), np.argmax(along)])]
+    if rank == 2:
+        return np.array(keep)[np.sort(_hull_2d(offsets @ axes[:2].T))]
+    survivors = keep
     i = 0
     while i < len(survivors):
-        others = [s for s in survivors if s != survivors[i]]
-        if len(others) >= 1 and _in_hull(verts[survivors[i]], verts[others], tol):
+        others = pts[survivors[:i] + survivors[i + 1:]]
+        if VPolytope(others).contains(pts[survivors[i]], 1e-7):
             survivors.pop(i)
         else:
             i += 1
-    return VPolytope(vertices=verts[survivors])
+    return np.array(survivors)
 
 
-def _in_hull(x: np.ndarray, pts: np.ndarray, tol: float) -> bool:
-    k = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones((1, k))])
-    b_eq = np.concatenate([x, [1.0]])
-    lp = LinearProgram(objective=np.zeros(k), eq=(a_eq, b_eq),
-                       bounds=[(0.0, 1.0)] * k)
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        return False
-    return bool(np.linalg.norm(pts.T @ sol.z - x) <= max(tol, 1e-7))
+def prune_vertices(vpoly: VPolytope) -> VPolytope:
+    """The hull vertices of vpoly, input rows bit for bit (see
+    extreme_indices for their order)."""
+    return VPolytope(vertices=vpoly.vertices[extreme_indices(vpoly.vertices)])
 
 
 def minkowski_interpolate(v1: VPolytope, v2: VPolytope, gamma: float) -> VPolytope:

@@ -398,11 +398,7 @@ def dp_level_set(table: DpTable, alpha: float):
     polygon = None
     if len(table.grids) == 2 and mask.any():
         mesh = np.meshgrid(*table.grids, indexing="ij")
-        pts = np.stack([m[mask] for m in mesh], axis=1)
-        if pts.shape[0] >= 3:
-            polygon = convex_hull_2d(pts)
-        else:
-            polygon = VPolytope(pts)
+        polygon = convex_hull_2d(np.stack([m[mask] for m in mesh], axis=1))
     return mask, polygon
 
 

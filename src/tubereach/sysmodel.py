@@ -149,12 +149,13 @@ def make_integrator_chain(n: int, sampling_time: float, horizon: int,
     """Chain of n integrators under zero-order hold."""
     if n < 1 or sampling_time <= 0.0:
         raise ValueError("need n >= 1 and positive sampling time")
-    ts = sampling_time
+    # terms[k] = ts^k / k!, by the recurrence so that no k! overflows
+    terms = np.concatenate([[1.0], np.cumprod(sampling_time
+                                              / np.arange(1, n + 1))])
     a = np.eye(n)
     for i in range(n):
-        for j in range(i + 1, n):
-            a[i, j] = ts ** (j - i) / math.factorial(j - i)
-    b = np.array([ts ** (n - i) / math.factorial(n - i) for i in range(n)])
+        a[i, i:] = terms[:n - i]
+    b = terms[n:0:-1]
     input_set = box_polytope([0.0], [input_bound])
     return StochasticLTVSystem.lti(a, b, np.zeros(n), cov * np.eye(n),
                                    input_set, horizon)

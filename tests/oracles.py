@@ -10,7 +10,7 @@
   the tangent point found by Brent's method: the reference for the
   closed form in gaussian._secant_gap.
 - Vertex pruning by one feasibility LP per point, in any dimension: the
-  reference for the planar path of geometry.prune_vertices.
+  reference for geometry.extreme_indices.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -295,6 +296,25 @@ def test_rerun_is_byte_identical(tmp_path):
         if name == "timings.json":
             continue
         assert read(a / name) == read(b / name), name
+
+
+def test_compute_a_200_state_integrator_chain(tmp_path, capsys):
+    # ts^k / k! for k up to 200: 200! alone overflows a float
+    cfg = tmp_path / "cfg.json"
+    assert main(["example", "integrator40", "-o", str(cfg)]) == EXIT_OK
+    doc = json.loads(cfg.read_text())
+    doc["system"]["dimension"] = 200
+    doc["alphas"] = [0.6]
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 10.0
+    assert "Traceback" not in capsys.readouterr().err
+    result = ReachSetResult.from_json(
+        (out / "reach_alpha0p6.json").read_text())
+    assert result.status == "ok" and result.polytope.dim == 200
+    assert result.polytope.n_vertices == 8
 
 
 def test_interpolate_between_computed_sets(tmp_path, capsys):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from tubereach import geometry
 from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
-                                convex_hull_2d, minkowski_interpolate,
-                                prune_vertices, spread_directions)
+                                convex_hull_2d, extreme_indices,
+                                minkowski_interpolate, prune_vertices,
+                                spread_directions)
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
@@ -157,15 +158,14 @@ def test_prune_vertices_high_dim():
 
 
 def hull_lps(monkeypatch):
-    """Points prune_vertices tests by an LP from now on."""
-    tested = []
+    """The LPs the geometry module solves from now on."""
+    solved = []
 
-    def in_hull(x, pts, tol):
-        tested.append(x)
-        return in_hull.real(x, pts, tol)
-    in_hull.real = geometry._in_hull
-    monkeypatch.setattr(geometry, "_in_hull", in_hull)
-    return tested
+    def counting_solve_lp(lp, *args, **kwargs):
+        solved.append(lp)
+        return solve_lp(lp, *args, **kwargs)
+    monkeypatch.setattr(geometry, "solve_lp", counting_solve_lp)
+    return solved
 
 
 def planar_points(rng, dim):
@@ -224,6 +224,51 @@ def test_full_rank_points_keep_the_lp_path(monkeypatch):
     got = prune_vertices(VPolytope(points)).vertices
     np.testing.assert_array_equal(got, want)
     assert tested and len(got) < len(points)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_1d_sets_keep_their_ends_with_no_lp(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(9, 1))
+    # exact and near duplicates, the ends among them
+    ends = [int(np.argmin(points)), int(np.argmax(points))]
+    points = np.vstack([points, points[ends + [4]],
+                        points[ends] + rng.normal(scale=1e-11, size=(2, 1))])
+    want = lp_prune_vertices(points)
+    tested = hull_lps(monkeypatch)
+    got = extreme_indices(points)
+    np.testing.assert_array_equal(got, sorted(ends))
+    np.testing.assert_array_equal(points[got], want)
+    assert not tested
+
+
+@pytest.mark.parametrize("points", [
+    [[0.5, -1.0]],
+    [[2.0, 1.0], [0.0, 3.0]],
+    [[2.0, 1.0], [0.0, 3.0], [2.0, 1.0]],
+    [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]],
+    [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],  # clockwise
+], ids=["one", "two", "two-and-a-duplicate", "collinear", "triangle"])
+def test_small_planar_sets_match_the_lp_oracle(points, monkeypatch):
+    points = np.array(points)
+    want = lp_prune_vertices(points)
+    tested = hull_lps(monkeypatch)
+    got = points[extreme_indices(points)]
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+    assert not tested
+    if len(got) == 3:
+        assert geometry._cross(*got) > 0.0  # counterclockwise
+
+
+def test_rank_zero_set_keeps_its_first_point(monkeypatch):
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=5) + rng.normal(scale=1e-12, size=(4, 5))
+    want = lp_prune_vertices(points)
+    tested = hull_lps(monkeypatch)
+    got = extreme_indices(points)
+    np.testing.assert_array_equal(got, [0])
+    np.testing.assert_array_equal(points[got], want)
+    assert not tested
 
 
 def test_minkowski_interpolate_endpoints():

@@ -32,6 +32,33 @@ def unused_imports(source: str):
     return sorted(name for name in imported if name not in used)
 
 
+def dead_private_helpers(sources):
+    """Top-level private names (one leading underscore) that no module
+    of sources, a {module name: source} map, ever reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted({f"{module}:{name}" for module, name in defined
+                   if name not in read})
+
+
 def test_modules_found():
     assert {"chance.py", "reachalgo.py", "cli.py"} <= {m.name for m in MODULES}
     assert {"conftest.py", "oracles.py"} <= {m.name for m in TEST_MODULES}
@@ -53,3 +80,26 @@ def test_detector_flags_unused_and_spares_reexports():
               "def f(a: Optional[int]) -> None:\n"
               "    return os.path.join('a')\n")
     assert unused_imports(source) == ["List", "js"]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers(
+        {path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_detector_flags_private_names_no_module_reads():
+    sources = {"a.py": ("__all__ = []\n"
+                        "_LIMIT = 3\n"
+                        "_unused: int = 4\n"
+                        "def _dead():\n"
+                        "    return _LIMIT\n"
+                        "def _via_attribute():\n"
+                        "    pass\n"
+                        "class _Orphan:\n"
+                        "    pass\n"),
+               "b.py": ("from . import a\n"
+                        "from .a import _Orphan\n"
+                        "_stored = a._via_attribute()\n"
+                        "_stored = 1\n")}
+    assert dead_private_helpers(sources) == [
+        "a.py:_Orphan", "a.py:_dead", "a.py:_unused", "b.py:_stored"]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tubereach import chance, reachalgo
+from tubereach import chance, geometry, reachalgo
 from tubereach.geometry import DirectionSet, spread_directions, box_polytope
 from tubereach.lpsolve import LpSolution
 from tubereach.reachalgo import (ReachSetResult, compute_reach_set,
@@ -118,6 +118,29 @@ def test_reach_set_inside_dp_level_set(reach06, dp1d):
     spacing = dp1d.state_spacing
     assert verts.min() >= lo - spacing
     assert verts.max() <= hi + spacing
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_scalar_hull_phase_solves_no_lp(alpha, sys1d, tube1d, pwa,
+                                        monkeypatch):
+    # the scalar sets are intervals: their two ends need no LP
+    solved, hull_lps = [], []
+    real_solve, real_prune = geometry.solve_lp, reachalgo.prune_vertices
+
+    def counting_solve_lp(*args, **kwargs):
+        solved.append(args)
+        return real_solve(*args, **kwargs)
+
+    def prune(vpoly):
+        before = len(solved)
+        pruned = real_prune(vpoly)
+        hull_lps.append(len(solved) - before)
+        return pruned
+    monkeypatch.setattr(geometry, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(reachalgo, "prune_vertices", prune)
+    res = compute_reach_set(sys1d, tube1d, alpha, DIRS_1D, pwa=pwa)
+    assert res.status == "ok" and res.polytope.n_vertices == 2
+    assert hull_lps == [0]
 
 
 def test_reach_set_empty_at_unreachable_threshold(sys1d, tube1d, pwa):

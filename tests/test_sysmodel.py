@@ -40,6 +40,28 @@ def test_integrator_chain_40d_corner_entry():
     assert sys.A_seq[0][0, 39] == pytest.approx(0.1 ** 39 / math.factorial(39))
 
 
+@pytest.mark.parametrize("ts", [0.1, 0.35])
+def test_integrator_chain_matches_the_factorial_terms(ts):
+    n = 120
+    sys = make_integrator_chain(n, ts, 1, 0.01, 1.0)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            want[i, j] = ts ** (j - i) / math.factorial(j - i)
+    np.testing.assert_allclose(sys.A_seq[0], want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        sys.B_seq[0].ravel(),
+        [ts ** (n - i) / math.factorial(n - i) for i in range(n)],
+        rtol=1e-14, atol=0)
+
+
+def test_integrator_chain_beyond_the_largest_float_factorial():
+    # 171! overflows a float; ts^k / k! underflows to 0 instead
+    sys = make_integrator_chain(200, 0.1, 1, 0.01, 1.0)
+    assert np.all(np.isfinite(sys.A_seq[0])) and sys.A_seq[0][0, 199] == 0.0
+    assert sys.B_seq[0][-1, 0] == 0.1
+
+
 def test_concat_matches_step_simulation():
     rng = np.random.default_rng(0)
     n, m, nsteps = 3, 2, 4
