@@ -33,17 +33,6 @@ NO_PRESOLVE = {"presolve": "off"}
 
 
 @dataclass
-class TubeRow:
-    """One tube half-space applied to a noisy state x_k, k >= 1."""
-
-    step: int
-    normal: np.ndarray
-    offset: float
-    sigma: float
-    mean_const: float  # normal @ mu_k, the noise mean's share of x_k
-
-
-@dataclass
 class AnchorResult:
     x_anchor: Optional[np.ndarray]
     U: Optional[np.ndarray]
@@ -91,44 +80,50 @@ class _Solution:
         return 0.0 if self.deltas is None else float(1.0 - self.deltas.sum())
 
 
-def _tube_rows(moments, tube: TargetTube):
-    stochastic, deterministic = [], []
-    for k, (_, _, mu_k, cov_k) in enumerate(moments, start=1):
+def _tube_rows(sys: StochasticLTVSystem, tube: TargetTube):
+    """x0 coefficients, U coefficients, rhs and sigma of the tube rows of
+    steps 1..N: face p x_k <= q of T_k reads p Phi_k x0 + p H_k U <= q -
+    p mu_k, with noise sigma = sqrt(p Sigma_k p).  The stochastic rows
+    come first; each group keeps its (step, face) order."""
+    parts = []
+    for k, (phi, h, mu, cov) in enumerate(step_moments(sys), start=1):
         normals = tube[k].normals
-        # every row's p cov_k p and p mu_k at once
-        variances = np.einsum("ij,ij->i", normals @ cov_k, normals)
-        sigmas = np.sqrt(np.maximum(variances, 0.0))
-        means = normals @ mu_k
-        for p, q, sigma, mean in zip(normals, tube[k].offsets, sigmas,
-                                     means):
-            row = TubeRow(step=k, normal=p, offset=float(q),
-                          sigma=float(sigma), mean_const=float(mean))
-            (stochastic if sigma >= SIGMA_DETERMINISTIC else deterministic).append(row)
-    return stochastic, deterministic
+        # every row's p cov_k p at once
+        variances = np.einsum("ij,ij->i", normals @ cov, normals)
+        parts.append((normals @ phi, normals @ h,
+                      tube[k].offsets - normals @ mu,
+                      np.sqrt(np.maximum(variances, 0.0))))
+    x0, u, rhs, sigma = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(sigma < SIGMA_DETERMINISTIC, kind="stable")
+    return x0[order], u[order], rhs[order], sigma[order]
 
 
 class RiskLP:
     """The risk-allocated LP of one (system, tube, alpha), assembled once.
 
-    Columns are [U (m*N) | segments | y | radius].  The PWA envelope is
-    convex, its slopes m_l rising from piece to piece, so on [delta_lb,
-    cap] it is envelope(delta_lb) plus one segment per piece (the
-    delta-method of Markowitz & Manne, 1957): stochastic tube row i gets
-    columns s_il in [0, knot_l+1 - knot_l], delta_i = delta_lb + sum_l
-    s_il, and the row p (Phi_k x0 + H_k U) + sigma_i sum_l m_l s_il <=
-    rhs_i - sigma_i envelope(delta_lb), with the step moments of
+    Every LP that the instance solves is a row and column selection of
+    one table: the stochastic tube rows, the deterministic tube rows, the
+    budget row, the per-step input rows (box input sets go to bounds)
+    and T_0's rows, in that order.  rows holds their [U (m*N) |
+    segments] coefficients, _x0 their x0 coefficients, rhs their right
+    sides and _ball the norm of each T_0 face (0 elsewhere).  The PWA
+    envelope is convex, its slopes m_l rising from piece to piece, so on
+    [delta_lb, cap] it is envelope(delta_lb) plus one segment per piece
+    (the delta-method of Markowitz & Manne, 1957): stochastic tube row i
+    gets columns s_il in [0, knot_l+1 - knot_l], delta_i = delta_lb +
+    sum_l s_il, and the row p (Phi_k x0 + H_k U) + sigma_i sum_l m_l
+    s_il <= rhs_i - sigma_i envelope(delta_lb), with the step moments of
     sysmodel.step_moments (rhs_i takes p mu_k).  The steepest-first fill
     gives sum_l m_l s_il = envelope(delta_i) - envelope(delta_lb) and any
     other fill more, so every solution meets the row under the envelope
-    and the feasible set in (x0, U, delta) is the envelope's.  Then come
-    the deterministic tube rows, the budget sum s_il <= 1 - alpha -
-    n_risk delta_lb and the per-step input rows.  Pieces whose left knot
-    lies at or above the delta cap get no column.  The initial state
-    enters as x0 = c + E y: c = 0 and E = I for the anchors, c = anchor
-    and E = direction for a line search; every solve keeps x0 in T_0.  A
-    solve appends the E columns, the T_0 rows and, for the Chebyshev
-    anchor, the radius column.  Nothing is mutated after construction,
-    so threads may share one instance.
+    and the feasible set in (x0, U, delta) is the envelope's.  The
+    budget row is sum s_il <= 1 - alpha - n_risk delta_lb.  Pieces whose
+    left knot lies at or above the delta cap get no column.  The initial
+    state enters as x0 = c + E y: c = 0 and E = I for the anchors, c =
+    anchor and E = direction for a line search, so a solve substitutes
+    _x0 c into rhs and appends the columns _x0 E and, for the Chebyshev
+    anchor, the radius column _ball.  Nothing is mutated after
+    construction, so threads may share one instance.
 
     Each solve gives every stochastic row a risk window [delta_lb,
     delta_need]: over the box of y (a line's step lies in [0, exit of
@@ -171,14 +166,12 @@ class RiskLP:
         if tube.dim != sys.state_dim:
             raise ValueError("tube dimension must match the state dimension")
 
-        moments = step_moments(sys)
-        stochastic, deterministic = _tube_rows(moments, tube)
+        x0, coef_u, rhs, sigma = _tube_rows(sys, tube)
         n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
         self.alpha = alpha
         self.tube = tube
-        self.deterministic_rows = deterministic
         self.n_u = m * nsteps
-        self.n_risk = nr = len(stochastic)
+        self.n_risk = nr = int(np.count_nonzero(sigma >= SIGMA_DETERMINISTIC))
         budget = 1.0 - alpha
         self.delta_lb, pwa_max = pwa.domain
         self.delta_cap = min(pwa_max, budget) if self.n_risk else pwa_max
@@ -187,16 +180,6 @@ class RiskLP:
             f"risk budget {budget:.3g} below the floor {floor:.3g} "
             f"({self.n_risk} rows at delta_lb {self.delta_lb:.1g}): "
             "infeasible by construction")
-
-        def coefficients(rows):
-            """(U coefficients, x0 coefficients, rhs) of tube rows."""
-            if not rows:
-                return np.zeros((0, self.n_u)), np.zeros((0, n)), np.zeros(0)
-            return (np.stack([r.normal @ moments[r.step - 1][1]
-                              for r in rows]),
-                    np.stack([r.normal @ moments[r.step - 1][0]
-                              for r in rows]),
-                    np.array([r.offset - r.mean_const for r in rows]))
 
         # secants are ordered by knot; piece l's left knot lies below the
         # cap iff it exceeds piece l-1 there
@@ -213,59 +196,60 @@ class RiskLP:
         self._knot_env = np.max(slopes[:, None] * self._knots
                                 + intercepts[:, None], axis=0)
 
-        coef_u, x0_stochastic, rhs0 = coefficients(stochastic)
-        det_u, x0_deterministic, det_rhs = coefficients(deterministic)
-        # the x0 coefficients of the rows that come first: the tube rows
-        self._x0 = np.vstack([x0_stochastic, x0_deterministic])
-        sig = np.array([r.sigma for r in stochastic])
-        self._sigma, self._rhs_risk = sig, rhs0
+        sig = sigma[:nr]
+        self._sigma, self._rhs_risk = sig, rhs[:nr]
         u_lo, u_hi = sys.input_set.interval_bounds() if m \
             else (np.zeros(0), np.zeros(0))
         u_lo, u_hi = np.tile(u_lo, nsteps), np.tile(u_hi, nsteps)
         # largest value of the input's share of each stochastic row's mean
-        self._u_max = _interval_range(coef_u, u_lo, u_hi)[1]
-        limit = rhs0 - sig * self._knot_env[0]
+        self._u_max = _interval_range(coef_u[:nr], u_lo, u_hi)[1]
+
+        # the table: tube rows (a stochastic one at delta_lb), budget,
+        # input rows, T_0's rows
+        t0 = tube[0]
+        blocks = [(sp.csr_array(coef_u), x0, np.concatenate(
+            [rhs[:nr] - sig * self._knot_env[0], rhs[nr:]]))]
+        if nr:
+            blocks.append((sp.csr_array((1, self.n_u)), np.zeros((1, n)),
+                           [budget - floor]))
+        box = sys.input_set.as_box_bounds() if m else None
+        if m and box is None:
+            inputs = sp.block_diag([sys.input_set.normals] * nsteps)
+            blocks.append((inputs, np.zeros((inputs.shape[0], n)),
+                           np.tile(sys.input_set.offsets, nsteps)))
+        blocks.append((sp.csr_array((t0.n_rows, self.n_u)), t0.normals,
+                       t0.offsets))
+        u_rows, x0_rows, rhs_rows = zip(*blocks)
+        self._x0 = np.vstack(x0_rows)
+        self.rhs = np.concatenate(rhs_rows)
+        self._ball = np.concatenate([np.zeros(self.rhs.size - t0.n_rows),
+                                     np.linalg.norm(t0.normals, axis=1)])
+        # segment column (i, l) is column n_u + i * len(pieces) + l, in
+        # row i and in the budget row, which follows the tube rows
+        n_seg = nr * slopes.size
+        owner = np.repeat(np.arange(nr), slopes.size)
+        segments = sp.csr_array(
+            (np.concatenate([sig[owner] * np.tile(slopes, nr),
+                             np.ones(n_seg)]),
+             (np.concatenate([owner, np.full(n_seg, x0.shape[0])]),
+              np.tile(np.arange(n_seg), 2))),
+            shape=(self.rhs.size, n_seg))
+        self.rows = sp.hstack([sp.vstack(u_rows), segments], format="csr")
+        self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
+        self._u_bounds = np.tile(np.column_stack(box), (nsteps, 1)) \
+            if box is not None else np.tile([-np.inf, np.inf], (self.n_u, 1))
+
         # the Chebyshev anchor's trial pins the rows with room at delta_lb
         # at the seed: the centres of T_0's box and of the input box
         self._pinned = None
-        t0_box = tube[0].as_box_bounds()
+        t0_box = t0.as_box_bounds()
         if nr and t0_box is not None:
             seed_x0 = 0.5 * (t0_box[0] + t0_box[1])
             seed_u = 0.5 * (u_lo + u_hi)
             if np.isfinite(seed_x0).all() and np.isfinite(seed_u).all():
-                pinned = coef_u @ seed_u + x0_stochastic @ seed_x0 <= limit
+                pinned = self._hold_at_delta_lb(seed_x0, seed_u)
                 if pinned.any():
                     self._pinned = pinned
-                    self._pinned_rows = (coef_u[pinned],
-                                         x0_stochastic[pinned],
-                                         limit[pinned])
-        # segment column (i, l) is column n_u + i * len(pieces) + l
-        n_seg = nr * slopes.size
-        row = np.repeat(np.arange(nr), slopes.size)
-        segments = sp.csr_array(
-            (sig[row] * np.tile(slopes, nr), (row, np.arange(n_seg))),
-            shape=(nr, n_seg))
-        groups = [sp.hstack([sp.csr_array(coef_u), segments]),
-                  sp.hstack([sp.csr_array(det_u),
-                             sp.csr_array((len(deterministic), n_seg))])]
-        rhs = [limit, det_rhs]
-        if nr:
-            groups.append(sp.csr_array(np.concatenate(
-                [np.zeros(self.n_u), np.ones(n_seg)])[None, :]))
-            rhs.append(np.array([budget - floor]))
-
-        # input set rows per step (box input sets are handled via bounds)
-        box = sys.input_set.as_box_bounds() if m else None
-        if m and box is None:
-            inputs = sp.block_diag([sys.input_set.normals] * nsteps)
-            groups.append(sp.hstack(
-                [inputs, sp.csr_array((inputs.shape[0], n_seg))]))
-            rhs.extend([sys.input_set.offsets] * nsteps)
-        self.rows = sp.vstack(groups, format="csr")
-        self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
-        self.rhs = np.concatenate(rhs)
-        self._u_bounds = np.tile(np.column_stack(box), (nsteps, 1)) \
-            if box is not None else np.tile([-np.inf, np.inf], (self.n_u, 1))
 
     def anchor(self, mode: str) -> AnchorResult:
         """Anchor maximizing the risk-allocation lower bound on the reach
@@ -309,8 +293,15 @@ class RiskLP:
     def _pinned_rows_hold(self, x0: np.ndarray, U: np.ndarray) -> bool:
         """Whether every row the trial pinned holds at delta_lb at
         (x0, U), with no tolerance."""
-        coef_u, coef_x0, limit = self._pinned_rows
-        return bool(np.all(coef_u @ U + coef_x0 @ x0 <= limit))
+        return bool(np.all(self._hold_at_delta_lb(x0, U)[self._pinned]))
+
+    def _hold_at_delta_lb(self, x0: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Whether each stochastic tube row holds at (x0, U) with its
+        risk at delta_lb, with no tolerance; the pin and its check both
+        compute these products."""
+        nr = self.n_risk
+        return self.rows[:nr, :self.n_u] @ U + self._x0[:nr] @ x0 \
+            <= self.rhs[:nr]
 
     def lines(self, anchor, directions) -> Iterator[BoundaryPoint]:
         """Boundary points at the maximal steps along directions from the
@@ -324,16 +315,19 @@ class RiskLP:
         presolve.  Every direction's risk window is found first, and the
         model holds every segment column that the window of any
         direction keeps, with its row.  For each direction only the step
-        column y changes -- its coefficients on the kept tube rows and on
-        the T_0 rows, and its upper bound, the exit of the ray from T_0
-        (which the T_0 rows already imply) -- and the segments whose clip
-        at delta_need moved take their new bounds.
+        column y changes -- its coefficients _x0 d on the kept rows, and
+        its upper bound, the exit of the ray from T_0 (which the T_0 rows
+        already imply) -- and the segments whose clip at delta_need moved
+        take their new bounds.
         The step found is still the full LP's: a row that this
         direction's window drops has all its segments bounded to 0, and
         then holds for every step and input in the box.  So the chain's
         LP has this direction's windowed LP's rows, and only rows of the
         full LP besides, and both of those have the full LP's optimal
-        step.  U and the deltas may be another of its optima."""
+        step.  U and the deltas may be another of its optima.  Where
+        anchor + theta d rounds past the ray's exit, theta steps down by
+        an ulp at a time, at most 8, until the point lies in T_0
+        exactly."""
         anchor = np.asarray(anchor, dtype=float).ravel()
         directions = [np.asarray(d, dtype=float).ravel()
                       for d in directions]
@@ -357,18 +351,13 @@ class RiskLP:
                                       windows[0], 0.0, exits[0],
                                       maximize=True),
                         {**DEVEX, **NO_PRESOLVE})
-        # the step column and its rows: kept tube rows, then T_0's
-        tube_rows = self._tube_rows_kept(cols)
+        keep = self._kept_rows(cols)
         y = model.n_vars - 1
-        y_rows = np.concatenate([np.arange(tube_rows.sum()),
-                                 model.n_rows - t0.n_rows
-                                 + np.arange(t0.n_rows)])
         upper = windows[0][cols]
         for j, (d, col, top, hi) in enumerate(
                 zip(directions, x0_cols, exits, windows)):
             if j:
-                model.change_column(y, y_rows, np.concatenate(
-                    [col[tube_rows], t0.normals @ d]))
+                model.change_column(y, range(model.n_rows), col[keep])
                 moved = np.flatnonzero(hi[cols] != upper)
                 upper = hi[cols]
                 model.change_bounds(np.append(self.n_u + moved, y),
@@ -377,8 +366,14 @@ class RiskLP:
             sol = self._solution(highs_solve(model), cols)
             ok = sol.status == "optimal"
             theta = max(float(sol.extra[0]), 0.0) if ok else 0.0
+            point = anchor + theta * d
+            for _ in range(8):
+                if theta == 0.0 or t0.contains(point, tol=0.0):
+                    break
+                theta = float(np.nextafter(theta, 0.0))
+                point = anchor + theta * d
             yield BoundaryPoint(
-                direction=d, theta=theta, point=anchor + theta * d, U=sol.U,
+                direction=d, theta=theta, point=point, U=sol.U,
                 lower_bound=sol.lower_bound, status="ok" if ok else sol.status,
                 diagnostic=sol.diagnostic, iterations=sol.iterations,
                 lp_rows=model.n_rows, lp_cols=model.n_vars)
@@ -397,42 +392,31 @@ class RiskLP:
         lp = self._program(c, E, cols, hi, y_lo, y_hi, radius, maximize)
         return self._solution(solve_lp(lp, NO_PRESOLVE), cols)
 
-    def _tube_rows_kept(self, cols: np.ndarray) -> np.ndarray:
-        """The tube rows kept with the segment columns in cols."""
-        return np.concatenate([cols.any(axis=1),
-                               np.ones(len(self.deterministic_rows), bool)])
+    def _kept_rows(self, cols: np.ndarray) -> np.ndarray:
+        """The rows of the table kept with the segment columns in cols:
+        a stochastic tube row that holds any of them, and every other
+        row."""
+        keep = np.ones(self.rhs.size, dtype=bool)
+        keep[:self.n_risk] = cols.any(axis=1)
+        return keep
 
     def _program(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
                  hi: np.ndarray, y_lo: float, y_hi: float,
                  radius: bool = False, maximize: bool = False
                  ) -> LinearProgram:
-        """The LP with x0 = c + E y and y_lo <= y <= y_hi, over the
-        segment columns in cols, each in [0, hi], the rows of self.rows
-        that hold any of them or no segment column at all, then the T_0
-        rows.  x0 must lie in T_0, by a margin of the radius column when
+        """The LP with x0 = c + E y and y_lo <= y <= y_hi, over the rows
+        that _kept_rows keeps and the segment columns in cols, each in
+        [0, hi].  x0 lies in T_0, by a margin of the radius column when
         one is asked for.  The objective is the total risk, or with
         maximize the last column (the step or the radius)."""
         n_y, n_r = E.shape[1], int(radius)
-        tube_rows = self._tube_rows_kept(cols)
-        keep = np.concatenate([tube_rows, np.ones(
-            self.rhs.size - tube_rows.size, dtype=bool)])
+        keep = self._kept_rows(cols)
         segments = np.flatnonzero(cols)
-        rows = self.rows[keep][:, np.concatenate(
-            [np.arange(self.n_u), self.n_u + segments])]
-        x0_cols, x0_const = (self._x0 @ E)[tube_rows], \
-            (self._x0 @ c)[tube_rows]
-        n_rest = rows.shape[0] - x0_const.size
-        t0 = self.tube[0]
-        ball = np.linalg.norm(t0.normals, axis=1)[:, None] if radius \
-            else np.zeros((t0.n_rows, 0))
-        blocks = [[rows,
-                   sp.vstack([sp.csr_array(x0_cols),
-                              sp.csr_array((n_rest, n_y))]),
-                   sp.csr_array((rows.shape[0], n_r))],
-                  [sp.csr_array((t0.n_rows, rows.shape[1])),
-                   sp.csr_array(t0.normals @ E), sp.csr_array(ball)]]
-        rhs = [self.rhs[keep] - np.concatenate([x0_const, np.zeros(n_rest)]),
-               t0.offsets - t0.normals @ c]
+        matrix = sp.hstack(
+            [self.rows[keep][:, np.concatenate(
+                [np.arange(self.n_u), self.n_u + segments])],
+             sp.csr_array((self._x0 @ E)[keep]),
+             sp.csr_array(self._ball[keep, None][:, :n_r])], format="csr")
         bounds = np.concatenate([
             self._u_bounds,
             np.column_stack([np.zeros(segments.size), hi[cols]]),
@@ -444,8 +428,8 @@ class RiskLP:
         else:
             objective[self.n_u:self.n_u + segments.size] = 1.0
         return LinearProgram(objective=objective,
-                             ineq=(sp.block_array(blocks, format="csr"),
-                                   np.concatenate(rhs)),
+                             ineq=(matrix,
+                                   self.rhs[keep] - (self._x0 @ c)[keep]),
                              bounds=bounds)
 
     def _solution(self, sol: LpSolution, cols: np.ndarray) -> _Solution:
@@ -471,7 +455,7 @@ class RiskLP:
                  y_lo: float, y_hi: float,
                  pinned: Optional[np.ndarray] = None) -> np.ndarray:
         """Upper bounds (n_risk, pieces) of the segment columns for x0 =
-        c + E y, y_lo <= y <= y_hi, given the tube rows' x0 coefficients
+        c + E y, y_lo <= y <= y_hi, given the table's x0 coefficients
         times E and times c: each row's window [delta_lb, delta_need] cut
         at the knots, never NaN.  A pinned row's bounds are all 0."""
         nr = self.n_risk

@@ -42,12 +42,16 @@ class ConfigError(ValueError):
 
 
 def _check_keys(node: dict, allowed, where: str) -> None:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(node) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
 def _require(node: dict, key: str, where: str):
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     if key not in node:
         raise ConfigError(f"missing key {key!r} in {where}")
     return node[key]
@@ -157,6 +161,22 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
 
 _TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions",
              "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation"}
+# the optional sections and their keys; every value is a number but the
+# slice, a pair of state indices
+_SECTIONS = {"directions": {"count", "slice"},
+             "pwa": {"tolerance", "delta_lb"},
+             "dp": {"state_spacing", "input_spacing"},
+             "validation": {"n_traj", "seed"}}
+
+
+def _number(value, kind, where: str):
+    """kind(value), for kind int or float; a value that is not a number
+    raises ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, not {value!r}") \
+            from None
 
 
 def load_config(path: str) -> dict:
@@ -173,17 +193,27 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg["alphas"], list) or not cfg["alphas"]:
         raise ConfigError("alphas must be a nonempty list")
     for a in cfg["alphas"]:
-        if not (0.0 < float(a) <= 1.0):
+        if not (0.0 < _number(a, float, "alpha") <= 1.0):
             raise ConfigError(f"alpha {a} outside (0, 1]")
-    if int(cfg["horizon"]) < 1:
+    if _number(cfg["horizon"], int, "horizon") < 1:
         raise ConfigError("horizon must be >= 1")
+    _number(cfg.get("seed", 0), int, "seed")
     anchor_mode = cfg.get("anchor_mode", "cheby")
     if anchor_mode not in ("cheby", "xmax"):
         raise ConfigError(f"unknown anchor_mode {anchor_mode!r}")
-    dirs = cfg.get("directions", {})
-    _check_keys(dirs, {"count", "slice"}, "directions")
-    pwa = cfg.get("pwa", {})
-    _check_keys(pwa, {"tolerance", "delta_lb"}, "pwa")
+    for section, keys in _SECTIONS.items():
+        node = cfg.get(section, {})
+        _check_keys(node, keys, section)
+        for key, value in node.items():
+            if key != "slice":
+                _number(value, float, f"{section}.{key}")
+    slice_dims = cfg.get("directions", {}).get("slice")
+    if slice_dims is not None:
+        if not isinstance(slice_dims, list) or len(slice_dims) != 2:
+            raise ConfigError("directions.slice must be a pair of state "
+                              f"indices, not {slice_dims!r}")
+        for d in slice_dims:
+            _number(d, int, "directions.slice")
     return cfg
 
 
@@ -318,7 +348,6 @@ def cmd_dp(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _, _ = _instantiate(cfg)
     dp_cfg = cfg.get("dp", {})
-    _check_keys(dp_cfg, {"state_spacing", "input_spacing"}, "dp")
     try:
         table = reachalgo.dp_values(
             sys, tube, float(dp_cfg.get("state_spacing", 0.05)),
@@ -352,7 +381,6 @@ def cmd_validate(args) -> int:
         log.error("result artifact holds an empty set; nothing to validate")
         return EXIT_EMPTY_SET
     val_cfg = cfg.get("validation", {})
-    _check_keys(val_cfg, {"n_traj", "seed"}, "validation")
     n_traj = args.n_traj if args.n_traj is not None \
         else int(val_cfg.get("n_traj", 100000))
     seed = int(val_cfg.get("seed", cfg.get("seed", 0)))

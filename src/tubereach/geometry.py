@@ -330,6 +330,11 @@ def spread_directions(count: int, dim: int,
         return DirectionSet(directions=np.array([[1.0], [-1.0]]))
     if dim > 2 and slice_dims is None:
         raise ValueError("slice_dims required for dim > 2")
+    if slice_dims is not None and not (
+            slice_dims[0] != slice_dims[1]
+            and all(0 <= d < dim for d in slice_dims)):
+        raise ValueError(f"slice_dims {tuple(slice_dims)} must be two "
+                         f"distinct coordinates in [0, {dim})")
     i, j = (0, 1) if dim == 2 else slice_dims
     angles = 2.0 * np.pi * np.arange(count) / count
     dirs = np.zeros((count, dim))

@@ -409,8 +409,16 @@ def dp_level_set(table: DpTable, alpha: float):
 def initial_guess_controller(result: ReachSetResult, x0,
                              tol: float = 1e-7):
     """Blend the stored vertex controllers with the convex weights that
-    reproduce x0; returns (U, weights). Valid warm start anywhere inside
-    the computed polytope."""
+    reproduce x0 (within tol); returns (U, weights).
+
+    The blend is valid anywhere inside the computed polytope.  The
+    probability that the trajectory stays in the tube is log-concave in
+    (x0, U) jointly (Prekopa, 1973): the Gaussian noise density is
+    log-concave, and the tube is convex in (x0, U, noise).  So at a blend
+    of points whose reach probability is at least alpha it is at least
+    alpha too, whatever the weights.  The risk LP's rows are linear in
+    (x0, U, risks), so the same blend of the points' risk allocations
+    meets them as well; no LP bound is computed at x0, though."""
     x0 = np.asarray(x0, dtype=float).ravel()
     pts, ctrls = result.controller_points()
     weights = VPolytope(pts).convex_weights(x0, tol=tol)

@@ -32,18 +32,27 @@ def line(risk, anchor, direction):
     return point
 
 
+def n_deterministic(risk, tube):
+    """The number of deterministic tube rows of risk: the faces of
+    T_1..T_N that are not stochastic rows."""
+    return sum(tube[k].n_rows for k in range(1, tube.horizon + 1)) \
+        - risk.n_risk
+
+
 def test_risk_variable_count_scalar_example(sys1d, tube1d, pwa):
     risk = RiskLP(sys1d, tube1d, 0.8, pwa)
     # two half-spaces per step over five noisy steps
     assert risk.n_risk == 10
-    assert len(risk.deterministic_rows) == 0
+    assert n_deterministic(risk, tube1d) == 0
     # at a delta cap of 0.2 six pieces start at or above the cap
     assert len(risk.pieces) == len(pwa.pieces) - 6
-    # each stochastic row appears once, plus the shared budget; the box
-    # input set goes to bounds.  Columns are [U | segments], one segment
-    # per (row, kept piece), each in its row and in the budget.
+    # each stochastic row appears once, then the shared budget and T_0's
+    # rows; the box input set goes to bounds.  Columns are [U |
+    # segments], one segment per (row, kept piece), each in its row and
+    # in the budget.
     n_segments = risk.n_risk * len(risk.pieces)
-    assert risk.rows.shape == (risk.n_risk + 1, risk.n_u + n_segments)
+    assert risk.rows.shape == (risk.n_risk + 1 + tube1d[0].n_rows,
+                               risk.n_u + n_segments)
     assert risk.rhs.size == risk.rows.shape[0]
     segments = risk.rows.tocsc()[:, risk.n_u:]
     assert np.all(np.diff(segments.indptr) == 2)
@@ -124,7 +133,7 @@ def test_zero_covariance_rows_deterministic(pwa):
     tube = viability_tube(1, 1.0, 3)
     risk = RiskLP(sys, tube, 0.9, pwa)
     assert risk.n_risk == 0
-    assert len(risk.deterministic_rows) == 6
+    assert n_deterministic(risk, tube) == 6
     res = risk.anchor("xmax")
     assert res.feasible
     assert res.lower_bound == pytest.approx(1.0)
@@ -285,6 +294,9 @@ class CopiedRows:
         hu, hx, b, sigma = stack(stochastic, (n_u, n, 1, 1))
         du, dx, db = stack(deterministic, (n_u, n, 1))
         b, sigma = b.ravel(), sigma.ravel()
+        # (x0 coefficients, U coefficients, rhs[, sigma]) of each group
+        self.stochastic = (hx, hu, b, sigma)
+        self.deterministic = (dx, du, db.ravel())
         self.n_u, self.nr = n_u, len(stochastic)
         nr = self.nr
         # [U | deltas] of each row but T_0's, then its x0 coefficients
@@ -351,6 +363,56 @@ class CopiedRows:
             sol = highs_solve(model)
             assert sol.optimal, sol.status
             yield sol.z[-1]
+
+
+def assert_rows_close(actual, expected):
+    """Each row of the matrix actual within 1e-12 of expected, relative
+    to the largest entry of that row of expected."""
+    actual, expected = np.atleast_2d(actual), np.atleast_2d(expected)
+    assert actual.shape == expected.shape
+    scale = np.abs(expected).max(axis=1, initial=0.0)[:, None]
+    assert np.all(np.abs(actual - expected) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("example",
+                         ["scalar", "hexagon", "chain", "cwh", "dubins"])
+def test_row_table_matches_copied_rows(example, sys1d, tube1d, pwa):
+    sys, tube = {"scalar": lambda: (sys1d, tube1d),
+                 "hexagon": hexagon_input_system,
+                 "chain": lambda: chain_system(6),
+                 "cwh": lambda: _instantiate(_EXAMPLES["cwh"])[:2],
+                 "dubins": lambda: _instantiate(_EXAMPLES["dubins"])[:2]
+                 }[example]()
+    risk = RiskLP(sys, tube, 0.8, pwa)
+    oracle = CopiedRows(sys, tube, 0.8, pwa)
+    nr, n_u = risk.n_risk, risk.n_u
+    n_tube = nr + n_deterministic(risk, tube)
+    assert nr == oracle.nr
+    if example == "hexagon":
+        assert n_tube > nr
+    # the tube rows, stochastic first, each group in (step, face) order;
+    # a stochastic row's rhs is taken at delta_lb
+    u = risk.rows[:n_tube, :n_u].toarray()
+    hx, hu, b, sigma = oracle.stochastic
+    dx, du, db = oracle.deterministic
+    assert_rows_close(risk._x0[:nr], hx)
+    assert_rows_close(risk._x0[nr:n_tube], dx)
+    assert_rows_close(u[:nr], hu)
+    assert_rows_close(u[nr:], du)
+    np.testing.assert_allclose(risk._sigma, sigma, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(risk._rhs_risk, b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(risk.rhs[:nr],
+                               b - sigma * pwa.envelope(risk.delta_lb),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(risk.rhs[nr:n_tube], db, rtol=1e-12, atol=0)
+    # T_0's rows close the table, the only ones with a ball norm
+    t0 = tube[0]
+    np.testing.assert_array_equal(risk._x0[-t0.n_rows:], t0.normals)
+    np.testing.assert_array_equal(risk.rhs[-t0.n_rows:], t0.offsets)
+    assert risk.rows[-t0.n_rows:].nnz == 0
+    np.testing.assert_array_equal(
+        risk._ball, np.concatenate([np.zeros(risk.rhs.size - t0.n_rows),
+                                    np.linalg.norm(t0.normals, axis=1)]))
 
 
 def copied_rows_solve(sys, tube, alpha, pwa, c, E, y_lo=-np.inf,
@@ -483,11 +545,11 @@ def test_epigraph_matches_copied_rows(example, sys1d, tube1d, pwa,
     n = sys.state_dim
     risk = RiskLP(sys, tube, 0.6, pwa)
     if example == "hexagon":
-        assert risk.deterministic_rows and risk.n_risk
+        assert n_deterministic(risk, tube) and risk.n_risk
         assert sys.input_set.as_box_bounds() is None
 
     solves = line_lp_rows(monkeypatch)
-    full = risk.rows.shape[0] + tube[0].n_rows
+    full = risk.rows.shape[0]
     xmax = risk.anchor("xmax")
     xmax_solves = len(solves)
     # the xmax anchor has no trial
@@ -555,7 +617,7 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     monkeypatch.setattr(risk, "_windows", lambda *_: np.tile(
         np.diff(risk._knots), (risk.n_risk, 1)))
     full = line(risk, start, d)
-    assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
+    assert rows[1] == risk.rows.shape[0]
     assert ls.theta == pytest.approx(full.theta, abs=1e-7)
 
 
@@ -570,7 +632,7 @@ def test_chain_anchor_is_one_small_trial(pwa, monkeypatch):
     # the full LP, without the trial, has the same radius
     monkeypatch.setattr(risk, "_pinned", None)
     full = risk.anchor("cheby")
-    assert rows[1] == risk.rows.shape[0] + tube[0].n_rows
+    assert rows[1] == risk.rows.shape[0]
     assert cheby.radius == pytest.approx(full.radius, abs=1e-7)
 
 
@@ -586,7 +648,7 @@ def test_rejected_trial_falls_back_to_the_full_lp(monkeypatch):
     rows = line_lp_rows(monkeypatch)
     monkeypatch.setattr(risk, "_pinned_rows_hold", lambda *_: False)
     cheby = risk.anchor("cheby")
-    full = risk.rows.shape[0] + tube[0].n_rows
+    full = risk.rows.shape[0]
     assert len(rows) == 2 and rows[0] < rows[1] == full
     # the anchor of the full LP alone, as without the trial
     monkeypatch.setattr(risk, "_pinned", None)
@@ -619,7 +681,7 @@ def test_trial_without_verdict_falls_back(sys2d, tube2d, pwa, monkeypatch):
     anchor = risk.anchor("cheby")
     assert anchor.status == "optimal"
     assert len(rows) == 2 and rows[0] < rows[1]
-    assert rows[1] == risk.rows.shape[0] + tube2d[0].n_rows
+    assert rows[1] == risk.rows.shape[0]
 
 
 def test_infeasible_trial_is_the_verdict(sys2d, tube2d, pwa, monkeypatch):
@@ -628,7 +690,7 @@ def test_infeasible_trial_is_the_verdict(sys2d, tube2d, pwa, monkeypatch):
     rows = fake_trial(monkeypatch, "infeasible")
     anchor = risk.anchor("cheby")
     assert anchor.status == "empty" and anchor.x_anchor is None
-    assert len(rows) == 1 and rows[0] < risk.rows.shape[0] + tube2d[0].n_rows
+    assert len(rows) == 1 and rows[0] < risk.rows.shape[0]
 
 
 def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
@@ -642,7 +704,7 @@ def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
     rows = line_lp_rows(monkeypatch)
     # x0 is free at the anchor, so every row can bind there
     assert risk.anchor("xmax").feasible
-    assert rows == [risk.rows.shape[0] + tube[0].n_rows]
+    assert rows == [risk.rows.shape[0]]
     d = np.array([1.0])
     assert tube[0].ray_exit(np.zeros(1), d) == np.inf
     for sign in (1.0, -1.0):
@@ -806,6 +868,19 @@ def test_example_steps_match_the_copied_rows_oracle(example, alpha, half):
     steps = oracle.steps(res.anchor.x_anchor, [bp.direction for bp in ok])
     for bp, theta in zip(ok, steps):
         assert abs(bp.theta - theta) <= 1e-8
+
+
+@pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)
+def test_example_vertices_lie_in_t0_exactly(example, alpha):
+    # on cwh at 0.8, anchor + theta d rounds 3.3e-16 past the exit of one
+    # ray unless theta steps down
+    _, tube, res, _ = example_set(example, alpha)
+    ok = [bp for bp in res.boundary_points if bp.status == "ok"]
+    assert ok
+    for bp in ok:
+        assert tube[0].contains(bp.point, tol=0.0)
+        np.testing.assert_array_equal(
+            bp.point, res.anchor.x_anchor + bp.theta * bp.direction)
 
 
 def test_dubins_line_searches_take_few_simplex_iterations(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import time
 import pytest
 
 from tubereach import chance, reachalgo
-from tubereach.cli import (EXIT_BAD_CONFIG, EXIT_EMPTY_SET, EXIT_OK,
-                           EXIT_SOLVER_FAILURE, main)
+from tubereach.cli import (_EXAMPLES, EXIT_BAD_CONFIG, EXIT_EMPTY_SET,
+                           EXIT_OK, EXIT_SOLVER_FAILURE, main)
 from tubereach.reachalgo import ReachSetResult
 from tubereach.lpsolve import LpSolution, highs_solve
 
@@ -150,6 +151,29 @@ def test_anchor_mode_both_rejected(tmp_path, caplog):
     assert "unknown anchor_mode 'both'" in caplog.text
     # rejected before any side effect: no output directory is left behind
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compute", "dp"])
+@pytest.mark.parametrize("example, change", [
+    ("integrator2", {"alphas": [None]}),
+    ("integrator2", {"horizon": [3]}),
+    ("integrator2", {"directions": 5}),
+    ("integrator2", {"pwa": 3}),
+    ("integrator2", {"dp": 3}),
+    ("integrator40", {"directions": {"count": 8, "slice": [0]}}),
+    ("integrator40", {"directions": {"count": 8, "slice": [0, 45]}}),
+], ids=["alphas-null", "horizon-list", "directions-number", "pwa-number",
+        "dp-number", "slice-one-index", "slice-out-of-range"])
+def test_malformed_config_is_one_error_line(tmp_path, caplog, capsys,
+                                            command, example, change):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_EXAMPLES[example], **change}))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "-d", str(out)]) == EXIT_BAD_CONFIG
+    logged = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.levelname for r in logged] == ["ERROR"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_json_rejected(tmp_path):

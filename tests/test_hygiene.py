@@ -59,6 +59,33 @@ def dead_private_helpers(sources):
                    if name not in read})
 
 
+def dead_private_members(sources):
+    """Private members of classes (one leading underscore) that no
+    module of sources, a {module name: source} map, ever reads: methods
+    defined in a class body and attributes assigned as self._name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [node.name for node in cls.body
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))]
+            names += [node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"]
+            defined += [(module, cls.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    return sorted({f"{module}:{cls}.{name}" for module, cls, name in defined
+                   if name not in read})
+
+
 def test_modules_found():
     assert {"chance.py", "reachalgo.py", "cli.py"} <= {m.name for m in MODULES}
     assert {"conftest.py", "oracles.py"} <= {m.name for m in TEST_MODULES}
@@ -85,6 +112,32 @@ def test_detector_flags_unused_and_spares_reexports():
 def test_no_dead_private_helpers():
     assert dead_private_helpers(
         {path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_no_dead_private_members():
+    assert dead_private_members(
+        {path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_detector_flags_private_members_no_module_reads():
+    sources = {"a.py": ("class Table:\n"
+                        "    def __init__(self, rows):\n"
+                        "        self._rows = rows\n"
+                        "        self._copy, self.public = rows, 1\n"
+                        "        self._cache = None\n"
+                        "    def _count(self):\n"
+                        "        return len(self._rows)\n"
+                        "    def _unused(self):\n"
+                        "        self._cache = 2\n"
+                        "    def __len__(self):\n"
+                        "        return self._count()\n"),
+               "b.py": ("from .a import Table\n"
+                        "_read = Table([])._via_other\n"
+                        "class Other:\n"
+                        "    def __init__(self):\n"
+                        "        self._via_other = 1\n")}
+    assert dead_private_members(sources) == [
+        "a.py:Table._cache", "a.py:Table._copy", "a.py:Table._unused"]
 
 
 def test_detector_flags_private_names_no_module_reads():
