@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
-from .lpsolve import (DEVEX, LinearProgram, LpModel, LpSolution,
-                      highs_solve, solve_lp)
+from .lpsolve import DEVEX, LinearProgram, LpModel, LpSolution, highs_solve
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
@@ -390,7 +389,7 @@ class RiskLP:
         hi = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
         cols = hi > 0.0
         lp = self._program(c, E, cols, hi, y_lo, y_hi, radius, maximize)
-        return self._solution(solve_lp(lp, NO_PRESOLVE), cols)
+        return self._solution(highs_solve(LpModel(lp, NO_PRESOLVE)), cols)
 
     def _kept_rows(self, cols: np.ndarray) -> np.ndarray:
         """The rows of the table kept with the segment columns in cols:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import montecarlo, reachalgo
 from .gaussian import build_pwa_quantile
-from .geometry import HPolytope, VPolytope, spread_directions
+from .geometry import HPolytope, VPolytope, box_polytope, spread_directions
 from .sysmodel import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
                        cwh_los_tube, make_cwh, make_dubins,
                        make_integrator_chain, make_uncontrolled,
@@ -57,66 +57,107 @@ def _require(node: dict, key: str, where: str):
     return node[key]
 
 
+_REQUIRED = object()
+
+
+def _number(value, kind, where: str):
+    """value as a kind (int or float).  A boolean, a string, a value that
+    is not finite and, for int, a fractional value raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+    if not abs(value) <= _sys.float_info.max:  # NaN, inf, a huge int
+        raise ConfigError(f"{where} must be finite, not {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return kind(value)
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A list of config numbers, or a rectangular nest of such lists, as
+    a float array; each entry goes through _number."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, not {value!r}")
+    # a ragged nest leaves lists among the entries, which _number rejects
+    entries = np.asarray(value, dtype=object)
+    for v in entries.flat:
+        _number(v, float, where)
+    return entries.astype(float)
+
+
+def _value(node: dict, key: str, where: str, kind=float, default=_REQUIRED):
+    """node[key] through _number, or through _numbers for kind list;
+    default when node lacks the key, and a missing key without a default
+    raises ConfigError."""
+    if default is not _REQUIRED and key not in node:
+        return default
+    value = _require(node, key, where)
+    name = f"{where}.{key}"
+    return _numbers(value, name) if kind is list else \
+        _number(value, kind, name)
+
+
+def _polytope(node: dict, where: str) -> HPolytope:
+    _check_keys(node, {"normals", "offsets"}, where)
+    return HPolytope(normals=_value(node, "normals", where, list),
+                     offsets=_value(node, "offsets", where, list))
+
+
 def build_system(spec: dict, horizon: int) -> StochasticLTVSystem:
     kind = _require(spec, "type", "system")
     if kind == "integrator":
         _check_keys(spec, {"type", "dimension", "sampling_time",
                            "covariance", "input_bound"}, "system")
         return make_integrator_chain(
-            int(_require(spec, "dimension", "system")),
-            float(spec.get("sampling_time", 0.1)), horizon,
-            float(_require(spec, "covariance", "system")),
-            float(_require(spec, "input_bound", "system")))
+            _value(spec, "dimension", "system", int),
+            _value(spec, "sampling_time", "system", default=0.1), horizon,
+            _value(spec, "covariance", "system"),
+            _value(spec, "input_bound", "system"))
     if kind == "uncontrolled":
         _check_keys(spec, {"type", "dimension", "gain", "covariance"},
                     "system")
-        return make_uncontrolled(int(_require(spec, "dimension", "system")),
-                                 gain=float(spec.get("gain", 0.8)),
-                                 cov=float(spec.get("covariance", 0.05)),
-                                 horizon=horizon)
+        return make_uncontrolled(
+            _value(spec, "dimension", "system", int),
+            gain=_value(spec, "gain", "system", default=0.8),
+            cov=_value(spec, "covariance", "system", default=0.05),
+            horizon=horizon)
     if kind == "cwh":
         _check_keys(spec, {"type", "orbital_rate", "mass", "sampling_time",
                            "covariance_diagonal", "input_bound"}, "system")
-        kwargs = {"horizon": horizon}
-        if "orbital_rate" in spec:
-            kwargs["orbital_rate"] = float(spec["orbital_rate"])
-        if "mass" in spec:
-            kwargs["mass"] = float(spec["mass"])
-        if "sampling_time" in spec:
-            kwargs["sampling_time"] = float(spec["sampling_time"])
+        kwargs = {key: _value(spec, key, "system") for key in
+                  ("orbital_rate", "mass", "sampling_time", "input_bound")
+                  if key in spec}
         if "covariance_diagonal" in spec:
-            kwargs["cov_diag"] = [float(v) for v in spec["covariance_diagonal"]]
-        if "input_bound" in spec:
-            kwargs["input_bound"] = float(spec["input_bound"])
-        return make_cwh(**kwargs)
+            kwargs["cov_diag"] = _value(spec, "covariance_diagonal",
+                                        "system", list)
+        return make_cwh(horizon=horizon, **kwargs)
     if kind == "dubins":
         _check_keys(spec, {"type", "sampling_time", "heading", "turn_rates",
                            "input_bound", "disturbance_mean",
                            "disturbance_covariance"}, "system")
-        cov = spec.get("disturbance_covariance")
-        return make_dubins(float(spec.get("sampling_time", 0.1)), horizon,
-                           float(spec.get("heading", 0.3141592653589793)),
-                           [float(v) for v in _require(spec, "turn_rates",
-                                                       "system")],
-                           float(spec.get("input_bound", 10.0)),
-                           mu_eta=spec.get("disturbance_mean", (0.0, 0.0)),
-                           cov_eta=None if cov is None else np.asarray(cov))
+        return make_dubins(
+            _value(spec, "sampling_time", "system", default=0.1), horizon,
+            _value(spec, "heading", "system", default=0.3141592653589793),
+            _value(spec, "turn_rates", "system", list),
+            _value(spec, "input_bound", "system", default=10.0),
+            mu_eta=_value(spec, "disturbance_mean", "system", list,
+                          default=(0.0, 0.0)),
+            cov_eta=_value(spec, "disturbance_covariance", "system", list,
+                           default=None))
     if kind == "custom":
         _check_keys(spec, {"type", "A_seq", "B_seq", "disturbance",
                            "input_set"}, "system")
         dist = _require(spec, "disturbance", "system")
         _check_keys(dist, {"mean", "covariance"}, "system.disturbance")
-        gd = GaussianDisturbance.iid(np.asarray(dist["mean"], dtype=float),
-                                     np.asarray(dist["covariance"],
-                                                dtype=float), horizon)
+        gd = GaussianDisturbance.iid(
+            _value(dist, "mean", "system.disturbance", list),
+            _value(dist, "covariance", "system.disturbance", list), horizon)
         iset = spec.get("input_set")
-        input_set = None if iset is None else HPolytope(
-            normals=np.asarray(iset["normals"], dtype=float),
-            offsets=np.asarray(iset["offsets"], dtype=float))
         return StochasticLTVSystem(
-            A_seq=[np.asarray(a, dtype=float) for a in spec["A_seq"]],
-            B_seq=[np.asarray(b, dtype=float) for b in spec["B_seq"]],
-            disturbance=gd, input_set=input_set, horizon=horizon)
+            A_seq=_value(spec, "A_seq", "system", list),
+            B_seq=_value(spec, "B_seq", "system", list), disturbance=gd,
+            input_set=None if iset is None
+            else _polytope(iset, "system.input_set"),
+            horizon=horizon)
     raise ConfigError(f"unknown system type {kind!r}")
 
 
@@ -126,16 +167,13 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
     if kind == "viability":
         _check_keys(spec, {"type", "half_width", "terminal_half_width"},
                     "tube")
-        term = spec.get("terminal_half_width")
-        return viability_tube(sys.state_dim,
-                              float(_require(spec, "half_width", "tube")),
-                              horizon,
-                              None if term is None else float(term))
+        return viability_tube(
+            sys.state_dim, _value(spec, "half_width", "tube"), horizon,
+            _value(spec, "terminal_half_width", "tube", default=None))
     if kind == "shrinking-box":
         _check_keys(spec, {"type", "base_half_width", "decay"}, "tube")
-        base = float(_require(spec, "base_half_width", "tube"))
-        decay = float(_require(spec, "decay", "tube"))
-        from .geometry import box_polytope
+        base = _value(spec, "base_half_width", "tube")
+        decay = _value(spec, "decay", "tube")
         return TargetTube([box_polytope(np.zeros(sys.state_dim),
                                         [base * decay ** k] * sys.state_dim)
                            for k in range(horizon + 1)])
@@ -145,41 +183,34 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
     if kind == "dubins-nominal":
         _check_keys(spec, {"type", "delta", "decay_steps",
                            "base_half_width"}, "tube")
-        return nominal_dubins_tube(sys, float(spec.get("delta", 0.7)),
-                                   decay_steps=float(
-                                       spec.get("decay_steps", 100.0)),
-                                   base_half_width=float(
-                                       spec.get("base_half_width", 4.0)))
+        return nominal_dubins_tube(
+            sys, _value(spec, "delta", "tube", default=0.7),
+            decay_steps=_value(spec, "decay_steps", "tube", default=100.0),
+            base_half_width=_value(spec, "base_half_width", "tube",
+                                   default=4.0))
     if kind == "explicit":
         _check_keys(spec, {"type", "sets"}, "tube")
-        sets = [HPolytope(normals=np.asarray(s["normals"], dtype=float),
-                          offsets=np.asarray(s["offsets"], dtype=float))
-                for s in _require(spec, "sets", "tube")]
-        return TargetTube(sets)
+        sets = _require(spec, "sets", "tube")
+        if not isinstance(sets, list):
+            raise ConfigError(f"tube.sets must be a list, not {sets!r}")
+        return TargetTube([_polytope(s, f"tube.sets[{k}]")
+                           for k, s in enumerate(sets)])
     raise ConfigError(f"unknown tube type {kind!r}")
 
 
 _TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions",
              "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation"}
-# the optional sections and their keys; every value is a number but the
-# slice, a pair of state indices
-_SECTIONS = {"directions": {"count", "slice"},
-             "pwa": {"tolerance", "delta_lb"},
-             "dp": {"state_spacing", "input_spacing"},
-             "validation": {"n_traj", "seed"}}
-
-
-def _number(value, kind, where: str):
-    """kind(value), for kind int or float; a value that is not a number
-    raises ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, not {value!r}") \
-            from None
+# the optional sections, their keys and the kind of number each holds; the
+# slice is a pair of state indices
+_SECTIONS = {"directions": {"count": int, "slice": None},
+             "pwa": {"tolerance": float, "delta_lb": float},
+             "dp": {"state_spacing": float, "input_spacing": float},
+             "validation": {"n_traj": int, "seed": int}}
 
 
 def load_config(path: str) -> dict:
+    """The config at path, with every number of its top level and of its
+    optional sections checked and converted by _number."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -192,59 +223,52 @@ def load_config(path: str) -> dict:
         _require(cfg, key, "config")
     if not isinstance(cfg["alphas"], list) or not cfg["alphas"]:
         raise ConfigError("alphas must be a nonempty list")
+    cfg["alphas"] = [_number(a, float, "alpha") for a in cfg["alphas"]]
     for a in cfg["alphas"]:
-        if not (0.0 < _number(a, float, "alpha") <= 1.0):
+        if not 0.0 < a <= 1.0:
             raise ConfigError(f"alpha {a} outside (0, 1]")
-    if _number(cfg["horizon"], int, "horizon") < 1:
+    cfg["horizon"] = _number(cfg["horizon"], int, "horizon")
+    if cfg["horizon"] < 1:
         raise ConfigError("horizon must be >= 1")
-    _number(cfg.get("seed", 0), int, "seed")
+    cfg["seed"] = _number(cfg.get("seed", 0), int, "seed")
     anchor_mode = cfg.get("anchor_mode", "cheby")
     if anchor_mode not in ("cheby", "xmax"):
         raise ConfigError(f"unknown anchor_mode {anchor_mode!r}")
-    for section, keys in _SECTIONS.items():
-        node = cfg.get(section, {})
-        _check_keys(node, keys, section)
+    for section, kinds in _SECTIONS.items():
+        node = cfg.setdefault(section, {})
+        _check_keys(node, kinds, section)
         for key, value in node.items():
             if key != "slice":
-                _number(value, float, f"{section}.{key}")
-    slice_dims = cfg.get("directions", {}).get("slice")
+                node[key] = _number(value, kinds[key], f"{section}.{key}")
+    slice_dims = cfg["directions"].get("slice")
     if slice_dims is not None:
         if not isinstance(slice_dims, list) or len(slice_dims) != 2:
             raise ConfigError("directions.slice must be a pair of state "
                               f"indices, not {slice_dims!r}")
-        for d in slice_dims:
-            _number(d, int, "directions.slice")
+        cfg["directions"]["slice"] = [_number(d, int, "directions.slice")
+                                      for d in slice_dims]
     return cfg
 
 
 def _instantiate(cfg: dict):
-    horizon = int(cfg["horizon"])
-    sys = build_system(cfg["system"], horizon)
+    """System, tube, directions and PWA envelope of a config as
+    load_config returns it."""
+    sys = build_system(cfg["system"], cfg["horizon"])
     tube = build_tube(cfg["tube"], sys)
     dirs_cfg = cfg.get("directions", {})
-    count = int(dirs_cfg.get("count", 8 if sys.state_dim != 1 else 2))
-    slice_dims = dirs_cfg.get("slice")
-    if slice_dims is not None:
-        slice_dims = (int(slice_dims[0]), int(slice_dims[1]))
-    elif sys.state_dim > 2:
-        slice_dims = (0, 1)
-    directions = spread_directions(count, sys.state_dim, slice_dims)
+    directions = spread_directions(
+        dirs_cfg.get("count", 8 if sys.state_dim != 1 else 2),
+        sys.state_dim,
+        dirs_cfg.get("slice", (0, 1) if sys.state_dim > 2 else None))
     pwa_cfg = cfg.get("pwa", {})
-    pwa = build_pwa_quantile(delta_lb=float(pwa_cfg.get("delta_lb", 1e-6)),
-                             tol=float(pwa_cfg.get("tolerance", 1e-3)))
+    pwa = build_pwa_quantile(delta_lb=pwa_cfg.get("delta_lb", 1e-6),
+                             tol=pwa_cfg.get("tolerance", 1e-3))
     return sys, tube, directions, pwa
 
 
 def _alpha_tag(alpha: float) -> str:
     """The file name part for a threshold: 0.6 -> alpha0p6."""
     return f"alpha{alpha:g}".replace(".", "p")
-
-
-def _result_paths(outdir: str, alpha: float):
-    tag = _alpha_tag(alpha)
-    return (os.path.join(outdir, f"reach_{tag}.json"),
-            os.path.join(outdir, f"reach_{tag}_vertices.csv"),
-            os.path.join(outdir, f"reach_{tag}_boundary.csv"))
 
 
 def _read_result(path) -> reachalgo.ReachSetResult:
@@ -270,7 +294,6 @@ def cmd_compute(args) -> int:
     any_empty = False
     timings: Dict[str, Dict[str, float]] = {}
     for alpha in cfg["alphas"]:
-        alpha = float(alpha)
         res = reachalgo.compute_reach_set(
             sys, tube, alpha, directions,
             anchor_mode=cfg.get("anchor_mode", "cheby"), pwa=pwa,
@@ -285,22 +308,26 @@ def cmd_compute(args) -> int:
                       "succeeded; the set would be the anchor alone", alpha)
             return EXIT_SOLVER_FAILURE
         os.makedirs(outdir, exist_ok=True)
-        jpath, vpath, bpath = _result_paths(outdir, alpha)
-        with open(jpath, "w") as fh:
-            fh.write(res.to_json())
+        base = os.path.join(outdir, f"reach_{_alpha_tag(alpha)}")
+        jpath = base + ".json"
+        Path(jpath).write_text(res.to_json())
         # timings go to a sidecar that each run overwrites, so the other
         # artifacts stay byte-identical across reruns
         timings[f"{alpha:g}"] = res.timings
-        with open(os.path.join(outdir, "timings.json"), "w") as fh:
-            json.dump(timings, fh, indent=2, sort_keys=True)
+        _write_json(os.path.join(outdir, "timings.json"), timings)
         if res.is_empty:
             any_empty = True
             log.warning("alpha=%s: empty set (%s); certificate at %s",
                         alpha, res.diagnostic, jpath)
             continue
-        res.vertex_csv(vpath)
+        _write_csv(base + "_vertices.csv",
+                   ["index", "status", "theta", "lower_bound"]
+                   + [f"x{i}" for i in range(res.polytope.dim)],
+                   ([i, bp.status, bp.theta, bp.lower_bound, *bp.point]
+                    for i, bp in enumerate(res.boundary_points)))
         if res.polytope.dim >= 2:
-            _boundary_csv(bpath, res.polytope, directions.slice_dims)
+            _boundary_csv(base + "_boundary.csv", res.polytope,
+                          directions.slice_dims)
         log.info("alpha=%s: %d vertices -> %s", alpha,
                  res.polytope.n_vertices, jpath)
     return EXIT_EMPTY_SET if any_empty else EXIT_OK
@@ -313,12 +340,23 @@ def _boundary_csv(path, polytope: VPolytope, slice_dims) -> None:
     center = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - center[1],
                                   pts[:, 0] - center[0]))
-    loop = np.vstack([pts[order], pts[order][:1]])
+    _write_csv(path, [f"x{i}", f"x{j}"],
+               np.vstack([pts[order], pts[order][:1]]))
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV artifact: the header, then each row, with strings and ints
+    as they are and every other number as .12g."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([f"x{i}", f"x{j}"])
-        for p in loop:
-            w.writerow([f"{v:.12g}" for v in p])
+        w.writerow(header)
+        w.writerows([v if isinstance(v, (str, int)) else f"{v:.12g}"
+                     for v in row] for row in rows)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 def cmd_interpolate(args) -> int:
@@ -334,11 +372,9 @@ def cmd_interpolate(args) -> int:
         return EXIT_BAD_CONFIG
     gamma = reachalgo.interpolation_weight(set1.alpha, set2.alpha, args.beta)
     out = args.output or "interpolated.json"
-    with open(out, "w") as fh:
-        json.dump({"beta": args.beta, "alpha1": set1.alpha,
-                   "alpha2": set2.alpha, "gamma": gamma,
-                   "vertices": poly.vertices.tolist()},
-                  fh, indent=2, sort_keys=True)
+    _write_json(out, {"beta": args.beta, "alpha1": set1.alpha,
+                      "alpha2": set2.alpha, "gamma": gamma,
+                      "vertices": poly.vertices.tolist()})
     print(f"gamma={gamma:.6f} vertices={poly.n_vertices} "
           f"elapsed={elapsed:.4f}s -> {out}")
     return EXIT_OK
@@ -347,27 +383,27 @@ def cmd_interpolate(args) -> int:
 def cmd_dp(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _, _ = _instantiate(cfg)
-    dp_cfg = cfg.get("dp", {})
     try:
-        table = reachalgo.dp_values(
-            sys, tube, float(dp_cfg.get("state_spacing", 0.05)),
-            float(dp_cfg.get("input_spacing", 0.05)))
+        table = reachalgo.dp_values(sys, tube,
+                                    cfg["dp"].get("state_spacing", 0.05),
+                                    cfg["dp"].get("input_spacing", 0.05))
     except ValueError as exc:
         log.error("%s", exc)
         return EXIT_BAD_CONFIG
     outdir = args.output_dir or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
-    table.to_csv(os.path.join(outdir, "dp_values.csv"))
+    mesh = np.meshgrid(*table.grids, indexing="ij")
+    _write_csv(os.path.join(outdir, "dp_values.csv"),
+               [f"x{i}" for i in range(len(table.grids))]
+               + [f"V{k}" for k in range(len(table.values))],
+               np.stack([m.ravel() for m in mesh]
+                        + [v.ravel() for v in table.values], axis=1))
     for alpha in cfg["alphas"]:
-        mask, polygon = reachalgo.dp_level_set(table, float(alpha))
+        mask, polygon = reachalgo.dp_level_set(table, alpha)
         if polygon is not None:
-            path = os.path.join(outdir,
-                                f"dp_level_{_alpha_tag(float(alpha))}.csv")
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x0", "x1"])
-                for p in polygon.vertices:
-                    w.writerow([f"{v:.12g}" for v in p])
+            _write_csv(os.path.join(outdir,
+                                    f"dp_level_{_alpha_tag(alpha)}.csv"),
+                       ["x0", "x1"], polygon.vertices)
         log.info("alpha=%s: %d cells above threshold", alpha,
                  int(mask.sum()))
     return EXIT_OK
@@ -380,18 +416,20 @@ def cmd_validate(args) -> int:
     if result.is_empty:
         log.error("result artifact holds an empty set; nothing to validate")
         return EXIT_EMPTY_SET
-    val_cfg = cfg.get("validation", {})
+    val_cfg = cfg["validation"]
     n_traj = args.n_traj if args.n_traj is not None \
-        else int(val_cfg.get("n_traj", 100000))
-    seed = int(val_cfg.get("seed", cfg.get("seed", 0)))
+        else val_cfg.get("n_traj", 100000)
+    seed = val_cfg.get("seed", cfg["seed"])
     report = montecarlo.validate_vertices(result, sys, tube, n_traj,
                                           seed=seed)
     outdir = args.output_dir or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "validation")
-    with open(base + ".json", "w") as fh:
-        fh.write(report.to_json())
-    report.to_csv(base + ".csv")
+    Path(base + ".json").write_text(report.to_json())
+    _write_csv(base + ".csv", [f"x{i}" for i in range(result.polytope.dim)]
+               + ["empirical_probability", "binomial_std", "error"],
+               ([*r.point, r.empirical_probability, r.binomial_std, r.error]
+                for r in report.records))
     print(f"vertices={len(report.records)} mean_error={report.mean_error:.6f}"
           f" std_error={report.std_error:.6f}"
           f" pooled_binomial_std={report.pooled_binomial_std:.6f}")
@@ -421,9 +459,7 @@ def cmd_report(args) -> int:
                 "mean_error": report.mean_error,
                 "std_error": report.std_error, "n_traj": report.n_traj,
                 "pooled_binomial_std": report.pooled_binomial_std}
-    out = os.path.join(args.dir, "summary.json")
-    with open(out, "w") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.dir, "summary.json"), merged)
     for row in merged["results"]:
         spent = row["timings"]
         total = spent.get("total")
@@ -500,8 +536,7 @@ def cmd_example(args) -> int:
                   sorted(_EXAMPLES))
         return EXIT_BAD_CONFIG
     out = args.output or f"{args.name}.json"
-    with open(out, "w") as fh:
-        json.dump(_EXAMPLES[args.name], fh, indent=2, sort_keys=True)
+    _write_json(out, _EXAMPLES[args.name])
     print(out)
     return EXIT_OK
 

@@ -8,8 +8,8 @@ column's coefficients and some column bounds is re-solved from the last
 basis; :func:`highs_solve` is the one function that runs the solver.
 
 Every LP runs with the options scipy's own HiGHS front end sets
-(``_OPTIONS``: presolve on, dual simplex), and a caller may set others
-on top.  The risk LPs of :mod:`tubereach.chance` run without presolve:
+(``_OPTIONS``: presolve on, dual simplex), and an :class:`LpModel` may
+set others on top.  The risk LPs of :mod:`tubereach.chance` run without presolve:
 each is solved once, or re-solved from its basis, and a cold solve of
 one is mostly presolve.  The geometry LPs keep scipy's settings: an LP
 with many optima, such as the weight LP of
@@ -196,8 +196,7 @@ def highs_solve(model: LpModel) -> LpSolution:
                       iterations=iterations)
 
 
-def solve_lp(lp: LinearProgram, options: Optional[dict] = None
-             ) -> LpSolution:
-    """Solve lp cold, with options on top of _OPTIONS; see
-    :class:`LpSolution` for the statuses."""
-    return highs_solve(LpModel(lp, options))
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve lp cold with _OPTIONS; see :class:`LpSolution` for the
+    statuses."""
+    return highs_solve(LpModel(lp))

@@ -6,7 +6,6 @@ trajectory batches can be parallelized without coordination.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -208,17 +207,6 @@ class ValidationReport:
                 f"validation document lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed validation document: {exc}") from None
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            dim = self.records[0].point.size if self.records else 0
-            w.writerow([f"x{i}" for i in range(dim)]
-                       + ["empirical_probability", "binomial_std", "error"])
-            for r in self.records:
-                w.writerow([f"{v:.12g}" for v in r.point]
-                           + [f"{r.empirical_probability:.12g}",
-                              f"{r.binomial_std:.12g}", f"{r.error:.12g}"])
 
 
 def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,

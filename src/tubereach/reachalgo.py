@@ -9,7 +9,6 @@ blended from the stored vertex controllers).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -132,18 +131,6 @@ class ReachSetResult:
         except TypeError as exc:
             raise ValueError(f"malformed result document: {exc}") from None
 
-    def vertex_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            dim = self.boundary_points[0].point.size if self.boundary_points \
-                else (self.anchor.x_anchor.size if self.anchor.x_anchor is not None else 0)
-            w.writerow(["index", "status", "theta", "lower_bound"]
-                       + [f"x{i}" for i in range(dim)])
-            for i, bp in enumerate(self.boundary_points):
-                w.writerow([i, bp.status, f"{bp.theta:.12g}",
-                            f"{bp.lower_bound:.12g}"]
-                           + [f"{v:.12g}" for v in bp.point])
-
 
 def _array(values) -> Optional[np.ndarray]:
     return None if values is None else np.asarray(values, dtype=float)
@@ -265,23 +252,6 @@ class DpTable:
     values: List[np.ndarray]  # V_k, k = 0..N, shape = grid shape
     input_grid: np.ndarray  # (n_inputs, m)
     state_spacing: float
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            dim = len(self.grids)
-            w.writerow([f"x{i}" for i in range(dim)]
-                       + [f"V{k}" for k in range(len(self.values))])
-            mesh = np.meshgrid(*self.grids, indexing="ij")
-            coords = np.stack([m.ravel() for m in mesh], axis=1)
-            flat = [v.ravel() for v in self.values]
-            for r in range(coords.shape[0]):
-                w.writerow([f"{c:.12g}" for c in coords[r]]
-                           + [f"{v[r]:.12g}" for v in flat])
 
 
 def _tube_mask(poly: HPolytope, coords: np.ndarray) -> np.ndarray:

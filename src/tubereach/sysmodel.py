@@ -34,6 +34,9 @@ class GaussianDisturbance:
         for mu, cov in zip(self.mean_per_step, self.cov_per_step):
             if cov.shape != (mu.size, mu.size):
                 raise ValueError("covariance shape mismatch")
+            if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+                raise ValueError("disturbance mean and covariance must be "
+                                 "finite")
             if np.max(np.abs(cov - cov.T)) > _PSD_TOL * max(1.0, np.abs(cov).max()):
                 raise ValueError("covariance must be symmetric")
             if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) < -_PSD_TOL:
@@ -67,6 +70,8 @@ class StochasticLTVSystem:
         for a, b in zip(self.A_seq, self.B_seq):
             if a.shape != (n, n) or b.shape[0] != n:
                 raise ValueError("matrix dimensions inconsistent")
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError("A and B entries must be finite")
         m = self.B_seq[0].shape[1]
         if any(b.shape[1] != m for b in self.B_seq):
             raise ValueError("input dimension varies across steps")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tubereach import (StochasticLTVSystem, TargetTube, box_polytope,
-                       build_pwa_quantile)
+                       build_pwa_quantile, chance)
+from tubereach.lpsolve import DEVEX
 from tubereach.sysmodel import make_integrator_chain, viability_tube
 
 
@@ -41,6 +42,21 @@ def sys2d():
 @pytest.fixture(scope="session")
 def tube2d():
     return viability_tube(2, 1.0, 10)
+
+
+@pytest.fixture
+def line_lps(monkeypatch):
+    """patch(solve) sends the LPs that chance solves in a chain of line
+    searches, the ones priced with devex, to solve(model); the anchors'
+    LPs still go to HiGHS."""
+    real, pricing = chance.highs_solve, "simplex_dual_edge_weight_strategy"
+
+    def patch(solve):
+        def route(model):
+            chained = model.highs.getOptionValue(pricing)[1] == DEVEX[pricing]
+            return solve(model) if chained else real(model)
+        monkeypatch.setattr(chance, "highs_solve", route)
+    return patch
 
 
 def pytest_terminal_summary(terminalreporter):

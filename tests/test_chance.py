@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from tubereach import chance, lpsolve
+from tubereach import chance
 from tubereach.chance import RiskLP, _interval_range
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
@@ -460,11 +460,9 @@ def room_at_delta_lb(sys, tube, pwa, x0, U):
 
 
 def patch_highs_solve(monkeypatch, solve):
-    """Send the LPs that chance solves, the anchors' (solve_lp) and the
-    line searches' (highs_solve), to solve(model)."""
+    """Send the LPs that chance solves, the anchors' and the line
+    searches', to solve(model)."""
     monkeypatch.setattr(chance, "highs_solve", solve)
-    monkeypatch.setattr(chance, "solve_lp",
-                        lambda lp, options=None: solve(LpModel(lp, options)))
 
 
 def line_lp_rows(monkeypatch):
@@ -480,15 +478,14 @@ def line_lp_rows(monkeypatch):
 
 def solver_options(monkeypatch, names=("presolve",)):
     """The given HiGHS options of every model that chance solves from now
-    on, cold (solve_lp) or in a chain (highs_solve), one dict a solve."""
+    on, cold or in a chain, one dict a solve."""
     seen = []
 
     def solve(model):
         seen.append({name: model.highs.getOptionValue(name)[1]
                      for name in names})
         return highs_solve(model)
-    monkeypatch.setattr(lpsolve, "highs_solve", solve)
-    monkeypatch.setattr(chance, "highs_solve", solve)
+    patch_highs_solve(monkeypatch, solve)
     return seen
 
 
@@ -800,9 +797,10 @@ def test_chains_take_fewer_simplex_iterations_than_cold_solves(
         sol = highs_solve(model)
         iterations.append(sol.iterations)
         return sol
-    monkeypatch.setattr(chance, "highs_solve", counted)
     risk = RiskLP(sys2d, tube2d, 0.6, pwa)
     start = risk.anchor("cheby").x_anchor
+    # the line searches' solves alone, not the anchor's
+    monkeypatch.setattr(chance, "highs_solve", counted)
     directions = spread_directions(32, 2).directions
     chained = [ls for i in range(0, 32, CHAIN_LENGTH)
                for ls in risk.lines(start, directions[i:i + CHAIN_LENGTH])]

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 from tubereach import chance, reachalgo
 from tubereach.cli import (_EXAMPLES, EXIT_BAD_CONFIG, EXIT_EMPTY_SET,
-                           EXIT_OK, EXIT_SOLVER_FAILURE, main)
+                           EXIT_OK, EXIT_SOLVER_FAILURE, _instantiate,
+                           load_config, main)
 from tubereach.reachalgo import ReachSetResult
 from tubereach.lpsolve import LpSolution, highs_solve
 
@@ -99,7 +101,7 @@ def test_compute_empty_set_exit_code(tmp_path):
     assert doc["diagnostic"]
 
 
-def fail_line_lps(monkeypatch, failing):
+def fail_line_lps(line_lps, failing):
     """Solve the anchor LP; the line LPs numbered in failing (from 1)
     stop at the iteration limit."""
     calls = []
@@ -109,18 +111,18 @@ def fail_line_lps(monkeypatch, failing):
         if len(calls) in failing:
             return LpSolution(status="iteration_limit")
         return highs_solve(model)
-    monkeypatch.setattr(chance, "highs_solve", solve)
+    line_lps(solve)
 
 
-def test_compute_all_searches_failed_exit_code(tmp_path, monkeypatch):
-    fail_line_lps(monkeypatch, {1, 2})
+def test_compute_all_searches_failed_exit_code(tmp_path, line_lps):
+    fail_line_lps(line_lps, {1, 2})
     cfg = scalar_config(tmp_path, [0.6])
     assert main(["compute", str(cfg),
                  "-d", str(tmp_path / "out")]) == EXIT_SOLVER_FAILURE
 
 
-def test_compute_partial_search_failure_still_ok(tmp_path, monkeypatch):
-    fail_line_lps(monkeypatch, {2})
+def test_compute_partial_search_failure_still_ok(tmp_path, line_lps):
+    fail_line_lps(line_lps, {2})
     cfg = scalar_config(tmp_path, [0.6])
     out = tmp_path / "out"
     assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
@@ -153,6 +155,9 @@ def test_anchor_mode_both_rejected(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+INTEGRATOR2 = _EXAMPLES["integrator2"]["system"]
+
+
 @pytest.mark.parametrize("command", ["compute", "dp"])
 @pytest.mark.parametrize("example, change", [
     ("integrator2", {"alphas": [None]}),
@@ -162,8 +167,32 @@ def test_anchor_mode_both_rejected(tmp_path, caplog):
     ("integrator2", {"dp": 3}),
     ("integrator40", {"directions": {"count": 8, "slice": [0]}}),
     ("integrator40", {"directions": {"count": 8, "slice": [0, 45]}}),
+    ("integrator2", {"horizon": 2.5}),
+    ("integrator2", {"horizon": True}),
+    ("integrator2", {"horizon": 10 ** 400}),
+    ("integrator2", {"directions": {"count": 8.9}}),
+    ("integrator2", {"validation": {"n_traj": 1000.7}}),
+    ("integrator2", {"seed": "7"}),
+    ("integrator40", {"directions": {"count": 8, "slice": [0, 1.5]}}),
+    ("integrator2", {"system": {**INTEGRATOR2, "dimension": None}}),
+    ("integrator2", {"system": {**INTEGRATOR2, "covariance": [1]}}),
+    ("integrator2", {"system": {**INTEGRATOR2, "covariance": math.nan}}),
+    ("integrator2", {"system": {**INTEGRATOR2, "input_bound": math.inf}}),
+    ("integrator2", {"tube": {"type": "explicit",
+                              "sets": [{"normals": [[1.0, 0.0]]}]}}),
+    ("integrator2", {"tube": {"type": "explicit", "sets": [
+        {"normals": [[1.0, 0.0]], "offsets": [1.0], "offset": [2.0]}]}}),
+    ("integrator2", {"system": {"type": "custom", "B_seq": [[[1.0]]] * 10,
+                                "disturbance": {"mean": [0.0],
+                                                "covariance": [[0.001]]}}}),
 ], ids=["alphas-null", "horizon-list", "directions-number", "pwa-number",
-        "dp-number", "slice-one-index", "slice-out-of-range"])
+        "dp-number", "slice-one-index", "slice-out-of-range",
+        "horizon-fraction", "horizon-bool", "horizon-beyond-float",
+        "count-fraction",
+        "n-traj-fraction", "seed-string", "slice-fraction", "dimension-null",
+        "covariance-list", "covariance-nan", "input-bound-inf",
+        "explicit-tube-without-offsets", "explicit-tube-unknown-key",
+        "custom-system-without-A_seq"])
 def test_malformed_config_is_one_error_line(tmp_path, caplog, capsys,
                                             command, example, change):
     cfg = tmp_path / "cfg.json"
@@ -395,6 +424,69 @@ def test_dp_writes_level_polygon_in_2d(tmp_path):
     lines = (out / "dp_level_alpha0p5.csv").read_text().strip().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) >= 4
+
+
+def csv_table(path):
+    """The header and the rows of a CSV artifact, as strings."""
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def g12(values):
+    return [f"{v:.12g}" for v in values]
+
+
+def test_csv_artifacts_pin_header_and_number_format(tmp_path):
+    # each CSV artifact is a header, then a row a record with numbers as
+    # .12g: the vertices, DP values and validation of the scalar config,
+    # and the boundary loop and DP level polygon of a planar one
+    cfg = scalar_config(tmp_path, [0.6],
+                        extra={"dp": {"state_spacing": 0.05,
+                                      "input_spacing": 0.05}})
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "1000", "-d", str(out)]) == EXIT_OK
+    assert main(["dp", str(cfg), "-d", str(out)]) == EXIT_OK
+    doc = json.loads((out / "reach_alpha0p6.json").read_text())
+    assert csv_table(out / "reach_alpha0p6_vertices.csv") == (
+        ["index", "status", "theta", "lower_bound", "x0"],
+        [[str(i), v["status"],
+          *g12([v["theta"], v["lower_bound"], *v["point"]])]
+         for i, v in enumerate(doc["vertices"])])
+    report = json.loads((out / "validation.json").read_text())
+    assert csv_table(out / "validation.csv") == (
+        ["x0", "empirical_probability", "binomial_std", "error"],
+        [g12([*r["point"], r["empirical_probability"], r["binomial_std"],
+              r["error"]]) for r in report["records"]])
+    sys1, tube1, _, _ = _instantiate(load_config(str(cfg)))
+    table = reachalgo.dp_values(sys1, tube1, 0.05, 0.05)
+    assert csv_table(out / "dp_values.csv") == (
+        ["x0"] + [f"V{k}" for k in range(6)],
+        [g12([x, *(v[i] for v in table.values)])
+         for i, x in enumerate(table.grids[0])])
+
+    planar = tmp_path / "planar.json"
+    planar.write_text(json.dumps({
+        "system": {"type": "uncontrolled", "dimension": 2, "gain": 0.8,
+                   "covariance": 0.05},
+        "tube": {"type": "viability", "half_width": 1.0},
+        "horizon": 3, "alphas": [0.5], "directions": {"count": 8},
+        "dp": {"state_spacing": 0.1, "input_spacing": 0.1}}))
+    out = tmp_path / "planar"
+    assert main(["compute", str(planar), "-d", str(out)]) == EXIT_OK
+    assert main(["dp", str(planar), "-d", str(out)]) == EXIT_OK
+    vertices = json.loads((out / "reach_alpha0p5.json").read_text())[
+        "polytope"]
+    header, loop = csv_table(out / "reach_alpha0p5_boundary.csv")
+    assert header == ["x0", "x1"] and loop[0] == loop[-1]
+    assert sorted(loop[1:]) == sorted(g12(p) for p in vertices)
+    sys2, tube2, _, _ = _instantiate(load_config(str(planar)))
+    _, polygon = reachalgo.dp_level_set(
+        reachalgo.dp_values(sys2, tube2, 0.1, 0.1), 0.5)
+    assert csv_table(out / "dp_level_alpha0p5.csv") == (
+        ["x0", "x1"], [g12(p) for p in polygon.vertices])
 
 
 def test_validate_roundtrip(tmp_path):

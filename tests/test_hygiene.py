@@ -86,6 +86,61 @@ def dead_private_members(sources):
                    if name not in read})
 
 
+def file_writes(source):
+    """(line, what) for each thing source does to write files: importing
+    csv, open() with a mode that writes, Path.write_text and write_bytes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "csv" for alias in node.names) or \
+                isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append((node.lineno, "imports csv"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if isinstance(func, ast.Attribute):  # Path.open(mode)
+                modes += node.args[:1]
+            if any(not isinstance(m, ast.Constant)
+                   or set(str(m.value)) & set("wax+") for m in modes):
+                found.append((node.lineno, "open for writing"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_files(path):
+    assert file_writes(path.read_text()) == []
+
+
+def test_detector_flags_file_writes():
+    source = ("import csv, json\n"
+              "from csv import writer\n"
+              "from pathlib import Path\n"
+              "def f(path, mode):\n"
+              "    json.load(open(path))\n"
+              "    open(path, 'r').read()\n"
+              "    Path(path).open().read()\n"
+              "    Path(path).read_text()\n"
+              "    open(path, 'w')\n"
+              "    open(path, mode='a')\n"
+              "    open(path, mode)\n"
+              "    Path(path).open('wb')\n"
+              "    Path(path).write_text('')\n"
+              "    path.write_bytes(b'')\n")
+    assert file_writes(source) == [
+        (1, "imports csv"), (2, "imports csv"), (9, "open for writing"),
+        (10, "open for writing"), (11, "open for writing"),
+        (12, "open for writing"), (13, "write_text"), (14, "write_bytes")]
+    assert file_writes((PACKAGE / "cli.py").read_text())
+
+
 def test_modules_found():
     assert {"chance.py", "reachalgo.py", "cli.py"} <= {m.name for m in MODULES}
     assert {"conftest.py", "oracles.py"} <= {m.name for m in TEST_MODULES}

@@ -230,18 +230,24 @@ def test_bounds_kept_as_one_array():
             LinearProgram(objective=np.ones(2), bounds=wrong)
 
 
-def test_solve_lp_adds_options_to_the_defaults(monkeypatch):
+def test_lp_model_adds_options_to_the_defaults(monkeypatch):
+    def options(model):
+        return {name: model.highs.getOptionValue(name)[1]
+                for name in _OPTIONS}
     seen = []
 
     def solve(model):
-        seen.append({name: model.highs.getOptionValue(name)[1]
-                     for name in _OPTIONS})
+        seen.append(options(model))
         return highs_solve(model)
     monkeypatch.setattr(lpsolve, "highs_solve", solve)
     lp = LinearProgram(objective=np.array([1.0, 1.0]),
                        ineq=(np.array([[-1.0, -2.0]]), np.array([-2.0])),
                        bounds=[(0.0, np.inf)] * 2)
-    plain, off = solve_lp(lp), solve_lp(lp, {"presolve": "off"})
-    assert seen == [_OPTIONS, {**_OPTIONS, "presolve": "off"}]
+    # solve_lp keeps the defaults; a model's options sit on top of them
+    plain = solve_lp(lp)
+    model = LpModel(lp, {"presolve": "off"})
+    assert seen == [_OPTIONS]
+    assert options(model) == {**_OPTIONS, "presolve": "off"}
+    off = highs_solve(model)
     assert plain.status == off.status == "optimal"
     assert plain.objective_value == pytest.approx(off.objective_value)

@@ -15,6 +15,8 @@ from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 nominal_dubins_tube, viability_tube)
 
 from oracles import volume_ratio
+from test_cli import scalar_config
+from tubereach.cli import EXIT_OK, main
 
 
 def test_start_outside_initial_set_is_zero(sys1d, tube1d):
@@ -223,11 +225,19 @@ def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):
     assert data["alpha"] == 0.6
     assert data["pooled_binomial_std"] == report.pooled_binomial_std > 0
     assert len(data["records"]) == len(report.records)
-    path = tmp_path / "validation.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("x0,")
-    assert len(lines) == len(report.records) + 1
+    # `tubereach validate` on the same system, result and seed writes
+    # this report, and beside it a CSV row a vertex
+    cfg = scalar_config(tmp_path, [0.6], extra={"validation": {"seed": 1}})
+    result = tmp_path / "reach_alpha0p6.json"
+    result.write_text(reach06.to_json())
+    assert main(["validate", str(cfg), "--result", str(result),
+                 "--n-traj", "1000", "-d", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "validation.json").read_text() == report.to_json()
+    lines = (tmp_path / "validation.csv").read_text().splitlines()
+    assert lines[0] == "x0,empirical_probability,binomial_std,error"
+    assert lines[1:] == [",".join(f"{v:.12g}" for v in (
+        *r.point, r.empirical_probability, r.binomial_std, r.error))
+        for r in report.records]
 
 
 def test_validation_report_json_roundtrip(reach06, sys1d, tube1d):

@@ -169,21 +169,18 @@ def test_anytime_prefix_is_contained(sys2d, tube2d, pwa):
         assert full.polytope.contains(v, tol=1e-6)
 
 
-def test_parallel_matches_serial(sys2d, tube2d, pwa, tmp_path):
-    # without a time budget the artifacts are byte-identical across jobs
-    # (vertices, thetas, bounds and controllers included); 20 directions
+def test_parallel_matches_serial(sys2d, tube2d, pwa):
+    # without a time budget the result document is byte-identical across
+    # jobs (vertices, thetas, bounds and controllers included; the CLI's
+    # test_rerun_is_byte_identical covers the CSV artifacts); 20 directions
     # make three chains, which one worker runs in turn at -j 1 and three
     # run side by side at -j 4
     dirs = spread_directions(20, 2)
     assert 2 * reachalgo.CHAIN_LENGTH < len(dirs) <= 3 * reachalgo.CHAIN_LENGTH
-    artifacts = []
-    for jobs in (1, 4):
-        res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
-                                time_budget=None, jobs=jobs)
-        res.vertex_csv(tmp_path / f"j{jobs}.csv")
-        artifacts.append((res.to_json(),
-                          (tmp_path / f"j{jobs}.csv").read_bytes()))
-    assert artifacts[0] == artifacts[1]
+    documents = [compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa,
+                                   time_budget=None, jobs=jobs).to_json()
+                 for jobs in (1, 4)]
+    assert documents[0] == documents[1]
 
 
 def test_zero_time_budget_keeps_only_the_anchor(sys2d, tube2d, pwa):
@@ -255,11 +252,10 @@ def test_risk_lp_assembled_once_per_call(sys2d, tube2d, pwa, monkeypatch):
 
 @pytest.mark.parametrize("trouble", ["iteration_limit", "numerical_trouble"])
 def test_line_search_solver_failure_is_recorded(sys2d, tube2d, pwa,
-                                                monkeypatch, trouble):
+                                                line_lps, trouble):
     # the anchor LP solves; every line LP stops in trouble, which is no
     # proof of infeasibility
-    monkeypatch.setattr(chance, "highs_solve",
-                        lambda model: LpSolution(status=trouble))
+    line_lps(lambda model: LpSolution(status=trouble))
     res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(4, 2),
                             pwa=pwa)
     assert res.anchor.feasible
@@ -268,7 +264,7 @@ def test_line_search_solver_failure_is_recorded(sys2d, tube2d, pwa,
 
 
 def test_failed_search_marks_only_its_own_direction(sys2d, tube2d, pwa,
-                                                   monkeypatch):
+                                                   line_lps):
     # the third line LP of the chain stops at the iteration limit; the
     # chain goes on from the basis it had
     dirs = spread_directions(8, 2)
@@ -279,7 +275,7 @@ def test_failed_search_marks_only_its_own_direction(sys2d, tube2d, pwa,
         calls.append(model)
         return LpSolution(status="iteration_limit") if len(calls) == 3 \
             else solve(model)
-    monkeypatch.setattr(chance, "highs_solve", third_fails)
+    line_lps(third_fails)
     res = compute_reach_set(sys2d, tube2d, 0.6, dirs, pwa=pwa)
     assert len({id(model) for model in calls}) == 1
     assert [b.status for b in res.boundary_points] == \

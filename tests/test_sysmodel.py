@@ -21,6 +21,29 @@ def test_disturbance_validation():
                                                        [0.4, 1.0]]), 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_noise_rejected(bad):
+    # a NaN or infinite sigma would read as no noise, and certify 1.0
+    with pytest.raises(ValueError, match="finite"):
+        make_integrator_chain(2, 0.1, 10, bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianDisturbance.iid([0.0, bad], np.eye(2), 3)
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GaussianDisturbance.iid(np.zeros(2), cov, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("matrix", ["A", "B"])
+def test_non_finite_dynamics_rejected(bad, matrix):
+    a, b = np.eye(2), np.ones((2, 1))
+    (a if matrix == "A" else b)[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StochasticLTVSystem.lti(a, b, np.zeros(2), np.eye(2),
+                                box_polytope(np.zeros(1), np.ones(1)), 3)
+
+
 def test_integrator_chain_matrices():
     sys = make_integrator_chain(2, 0.1, 10, 0.01, 0.1)
     np.testing.assert_allclose(sys.A_seq[0], [[1.0, 0.1], [0.0, 1.0]])
