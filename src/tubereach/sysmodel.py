@@ -162,7 +162,8 @@ def make_integrator_chain(n: int, sampling_time: float, horizon: int,
         a[i, i:] = terms[:n - i]
     b = terms[n:0:-1]
     input_set = box_polytope([0.0], [input_bound])
-    return StochasticLTVSystem.lti(a, b, np.zeros(n), cov * np.eye(n),
+    return StochasticLTVSystem.lti(a, b, np.zeros(n),
+                                   np.diag(np.full(n, cov)),
                                    input_set, horizon)
 
 
@@ -259,7 +260,8 @@ def make_uncontrolled(n: int, gain: float = 0.8, cov: float = 0.05,
     """x+ = gain * x + w with no input channel."""
     a = gain * np.eye(n)
     b = np.zeros((n, 0))
-    dist = GaussianDisturbance.iid(np.zeros(n), cov * np.eye(n), horizon)
+    dist = GaussianDisturbance.iid(np.zeros(n),
+                                   np.diag(np.full(n, cov)), horizon)
     return StochasticLTVSystem(A_seq=[a] * horizon, B_seq=[b] * horizon,
                                disturbance=dist, input_set=None, horizon=horizon)
 

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -90,22 +91,26 @@ def test_estimates_frozen_for_fixed_seeds(sys1d, tube1d):
 
 def full_state_rollout(sys, tube, x0, U, n_traj, seed):
     """Reference: x_{k+1} = A_k x_k + B_k u_k + L_k xi_k + mu_k on the
-    draws the rollout takes (one chunk, an n x n_traj block per step)."""
-    assert n_traj <= montecarlo._CHUNK
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.repeat(np.asarray(x0, dtype=float)[:, None], n_traj, axis=1)
-    alive = np.ones(n_traj, dtype=bool)
-    m = sys.input_dim
-    for k in range(sys.horizon):
-        xi = rng.standard_normal((sys.state_dim, n_traj))
-        x = (sys.A_seq[k] @ x
-             + montecarlo._cov_factor(sys.disturbance.cov_per_step[k]) @ xi
-             + sys.disturbance.mean_per_step[k][:, None])
-        if U is not None:
-            x += (sys.B_seq[k] @ U[k * m:(k + 1) * m])[:, None]
-        t = tube[k + 1]
-        alive &= np.all(t.normals @ x <= t.offsets[:, None] + 1e-12, axis=0)
-    return alive.mean()
+    draws the rollout takes: chunk j of _CHUNK trajectories from
+    Philox(seed).jumped(j), an n x chunk block per step."""
+    kept, m = 0, sys.input_dim
+    for j, start in enumerate(range(0, n_traj, montecarlo._CHUNK)):
+        c = min(montecarlo._CHUNK, n_traj - start)
+        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
+        x = np.repeat(np.asarray(x0, dtype=float)[:, None], c, axis=1)
+        alive = np.ones(c, dtype=bool)
+        for k in range(sys.horizon):
+            xi = rng.standard_normal((sys.state_dim, c))
+            x = (sys.A_seq[k] @ x
+                 + montecarlo._cov_factor(sys.disturbance.cov_per_step[k]) @ xi
+                 + sys.disturbance.mean_per_step[k][:, None])
+            if U is not None:
+                x += (sys.B_seq[k] @ U[k * m:(k + 1) * m])[:, None]
+            t = tube[k + 1]
+            alive &= np.all(t.normals @ x <= t.offsets[:, None] + 1e-12,
+                            axis=0)
+        kept += int(alive.sum())
+    return kept / n_traj
 
 
 def test_mean_plus_noise_matches_full_state_rollout():
@@ -113,23 +118,23 @@ def test_mean_plus_noise_matches_full_state_rollout():
     # shared zero-mean noise path; on the same draws it keeps the same
     # trajectories as the full-state recursion.  Cases: cwh (line-of-sight
     # cone rows), an LTV Dubins model with a disturbance mean, and an
-    # uncontrolled chain.
+    # uncontrolled chain over more than one chunk.
     dubins = make_dubins(0.1, 10, 0.3, [0.5] * 10, 10.0,
                          mu_eta=(0.01, -0.005))
     cwh_u = np.array([0.00966, -0.00612, -0.03455, 0.01602, 0.04953,
                       -0.02149, -0.03386, 0.02136, 0.00954, -0.01017])
     cases = [
-        (make_cwh(), cwh_los_tube(5), [0.0, -0.7071, 0.0, 0.0], cwh_u),
+        (make_cwh(), cwh_los_tube(5), [0.0, -0.7071, 0.0, 0.0], cwh_u, 5000),
         (dubins, nominal_dubins_tube(dubins, 0.7, base_half_width=0.2),
-         [0.02, -0.01], np.full(10, 7.0)),
+         [0.02, -0.01], np.full(10, 7.0), 5000),
         (make_uncontrolled(3),
          viability_tube(3, 1.0, 10, terminal_half_width=0.8),
-         [0.2, 0.0, -0.1], None),
+         [0.2, 0.0, -0.1], None, montecarlo._CHUNK + 3000),
     ]
-    for sys, tube, x0, u in cases:
-        p, _ = simulate_reach_prob(sys, tube, x0, u, 5000, seed=21)
+    for sys, tube, x0, u, n_traj in cases:
+        p, _ = simulate_reach_prob(sys, tube, x0, u, n_traj, seed=21)
         assert 0.05 < p < 0.95
-        assert p == full_state_rollout(sys, tube, x0, u, 5000, 21)
+        assert p == full_state_rollout(sys, tube, x0, u, n_traj, 21)
 
 
 def test_small_sample_rejected(sys1d, tube1d):
@@ -198,6 +203,25 @@ def test_pooled_std_of_identical_vertices_is_their_own(sys1d, tube1d):
     assert pooled != pytest.approx(stds[0] / np.sqrt(2))
 
 
+def with_workers(monkeypatch, count):
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: count)
+
+
+def test_estimates_independent_of_worker_count(monkeypatch, sys1d, tube1d):
+    # 2.5 chunks: the last one partial; workers return integer counts, so
+    # every worker count adds up to the same estimates, bit for bit
+    runs = []
+    for workers in (1, 2, 3):
+        with_workers(monkeypatch, workers)
+        probs, stds, pooled = simulate_reach_probs(
+            sys1d, tube1d, [[0.1], [-0.2], [0.0]],
+            [np.full(5, -0.05), np.full(5, 0.03), None],
+            int(2.5 * montecarlo._CHUNK), seed=6)
+        runs.append((probs.tolist(), stds.tolist(), pooled))
+    assert 0.0 < min(runs[0][0]) and max(runs[0][0]) < 1.0
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.fixture(scope="module")
 def reach06(sys1d, tube1d, pwa):
     dirs = DirectionSet(np.array([[1.0], [-1.0]]))
@@ -238,6 +262,45 @@ def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):
     assert lines[1:] == [",".join(f"{v:.12g}" for v in (
         *r.point, r.empirical_probability, r.binomial_std, r.error))
         for r in report.records]
+
+
+def test_validate_artifact_independent_of_worker_count(monkeypatch, reach06,
+                                                      tmp_path):
+    cfg = scalar_config(tmp_path, [0.6], extra={"validation": {"seed": 1}})
+    result = tmp_path / "reach_alpha0p6.json"
+    result.write_text(reach06.to_json())
+    texts = []
+    for workers in (1, 2):
+        with_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["validate", str(cfg), "--result", str(result),
+                     "--n-traj", str(2 * montecarlo._CHUNK + 100),
+                     "-d", str(out)]) == EXIT_OK
+        texts.append((out / "validation.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_validation_leaves_no_thread_behind(monkeypatch, reach06, sys1d,
+                                           tube1d):
+    with_workers(monkeypatch, 3)
+    n_traj = 3 * montecarlo._CHUNK
+    before = threading.active_count()
+    validate_vertices(reach06, sys1d, tube1d, n_traj, seed=1)
+    assert threading.active_count() == before
+    # a worker that raises: the others finish, and the error reaches the
+    # caller once every thread has joined
+    roll = montecarlo._roll_chunks
+
+    def fail_on_chunk_1(*args):
+        chunks = list(args[-1])
+        if 1 in chunks:
+            raise RuntimeError("chunk 1 failed")
+        return roll(*args[:-1], chunks)
+
+    monkeypatch.setattr(montecarlo, "_roll_chunks", fail_on_chunk_1)
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        validate_vertices(reach06, sys1d, tube1d, n_traj, seed=1)
+    assert threading.active_count() == before
 
 
 def test_validation_report_json_roundtrip(reach06, sys1d, tube1d):
