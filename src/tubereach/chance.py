@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
-from .lpsolve import DEVEX, LinearProgram, LpModel, LpSolution, highs_solve
+from .lpsolve import LinearProgram, LpModel, LpSolution, highs_solve
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
@@ -129,12 +129,15 @@ class RiskLP:
     the ray from T_0]) and of the inputs the row's mean has a largest
     value, and delta_need is the envelope inverted at that least margin,
     rounded up.  No allocation needs more: lowering delta_i there keeps
-    row i and loosens the budget.  So each segment is clipped at
-    delta_need and those wholly above it are left out; a row with
-    delta_need = delta_lb can never bind, and is dropped with its
-    columns.  The optimal step or total risk is the full LP's; U and the
-    deltas may be another of its optima.  At the anchors, where x0 is
-    free, every row that depends on x0 keeps all its columns.
+    row i and loosens the budget.  So the segments wholly above
+    delta_need are left out, and every kept one spans its whole piece; a
+    row with delta_need = delta_lb can never bind, and is dropped with
+    its columns.  Leaving out segments only shrinks the full LP, and the
+    LP with each kept segment clipped at delta_need, a subset of this
+    one, already attains the full LP's optimum, so the optimal step or
+    total risk is the full LP's; U and the deltas may be another of its
+    optima.  At the anchors, where x0 is free, every row that depends on
+    x0 keeps all its columns.
 
     So the Chebyshev anchor first solves a trial LP in which every
     stochastic row with room at delta_lb at a seed, the centres of T_0's
@@ -194,6 +197,7 @@ class RiskLP:
              [self.delta_cap]]), self.delta_lb, self.delta_cap)
         self._knot_env = np.max(slopes[:, None] * self._knots
                                 + intercepts[:, None], axis=0)
+        self._lengths = np.diff(self._knots)
 
         sig = sigma[:nr]
         self._sigma, self._rhs_risk = sig, rhs[:nr]
@@ -310,20 +314,18 @@ class RiskLP:
         and marks only its own direction.
 
         The directions form one chain: one LP model, re-solved from the
-        last basis with devex pricing and, like every risk LP, without
-        presolve.  Every direction's risk window is found first, and the
-        model holds every segment column that the window of any
-        direction keeps, with its row.  For each direction only the step
-        column y changes -- its coefficients _x0 d on the kept rows, and
-        its upper bound, the exit of the ray from T_0 (which the T_0 rows
-        already imply) -- and the segments whose clip at delta_need moved
-        take their new bounds.
-        The step found is still the full LP's: a row that this
-        direction's window drops has all its segments bounded to 0, and
-        then holds for every step and input in the box.  So the chain's
-        LP has this direction's windowed LP's rows, and only rows of the
-        full LP besides, and both of those have the full LP's optimal
-        step.  U and the deltas may be another of its optima.  Where
+        last basis and, like every risk LP, without presolve.  Every
+        direction's risk window is found first, and the model holds every
+        segment column that the window of any direction keeps, with its
+        row, each spanning its whole piece.  For each direction only the
+        step column y changes: its coefficients _x0 d on the kept rows,
+        and its upper bound, the exit of the ray from T_0 (which the T_0
+        rows already imply).
+        The step found is still the full LP's: a row that no window keeps
+        holds at delta_lb for every step and input in this direction's
+        box, so the chain's LP lies between the full LP and this
+        direction's windowed LP, and both of those have the full LP's
+        optimal step.  U and the deltas may be another of its optima.  Where
         anchor + theta d rounds past the ray's exit, theta steps down by
         an ulp at a time, at most 8, until the point lies in T_0
         exactly."""
@@ -343,25 +345,18 @@ class RiskLP:
         x0_const = self._x0 @ anchor
         exits = [t0.ray_exit(anchor, d) for d in directions]
         x0_cols = [self._x0 @ d for d in directions]
-        windows = [self._windows(col[:, None], x0_const, 0.0, top)
-                   for col, top in zip(x0_cols, exits)]
-        cols = np.logical_or.reduce([hi > 0.0 for hi in windows])
+        cols = np.logical_or.reduce(
+            [self._windows(col[:, None], x0_const, 0.0, top)
+             for col, top in zip(x0_cols, exits)])
         model = LpModel(self._program(anchor, directions[0][:, None], cols,
-                                      windows[0], 0.0, exits[0],
-                                      maximize=True),
-                        {**DEVEX, **NO_PRESOLVE})
+                                      0.0, exits[0], maximize=True),
+                        NO_PRESOLVE)
         keep = self._kept_rows(cols)
         y = model.n_vars - 1
-        upper = windows[0][cols]
-        for j, (d, col, top, hi) in enumerate(
-                zip(directions, x0_cols, exits, windows)):
+        for j, (d, col, top) in enumerate(zip(directions, x0_cols, exits)):
             if j:
                 model.change_column(y, range(model.n_rows), col[keep])
-                moved = np.flatnonzero(hi[cols] != upper)
-                upper = hi[cols]
-                model.change_bounds(np.append(self.n_u + moved, y),
-                                    np.zeros(moved.size + 1),
-                                    np.append(upper[moved], top))
+                model.change_bounds([y], [0.0], [top])
             sol = self._solution(highs_solve(model), cols)
             ok = sol.status == "optimal"
             theta = max(float(sol.extra[0]), 0.0) if ok else 0.0
@@ -386,9 +381,8 @@ class RiskLP:
         stochastic rows in pinned, whose risk stays at delta_lb."""
         if self._floor_diagnostic:
             return _Solution("infeasible", self._floor_diagnostic)
-        hi = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
-        cols = hi > 0.0
-        lp = self._program(c, E, cols, hi, y_lo, y_hi, radius, maximize)
+        cols = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
+        lp = self._program(c, E, cols, y_lo, y_hi, radius, maximize)
         return self._solution(highs_solve(LpModel(lp, NO_PRESOLVE)), cols)
 
     def _kept_rows(self, cols: np.ndarray) -> np.ndarray:
@@ -400,14 +394,13 @@ class RiskLP:
         return keep
 
     def _program(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
-                 hi: np.ndarray, y_lo: float, y_hi: float,
-                 radius: bool = False, maximize: bool = False
-                 ) -> LinearProgram:
+                 y_lo: float, y_hi: float, radius: bool = False,
+                 maximize: bool = False) -> LinearProgram:
         """The LP with x0 = c + E y and y_lo <= y <= y_hi, over the rows
         that _kept_rows keeps and the segment columns in cols, each in
-        [0, hi].  x0 lies in T_0, by a margin of the radius column when
-        one is asked for.  The objective is the total risk, or with
-        maximize the last column (the step or the radius)."""
+        [0, its piece's length].  x0 lies in T_0, by a margin of the
+        radius column when one is asked for.  The objective is the total
+        risk, or with maximize the last column (the step or the radius)."""
         n_y, n_r = E.shape[1], int(radius)
         keep = self._kept_rows(cols)
         segments = np.flatnonzero(cols)
@@ -418,7 +411,8 @@ class RiskLP:
              sp.csr_array(self._ball[keep, None][:, :n_r])], format="csr")
         bounds = np.concatenate([
             self._u_bounds,
-            np.column_stack([np.zeros(segments.size), hi[cols]]),
+            np.column_stack([np.zeros(segments.size),
+                             self._lengths[segments % cols.shape[1]]]),
             np.tile([y_lo, y_hi], (n_y, 1)),
             np.tile([0.0, np.inf], (n_r, 1))])
         objective = np.zeros(len(bounds))
@@ -453,10 +447,10 @@ class RiskLP:
     def _windows(self, x0_cols: np.ndarray, x0_const: np.ndarray,
                  y_lo: float, y_hi: float,
                  pinned: Optional[np.ndarray] = None) -> np.ndarray:
-        """Upper bounds (n_risk, pieces) of the segment columns for x0 =
-        c + E y, y_lo <= y <= y_hi, given the table's x0 coefficients
-        times E and times c: each row's window [delta_lb, delta_need] cut
-        at the knots, never NaN.  A pinned row's bounds are all 0."""
+        """Which segment columns (n_risk, pieces) to keep for x0 = c + E y,
+        y_lo <= y <= y_hi, given the table's x0 coefficients times E and
+        times c: those whose piece starts below the row's delta_need.  A
+        pinned row keeps none."""
         nr = self.n_risk
         mean_max = x0_const[:nr] + self._u_max \
             + _interval_range(x0_cols[:nr], y_lo, y_hi)[1]
@@ -467,8 +461,7 @@ class RiskLP:
         need = np.interp(least, self._knot_env[::-1], self._knots[::-1])
         if pinned is not None:
             need[pinned] = self.delta_lb
-        return np.clip(need[:, None] - self._knots[:-1], 0.0,
-                       np.diff(self._knots))
+        return need[:, None] > self._knots[:-1]
 
 
 def _interval_range(coef: np.ndarray, lo, hi):

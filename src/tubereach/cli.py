@@ -287,6 +287,17 @@ def _read(path, reader):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _timings(text) -> Dict[str, Dict[str, float]]:
+    """The timings sidecar: seconds by phase, by threshold."""
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and all(
+            isinstance(phases, dict) and all(
+                isinstance(s, (int, float)) and not isinstance(s, bool)
+                for s in phases.values()) for phases in doc.values())):
+        raise ValueError("timings are not seconds by phase by threshold")
+    return doc
+
+
 def cmd_compute(args) -> int:
     cfg = load_config(args.config)
     sys, tube, directions, pwa = _instantiate(cfg)
@@ -363,13 +374,9 @@ def cmd_interpolate(args) -> int:
     set1, set2 = _read_result(args.set1), _read_result(args.set2)
     if set1.alpha > set2.alpha:
         set1, set2 = set2, set1
-    try:
-        t0 = time.perf_counter()
-        poly = reachalgo.interpolate_sets(set1, set2, args.beta)
-        elapsed = time.perf_counter() - t0
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_BAD_CONFIG
+    t0 = time.perf_counter()
+    poly = reachalgo.interpolate_sets(set1, set2, args.beta)
+    elapsed = time.perf_counter() - t0
     gamma = reachalgo.interpolation_weight(set1.alpha, set2.alpha, args.beta)
     out = args.output or "interpolated.json"
     _write_json(out, {"beta": args.beta, "alpha1": set1.alpha,
@@ -383,13 +390,9 @@ def cmd_interpolate(args) -> int:
 def cmd_dp(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _, _ = _instantiate(cfg)
-    try:
-        table = reachalgo.dp_values(sys, tube,
-                                    cfg["dp"].get("state_spacing", 0.05),
-                                    cfg["dp"].get("input_spacing", 0.05))
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_BAD_CONFIG
+    table = reachalgo.dp_values(sys, tube,
+                                cfg["dp"].get("state_spacing", 0.05),
+                                cfg["dp"].get("input_spacing", 0.05))
     outdir = args.output_dir or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     mesh = np.meshgrid(*table.grids, indexing="ij")
@@ -441,8 +444,7 @@ def cmd_report(args) -> int:
     times = {}
     tpath = os.path.join(args.dir, "timings.json")
     if os.path.exists(tpath):
-        with open(tpath) as fh:
-            times = json.load(fh)
+        times = _read(tpath, _timings)
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if name.startswith("reach_") and name.endswith(".json"):

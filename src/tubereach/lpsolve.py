@@ -4,17 +4,18 @@ called through the bindings that scipy bundles.
 :func:`solve_lp` is the entry point for one LP; it reports the solver's
 verdict as a status string, never as an exception.  :class:`LpModel`
 keeps one HiGHS instance, so that a sequence of LPs that differ in one
-column's coefficients and some column bounds is re-solved from the last
-basis; :func:`highs_solve` is the one function that runs the solver.
+column's coefficients and bounds is re-solved from the last basis;
+:func:`highs_solve` is the one function that runs the solver.
 
 Every LP runs with the options scipy's own HiGHS front end sets
-(``_OPTIONS``: presolve on, dual simplex), and an :class:`LpModel` may
-set others on top.  The risk LPs of :mod:`tubereach.chance` run without presolve:
-each is solved once, or re-solved from its basis, and a cold solve of
-one is mostly presolve.  The geometry LPs keep scipy's settings: an LP
-with many optima, such as the weight LP of
-``VPolytope.convex_weights``, returns whichever one the solver reaches,
-and presolve changes which.
+(``_OPTIONS``: presolve on, dual simplex; pricing and the rest are
+HiGHS's defaults), and an :class:`LpModel` may set others on top.  The
+risk LPs of :mod:`tubereach.chance` run without presolve: each is
+solved once, or re-solved from its basis, and a cold solve of one is
+mostly presolve.
+The geometry LPs keep scipy's settings: an LP with many optima, such as
+the weight LP of ``VPolytope.convex_weights``, returns whichever one the
+solver reaches, and presolve changes which.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from scipy.optimize._highspy import _core
 # what scipy's own HiGHS front end sets; everything else is HiGHS's default
 _OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
             "simplex_strategy": 1}  # the dual simplex
-# dual simplex pricing by Harris's devex weights, which need no rebuild
-# when a basis is reused
-DEVEX = {"simplex_dual_edge_weight_strategy": 1}
 
 
 class LpError(ValueError):

@@ -275,18 +275,20 @@ def _dim_mass(centers: np.ndarray, spacing: float, mu: np.ndarray,
 
 
 def dp_values(sys: StochasticLTVSystem, tube: TargetTube,
-              state_spacing: float, input_spacing: float,
-              bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> DpTable:
+              state_spacing: float, input_spacing: float) -> DpTable:
     """Grid value iteration for the maximal reach probability.
 
     Backward recursion from the indicator of the terminal set; the
     per-step transition is the Gaussian cell mass around the propagated
     mean, maximized over a finite input grid. Restricted to state
-    dimension <= 2 with diagonal per-step covariance.
+    dimension <= 2 with diagonal per-step covariance and positive grid
+    spacings.
     """
     n = sys.state_dim
     if n > 2:
         raise ValueError("dynamic-programming baseline supports dim <= 2")
+    if not (state_spacing > 0.0 and input_spacing > 0.0):
+        raise ValueError("grid spacings must be positive")
     for cov in sys.disturbance.cov_per_step:
         off = cov - np.diag(np.diag(cov))
         if np.abs(off).max() > 1e-12:
@@ -299,12 +301,6 @@ def dp_values(sys: StochasticLTVSystem, tube: TargetTube,
         his.append(hi)
     lo = np.min(np.stack(los), axis=0)
     hi = np.max(np.stack(his), axis=0)
-    if bounds is not None:
-        blo = np.asarray(bounds[0], dtype=float).ravel()
-        bhi = np.asarray(bounds[1], dtype=float).ravel()
-        if np.any(blo > lo + 1e-12) or np.any(bhi < hi - 1e-12):
-            raise ValueError("grid bounds do not cover the target tube")
-        lo, hi = blo, bhi
 
     grids = []
     for d in range(n):

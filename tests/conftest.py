@@ -1,9 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from tubereach import (StochasticLTVSystem, TargetTube, box_polytope,
                        build_pwa_quantile, chance)
-from tubereach.lpsolve import DEVEX
 from tubereach.sysmodel import make_integrator_chain, viability_tube
 
 
@@ -47,14 +48,14 @@ def tube2d():
 @pytest.fixture
 def line_lps(monkeypatch):
     """patch(solve) sends the LPs that chance solves in a chain of line
-    searches, the ones priced with devex, to solve(model); the anchors'
-    LPs still go to HiGHS."""
-    real, pricing = chance.highs_solve, "simplex_dual_edge_weight_strategy"
+    searches, the ones RiskLP.lines solves, to solve(model); the anchors'
+    LPs, solved by RiskLP._solve, still go to HiGHS."""
+    real, chain = chance.highs_solve, chance.RiskLP.lines.__code__
 
     def patch(solve):
         def route(model):
-            chained = model.highs.getOptionValue(pricing)[1] == DEVEX[pricing]
-            return solve(model) if chained else real(model)
+            caller = inspect.currentframe().f_back.f_code
+            return solve(model) if caller is chain else real(model)
         monkeypatch.setattr(chance, "highs_solve", route)
     return patch
 

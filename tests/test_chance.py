@@ -11,7 +11,7 @@ from tubereach import chance
 from tubereach.chance import RiskLP, _interval_range
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
-from tubereach.lpsolve import (DEVEX, LinearProgram, LpModel, LpSolution,
+from tubereach.lpsolve import (LinearProgram, LpModel, LpSolution,
                                highs_solve, solve_lp)
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
@@ -356,7 +356,7 @@ class CopiedRows:
         step is the optimum of its own LP, so solving from the last
         basis changes only the time it takes."""
         model = LpModel(self.program(anchor, directions[0][:, None],
-                                     y_lo=0.0, maximize=True), DEVEX)
+                                     y_lo=0.0, maximize=True))
         rows = np.arange(self.rhs.size)
         for d in directions:
             model.change_column(model.n_vars - 1, rows, self.x0_rows @ d)
@@ -504,11 +504,63 @@ def test_risk_lps_run_without_presolve(sys2d, tube2d, pwa, monkeypatch):
     assert all(bp.status == "ok"
                for bp in risk.lines(cheby.x_anchor, directions))
     assert anchors == 3 and len(seen) == anchors + len(directions)
-    assert all(opts["presolve"] == "off" for opts in seen)
-    # the chain keeps devex pricing, the anchors HiGHS's default
-    assert [opts["simplex_dual_edge_weight_strategy"] for opts in seen] \
-        == [DEVEX["simplex_dual_edge_weight_strategy"] if i >= anchors
-            else -1 for i in range(len(seen))]
+    # presolve off and HiGHS's default pricing (-1: HiGHS chooses), the
+    # anchors and the chain alike
+    assert seen == [{"presolve": "off",
+                     "simplex_dual_edge_weight_strategy": -1}] * len(seen)
+
+
+def test_chain_changes_only_its_step_column(sys2d, tube2d, pwa,
+                                            monkeypatch):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    assert risk._pinned is not None
+    # the keep-mask of each LP built, and each solve's mask and column
+    # bounds as HiGHS holds them
+    masks, solved, touched = [], [], []
+    program = risk._program
+
+    def spy_program(c, E, cols, *args, **kwargs):
+        masks.append(cols)
+        return program(c, E, cols, *args, **kwargs)
+    monkeypatch.setattr(risk, "_program", spy_program)
+
+    def solve(model):
+        lp = model.highs.getLp()
+        solved.append((masks[-1], np.array(lp.col_lower_),
+                       np.array(lp.col_upper_)))
+        return highs_solve(model)
+    patch_highs_solve(monkeypatch, solve)
+    for name in ("change_column", "change_bounds"):
+        def spy(model, cols, *args, real=getattr(LpModel, name), name=name):
+            touched.append((name, np.atleast_1d(cols).tolist()))
+            return real(model, cols, *args)
+        monkeypatch.setattr(LpModel, name, spy)
+
+    # the Chebyshev trial, then the full anchor LP, then one chain
+    monkeypatch.setattr(risk, "_pinned_rows_hold", lambda *_: False)
+    cheby = risk.anchor("cheby")
+    assert cheby.feasible and len(solved) == 2 and not touched
+    directions = spread_directions(8, 2).directions
+    points = list(risk.lines(cheby.x_anchor, directions))
+    assert all(bp.status == "ok" for bp in points)
+    assert len(masks) == 3 and len(solved) == 2 + len(directions)
+    # every direction after the first changes the step column's
+    # coefficients and bounds, and nothing else
+    y = points[0].lp_cols - 1
+    assert touched == [("change_column", [y]),
+                       ("change_bounds", [y])] * (len(directions) - 1)
+    for d, (_, lower, upper) in zip(directions, solved[2:]):
+        assert (lower[y], upper[y]) \
+            == (0.0, tube2d[0].ray_exit(cheby.x_anchor, d))
+    # the trial keeps no pinned row's segments; every kept segment of
+    # every LP spans exactly its piece
+    assert not masks[0][risk._pinned].any() and masks[0].any()
+    for mask, lower, upper in solved:
+        segments = slice(risk.n_u, risk.n_u + int(mask.sum()))
+        np.testing.assert_array_equal(lower[segments], 0.0)
+        np.testing.assert_array_equal(
+            upper[segments],
+            np.broadcast_to(risk._lengths, mask.shape)[mask])
 
 
 def test_infeasible_risk_lp_is_empty_without_presolve(sys1d, tube1d, pwa,
@@ -611,8 +663,8 @@ def test_line_lp_keeps_only_rows_that_can_bind(pwa, monkeypatch):
     assert ls.status == "ok" and ls.theta > 0.0
     assert ls.lower_bound >= 0.6 - 1e-9
     # the full LP: every window [delta_lb, cap], every segment and row kept
-    monkeypatch.setattr(risk, "_windows", lambda *_: np.tile(
-        np.diff(risk._knots), (risk.n_risk, 1)))
+    monkeypatch.setattr(risk, "_windows", lambda *_: np.ones(
+        (risk.n_risk, len(risk.pieces)), dtype=bool))
     full = line(risk, start, d)
     assert rows[1] == risk.rows.shape[0]
     assert ls.theta == pytest.approx(full.theta, abs=1e-7)
@@ -724,6 +776,35 @@ def test_interval_range_never_nan():
     np.testing.assert_array_equal(most, [np.inf, 1.0, 0.0, np.inf])
 
 
+def kept_envelope_holds(risk, pwa, mask, x0_col, x0_const, top):
+    """Check the segments that a keep-mask keeps, each at its full
+    length: a window is whole pieces, then none; they reproduce the
+    envelope up to the last kept knot, and each row holds there for
+    every step in [0, top] and input in the box.  Returns the number of
+    pieces each row keeps."""
+    unit = np.linspace(0.0, 1.0, 501)
+    kept = mask.sum(axis=1)
+    # a window is whole pieces from delta_lb, then none
+    assert np.array_equal(mask, np.arange(mask.shape[1]) < kept[:, None])
+    ends = risk._knots[kept]
+    for i in np.flatnonzero(kept):
+        grid = risk.delta_lb + (ends[i] - risk.delta_lb) * unit
+        np.testing.assert_allclose(
+            segment_envelope(risk, grid, risk._lengths * mask[i]),
+            pwa.envelope(grid), rtol=0, atol=1e-12)
+    # no allocation needs more than the last kept knot: a row whose
+    # window ends inside the domain holds there (at delta_lb where it
+    # keeps nothing) for the largest mean
+    nr = risk.n_risk
+    mean_max = x0_const[:nr] + risk._u_max \
+        + np.maximum(0.0, x0_col[:nr] * top)
+    room = risk._rhs_risk - mean_max - risk._sigma * risk._knot_env[kept]
+    inside = kept < mask.shape[1]
+    assert np.all(room[inside]
+                  >= -1e-12 * (1.0 + np.abs(risk._rhs_risk[inside])))
+    return kept
+
+
 def test_windows_nan_free_when_unbounded(pwa):
     sys, tube = chain_system(2)
     # without its lower face the input set is unbounded (the system's own
@@ -732,14 +813,15 @@ def test_windows_nan_free_when_unbounded(pwa):
                               offsets=np.array([1.0]))
     risk = RiskLP(sys, tube, 0.6, pwa)
     assert np.isposinf(risk._u_max).any()
-    lengths = np.diff(risk._knots)
     d = np.array([[1.0], [0.0]])
     for y_hi in (0.5, np.inf):
-        upper = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2), 0.0,
-                              y_hi)
-        assert np.all(np.isfinite(upper))
-        assert np.all((0.0 <= upper) & (upper <= lengths))
-        assert (upper > 0.0).any()
+        mask = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2), 0.0,
+                             y_hi)
+        assert mask.dtype == bool
+        assert mask.shape == (risk.n_risk, len(risk.pieces))
+        assert mask.any()
+        # a row whose mean is unbounded keeps every piece
+        assert mask[np.isposinf(risk._u_max)].all()
     ls = line(risk, np.zeros(2), d[:, 0])
     assert ls.status == "ok" and ls.theta > 0.0
 
@@ -750,28 +832,16 @@ def test_kept_pieces_reproduce_the_envelope_on_each_window(example, sys2d,
     sys, tube = hexagon_input_system() if example == "hexagon" \
         else (sys2d, tube2d)
     risk = RiskLP(sys, tube, 0.6, pwa)
-    lengths = np.diff(risk._knots)
     start = risk.anchor("cheby").x_anchor
     dropped = narrowed = False
     for angle in np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3:
         d = np.array([np.cos(angle), np.sin(angle)])
-        upper = risk._windows(risk._x0 @ d[:, None], risk._x0 @ start, 0.0,
-                              tube[0].ray_exit(start, d))
-        need = risk.delta_lb + upper.sum(axis=1)
-        binds = upper[:, 0] > 0.0
-        dropped |= not binds.all()
-        narrowed |= (need[binds] < risk.delta_cap).any()
-        for i in np.flatnonzero(binds):
-            # a window is whole segments, then one cut, then none
-            full = upper[i] == lengths
-            assert np.all(np.diff(full.astype(int)) <= 0)
-            assert np.count_nonzero(~full & (upper[i] > 0.0)) <= 1
-            grid = np.linspace(risk.delta_lb, need[i], 501)
-            np.testing.assert_allclose(
-                segment_envelope(risk, grid, upper[i]), pwa.envelope(grid),
-                rtol=0, atol=1e-12)
-        # a dropped row has room at delta_lb for every step and input
-        assert np.all(upper[~binds] == 0.0)
+        x0_col, top = risk._x0 @ d, tube[0].ray_exit(start, d)
+        mask = risk._windows(x0_col[:, None], risk._x0 @ start, 0.0, top)
+        kept = kept_envelope_holds(risk, pwa, mask, x0_col,
+                                   risk._x0 @ start, top)
+        dropped |= (kept == 0).any()
+        narrowed |= ((0 < kept) & (kept < len(risk.pieces))).any()
     # rows are dropped, and windows end inside the domain
     assert dropped and narrowed
 
@@ -808,9 +878,10 @@ def test_chains_take_fewer_simplex_iterations_than_cold_solves(
     alone = [line(risk, start, d) for d in directions]
     cold = sum(iterations) - warm
     assert len(iterations) == 64
-    # 962 against 1 836 with scipy 1.17.1 (971 against 1 868 with
-    # presolve; 1 961 against 5 630 in the epigraph form, one row per
-    # tail condition and piece)
+    # 992 against 1 801 with scipy 1.17.1 (962 against 1 836 with
+    # segments clipped at delta_need and devex pricing, 971 against
+    # 1 868 with presolve too; 1 961 against 5 630 in the epigraph form,
+    # one row per tail condition and piece)
     assert warm < cold
     for a, b in zip(chained, alone):
         assert a.status == b.status == "ok"
@@ -883,7 +954,8 @@ def test_example_vertices_lie_in_t0_exactly(example, alpha):
 
 def test_dubins_line_searches_take_few_simplex_iterations(monkeypatch):
     # 6 196 in the epigraph form (one row per tail condition and piece),
-    # 1 134 in segment form and 897 without presolve, with scipy 1.17.1
+    # 1 134 in segment form, 897 without presolve and 746 with whole
+    # segments and default pricing, with scipy 1.17.1
     sys, tube, directions, pwa = _instantiate(_EXAMPLES["dubins"])
     risk = RiskLP(sys, tube, 0.8, pwa)
     start = risk.anchor("cheby").x_anchor

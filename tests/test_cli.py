@@ -426,6 +426,18 @@ def test_dp_writes_level_polygon_in_2d(tmp_path):
     assert len(lines) >= 4
 
 
+@pytest.mark.parametrize("spacing", [
+    {"state_spacing": 0.0}, {"state_spacing": -0.05},
+    {"input_spacing": 0.0}, {"input_spacing": -0.05}])
+def test_dp_rejects_non_positive_spacing(tmp_path, caplog, spacing):
+    cfg = scalar_config(tmp_path, [0.6], extra={"dp": spacing})
+    out = tmp_path / "out"
+    assert main(["dp", str(cfg), "-d", str(out)]) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["grid spacings must be positive"]
+    assert not out.exists()
+
+
 def csv_table(path):
     """The header and the rows of a CSV artifact, as strings."""
     lines = path.read_text().splitlines()
@@ -542,6 +554,17 @@ def test_report_with_a_malformed_validation(tmp_path, caplog):
     bad.write_text("{}")
     malformed_input_is_bad_config(["report", str(tmp_path)], bad, "alpha",
                                   caplog)
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[1, 2]", '{"0.6": [1]}', '{"0.6": {"total": "1 s"}}'])
+def test_report_with_malformed_timings(tmp_path, caplog, text):
+    bad = tmp_path / "timings.json"
+    bad.write_text(text)
+    assert main(["report", str(tmp_path)]) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(f"{bad}: ")
     assert not (tmp_path / "summary.json").exists()
 
 

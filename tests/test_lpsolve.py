@@ -9,7 +9,7 @@ from scipy import sparse
 import scipy
 from scipy.optimize._highspy import _core
 from tubereach import lpsolve
-from tubereach.lpsolve import (_OPTIONS, DEVEX, LinearProgram, LpError,
+from tubereach.lpsolve import (_OPTIONS, LinearProgram, LpError,
                                LpModel, highs_solve, solve_lp)
 
 
@@ -197,7 +197,7 @@ def test_model_resolve_matches_a_cold_solve():
     lp = LinearProgram(objective=np.array([-1.0, -2.0]),
                        ineq=(rows, np.array([4.0, 6.0])),
                        bounds=[(0.0, 3.0)] * 2)
-    model = LpModel(lp, DEVEX)
+    model = LpModel(lp, {"presolve": "off"})
     first = highs_solve(model)
     np.testing.assert_allclose(first.z, [3.0, 1.0], atol=1e-9)
     # y's column becomes (1, 0.5) and x is capped at 2: one change of

@@ -78,12 +78,6 @@ def test_value_function_quasiconcave(dp1d):
                 assert np.all(np.diff(idx) == 1)
 
 
-def test_dp_bounds_must_cover_tube(sys1d, tube1d):
-    with pytest.raises(ValueError, match="cover"):
-        dp_values(sys1d, tube1d, 0.05, 0.05,
-                  bounds=(np.array([-0.5]), np.array([0.5])))
-
-
 def test_dp_rejects_high_dimension():
     sys = StochasticLTVSystem.lti(
         np.eye(3), np.eye(3), np.zeros(3), 0.01 * np.eye(3),
