@@ -5,8 +5,7 @@ and cross-threshold interpolation."""
 from .geometry import (DirectionSet, HPolytope, VPolytope, box_polytope,
                        minkowski_interpolate, spread_directions)
 from .sysmodel import GaussianDisturbance, StochasticLTVSystem, TargetTube
-from .gaussian import (PwaQuantile, build_pwa_quantile, normal_cdf,
-                       normal_quantile)
+from .gaussian import PwaQuantile, build_pwa_quantile
 from .chance import AnchorResult, BoundaryPoint, RiskLP
 from .lpsolve import LinearProgram, LpSolution, solve_lp
 
@@ -16,7 +15,7 @@ __all__ = [
     "DirectionSet", "HPolytope", "VPolytope", "box_polytope",
     "minkowski_interpolate", "spread_directions",
     "GaussianDisturbance", "StochasticLTVSystem", "TargetTube",
-    "PwaQuantile", "build_pwa_quantile", "normal_cdf", "normal_quantile",
+    "PwaQuantile", "build_pwa_quantile",
     "AnchorResult", "BoundaryPoint", "RiskLP",
     "LinearProgram", "LpSolution", "solve_lp",
     "__version__",

@@ -261,12 +261,21 @@ class RiskLP:
         empty underapproximation when infeasible."""
         if mode not in ("xmax", "cheby"):
             raise ValueError(f"unknown anchor mode {mode!r}")
+        if self._floor_diagnostic:
+            return AnchorResult(x_anchor=None, U=None, lower_bound=0.0,
+                                mode=mode, status="empty",
+                                diagnostic=self._floor_diagnostic)
         cheby = mode == "cheby"
         n = self.tube.dim
+        c, E = np.zeros(n), np.eye(n)
 
         def solve(pinned=None):
-            return self._solve(np.zeros(n), np.eye(n), radius=cheby,
-                               maximize=cheby, pinned=pinned)
+            # x0 = y, free but for T_0; a pinned row keeps no segment
+            cols = self._windows(self._x0 @ E, self._x0 @ c, -np.inf, np.inf,
+                                 pinned)
+            model = self._model(c, E, cols, -np.inf, np.inf, radius=cheby,
+                                maximize=cheby)
+            return self._solution(highs_solve(model), cols)
         trial = cheby and self._pinned is not None
         sol = solve(self._pinned if trial else None)
         # an infeasible relaxation proves the full LP infeasible
@@ -348,9 +357,8 @@ class RiskLP:
         cols = np.logical_or.reduce(
             [self._windows(col[:, None], x0_const, 0.0, top)
              for col, top in zip(x0_cols, exits)])
-        model = LpModel(self._program(anchor, directions[0][:, None], cols,
-                                      0.0, exits[0], maximize=True),
-                        NO_PRESOLVE)
+        model = self._model(anchor, directions[0][:, None], cols, 0.0,
+                            exits[0], maximize=True)
         keep = self._kept_rows(cols)
         y = model.n_vars - 1
         for j, (d, col, top) in enumerate(zip(directions, x0_cols, exits)):
@@ -372,19 +380,6 @@ class RiskLP:
                 diagnostic=sol.diagnostic, iterations=sol.iterations,
                 lp_rows=model.n_rows, lp_cols=model.n_vars)
 
-    def _solve(self, c: np.ndarray, E: np.ndarray, y_lo: float = -np.inf,
-               y_hi: float = np.inf, radius: bool = False,
-               maximize: bool = False,
-               pinned: Optional[np.ndarray] = None) -> _Solution:
-        """Solve with x0 = c + E y and y_lo <= y <= y_hi, over the
-        segment columns that the risk windows keep, less those of the
-        stochastic rows in pinned, whose risk stays at delta_lb."""
-        if self._floor_diagnostic:
-            return _Solution("infeasible", self._floor_diagnostic)
-        cols = self._windows(self._x0 @ E, self._x0 @ c, y_lo, y_hi, pinned)
-        lp = self._program(c, E, cols, y_lo, y_hi, radius, maximize)
-        return self._solution(highs_solve(LpModel(lp, NO_PRESOLVE)), cols)
-
     def _kept_rows(self, cols: np.ndarray) -> np.ndarray:
         """The rows of the table kept with the segment columns in cols:
         a stochastic tube row that holds any of them, and every other
@@ -393,14 +388,16 @@ class RiskLP:
         keep[:self.n_risk] = cols.any(axis=1)
         return keep
 
-    def _program(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
-                 y_lo: float, y_hi: float, radius: bool = False,
-                 maximize: bool = False) -> LinearProgram:
-        """The LP with x0 = c + E y and y_lo <= y <= y_hi, over the rows
-        that _kept_rows keeps and the segment columns in cols, each in
-        [0, its piece's length].  x0 lies in T_0, by a margin of the
-        radius column when one is asked for.  The objective is the total
-        risk, or with maximize the last column (the step or the radius)."""
+    def _model(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
+               y_lo: float, y_hi: float, radius: bool = False,
+               maximize: bool = False) -> LpModel:
+        """The HiGHS model, without presolve, of the LP with x0 = c + E y
+        and y_lo <= y <= y_hi, over the rows that _kept_rows keeps and the
+        segment columns in cols, each in [0, its piece's length].  x0
+        lies in T_0, by a margin of the radius column when one is asked
+        for.  The objective is the total risk, or with maximize the last
+        column (the step or the radius).  Every risk LP reaches HiGHS
+        through here."""
         n_y, n_r = E.shape[1], int(radius)
         keep = self._kept_rows(cols)
         segments = np.flatnonzero(cols)
@@ -420,10 +417,10 @@ class RiskLP:
             objective[-1] = -1.0
         else:
             objective[self.n_u:self.n_u + segments.size] = 1.0
-        return LinearProgram(objective=objective,
-                             ineq=(matrix,
-                                   self.rhs[keep] - (self._x0 @ c)[keep]),
-                             bounds=bounds)
+        return LpModel(LinearProgram(
+            objective=objective,
+            ineq=(matrix, self.rhs[keep] - (self._x0 @ c)[keep]),
+            bounds=bounds), NO_PRESOLVE)
 
     def _solution(self, sol: LpSolution, cols: np.ndarray) -> _Solution:
         """The solution of an LP over the segment columns in cols."""

@@ -247,6 +247,14 @@ def load_config(path: str) -> dict:
                               f"indices, not {slice_dims!r}")
         cfg["directions"]["slice"] = [_number(d, int, "directions.slice")
                                       for d in slice_dims]
+    for name, seed in (("seed", cfg["seed"]),
+                       ("validation.seed", cfg["validation"].get("seed", 0))):
+        if seed < 0:
+            raise ConfigError(f"{name} must be >= 0, not {seed}")
+    output_dir = cfg.get("output_dir", ".")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir must be a nonempty string, not "
+                          f"{output_dir!r}")
     return cfg
 
 

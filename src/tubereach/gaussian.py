@@ -1,5 +1,5 @@
-"""Scalar normal CDF/quantile and a piecewise-affine overapproximation of
-the standard-normal quantile (used to linearize chance constraints)."""
+"""A piecewise-affine overapproximation of the standard-normal quantile
+(used to linearize chance constraints)."""
 
 from __future__ import annotations
 
@@ -11,27 +11,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def normal_cdf(z):
-    """Standard normal CDF; accepts scalars or arrays, +/-inf map to 1/0."""
-    if np.isscalar(z):
-        if math.isnan(z):
-            raise ValueError("normal_cdf: NaN input")
-        return 0.5 * math.erfc(-z / math.sqrt(2.0))
-    z = np.asarray(z, dtype=float)
-    if np.isnan(z).any():
-        raise ValueError("normal_cdf: NaN input")
-    return ndtr(z)
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF for p in (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("normal_quantile: p must lie strictly in (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) else out
 
 
 def _upper_quantile(delta: float) -> float:

@@ -4,7 +4,8 @@ called through the bindings that scipy bundles.
 :func:`solve_lp` is the entry point for one LP; it reports the solver's
 verdict as a status string, never as an exception.  :class:`LpModel`
 keeps one HiGHS instance, so that a sequence of LPs that differ in one
-column's coefficients and bounds is re-solved from the last basis;
+column's coefficients and bounds is re-solved from the last basis; it
+hands the LP over as column-wise arrays in one call.
 :func:`highs_solve` is the one function that runs the solver.
 
 Every LP runs with the options scipy's own HiGHS front end sets
@@ -76,15 +77,17 @@ class LinearProgram:
             if self.bounds.shape != (n, 2):
                 raise LpError("bounds must hold one (lo, hi) pair per "
                               "variable")
-        # HiGHS takes NaN without complaint and may call the LP optimal
-        parts = [self.objective,
-                 np.zeros(0) if self.bounds is None else self.bounds]
+        # HiGHS takes NaN and infinite costs without complaint and may
+        # call the LP optimal; infinite bounds and rhs entries are legal
+        parts = [np.zeros(0) if self.bounds is None else self.bounds]
         for pair in (self.ineq, self.eq):
             if pair is not None:
                 parts += [pair[0].data if sp.issparse(pair[0]) else pair[0],
                           pair[1]]
         if any(np.isnan(part).any() for part in parts):
             raise LpError("linear program holds NaN")
+        if not np.isfinite(self.objective).all():
+            raise LpError("objective holds NaN or an infinite cost")
 
     @property
     def n_vars(self) -> int:
@@ -122,7 +125,7 @@ class LpModel:
 
     def __init__(self, lp: LinearProgram, options: Optional[dict] = None):
         n = lp.n_vars
-        blocks, lower, upper = [], [], []
+        blocks, lower, upper = [], [np.zeros(0)], [np.zeros(0)]
         if lp.ineq is not None:
             blocks.append(lp.ineq[0])
             lower.append(np.full(lp.ineq[1].size, -np.inf))
@@ -136,23 +139,18 @@ class LpModel:
         self.n_vars, self.n_rows = n, a.shape[0]
         bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
             else lp.bounds
-        model = _core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = n
-        model.num_row_ = model.a_matrix_.num_row_ = self.n_rows
-        model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
-        model.col_cost_ = lp.objective
-        model.col_lower_, model.col_upper_ = bounds[:, 0], bounds[:, 1]
-        model.row_lower_ = np.concatenate(lower) if lower else np.zeros(0)
-        model.row_upper_ = np.concatenate(upper) if upper else np.zeros(0)
         self.highs = _core._Highs()
         for name, value in {**_OPTIONS, **(options or {})}.items():
             self.highs.setOptionValue(name, value)
-        # a model HiGHS rejects makes run() fail; inconsistent bounds pass
-        # with a warning and solve as infeasible
-        self.highs.passModel(model)
+        # the column-wise arrays in one call, with n integrality entries
+        # (HiGHS reads n, whatever the length).  A model HiGHS rejects makes
+        # run() fail; lo > hi passes with a warning and solves as infeasible
+        self.highs.passModel(
+            n, self.n_rows, a.nnz, int(_core.MatrixFormat.kColwise),
+            int(_core.ObjSense.kMinimize), 0.0, lp.objective, bounds[:, 0],
+            bounds[:, 1], np.concatenate(lower), np.concatenate(upper),
+            a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32),
+            a.data, np.zeros(n, dtype=np.int32))
 
     def change_column(self, col: int, rows, values) -> None:
         """Set column col's coefficients in the given rows; a zero

@@ -258,6 +258,8 @@ def nominal_dubins_tube(sys: StochasticLTVSystem, delta: float,
 def make_uncontrolled(n: int, gain: float = 0.8, cov: float = 0.05,
                       horizon: int = 10) -> StochasticLTVSystem:
     """x+ = gain * x + w with no input channel."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     a = gain * np.eye(n)
     b = np.zeros((n, 0))
     dist = GaussianDisturbance.iid(np.zeros(n),

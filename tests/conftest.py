@@ -49,7 +49,7 @@ def tube2d():
 def line_lps(monkeypatch):
     """patch(solve) sends the LPs that chance solves in a chain of line
     searches, the ones RiskLP.lines solves, to solve(model); the anchors'
-    LPs, solved by RiskLP._solve, still go to HiGHS."""
+    LPs, solved by RiskLP.anchor, still go to HiGHS."""
     real, chain = chance.highs_solve, chance.RiskLP.lines.__code__
 
     def patch(solve):

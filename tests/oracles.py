@@ -22,10 +22,9 @@ from typing import Tuple
 import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from tubereach.gaussian import (_upper_quantile, _upper_quantile_deriv,
-                                normal_cdf)
+from tubereach.gaussian import _upper_quantile, _upper_quantile_deriv
 from tubereach.geometry import VPolytope, convex_hull_2d
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
@@ -220,8 +219,8 @@ def _genz_transform(L: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         drift = y[:, :i] @ L[i, :i] if i else 0.0
         li = L[i, i]
         if li > 1e-13:
-            a = normal_cdf(np.clip((lo[i] - drift) / li, -38, 38))
-            bnd = normal_cdf(np.clip((hi[i] - drift) / li, -38, 38))
+            a = ndtr(np.clip((lo[i] - drift) / li, -38, 38))
+            bnd = ndtr(np.clip((hi[i] - drift) / li, -38, 38))
         else:
             # degenerate coordinate: 0/1 indicator given earlier draws
             inside = (drift >= lo[i] - 1e-12) & (drift <= hi[i] + 1e-12)

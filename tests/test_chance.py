@@ -223,14 +223,22 @@ def test_line_search_monotone_in_alpha(sys1d, pwa):
     assert thetas[0.9] <= thetas[0.6] + 1e-9
 
 
-def test_budget_consistency(sys1d, tube1d, pwa):
-    # the free-anchor LP: x0 = y with y unconstrained but for T_0
+def test_budget_consistency(sys1d, tube1d, pwa, monkeypatch):
+    # the free-anchor LP that anchor("xmax") solves: x0 = y with y
+    # unconstrained but for T_0
     risk = RiskLP(sys1d, tube1d, 0.6, pwa)
-    sol = risk._solve(np.zeros(1), np.eye(1))
+    solutions, solution = [], risk._solution
+
+    def spy_solution(*args):
+        solutions.append(solution(*args))
+        return solutions[-1]
+    monkeypatch.setattr(risk, "_solution", spy_solution)
+    anchor = risk.anchor("xmax")
+    [sol] = solutions
     assert sol.status == "optimal"
     assert sol.deltas.sum() <= (1.0 - 0.6) + 1e-9
     assert np.all(sol.deltas >= risk.delta_lb - 1e-12)
-    assert sol.lower_bound == pytest.approx(risk.anchor("xmax").lower_bound)
+    assert sol.lower_bound == pytest.approx(anchor.lower_bound)
 
 
 def test_near_deterministic_matches_robust_answer(pwa):
@@ -517,12 +525,12 @@ def test_chain_changes_only_its_step_column(sys2d, tube2d, pwa,
     # the keep-mask of each LP built, and each solve's mask and column
     # bounds as HiGHS holds them
     masks, solved, touched = [], [], []
-    program = risk._program
+    model = risk._model
 
-    def spy_program(c, E, cols, *args, **kwargs):
+    def spy_model(c, E, cols, *args, **kwargs):
         masks.append(cols)
-        return program(c, E, cols, *args, **kwargs)
-    monkeypatch.setattr(risk, "_program", spy_program)
+        return model(c, E, cols, *args, **kwargs)
+    monkeypatch.setattr(risk, "_model", spy_model)
 
     def solve(model):
         lp = model.highs.getLp()

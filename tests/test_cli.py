@@ -173,6 +173,12 @@ INTEGRATOR2 = _EXAMPLES["integrator2"]["system"]
     ("integrator2", {"directions": {"count": 8.9}}),
     ("integrator2", {"validation": {"n_traj": 1000.7}}),
     ("integrator2", {"seed": "7"}),
+    ("integrator2", {"seed": -1}),
+    ("integrator2", {"validation": {"seed": -3}}),
+    ("integrator2", {"output_dir": 5}),
+    ("integrator2", {"output_dir": None}),
+    ("integrator2", {"output_dir": ["out"]}),
+    ("integrator2", {"output_dir": ""}),
     ("integrator40", {"directions": {"count": 8, "slice": [0, 1.5]}}),
     ("integrator2", {"system": {**INTEGRATOR2, "dimension": None}}),
     ("integrator2", {"system": {**INTEGRATOR2, "covariance": [1]}}),
@@ -182,6 +188,8 @@ INTEGRATOR2 = _EXAMPLES["integrator2"]["system"]
                               "sets": [{"normals": [[1.0, 0.0]]}]}}),
     ("integrator2", {"tube": {"type": "explicit", "sets": [
         {"normals": [[1.0, 0.0]], "offsets": [1.0], "offset": [2.0]}]}}),
+    ("stochy-uncontrolled", {"system": {"type": "uncontrolled",
+                                        "dimension": 0}}),
     ("integrator2", {"system": {"type": "custom", "B_seq": [[[1.0]]] * 10,
                                 "disturbance": {"mean": [0.0],
                                                 "covariance": [[0.001]]}}}),
@@ -189,10 +197,13 @@ INTEGRATOR2 = _EXAMPLES["integrator2"]["system"]
         "dp-number", "slice-one-index", "slice-out-of-range",
         "horizon-fraction", "horizon-bool", "horizon-beyond-float",
         "count-fraction",
-        "n-traj-fraction", "seed-string", "slice-fraction", "dimension-null",
+        "n-traj-fraction", "seed-string", "seed-negative",
+        "validation-seed-negative", "output-dir-number", "output-dir-null",
+        "output-dir-list", "output-dir-empty", "slice-fraction",
+        "dimension-null",
         "covariance-list", "covariance-nan", "input-bound-inf",
         "explicit-tube-without-offsets", "explicit-tube-unknown-key",
-        "custom-system-without-A_seq"])
+        "uncontrolled-dimension-zero", "custom-system-without-A_seq"])
 def test_malformed_config_is_one_error_line(tmp_path, caplog, capsys,
                                             command, example, change):
     cfg = tmp_path / "cfg.json"

@@ -4,32 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from tubereach import gaussian
-from tubereach.gaussian import (build_pwa_quantile, normal_cdf,
-                                normal_quantile)
+from tubereach.gaussian import build_pwa_quantile
 
 from oracles import (MvnBox, brentq_secant_gap, genz_mvn_probability,
                      _pivoted_cholesky)
-
-
-def test_normal_cdf_basics():
-    assert normal_cdf(0.0) == pytest.approx(0.5)
-    assert normal_cdf(1.0) == pytest.approx(0.8413447460685429)
-    x = np.linspace(-3, 3, 11)
-    np.testing.assert_allclose(normal_cdf(x), ndtr(x))
-
-
-def test_normal_cdf_rejects_nan():
-    with pytest.raises(ValueError):
-        normal_cdf(float("nan"))
-
-
-def test_normal_quantile_roundtrip():
-    for p in (0.01, 0.3, 0.5, 0.9, 0.999):
-        assert normal_cdf(normal_quantile(p)) == pytest.approx(p)
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        normal_quantile(1.0)
 
 
 def test_pwa_envelope_overapproximates_everywhere():

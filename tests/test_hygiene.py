@@ -211,3 +211,35 @@ def test_detector_flags_private_names_no_module_reads():
                         "_stored = 1\n")}
     assert dead_private_helpers(sources) == [
         "a.py:_Orphan", "a.py:_dead", "a.py:_unused", "b.py:_stored"]
+
+
+def imports_highspy(source: str) -> bool:
+    """Whether source imports scipy's bundled HiGHS bindings,
+    scipy.optimize._highspy or a module of it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.optimize._highspy"
+               or name.startswith("scipy.optimize._highspy.")
+               for name in names):
+            return True
+    return False
+
+
+def test_lpsolve_is_the_one_lp_backend():
+    assert [path.name for path in MODULES
+            if imports_highspy(path.read_text())] == ["lpsolve.py"]
+
+
+def test_detector_flags_highspy_imports():
+    for source in ("from scipy.optimize._highspy import _core\n",
+                   "from scipy.optimize import _highspy\n",
+                   "import scipy.optimize._highspy._core as core\n"):
+        assert imports_highspy(source)
+    assert not imports_highspy("from scipy.optimize import linprog\n"
+                               "from .lpsolve import LpModel\n")

@@ -135,6 +135,19 @@ def test_finite_range_bounds():
     assert sol.z[1] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("cost", [np.inf, -np.inf])
+def test_infinite_cost_rejected(cost):
+    # min -inf z0 + z1 over [0, 1]^2 has no optimal value; infinite
+    # bounds and rhs entries stay legal
+    with pytest.raises(LpError, match="infinite"):
+        LinearProgram(objective=np.array([cost, 1.0]),
+                      bounds=[(0.0, 1.0)] * 2)
+    lp = LinearProgram(objective=np.array([1.0, 1.0]),
+                       ineq=(np.array([[1.0, 1.0]]), np.array([np.inf])),
+                       bounds=[(0.0, np.inf), (-1.0, np.inf)])
+    assert solve_lp(lp).objective_value == pytest.approx(-1.0)
+
+
 @pytest.mark.parametrize("part", ["objective", "matrix", "rhs", "bounds"])
 def test_nan_rejected(part):
     parts = {"objective": np.ones(2), "matrix": np.ones((1, 2)),
@@ -189,6 +202,40 @@ def test_bundled_highs_has_the_methods_used():
                if not hasattr(_core._Highs, name)]
     assert not missing, (f"scipy {scipy.__version__} bundles a HiGHS "
                          f"without _Highs.{', _Highs.'.join(missing)}")
+
+
+@pytest.mark.parametrize("sparse_rows", [False, True],
+                         ids=["dense", "sparse"])
+def test_model_holds_the_lp_as_highs_reads_it(sparse_rows):
+    rng = np.random.default_rng(3)
+    ineq = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.4)
+    eq = rng.standard_normal((2, 6)) * (rng.random((2, 6)) < 0.5)
+    b_ineq, b_eq = rng.standard_normal(4), rng.standard_normal(2)
+    bounds = np.array([(0.0, 1.0), (-np.inf, 2.0), (-1.0, np.inf),
+                       (-np.inf, np.inf), (3.0, 3.0), (-2.0, 5.0)])
+    rows = sparse.csr_array if sparse_rows else np.asarray
+    lp = LinearProgram(objective=rng.standard_normal(6),
+                       ineq=(rows(ineq), b_ineq), eq=(rows(eq), b_eq),
+                       bounds=bounds)
+    held = LpModel(lp).highs.getLp()
+    assert held.num_col_ == 6 and held.num_row_ == 6
+    np.testing.assert_array_equal(held.col_cost_, lp.objective)
+    np.testing.assert_array_equal(held.col_lower_, bounds[:, 0])
+    np.testing.assert_array_equal(held.col_upper_, bounds[:, 1])
+    # inequalities are rows bounded above; equalities have equal bounds
+    np.testing.assert_array_equal(
+        held.row_lower_, np.concatenate([np.full(4, -np.inf), b_eq]))
+    np.testing.assert_array_equal(held.row_upper_,
+                                  np.concatenate([b_ineq, b_eq]))
+    matrix = held.a_matrix_
+    assert matrix.format_ == _core.MatrixFormat.kColwise
+    assert (matrix.num_col_, matrix.num_row_) == (6, 6)
+    columns = sparse.csc_array(
+        (matrix.value_, matrix.index_, matrix.start_), shape=(6, 6))
+    np.testing.assert_array_equal(columns.toarray(), np.vstack([ineq, eq]))
+    assert len(held.integrality_) in (0, 6)
+    assert all(kind == _core.HighsVarType.kContinuous
+               for kind in held.integrality_)
 
 
 def test_model_resolve_matches_a_cold_solve():

@@ -167,6 +167,12 @@ def test_zero_input_dimension():
     assert cd.H.shape[1] == 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_uncontrolled_needs_a_state(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        make_uncontrolled(n)
+
+
 def test_uncontrolled_concat_geometric_decay():
     sys = make_uncontrolled(1, gain=0.5, cov=0.01, horizon=3)
     cd = concat_matrices(sys)
