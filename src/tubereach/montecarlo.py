@@ -1,12 +1,16 @@
 """Trajectory simulation and empirical validation of computed reach sets.
 
-Counter-based RNG (Philox) everywhere, so runs are reproducible and
-trajectory chunks are rolled out in parallel without coordination: chunk j
-of a run at `seed` draws from Philox(seed).jumped(j), its own stream.  The
-chunks go to one worker thread per CPU available; each worker holds the
-buffers of one chunk, so memory is bounded by workers x chunk.  Workers
-return integer counts, summed after they join, so every estimate is the
-same whatever the worker count.
+Every run is reproducible from its seed, and its trajectories are rolled
+out in parallel without coordination.  A run of n trajectories is split
+into an even number K of chunks, K = ceil(n / _CHUNK) rounded up to even,
+whose sizes differ by at most one: chunk j holds trajectories
+floor(j n / K) to floor((j + 1) n / K) - 1 and draws from its own SFC64
+stream, spawned from SeedSequence(seed) with spawn key (j,).  The chunks
+go, strided, to one worker thread per CPU available; K being even, two
+workers get equal shares, within one trajectory a chunk.  Each worker
+holds the buffers of one chunk, so memory is bounded by workers x chunk.
+Workers return integer counts, summed after they join, so every estimate
+is the same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -34,9 +38,27 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(vals)
 
 
-# trajectories rolled out together; each worker's buffers hold this many
-# columns, so memory does not grow with n_traj
+# most trajectories rolled out together; each worker's buffers hold at most
+# this many columns, so memory does not grow with n_traj
 _CHUNK = 8192
+
+
+def _chunk_bounds(n_traj: int) -> List[int]:
+    """Where each chunk of an n_traj run starts, and where the last ends:
+    K + 1 offsets for an even K = ceil(n_traj / _CHUNK) rounded up, chunk j
+    being trajectories bounds[j] to bounds[j + 1] - 1.  Sizes differ by at
+    most one, so a strided split over two workers is balanced."""
+    k = -(-n_traj // _CHUNK)
+    k += k % 2
+    return [j * n_traj // k for j in range(k + 1)]
+
+
+def _chunk_rng(seed: int, j: int) -> np.random.Generator:
+    """The generator of chunk j of a run at seed: an SFC64 stream spawned
+    from SeedSequence(seed) with spawn key (j,), independent of every
+    other chunk's.  The only place the package builds a generator."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(j,))))
 
 
 def _cpus() -> int:
@@ -56,25 +78,26 @@ def _binomial_std(c1: int, c2: int, n_vertices: int, n_traj: int) -> float:
 
 
 def _roll_chunks(sys: StochasticLTVSystem, tube: TargetTube, factors,
-                 margins, n_traj: int, seed: int, chunks: Iterable[int]
+                 margins, bounds: List[int], seed: int, chunks: Iterable[int]
                  ) -> Tuple[np.ndarray, int, int]:
-    """Roll out the given chunks, chunk j being trajectories j*_CHUNK on,
-    drawn from the stream Philox(seed).jumped(j).  Returns how many of them
-    each vertex keeps in the tube, and the sums over them of c (vertices
-    kept) and of c^2.  The buffers belong to this call: flat, viewed per
-    chunk as contiguous blocks of the noise state e, its propagation A e,
-    the draw, the projections, and a flag per vertex and trajectory."""
+    """Roll out the given chunks, chunk j being trajectories bounds[j] to
+    bounds[j + 1] - 1, drawn from _chunk_rng(seed, j).  Returns how many of
+    them each vertex keeps in the tube, and the sums over them of c
+    (vertices kept) and of c^2.  The buffers belong to this call, sized to
+    the largest chunk: flat, viewed per chunk as contiguous blocks of the
+    noise state e, its propagation A e, the draw, the projections, and a
+    flag per vertex and trajectory."""
     n, N = sys.state_dim, sys.horizon
     n_v = margins[0].shape[1]
-    size = min(_CHUNK, n_traj)
+    size = max(b - a for a, b in zip(bounds, bounds[1:]))
     e_buf, ae_buf, draw_buf = (np.empty(n * size) for _ in range(3))
     z_buf = np.empty(max(t.n_rows for t in tube.sets[1:]) * size)
     alive_buf, ok_buf = (np.empty(n_v * size, dtype=bool) for _ in range(2))
     counts = np.zeros(n_v, dtype=np.int64)
     c1 = c2 = 0
     for j in chunks:
-        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
-        c = min(size, n_traj - j * _CHUNK)
+        rng = _chunk_rng(seed, j)
+        c = bounds[j + 1] - bounds[j]
         e, ae, draw = (b[:n * c].reshape(n, c)
                        for b in (e_buf, ae_buf, draw_buf))
         alive, ok = (b[:n_v * c].reshape(n_v, c) for b in (alive_buf, ok_buf))
@@ -114,22 +137,36 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
     not.  The noise path is projected once per step onto the tube rows,
     and each vertex compares those projections with its own margins.
 
-    Trajectories go in chunks of _CHUNK; chunk j draws from the Philox
-    stream Philox(seed).jumped(j), so a run of at most _CHUNK trajectories
-    draws from Philox(seed) itself.  The chunks are rolled out on a thread
-    pool of one worker per CPU available (at most one per chunk); each
-    worker owns its generators and a few buffers of one chunk, so memory is
-    bounded by workers x chunk, whatever n_traj.  The workers' results are
-    integer counts, added up after the pool joins, so the estimates do not
-    depend on the worker count."""
+    The trajectories go in the chunks of _chunk_bounds(n_traj): an even
+    number of them, at most _CHUNK each, whose sizes differ by at most one.
+    Chunk j draws from its own stream, _chunk_rng(seed, j).  The chunks are
+    rolled out, strided, on a thread pool of one worker per CPU available
+    (at most one per chunk); each worker owns its generators and a few
+    buffers sized to the largest chunk, so memory is bounded by workers x
+    chunk, whatever n_traj.  The workers' results are integer counts,
+    added up after the pool joins, so the estimates do not depend on the
+    worker count.
+
+    Raises ValueError when an initial state does not have the system's n
+    entries, or an input sequence not its m N (input dimension times
+    horizon), naming both sizes."""
     if n_traj < 100:
         raise ValueError("n_traj must be at least 100")
     x0s = [np.asarray(x0, dtype=float).ravel() for x0 in x0s]
-    Us = list(Us)
+    Us = [None if u is None else np.asarray(u, dtype=float).ravel()
+          for u in Us]
     if not x0s or len(Us) != len(x0s):
         raise ValueError("need at least one initial state and one input "
                          "sequence (or None) per initial state")
-    m, N = sys.input_dim, sys.horizon
+    n, m, N = sys.state_dim, sys.input_dim, sys.horizon
+    for v, (x0, u) in enumerate(zip(x0s, Us)):
+        if x0.size != n:
+            raise ValueError(f"initial state {v} has {x0.size} entries, "
+                             f"but the system state has {n}")
+        if u is not None and u.size != m * N:
+            raise ValueError(
+                f"input sequence {v} has {u.size} entries, but the system "
+                f"takes {m * N}: {m} per step over a horizon of {N}")
     inside = [v for v, x0 in enumerate(x0s) if tube[0].contains(x0)]
 
     # margins[k][i, v]: how far row i of T_{k+1} lies beyond the mean state
@@ -137,8 +174,7 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
     # vertex on its own, so its margins do not depend on the batch
     margins = [np.empty((tube[k + 1].n_rows, len(inside))) for k in range(N)]
     for v, idx in enumerate(inside):
-        mean = x0s[idx]
-        u = None if Us[idx] is None else np.asarray(Us[idx], dtype=float).ravel()
+        mean, u = x0s[idx], Us[idx]
         for k in range(N):
             mean = sys.A_seq[k] @ mean + sys.disturbance.mean_per_step[k]
             if m and u is not None:
@@ -150,10 +186,11 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
     counts = np.zeros(len(x0s), dtype=np.int64)
     c1 = c2 = 0  # sums over trajectories of (vertices kept) and its square
     # nothing to roll out when every vertex starts outside T_0
-    n_chunks = -(-n_traj // _CHUNK) if inside else 0
+    bounds = _chunk_bounds(n_traj)
+    n_chunks = len(bounds) - 1 if inside else 0
     workers = min(_cpus(), n_chunks)
     if workers:
-        roll = partial(_roll_chunks, sys, tube, factors, margins, n_traj, seed)
+        roll = partial(_roll_chunks, sys, tube, factors, margins, bounds, seed)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(roll, (range(w, n_chunks, workers)
                                          for w in range(workers))))
@@ -262,11 +299,12 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     against alpha.
 
     Every vertex is rolled out on the same n_traj trajectories (common
-    random numbers), chunk j of them drawn from Philox(seed).jumped(j).
-    Each vertex's estimate equals simulate_reach_prob of that vertex alone
-    at `seed`.  The chunks run on one worker thread per CPU available, and
-    the report does not depend on how many; memory is bounded by workers x
-    chunk, whatever n_traj."""
+    random numbers), split into an even number of balanced chunks, chunk j
+    drawn from the SFC64 stream spawned from SeedSequence(seed) with spawn
+    key (j,).  Each vertex's estimate equals simulate_reach_prob of that
+    vertex alone at `seed`.  The chunks run on one worker thread per CPU
+    available, and the report does not depend on how many; memory is
+    bounded by workers x chunk, whatever n_traj."""
     if result.is_empty:
         raise ValueError("cannot validate an empty result")
     points = [(bp.point, bp.U) for bp in result.boundary_points

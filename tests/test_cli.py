@@ -340,6 +340,24 @@ def test_compute_rejects_fewer_than_one_job(tmp_path, caplog, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon", [3, 8])
+def test_validate_rejects_controllers_of_another_horizon(tmp_path, caplog,
+                                                         horizon):
+    # the result's controllers hold 5 steps of the scalar input: a config
+    # of horizon 3 would read only their first 3, one of horizon 8 would
+    # run past their end
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(tmp_path, [0.6])),
+                 "-d", str(out)]) == EXIT_OK
+    cfg = scalar_config(tmp_path, [0.6], horizon=horizon)
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "1000", "-d", str(out)]) == EXIT_BAD_CONFIG
+    assert (f"has 5 entries, but the system takes {horizon}: 1 per step "
+            f"over a horizon of {horizon}") in caplog.text
+    assert not (out / "validation.json").exists()
+
+
 def test_validate_rejects_zero_trajectories(tmp_path, caplog):
     cfg = scalar_config(tmp_path, [0.6])
     out = tmp_path / "out"

@@ -243,3 +243,73 @@ def test_detector_flags_highspy_imports():
         assert imports_highspy(source)
     assert not imports_highspy("from scipy.optimize import linprog\n"
                                "from .lpsolve import LpModel\n")
+
+
+# how code reaches a generator besides np.random: methods of generators,
+# bit generators and seed sequences that make or move a stream
+_STREAM_METHODS = {"jumped", "spawn", "advance", "bit_generator"}
+
+
+def random_generators(source):
+    """(top-level definition or None, line, what) for each place source
+    builds or reaches a random generator: anything read from np.random or
+    numpy.random, an import of numpy.random or of the random module, and
+    the stream methods (jumped, spawn, advance, bit_generator)."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                if node.attr in _STREAM_METHODS:
+                    found.append((owner, node.lineno, node.attr))
+                elif node.attr == "random" and isinstance(
+                        node.value, ast.Name) and node.value.id in (
+                        "np", "numpy"):
+                    found.append((owner, node.lineno, "numpy.random"))
+                continue
+            else:
+                continue
+            for name in names:
+                if name == "random" or name == "numpy.random" or \
+                        name.startswith(("random.", "numpy.random.")):
+                    found.append((owner, node.lineno, f"imports {name}"))
+    return sorted(found, key=lambda f: (f[1], f[2]))
+
+
+def test_one_helper_builds_the_random_generators():
+    # one stream layout: chunk j of a rollout draws from the generator
+    # montecarlo._chunk_rng(seed, j) builds, and nothing else draws
+    places = {(path.name, owner) for path in MODULES
+              for owner, _, _ in random_generators(path.read_text())}
+    assert places == {("montecarlo.py", "_chunk_rng")}
+
+
+def test_detector_flags_random_generators():
+    source = ("import random\n"
+              "import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "from numpy import random as npr\n"
+              "import numpy.random\n"
+              "SEEDS = np.random.SeedSequence(0)\n"
+              "def draw(seed, j):\n"
+              "    gen = np.random.Philox(seed).jumped(j)\n"
+              "    return gen.bit_generator\n"
+              "class Streams:\n"
+              "    def children(self, seq):\n"
+              "        return seq.spawn(2)\n"
+              "def clean(x):\n"
+              "    return np.linalg.norm(x)\n")
+    assert random_generators(source) == [
+        (None, 1, "imports random"), (None, 3, "imports numpy.random"),
+        (None, 3, "imports numpy.random.default_rng"),
+        (None, 4, "imports numpy.random"), (None, 5, "imports numpy.random"),
+        (None, 6, "numpy.random"), ("draw", 8, "jumped"),
+        ("draw", 8, "numpy.random"), ("draw", 9, "bit_generator"),
+        ("Streams", 12, "spawn")]

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from tubereach import montecarlo
 from tubereach.geometry import (DirectionSet, VPolytope, box_polytope,
@@ -62,27 +63,26 @@ def test_std_shrinks_with_sample_size(sys1d, tube1d):
 def test_estimates_frozen_for_fixed_seeds(sys1d, tube1d):
     # values of the shared-noise rollout, which draws the zero-mean noise
     # path (n x chunk, column per trajectory) and adds each vertex's mean
-    # path through its margins.  The scalar case kept its value from the
-    # earlier per-vertex rollout (its draw order is unchanged); the other
-    # three were re-pointed when the draw moved to the noise path, each
-    # within binomial error of its former value (0.989, 0.85, 0.85175).
-    # The cwh tube has 10 rows per step and 8 at the end; the uncontrolled
-    # chain has no input.
+    # path through its margins.  Re-frozen when the chunks moved to SFC64
+    # streams spawned from SeedSequence(seed), each within binomial error
+    # of its value on the former Philox(seed) stream (0.1488, 0.98533,
+    # 0.855, 0.8505).  The cwh tube has 10 rows per step and 8 at the end;
+    # the uncontrolled chain has no input.
     cwh_u = np.array([0.00966, -0.00612, -0.03455, 0.01602, 0.04953,
                       -0.02149, -0.03386, 0.02136, 0.00954, -0.01017])
     cases = [
         (sys1d, tube1d, [0.1], np.full(5, -0.05), 5000, 42,
-         (0.1488, 0.005033061891135455)),
+         (0.1472, 0.005010631896278153)),
         (make_integrator_chain(2, 0.1, 10, 0.01, 0.1),
          viability_tube(2, 1.0, 10), [0.3, -0.2],
          0.1 * np.sin(np.arange(10)), 3000, 7,
-         (0.9853333333333333, 0.00219480868988283)),
+         (0.981, 0.0024925890154616345)),
         (make_cwh(), cwh_los_tube(5), [0.0, -0.7071, 0.0, 0.0], cwh_u,
-         2000, 3, (0.855, 0.007873214083206426)),
+         2000, 3, (0.865, 0.007641171376170017)),
         (make_uncontrolled(3),
          viability_tube(3, 1.0, 10, terminal_half_width=0.8),
          [0.2, 0.0, -0.1], None, 4000, 11,
-         (0.8505, 0.005638034897018641)),
+         (0.85475, 0.005571185634584437)),
     ]
     for sys, tube, x0, u, n_traj, seed, expected in cases:
         assert simulate_reach_prob(sys, tube, np.array(x0), u, n_traj,
@@ -91,12 +91,16 @@ def test_estimates_frozen_for_fixed_seeds(sys1d, tube1d):
 
 def full_state_rollout(sys, tube, x0, U, n_traj, seed):
     """Reference: x_{k+1} = A_k x_k + B_k u_k + L_k xi_k + mu_k on the
-    draws the rollout takes: chunk j of _CHUNK trajectories from
-    Philox(seed).jumped(j), an n x chunk block per step."""
+    draws the rollout takes: an even number K of chunks, K = ceil(n_traj /
+    _CHUNK) rounded up, chunk j being trajectories floor(j n_traj / K) on
+    and drawing from SFC64(SeedSequence(seed, spawn_key=(j,))), an n x
+    chunk block per step."""
     kept, m = 0, sys.input_dim
-    for j, start in enumerate(range(0, n_traj, montecarlo._CHUNK)):
-        c = min(montecarlo._CHUNK, n_traj - start)
-        rng = np.random.Generator(np.random.Philox(seed).jumped(j))
+    k_chunks = 2 * -(-n_traj // (2 * montecarlo._CHUNK))
+    for j in range(k_chunks):
+        c = (j + 1) * n_traj // k_chunks - j * n_traj // k_chunks
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(j,))))
         x = np.repeat(np.asarray(x0, dtype=float)[:, None], c, axis=1)
         alive = np.ones(c, dtype=bool)
         for k in range(sys.horizon):
@@ -118,7 +122,7 @@ def test_mean_plus_noise_matches_full_state_rollout():
     # shared zero-mean noise path; on the same draws it keeps the same
     # trajectories as the full-state recursion.  Cases: cwh (line-of-sight
     # cone rows), an LTV Dubins model with a disturbance mean, and an
-    # uncontrolled chain over more than one chunk.
+    # uncontrolled chain over four chunks.
     dubins = make_dubins(0.1, 10, 0.3, [0.5] * 10, 10.0,
                          mu_eta=(0.01, -0.005))
     cwh_u = np.array([0.00966, -0.00612, -0.03455, 0.01602, 0.04953,
@@ -129,12 +133,51 @@ def test_mean_plus_noise_matches_full_state_rollout():
          [0.02, -0.01], np.full(10, 7.0), 5000),
         (make_uncontrolled(3),
          viability_tube(3, 1.0, 10, terminal_half_width=0.8),
-         [0.2, 0.0, -0.1], None, montecarlo._CHUNK + 3000),
+         [0.2, 0.0, -0.1], None, 2 * montecarlo._CHUNK + 3000),
     ]
     for sys, tube, x0, u, n_traj in cases:
         p, _ = simulate_reach_prob(sys, tube, x0, u, n_traj, seed=21)
         assert 0.05 < p < 0.95
         assert p == full_state_rollout(sys, tube, x0, u, n_traj, 21)
+
+
+@pytest.mark.parametrize("n_traj, k_chunks", [
+    (100, 2), (5000, 2), (8192, 2), (8193, 2), (10_000, 2), (100_000, 14)])
+def test_chunks_are_even_balanced_and_cover_the_run(monkeypatch, sys1d,
+                                                   tube1d, n_traj, k_chunks):
+    bounds = montecarlo._chunk_bounds(n_traj)
+    sizes = np.diff(bounds)
+    assert len(sizes) == k_chunks and k_chunks % 2 == 0
+    assert np.array_equal(np.concatenate(
+        [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]),
+        np.arange(n_traj))
+    assert sizes.max() - sizes.min() <= 1
+    assert sizes.max() <= montecarlo._CHUNK
+    # the two workers' strided shares of the rollout itself
+    with_workers(monkeypatch, 2)
+    roll, shares = montecarlo._roll_chunks, []
+
+    def record(*args):
+        chunks = list(args[-1])
+        shares.append(sum(sizes[j] for j in chunks))
+        return roll(*args[:-1], chunks)
+
+    monkeypatch.setattr(montecarlo, "_roll_chunks", record)
+    simulate_reach_prob(sys1d, tube1d, [0.1], None, n_traj)
+    assert len(shares) == 2 and sum(shares) == n_traj
+    assert abs(shares[0] - shares[1]) <= k_chunks // 2
+
+
+def test_chunk_streams_match_the_closed_form():
+    # x1 = w, w ~ N(0, 1), tube [-b, b] at step 1: the reach probability
+    # is 2 Phi(b) - 1.  20 000 trajectories go in four chunks, four streams
+    b = 1.0
+    exact = 2 * ndtr(b) - 1
+    sys = make_uncontrolled(1, gain=1.0, cov=1.0, horizon=1)
+    tube = viability_tube(1, b, 1)
+    for seed in range(5):
+        p, std = simulate_reach_prob(sys, tube, [0.0], None, 20_000, seed)
+        assert abs(p - exact) <= 4 * std
 
 
 def test_small_sample_rejected(sys1d, tube1d):
@@ -147,6 +190,18 @@ def test_batch_needs_one_input_per_state(sys1d, tube1d):
         simulate_reach_probs(sys1d, tube1d, [], [], 1000)
     with pytest.raises(ValueError, match="per initial state"):
         simulate_reach_probs(sys1d, tube1d, [np.zeros(1)] * 2, [None], 1000)
+
+
+def test_sizes_must_match_the_system(sys1d, tube1d):
+    with pytest.raises(ValueError, match="initial state 1 has 2 entries, "
+                       "but the system state has 1"):
+        simulate_reach_probs(sys1d, tube1d, [[0.1], [0.1, 0.0]],
+                             [None, None], 1000)
+    for steps in (4, 6):
+        with pytest.raises(ValueError, match=(
+                f"input sequence 0 has {steps} entries, but the system "
+                "takes 5: 1 per step over a horizon of 5")):
+            simulate_reach_prob(sys1d, tube1d, [0.1], np.zeros(steps), 1000)
 
 
 @pytest.mark.parametrize("case", ["integrator2", "cwh"])
