@@ -26,9 +26,6 @@ from .lpsolve import LinearProgram, LpModel, LpSolution, highs_solve
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
-# every risk LP is solved without HiGHS presolve: each model is solved
-# once or re-solved from its basis, and a cold solve is mostly presolve
-NO_PRESOLVE = {"presolve": "off"}
 
 
 @dataclass
@@ -323,13 +320,12 @@ class RiskLP:
         and marks only its own direction.
 
         The directions form one chain: one LP model, re-solved from the
-        last basis and, like every risk LP, without presolve.  Every
-        direction's risk window is found first, and the model holds every
-        segment column that the window of any direction keeps, with its
-        row, each spanning its whole piece.  For each direction only the
-        step column y changes: its coefficients _x0 d on the kept rows,
-        and its upper bound, the exit of the ray from T_0 (which the T_0
-        rows already imply).
+        last basis.  Every direction's risk window is found first, and
+        the model holds every segment column that the window of any
+        direction keeps, with its row, each spanning its whole piece.
+        For each direction only the step column y changes: its
+        coefficients _x0 d on the kept rows, and its upper bound, the exit
+        of the ray from T_0 (which the T_0 rows already imply).
         The step found is still the full LP's: a row that no window keeps
         holds at delta_lb for every step and input in this direction's
         box, so the chain's LP lies between the full LP and this
@@ -391,13 +387,12 @@ class RiskLP:
     def _model(self, c: np.ndarray, E: np.ndarray, cols: np.ndarray,
                y_lo: float, y_hi: float, radius: bool = False,
                maximize: bool = False) -> LpModel:
-        """The HiGHS model, without presolve, of the LP with x0 = c + E y
-        and y_lo <= y <= y_hi, over the rows that _kept_rows keeps and the
-        segment columns in cols, each in [0, its piece's length].  x0
-        lies in T_0, by a margin of the radius column when one is asked
-        for.  The objective is the total risk, or with maximize the last
-        column (the step or the radius).  Every risk LP reaches HiGHS
-        through here."""
+        """The HiGHS model of the LP with x0 = c + E y and y_lo <= y <=
+        y_hi, over the rows that _kept_rows keeps and the segment columns
+        in cols, each in [0, its piece's length].  x0 lies in T_0, by a
+        margin of the radius column when one is asked for.  The objective
+        is the total risk, or with maximize the last column (the step or
+        the radius).  Every risk LP reaches HiGHS through here."""
         n_y, n_r = E.shape[1], int(radius)
         keep = self._kept_rows(cols)
         segments = np.flatnonzero(cols)
@@ -420,7 +415,7 @@ class RiskLP:
         return LpModel(LinearProgram(
             objective=objective,
             ineq=(matrix, self.rhs[keep] - (self._x0 @ c)[keep]),
-            bounds=bounds), NO_PRESOLVE)
+            bounds=bounds))
 
     def _solution(self, sol: LpSolution, cols: np.ndarray) -> _Solution:
         """The solution of an LP over the segment columns in cols."""

@@ -288,11 +288,15 @@ def _read_result(path) -> reachalgo.ReachSetResult:
 def _read(path, reader):
     """reader applied to the text of a file; a ValueError it raises
     names the file."""
-    text = Path(path).read_text()
+    return _naming([path], reader, Path(path).read_text())
+
+
+def _naming(paths, fn, *args):
+    """fn(*args); a ValueError it raises names the files in paths."""
     try:
-        return reader(text)
+        return fn(*args)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 def _timings(text) -> Dict[str, Dict[str, float]]:
@@ -383,7 +387,8 @@ def cmd_interpolate(args) -> int:
     if set1.alpha > set2.alpha:
         set1, set2 = set2, set1
     t0 = time.perf_counter()
-    poly = reachalgo.interpolate_sets(set1, set2, args.beta)
+    poly = _naming([args.set1, args.set2], reachalgo.interpolate_sets,
+                   set1, set2, args.beta)
     elapsed = time.perf_counter() - t0
     gamma = reachalgo.interpolation_weight(set1.alpha, set2.alpha, args.beta)
     out = args.output or "interpolated.json"
@@ -431,8 +436,8 @@ def cmd_validate(args) -> int:
     n_traj = args.n_traj if args.n_traj is not None \
         else val_cfg.get("n_traj", 100000)
     seed = val_cfg.get("seed", cfg["seed"])
-    report = montecarlo.validate_vertices(result, sys, tube, n_traj,
-                                          seed=seed)
+    report = _naming([args.result], montecarlo.validate_vertices, result,
+                     sys, tube, n_traj, seed)
     outdir = args.output_dir or cfg.get("output_dir", ".")
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "validation")

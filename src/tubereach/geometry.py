@@ -217,15 +217,6 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points) -> VPolytope:
-    """The hull vertices of 2D points, counterclockwise (see
-    extreme_indices)."""
-    vpoly = VPolytope(points)
-    if vpoly.dim != 2:
-        raise ValueError("convex_hull_2d expects 2D points")
-    return prune_vertices(vpoly)
-
-
 def _hull_2d(pts: np.ndarray) -> np.ndarray:
     """Indices of the counterclockwise extreme points of the 2D points,
     each the first of its duplicates; both ends when all are collinear."""
@@ -308,7 +299,7 @@ def minkowski_interpolate(v1: VPolytope, v2: VPolytope, gamma: float) -> VPolyto
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     if v1.dim != v2.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: {v1.dim} != {v2.dim}")
     sums = (gamma * v1.vertices[:, None, :]
             + (1.0 - gamma) * v2.vertices[None, :, :]).reshape(-1, v1.dim)
     return prune_vertices(VPolytope(vertices=sums))

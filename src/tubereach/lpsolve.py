@@ -8,15 +8,12 @@ column's coefficients and bounds is re-solved from the last basis; it
 hands the LP over as column-wise arrays in one call.
 :func:`highs_solve` is the one function that runs the solver.
 
-Every LP runs with the options scipy's own HiGHS front end sets
-(``_OPTIONS``: presolve on, dual simplex; pricing and the rest are
-HiGHS's defaults), and an :class:`LpModel` may set others on top.  The
-risk LPs of :mod:`tubereach.chance` run without presolve: each is
-solved once, or re-solved from its basis, and a cold solve of one is
-mostly presolve.
-The geometry LPs keep scipy's settings: an LP with many optima, such as
+Every LP, risk LP or geometry LP, runs with the one option set
+``_OPTIONS``.  A risk LP of :mod:`tubereach.chance` is solved once, or
+re-solved from its basis, and a cold solve of one with presolve is
+mostly presolve; so no LP is presolved.  An LP with many optima, such as
 the weight LP of ``VPolytope.convex_weights``, returns whichever one the
-solver reaches, and presolve changes which.
+solver reaches, and callers do not depend on which.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core
 
-# what scipy's own HiGHS front end sets; everything else is HiGHS's default
-_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
-            "simplex_strategy": 1}  # the dual simplex
+# the one HiGHS configuration: quiet, no presolve, the dual simplex;
+# everything else (pricing included) is HiGHS's default
+_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "off",
+            "simplex_strategy": 1}
 
 
 class LpError(ValueError):
@@ -93,15 +91,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.size
 
-    @property
-    def n_rows(self) -> int:
-        rows = 0
-        if self.ineq is not None:
-            rows += self.ineq[1].size
-        if self.eq is not None:
-            rows += self.eq[1].size
-        return rows
-
 
 @dataclass
 class LpSolution:
@@ -123,7 +112,7 @@ class LpModel:
     column's coefficients or some bounds and solving again costs only the
     simplex iterations the change asks for.  Not for concurrent use."""
 
-    def __init__(self, lp: LinearProgram, options: Optional[dict] = None):
+    def __init__(self, lp: LinearProgram):
         n = lp.n_vars
         blocks, lower, upper = [], [np.zeros(0)], [np.zeros(0)]
         if lp.ineq is not None:
@@ -140,7 +129,7 @@ class LpModel:
         bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
             else lp.bounds
         self.highs = _core._Highs()
-        for name, value in {**_OPTIONS, **(options or {})}.items():
+        for name, value in _OPTIONS.items():
             self.highs.setOptionValue(name, value)
         # the column-wise arrays in one call, with n integrality entries
         # (HiGHS reads n, whatever the length).  A model HiGHS rejects makes

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from . import chance
 from .chance import AnchorResult, BoundaryPoint
 from .gaussian import PwaQuantile, build_pwa_quantile
-from .geometry import (DirectionSet, HPolytope, VPolytope, convex_hull_2d,
+from .geometry import (DirectionSet, HPolytope, VPolytope, extreme_indices,
                        minkowski_interpolate, prune_vertices)
 from .sysmodel import StochasticLTVSystem, TargetTube
 
@@ -364,7 +364,8 @@ def dp_level_set(table: DpTable, alpha: float):
     polygon = None
     if len(table.grids) == 2 and mask.any():
         mesh = np.meshgrid(*table.grids, indexing="ij")
-        polygon = convex_hull_2d(np.stack([m[mask] for m in mesh], axis=1))
+        polygon = prune_vertices(
+            VPolytope(np.stack([m[mask] for m in mesh], axis=1)))
     return mask, polygon
 
 
@@ -375,7 +376,10 @@ def dp_level_set(table: DpTable, alpha: float):
 def initial_guess_controller(result: ReachSetResult, x0,
                              tol: float = 1e-7):
     """Blend the stored vertex controllers with the convex weights that
-    reproduce x0 (within tol); returns (U, weights).
+    reproduce x0 (within tol); returns (U, weights), the weights in
+    controller_points() order.  Only the hull vertices among those points
+    carry weight; every other point gets 0.  In 1D the hull has at most
+    two ends, so the weights are unique.
 
     The blend is valid anywhere inside the computed polytope.  The
     probability that the trajectory stays in the tube is log-concave in
@@ -384,11 +388,15 @@ def initial_guess_controller(result: ReachSetResult, x0,
     of points whose reach probability is at least alpha it is at least
     alpha too, whatever the weights.  The risk LP's rows are linear in
     (x0, U, risks), so the same blend of the points' risk allocations
-    meets them as well; no LP bound is computed at x0, though."""
+    meets them as well; no LP bound is computed at x0, though.  Any
+    optimum of the weight LP serves, and none is sought."""
     x0 = np.asarray(x0, dtype=float).ravel()
     pts, ctrls = result.controller_points()
-    weights = VPolytope(pts).convex_weights(x0, tol=tol)
-    if weights is None:
+    hull = extreme_indices(pts)
+    on_hull = VPolytope(pts[hull]).convex_weights(x0, tol=tol)
+    if on_hull is None:
         raise ValueError("x0 lies outside the computed polytope")
+    weights = np.zeros(len(pts))
+    weights[hull] = on_hull
     u = sum(w * c for w, c in zip(weights, ctrls))
     return np.asarray(u), weights

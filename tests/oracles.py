@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from tubereach.gaussian import _upper_quantile, _upper_quantile_deriv
-from tubereach.geometry import VPolytope, convex_hull_2d
+from tubereach.geometry import VPolytope, prune_vertices
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
 
@@ -238,7 +238,7 @@ def _genz_transform(L: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def _membership(vp: VPolytope, pts: np.ndarray) -> np.ndarray:
     """Vectorized point-in-polytope for 2D hulls; LP fallback otherwise."""
     if vp.dim == 2 and vp.n_vertices >= 3:
-        hull = convex_hull_2d(vp.vertices)
+        hull = prune_vertices(vp)
         v = hull.vertices
         out = np.ones(pts.shape[0], dtype=bool)
         for i in range(v.shape[0]):

@@ -427,6 +427,82 @@ def test_interpolate_beta_out_of_range(tmp_path):
     assert code != EXIT_OK
 
 
+def refusal_names_the_files(argv, paths, message, caplog):
+    """main(argv) returns EXIT_BAD_CONFIG and logs one error: the paths,
+    then the library's message."""
+    assert main(argv) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{', '.join(map(str, paths))}: {message}"]
+
+
+def integrator2_result(tmp_path):
+    """The integrator2 example's config and its result at alpha 0.9, over
+    8 directions."""
+    cfg = tmp_path / "integrator2.json"
+    assert main(["example", "integrator2", "-o", str(cfg)]) == EXIT_OK
+    doc = json.loads(cfg.read_text())
+    doc.update(alphas=[0.9], directions={"count": 8})
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "integrator2"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    return cfg, out / "reach_alpha0p9.json"
+
+
+def test_interpolate_refuses_sets_of_another_dimension(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(tmp_path, [0.6])),
+                 "-d", str(out)]) == EXIT_OK
+    scalar = out / "reach_alpha0p6.json"
+    _, planar = integrator2_result(tmp_path)
+    dst = tmp_path / "x.json"
+    refusal_names_the_files(
+        ["interpolate", "--set1", str(scalar), "--set2", str(planar),
+         "--beta", "0.7", "-o", str(dst)], [scalar, planar],
+        "dimension mismatch: 1 != 2", caplog)
+    assert not dst.exists()
+
+
+def test_interpolate_refuses_equal_thresholds(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(tmp_path, [0.6])),
+                 "-d", str(out)]) == EXIT_OK
+    both = out / "reach_alpha0p6.json"
+    dst = tmp_path / "x.json"
+    refusal_names_the_files(
+        ["interpolate", "--set1", str(both), "--set2", str(both),
+         "--beta", "0.6", "-o", str(dst)], [both, both],
+        "need 0 < alpha1 < alpha2 <= 1", caplog)
+    assert not dst.exists()
+
+
+def test_interpolate_refuses_an_empty_set(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(tmp_path, [0.6, 0.99])),
+                 "-d", str(out)]) == EXIT_EMPTY_SET
+    low, empty = out / "reach_alpha0p6.json", out / "reach_alpha0p99.json"
+    dst = tmp_path / "x.json"
+    refusal_names_the_files(
+        ["interpolate", "--set1", str(low), "--set2", str(empty),
+         "--beta", "0.8", "-o", str(dst)], [low, empty],
+        "both input sets must be nonempty; recompute at a lower threshold "
+        "or with more directions", caplog)
+    assert not dst.exists()
+
+
+def test_validate_names_a_result_of_another_state_dimension(tmp_path,
+                                                            caplog):
+    cfg, planar = integrator2_result(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["system"]["dimension"] = 4
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    refusal_names_the_files(
+        ["validate", str(cfg), "--result", str(planar), "--n-traj", "1000",
+         "-d", str(out)], [planar],
+        "initial state 0 has 2 entries, but the system state has 4", caplog)
+    assert not (out / "validation.json").exists()
+
+
 def test_dp_writes_value_table(tmp_path):
     cfg = scalar_config(tmp_path, [0.6],
                         extra={"dp": {"state_spacing": 0.05,

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from tubereach import geometry
 from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
-                                convex_hull_2d, extreme_indices,
-                                minkowski_interpolate, prune_vertices,
-                                spread_directions)
+                                extreme_indices, minkowski_interpolate,
+                                prune_vertices, spread_directions)
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
@@ -129,7 +128,7 @@ def brute_hull_membership(points, x, tol=1e-9):
 def test_hull_against_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(25, 2))
-    hull = convex_hull_2d(pts)
+    hull = prune_vertices(VPolytope(pts))
     # every input point is inside the hull per the triangle oracle
     for p in pts:
         assert brute_hull_membership(hull.vertices, p, tol=1e-7)
@@ -140,7 +139,7 @@ def test_hull_against_brute_force():
 
 def test_hull_collinear_points():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-    hull = convex_hull_2d(pts)
+    hull = prune_vertices(VPolytope(pts))
     assert hull.n_vertices == 2
 
 
@@ -326,7 +325,7 @@ def test_contains_point_dim_mismatch():
 def test_hull_contains_all_inputs(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(int(rng.integers(3, 20)), 2))
-    hull = convex_hull_2d(pts)
+    hull = prune_vertices(VPolytope(pts))
     if hull.n_vertices >= 3:
         for p in pts:
             assert brute_hull_membership(hull.vertices, p, tol=1e-6)

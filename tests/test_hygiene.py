@@ -245,6 +245,51 @@ def test_detector_flags_highspy_imports():
                                "from .lpsolve import LpModel\n")
 
 
+def highs_options():
+    """The keys of lpsolve._OPTIONS, read from its source."""
+    for node in ast.parse((PACKAGE / "lpsolve.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_OPTIONS"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("lpsolve.py defines no _OPTIONS")
+
+
+def names_highs_options(source, options):
+    """(line, what) for each place source configures HiGHS: a string
+    constant that is one of the option names in options, and a call to
+    setOptionValue."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in options:
+            found.append((node.lineno, f"names {node.value}"))
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and \
+                node.func.attr == "setOptionValue":
+            found.append((node.lineno, "setOptionValue"))
+    return sorted(found)
+
+
+def test_lpsolve_holds_the_one_highs_configuration():
+    options = highs_options()
+    assert "presolve" in options
+    assert [path.name for path in MODULES
+            if names_highs_options(path.read_text(), options)] \
+        == ["lpsolve.py"]
+
+
+def test_detector_flags_highs_options():
+    source = ("NO_PRESOLVE = {'presolve': 'off'}\n"
+              "def quiet(highs):\n"
+              "    highs.setOptionValue('output_flag', False)\n"
+              "    return 'presolved', {'options': 1}\n")
+    assert names_highs_options(source, {"presolve", "output_flag"}) == [
+        (1, "names presolve"), (3, "names output_flag"),
+        (3, "setOptionValue")]
+    assert not names_highs_options("def f(x):\n    return x.presolve\n",
+                                   {"presolve"})
+
+
 # how code reaches a generator besides np.random: methods of generators,
 # bit generators and seed sequences that make or move a stream
 _STREAM_METHODS = {"jumped", "spawn", "advance", "bit_generator"}

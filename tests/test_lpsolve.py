@@ -8,7 +8,8 @@ from scipy import sparse
 
 import scipy
 from scipy.optimize._highspy import _core
-from tubereach import lpsolve
+from tubereach import chance, lpsolve
+from tubereach.chance import RiskLP
 from tubereach.lpsolve import (_OPTIONS, LinearProgram, LpError,
                                LpModel, highs_solve, solve_lp)
 
@@ -244,7 +245,7 @@ def test_model_resolve_matches_a_cold_solve():
     lp = LinearProgram(objective=np.array([-1.0, -2.0]),
                        ineq=(rows, np.array([4.0, 6.0])),
                        bounds=[(0.0, 3.0)] * 2)
-    model = LpModel(lp, {"presolve": "off"})
+    model = LpModel(lp)
     first = highs_solve(model)
     np.testing.assert_allclose(first.z, [3.0, 1.0], atol=1e-9)
     # y's column becomes (1, 0.5) and x is capped at 2: one change of
@@ -277,24 +278,38 @@ def test_bounds_kept_as_one_array():
             LinearProgram(objective=np.ones(2), bounds=wrong)
 
 
-def test_lp_model_adds_options_to_the_defaults(monkeypatch):
-    def options(model):
-        return {name: model.highs.getOptionValue(name)[1]
-                for name in _OPTIONS}
+def highs_options(highs):
+    """Every option a HiGHS instance holds, by name."""
+    options = highs.getOptions()
+    return {name: getattr(options, name) for name in dir(options)
+            if not name.startswith("_")}
+
+
+def test_every_model_runs_with_the_one_option_set(sys1d, tube1d, pwa,
+                                                  monkeypatch):
+    # HiGHS's defaults with _OPTIONS on top, and nothing else
+    fresh = _core._Highs()
+    for name, value in _OPTIONS.items():
+        fresh.setOptionValue(name, value)
+    expected = highs_options(fresh)
+    assert all(expected[name] == value for name, value in _OPTIONS.items())
     seen = []
 
     def solve(model):
-        seen.append(options(model))
+        seen.append(highs_options(model.highs))
         return highs_solve(model)
     monkeypatch.setattr(lpsolve, "highs_solve", solve)
+    monkeypatch.setattr(chance, "highs_solve", solve)
+    # a geometry LP through solve_lp
     lp = LinearProgram(objective=np.array([1.0, 1.0]),
                        ineq=(np.array([[-1.0, -2.0]]), np.array([-2.0])),
                        bounds=[(0.0, np.inf)] * 2)
-    # solve_lp keeps the defaults; a model's options sit on top of them
-    plain = solve_lp(lp)
-    model = LpModel(lp, {"presolve": "off"})
-    assert seen == [_OPTIONS]
-    assert options(model) == {**_OPTIONS, "presolve": "off"}
-    off = highs_solve(model)
-    assert plain.status == off.status == "optimal"
-    assert plain.objective_value == pytest.approx(off.objective_value)
+    assert solve_lp(lp).objective_value == pytest.approx(1.0)
+    # the risk LPs: a cold anchor model, then a chain's model, solved
+    # once per direction
+    risk = RiskLP(sys1d, tube1d, 0.6, pwa)
+    anchor = risk.anchor("xmax")
+    assert anchor.feasible
+    assert all(bp.status == "ok" for bp in risk.lines(
+        anchor.x_anchor, [np.array([1.0]), np.array([-1.0])]))
+    assert len(seen) == 4 and seen == [expected] * 4

@@ -380,6 +380,29 @@ def test_midpoint_controller_is_average(reach06):
                                atol=1e-6)
 
 
+def test_planar_controller_weights_sit_on_the_hull(sys2d, tube2d, pwa):
+    res = compute_reach_set(sys2d, tube2d, 0.6, spread_directions(16, 2),
+                            pwa=pwa)
+    pts, _ = res.controller_points()
+    hull = geometry.extreme_indices(pts)
+    off = np.setdiff1d(np.arange(len(pts)), hull)
+    # the anchor (row 0) lies inside, so some point carries no weight
+    assert 0 in off and len(hull) >= 3
+    tol = 1e-7
+    rng = np.random.default_rng(3)
+    for x0 in [pts[0], 0.5 * (pts[0] + pts[hull[0]]),
+               *(rng.dirichlet(np.ones(len(hull)), 3) @ pts[hull])]:
+        u, w = initial_guess_controller(res, x0, tol=tol)
+        assert w.shape == (len(pts),) and (w >= 0.0).all()
+        assert (w[off] == 0.0).all()
+        assert w.sum() == pytest.approx(1.0)
+        # the weight LP may use all of tol; 1e-12 is rounding in w @ pts
+        assert np.abs(w @ pts - x0).max() <= tol + 1e-12
+        # each step of the blend lies in the input box
+        steps = np.asarray(u).reshape(sys2d.horizon, sys2d.input_dim)
+        assert all(sys2d.input_set.contains(step) for step in steps)
+
+
 def test_controller_outside_polytope_rejected(reach06):
     with pytest.raises(ValueError, match="outside"):
         initial_guess_controller(reach06, np.array([3.0]))
