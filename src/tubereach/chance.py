@@ -121,9 +121,9 @@ class RiskLP:
     anchor, the radius column _ball.  Nothing is mutated after
     construction, so threads may share one instance.
 
-    Each solve gives every stochastic row a risk window [delta_lb,
-    delta_need]: over the box of y (a line's step lies in [0, exit of
-    the ray from T_0]) and of the inputs the row's mean has a largest
+    Each line search gives every stochastic row a risk window
+    [delta_lb, delta_need]: over the box of the step, [0, exit of the
+    ray from T_0], and of the inputs the row's mean has a largest
     value, and delta_need is the envelope inverted at that least margin,
     rounded up.  No allocation needs more: lowering delta_i there keeps
     row i and loosens the budget.  So the segments wholly above
@@ -131,12 +131,12 @@ class RiskLP:
     row with delta_need = delta_lb can never bind, and is dropped with
     its columns.  Leaving out segments only shrinks the full LP, and the
     LP with each kept segment clipped at delta_need, a subset of this
-    one, already attains the full LP's optimum, so the optimal step or
-    total risk is the full LP's; U and the deltas may be another of its
-    optima.  At the anchors, where x0 is free, every row that depends on
-    x0 keeps all its columns.
+    one, already attains the full LP's optimum, so the optimal step is
+    the full LP's; U and the deltas may be another of its optima.
 
-    So the Chebyshev anchor first solves a trial LP in which every
+    The anchors need no windows: x0 is free but for T_0, and the full LP
+    keeps every column.  The Chebyshev anchor first solves a trial LP
+    that keeps every column of the rows it does not pin: every
     stochastic row with room at delta_lb at a seed, the centres of T_0's
     box and of the input box, loses its columns and is dropped.  The mask
     depends only on (system, tube, alpha) and is found here; without a
@@ -202,7 +202,7 @@ class RiskLP:
             else (np.zeros(0), np.zeros(0))
         u_lo, u_hi = np.tile(u_lo, nsteps), np.tile(u_hi, nsteps)
         # largest value of the input's share of each stochastic row's mean
-        self._u_max = _interval_range(coef_u[:nr], u_lo, u_hi)[1]
+        self._u_max = _interval_max(coef_u[:nr], u_lo, u_hi)
 
         # the table: tube rows (a stochastic one at delta_lb), budget,
         # input rows, T_0's rows
@@ -264,23 +264,22 @@ class RiskLP:
                                 diagnostic=self._floor_diagnostic)
         cheby = mode == "cheby"
         n = self.tube.dim
-        c, E = np.zeros(n), np.eye(n)
+        full = np.ones((self.n_risk, len(self.pieces)), dtype=bool)
 
-        def solve(pinned=None):
-            # x0 = y, free but for T_0; a pinned row keeps no segment
-            cols = self._windows(self._x0 @ E, self._x0 @ c, -np.inf, np.inf,
-                                 pinned)
-            model = self._model(c, E, cols, -np.inf, np.inf, radius=cheby,
-                                maximize=cheby)
+        def solve(cols):
+            # x0 = y, free but for T_0
+            model = self._model(np.zeros(n), np.eye(n), cols, -np.inf,
+                                np.inf, radius=cheby, maximize=cheby)
             return self._solution(highs_solve(model), cols)
         trial = cheby and self._pinned is not None
-        sol = solve(self._pinned if trial else None)
+        # a pinned row keeps no segment in the trial
+        sol = solve(full & ~self._pinned[:, None] if trial else full)
         # an infeasible relaxation proves the full LP infeasible
         if trial and sol.status != "infeasible" and not (
                 sol.status == "optimal"
                 and self._pinned_rows_hold(sol.extra[:n], sol.U)):
             iterations = sol.iterations
-            sol = solve()
+            sol = solve(full)
             sol.iterations += iterations
         lb = sol.lower_bound
         if sol.status != "optimal":
@@ -351,7 +350,7 @@ class RiskLP:
         exits = [t0.ray_exit(anchor, d) for d in directions]
         x0_cols = [self._x0 @ d for d in directions]
         cols = np.logical_or.reduce(
-            [self._windows(col[:, None], x0_const, 0.0, top)
+            [self._windows(col, x0_const, top)
              for col, top in zip(x0_cols, exits)])
         model = self._model(anchor, directions[0][:, None], cols, 0.0,
                             exits[0], maximize=True)
@@ -436,31 +435,28 @@ class RiskLP:
         return _Solution("optimal", U=sol.z[:self.n_u], deltas=deltas,
                          extra=sol.z[k:], iterations=sol.iterations)
 
-    def _windows(self, x0_cols: np.ndarray, x0_const: np.ndarray,
-                 y_lo: float, y_hi: float,
-                 pinned: Optional[np.ndarray] = None) -> np.ndarray:
-        """Which segment columns (n_risk, pieces) to keep for x0 = c + E y,
-        y_lo <= y <= y_hi, given the table's x0 coefficients times E and
-        times c: those whose piece starts below the row's delta_need.  A
-        pinned row keeps none."""
+    def _windows(self, x0_col: np.ndarray, x0_const: np.ndarray,
+                 top: float) -> np.ndarray:
+        """Which segment columns (n_risk, pieces) to keep on the ray x0 =
+        c + d y, 0 <= y <= top, given the table's x0 coefficients times d
+        and times c: those whose piece starts below the row's
+        delta_need."""
         nr = self.n_risk
         mean_max = x0_const[:nr] + self._u_max \
-            + _interval_range(x0_cols[:nr], y_lo, y_hi)[1]
+            + _interval_max(x0_col[:nr, None], 0.0, top)
         # the envelope level that row i leaves room for, lowered
         least = (self._rhs_risk - mean_max) / self._sigma
         least -= 1e-9 * (1.0 + np.abs(least))
         # the envelope decreases, so it inverts on its reversed knots
         need = np.interp(least, self._knot_env[::-1], self._knots[::-1])
-        if pinned is not None:
-            need[pinned] = self.delta_lb
         return need[:, None] > self._knots[:-1]
 
 
-def _interval_range(coef: np.ndarray, lo, hi):
-    """Least and largest value of each row of coef @ v over the box
-    lo <= v <= hi; zero coefficients add nothing, even where the box is
-    unbounded, so the result is never NaN."""
+def _interval_max(coef: np.ndarray, lo, hi) -> np.ndarray:
+    """Largest value of each row of coef @ v over the box lo <= v <= hi;
+    zero coefficients add nothing, even where the box is unbounded, so
+    the result is never NaN."""
     with np.errstate(invalid="ignore"):
-        ends = np.stack([coef * lo, coef * hi])
-    ends[:, coef == 0.0] = 0.0
-    return ends.min(axis=0).sum(axis=1), ends.max(axis=0).sum(axis=1)
+        ends = np.maximum(coef * lo, coef * hi)
+    ends[coef == 0.0] = 0.0
+    return ends.sum(axis=1)

@@ -29,7 +29,8 @@ class PwaQuantile:
     """Upper envelope of secant lines overapproximating Phi^{-1}(1 - delta).
 
     pieces are (slope, intercept) pairs ordered by breakpoint; the envelope
-    max_l(m_l*delta + c_l) lies within [f, f + tol] on (delta_lb, delta_max].
+    max_l(m_l*delta + c_l) lies within [f, f + tol] on its domain
+    (delta_lb, 0.5].
     """
 
     pieces: List[Tuple[float, float]]
@@ -61,18 +62,21 @@ def _secant_gap(a: float, b: float) -> float:
     return fa + slope * (x - a) - _upper_quantile(x)
 
 
-def build_pwa_quantile(delta_lb: float = 1e-6, delta_max: float = 0.5,
+def build_pwa_quantile(delta_lb: float = 1e-6, *,
                        tol: float = 1e-3) -> PwaQuantile:
-    """Greedy secant construction of the overapproximating envelope.
+    """Greedy secant construction of the overapproximating envelope on
+    (delta_lb, 0.5], the end of the range where the upper quantile is
+    convex.
 
     Knots are placed so each secant's maximum gap over its interval is at
     most tol.  Secants of a convex function overapproximate on each
     interval, and the upper envelope of all secants overapproximates on
     the whole domain, which keeps the reach-set computation conservative.
     """
-    if not (0.0 < delta_lb < delta_max <= 0.5):
-        raise ValueError("require 0 < delta_lb < delta_max <= 0.5 "
-                         "(the upper quantile is convex only on that range)")
+    delta_max = 0.5
+    if not (0.0 < delta_lb < delta_max):
+        raise ValueError("require 0 < delta_lb < 0.5 "
+                         "(the upper quantile is convex only on (0, 0.5])")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 

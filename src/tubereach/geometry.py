@@ -154,28 +154,32 @@ class VPolytope:
         return self.vertices.shape[0]
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership within tol (max norm) via LP feasibility over convex
-        weights."""
+        """Membership within tol (max norm), by the distance LP of
+        convex_weights."""
         return self.convex_weights(x, tol) is not None
 
     def convex_weights(self, x, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-        """Some w >= 0 with sum(w) = 1 and |V^T w - x| <= tol elementwise
-        (convex weights reproducing x within tol, max norm), or None if x
-        is farther from the hull."""
+        """Convex weights w (w >= 0, sum(w) = 1) whose blend V^T w lies
+        nearest x in the max norm, or None if that distance exceeds tol:
+        the LP min t subject to |V^T w - x| <= t elementwise."""
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"point dimension {x.size} != polytope "
+                             f"dimension {self.dim}")
         if tol < 0.0:
             raise ValueError("tol must be nonnegative")
         k = self.n_vertices
         v = self.vertices.T
-        lp = LinearProgram(objective=np.zeros(k),
-                           ineq=(np.vstack([v, -v]),
-                                 np.concatenate([x + tol, tol - x])),
-                           eq=(np.ones((1, k)), np.ones(1)),
-                           bounds=[(0.0, np.inf)] * k)
+        # variables [w, t]
+        gap = -np.ones((self.dim, 1))
+        lp = LinearProgram(objective=np.append(np.zeros(k), 1.0),
+                           ineq=(np.block([[v, gap], [-v, gap]]),
+                                 np.concatenate([x, -x])),
+                           eq=(np.append(np.ones(k), 0.0)[None, :],
+                               np.ones(1)),
+                           bounds=[(0.0, np.inf)] * (k + 1))
         sol = solve_lp(lp)
-        return sol.z if sol.optimal else None
+        return sol.z[:k] if sol.optimal and sol.z[k] <= tol else None
 
 
 @dataclass
@@ -193,9 +197,6 @@ class DirectionSet:
 
     def __len__(self) -> int:
         return self.directions.shape[0]
-
-    def __iter__(self):
-        return iter(self.directions)
 
 
 def box_polytope(center, half_widths) -> HPolytope:

@@ -375,11 +375,12 @@ def dp_level_set(table: DpTable, alpha: float):
 
 def initial_guess_controller(result: ReachSetResult, x0,
                              tol: float = 1e-7):
-    """Blend the stored vertex controllers with the convex weights that
-    reproduce x0 (within tol); returns (U, weights), the weights in
-    controller_points() order.  Only the hull vertices among those points
-    carry weight; every other point gets 0.  In 1D the hull has at most
-    two ends, so the weights are unique.
+    """Blend the stored vertex controllers with convex weights whose
+    blend of the points lies nearest x0, at most tol away in the max
+    norm; returns (U, weights), the weights in controller_points()
+    order.  Only the hull vertices among those points carry weight;
+    every other point gets 0.  In 1D the hull has at most two ends, so
+    the weights are unique.
 
     The blend is valid anywhere inside the computed polytope.  The
     probability that the trajectory stays in the tube is log-concave in

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.special import ndtri
 
 from tubereach import chance
-from tubereach.chance import RiskLP, _interval_range
+from tubereach.chance import RiskLP, _interval_max
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
 from tubereach.lpsolve import (LinearProgram, LpModel, LpSolution,
@@ -777,11 +777,15 @@ def test_unbounded_ray_matches_the_oracle(sys1d, pwa, monkeypatch):
 
 
 def test_interval_range_never_nan():
-    coef = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 1.0]])
+    coef = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 1.0],
+                     [0.0, -2.0]])
     lo, hi = np.array([-np.inf, 0.0]), np.array([1.0, np.inf])
-    least, most = _interval_range(coef, lo, hi)
-    np.testing.assert_array_equal(least, [0.0, -np.inf, 0.0, -1.0])
-    np.testing.assert_array_equal(most, [np.inf, 1.0, 0.0, np.inf])
+    np.testing.assert_array_equal(_interval_max(coef, lo, hi),
+                                  [np.inf, 1.0, 0.0, np.inf, 0.0])
+    # one ray's step, 0 <= y <= top, with an infinite top
+    col = np.array([[0.0], [3.0], [-3.0]])
+    np.testing.assert_array_equal(_interval_max(col, 0.0, np.inf),
+                                  [0.0, np.inf, 0.0])
 
 
 def kept_envelope_holds(risk, pwa, mask, x0_col, x0_const, top):
@@ -821,16 +825,15 @@ def test_windows_nan_free_when_unbounded(pwa):
                               offsets=np.array([1.0]))
     risk = RiskLP(sys, tube, 0.6, pwa)
     assert np.isposinf(risk._u_max).any()
-    d = np.array([[1.0], [0.0]])
-    for y_hi in (0.5, np.inf):
-        mask = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2), 0.0,
-                             y_hi)
+    d = np.array([1.0, 0.0])
+    for top in (0.5, np.inf):
+        mask = risk._windows(risk._x0 @ d, risk._x0 @ np.zeros(2), top)
         assert mask.dtype == bool
         assert mask.shape == (risk.n_risk, len(risk.pieces))
         assert mask.any()
         # a row whose mean is unbounded keeps every piece
         assert mask[np.isposinf(risk._u_max)].all()
-    ls = line(risk, np.zeros(2), d[:, 0])
+    ls = line(risk, np.zeros(2), d)
     assert ls.status == "ok" and ls.theta > 0.0
 
 
@@ -845,7 +848,7 @@ def test_kept_pieces_reproduce_the_envelope_on_each_window(example, sys2d,
     for angle in np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3:
         d = np.array([np.cos(angle), np.sin(angle)])
         x0_col, top = risk._x0 @ d, tube[0].ray_exit(start, d)
-        mask = risk._windows(x0_col[:, None], risk._x0 @ start, 0.0, top)
+        mask = risk._windows(x0_col, risk._x0 @ start, top)
         kept = kept_envelope_holds(risk, pwa, mask, x0_col,
                                    risk._x0 @ start, top)
         dropped |= (kept == 0).any()
@@ -958,6 +961,36 @@ def test_example_vertices_lie_in_t0_exactly(example, alpha):
         assert tube[0].contains(bp.point, tol=0.0)
         np.testing.assert_array_equal(
             bp.point, res.anchor.x_anchor + bp.theta * bp.direction)
+
+
+@pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)
+def test_example_anchors_solve_fixed_selections(example, alpha,
+                                                monkeypatch):
+    # the full LP keeps every segment column, the trial every column of
+    # the rows it does not pin, and no anchor computes risk windows
+    sys, tube, _, pwa = _instantiate(_EXAMPLES[example])
+    risk = RiskLP(sys, tube, alpha, pwa)
+    masks = []
+    model = RiskLP._model
+
+    def spied(self, c, E, cols, *args, **kwargs):
+        masks.append(cols.copy())
+        return model(self, c, E, cols, *args, **kwargs)
+
+    def windows(*_):
+        raise AssertionError("an anchor computed risk windows")
+    monkeypatch.setattr(RiskLP, "_model", spied)
+    monkeypatch.setattr(risk, "_windows", windows)
+    full = np.ones((risk.n_risk, len(risk.pieces)), dtype=bool)
+    risk.anchor("xmax")
+    assert len(masks) == 1 and np.array_equal(masks[0], full)
+    masks.clear()
+    risk.anchor("cheby")
+    if risk._pinned is not None:
+        trial = np.broadcast_to(~risk._pinned[:, None], full.shape)
+        assert np.array_equal(masks.pop(0), trial)
+    assert len(masks) <= 1
+    assert all(np.array_equal(mask, full) for mask in masks)
 
 
 def test_dubins_line_searches_take_few_simplex_iterations(monkeypatch):

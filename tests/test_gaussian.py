@@ -11,7 +11,7 @@ from oracles import (MvnBox, brentq_secant_gap, genz_mvn_probability,
 
 
 def test_pwa_envelope_overapproximates_everywhere():
-    pwa = build_pwa_quantile(delta_lb=1e-6, delta_max=0.5, tol=1e-3)
+    pwa = build_pwa_quantile(delta_lb=1e-6, tol=1e-3)
     rng = np.random.default_rng(0)
     # log-uniform sampling hits the steep region near delta_lb
     d = np.exp(rng.uniform(np.log(1e-6), np.log(0.5), 10_000))
@@ -59,7 +59,12 @@ def test_pwa_domain_validation():
     with pytest.raises(ValueError):
         build_pwa_quantile(delta_lb=0.0)
     with pytest.raises(ValueError):
-        build_pwa_quantile(delta_lb=0.4, delta_max=0.3)
+        build_pwa_quantile(delta_lb=0.5)
+    with pytest.raises(ValueError):
+        build_pwa_quantile(delta_lb=0.6)
+    assert build_pwa_quantile(delta_lb=0.4).domain == (0.4, 0.5)
+    with pytest.raises(TypeError):
+        build_pwa_quantile(1e-6, 0.5)
 
 
 def test_genz_matches_product_of_marginals():

@@ -95,6 +95,13 @@ def test_vpolytope_contains_and_weights():
     assert w.sum() == pytest.approx(1.0)
 
 
+def test_vpolytope_dimension_mismatch_names_both_sizes():
+    v = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="point dimension 3 != polytope "
+                                         "dimension 2"):
+        v.convex_weights([0.2, 0.2, 0.2])
+
+
 def test_vpolytope_membership_honours_tol():
     v = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert v.contains([1.05, 0.0], tol=0.1)

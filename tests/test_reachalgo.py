@@ -396,8 +396,7 @@ def test_planar_controller_weights_sit_on_the_hull(sys2d, tube2d, pwa):
         assert w.shape == (len(pts),) and (w >= 0.0).all()
         assert (w[off] == 0.0).all()
         assert w.sum() == pytest.approx(1.0)
-        # the weight LP may use all of tol; 1e-12 is rounding in w @ pts
-        assert np.abs(w @ pts - x0).max() <= tol + 1e-12
+        assert np.abs(w @ pts - x0).max() <= 1e-12
         # each step of the blend lies in the input box
         steps = np.asarray(u).reshape(sys2d.horizon, sys2d.input_dim)
         assert all(sys2d.input_set.contains(step) for step in steps)
