@@ -258,9 +258,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _instantiate(cfg: dict):
+def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
     """System, tube, directions and PWA envelope of a config as
-    load_config returns it."""
+    load_config returns it; costs, when given, gets the envelope's build
+    seconds and piece count."""
     sys = build_system(cfg["system"], cfg["horizon"])
     tube = build_tube(cfg["tube"], sys)
     dirs_cfg = cfg.get("directions", {})
@@ -269,8 +270,12 @@ def _instantiate(cfg: dict):
         sys.state_dim,
         dirs_cfg.get("slice", (0, 1) if sys.state_dim > 2 else None))
     pwa_cfg = cfg.get("pwa", {})
+    start = time.perf_counter()
     pwa = build_pwa_quantile(delta_lb=pwa_cfg.get("delta_lb", 1e-6),
                              tol=pwa_cfg.get("tolerance", 1e-3))
+    if costs is not None:
+        costs.update(envelope=time.perf_counter() - start,
+                     envelope_pieces=len(pwa))
     return sys, tube, directions, pwa
 
 
@@ -300,7 +305,8 @@ def _naming(paths, fn, *args):
 
 
 def _timings(text) -> Dict[str, Dict[str, float]]:
-    """The timings sidecar: seconds by phase, by threshold."""
+    """The timings sidecar: seconds by phase, by threshold, and the
+    envelope's build under "setup"."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and all(
             isinstance(phases, dict) and all(
@@ -312,10 +318,11 @@ def _timings(text) -> Dict[str, Dict[str, float]]:
 
 def cmd_compute(args) -> int:
     cfg = load_config(args.config)
-    sys, tube, directions, pwa = _instantiate(cfg)
+    setup: Dict[str, float] = {}
+    sys, tube, directions, pwa = _instantiate(cfg, setup)
     outdir = args.output_dir or cfg.get("output_dir", ".")
     any_empty = False
-    timings: Dict[str, Dict[str, float]] = {}
+    timings: Dict[str, Dict[str, float]] = {"setup": setup}
     for alpha in cfg["alphas"]:
         res = reachalgo.compute_reach_set(
             sys, tube, alpha, directions,
@@ -458,6 +465,7 @@ def cmd_report(args) -> int:
     tpath = os.path.join(args.dir, "timings.json")
     if os.path.exists(tpath):
         times = _read(tpath, _timings)
+    merged["setup"] = times.get("setup")
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if name.startswith("reach_") and name.endswith(".json"):
@@ -475,6 +483,10 @@ def cmd_report(args) -> int:
                 "std_error": report.std_error, "n_traj": report.n_traj,
                 "pooled_binomial_std": report.pooled_binomial_std}
     _write_json(os.path.join(args.dir, "summary.json"), merged)
+    setup = merged["setup"] or {}
+    if "envelope" in setup:
+        print(f"setup envelope={setup['envelope']:.4f}s "
+              f"pieces={setup.get('envelope_pieces', 'n/a')}")
     for row in merged["results"]:
         spent = row["timings"]
         total = spent.get("total")

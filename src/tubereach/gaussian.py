@@ -62,46 +62,92 @@ def _secant_gap(a: float, b: float) -> float:
     return fa + slope * (x - a) - _upper_quantile(x)
 
 
+def _next_knot(a: float, hi: float, gap_hi: float, tol: float) -> float:
+    """The largest b in (a, hi) with _secant_gap(a, b) <= tol, to within
+    1e-12 of the piece's width, given gap_hi = _secant_gap(a, hi) > tol.
+
+    h(b) = _secant_gap(a, b) - tol rises from h(a) = -tol (a point the
+    search never evaluates, since the gap divides by b - a).  Each step
+    keeps h(lo) <= 0 < h(hi) and tries the false-position point of the
+    bracket, moved into its middle 98%; the end that stays put twice in a
+    row has its h halved (the Illinois rule), so both ends close in."""
+    lo, h_lo, h_hi = a, -tol, gap_hi - tol
+    side = 0
+    while hi - lo > 1e-12 * (hi - a):
+        width = hi - lo
+        step = width * h_lo / (h_lo - h_hi)
+        b = lo + min(max(step, 0.01 * width), 0.99 * width)
+        if not lo < b < hi:  # the bracket is a few ulps wide
+            break
+        h = _secant_gap(a, b) - tol
+        if h <= 0.0:
+            lo, h_lo = b, h
+            if side < 0:
+                h_hi *= 0.5
+            side = -1
+        else:
+            hi, h_hi = b, h
+            if side > 0:
+                h_lo *= 0.5
+            side = 1
+    return lo
+
+
 def build_pwa_quantile(delta_lb: float = 1e-6, *,
                        tol: float = 1e-3) -> PwaQuantile:
-    """Greedy secant construction of the overapproximating envelope on
-    (delta_lb, 0.5], the end of the range where the upper quantile is
-    convex.
+    """Greedy secant envelope of the upper quantile on (delta_lb, 0.5],
+    the end of its range where it is convex.
 
-    Knots are placed so each secant's maximum gap over its interval is at
-    most tol.  Secants of a convex function overapproximate on each
-    interval, and the upper envelope of all secants overapproximates on
-    the whole domain, which keeps the reach-set computation conservative.
+    Secants of a convex function overapproximate on their interval, so
+    the upper envelope of the secants overapproximates on the whole
+    domain, which keeps the reach-set computation conservative.  From
+    each knot a, the next knot is 0.5 when the secant gap to 0.5 is
+    within tol, else the largest b with _secant_gap(a, b) <= tol.  That
+    b is found by false position (the Illinois variant, _next_knot) on a
+    bracket [lo, hi] that starts at [a, 0.5] and keeps
+    gap(a, lo) <= tol < gap(a, hi); the search stops when
+    hi - lo <= 1e-12 * (hi - a) and returns lo.  So every piece's gap is
+    within tol, and a stop relative to the piece resolves a first piece
+    of any width.  The piece count grows as tol ** -0.5 (78 pieces at
+    the defaults, 24 428 at tol 1e-8).
+
+    Raises ValueError unless 0 < delta_lb < 0.5 and tol is finite and
+    positive, when tol is within the rounding error of the gap at
+    delta_lb, when a knot cannot advance, and when the secants overflow
+    (delta_lb below about 1e-308).
     """
     delta_max = 0.5
     if not (0.0 < delta_lb < delta_max):
         raise ValueError("require 0 < delta_lb < 0.5 "
                          "(the upper quantile is convex only on (0, 0.5])")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    # the gap is a difference of quantile values no larger than the one
+    # at delta_lb, so it is computed to a few ulps of that; a tol as small
+    # as its rounding error would let the knots creep by noise
+    if tol <= 256.0 * math.ulp(_upper_quantile(delta_lb)):
+        raise ValueError(f"tol={tol!r} is within the rounding error of the "
+                         f"secant gap at delta_lb={delta_lb!r}")
 
     knots = [delta_lb]
     a = delta_lb
     while a < delta_max:
-        if _secant_gap(a, delta_max) <= tol:
+        gap = _secant_gap(a, delta_max)
+        if gap <= tol:
             knots.append(delta_max)
             break
-        # largest b in (a, delta_max] with gap <= tol, by bisection
-        lo, hi = a, delta_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _secant_gap(a, mid) <= tol:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15 * max(1.0, hi):
-                break
-        knots.append(lo)
-        a = lo
+        b = _next_knot(a, delta_max, gap, tol)
+        if not b > a:
+            raise ValueError(f"no knot after a={a!r} has a secant gap "
+                             f"within tol={tol!r}")
+        knots.append(b)
+        a = b
 
     pieces = []
     for a, b in zip(knots[:-1], knots[1:]):
         fa, fb = _upper_quantile(a), _upper_quantile(b)
         slope = (fb - fa) / (b - a)
         pieces.append((slope, fa - slope * a))
+    if not np.all(np.isfinite(pieces)):
+        raise ValueError(f"the secants overflow at delta_lb={delta_lb!r}")
     return PwaQuantile(pieces=pieces, domain=(delta_lb, delta_max), tol=tol)

@@ -36,6 +36,7 @@ class HPolytope:
             raise ValueError("every normal row must be nonzero")
         self._empty: Optional[bool] = None
         self._bounded: Optional[bool] = None
+        self._box = self._axis_box()
 
     @property
     def dim(self) -> int:
@@ -119,18 +120,23 @@ class HPolytope:
         return lo, hi
 
     def as_box_bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(lower, upper) if every face is axis-aligned, else None."""
+        """(lower, upper) if every face is axis-aligned, else None.  Worked
+        out when the polytope is made; the arrays are read-only."""
+        return self._box
+
+    def _axis_box(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        rows, axes = np.nonzero(self.normals)
+        if not np.array_equal(rows, np.arange(self.n_rows)):
+            return None
+        coef = self.normals[rows, axes]
+        bound = self.offsets / coef
+        up = coef > 0
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
-        for row, off in zip(self.normals, self.offsets):
-            nz = np.flatnonzero(row)
-            if nz.size != 1:
-                return None
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], off / row[j])
-            else:
-                lo[j] = max(lo[j], off / row[j])
+        # fmin and fmax pass over a NaN bound
+        np.fmin.at(hi, axes[up], bound[up])
+        np.fmax.at(lo, axes[~up], bound[~up])
+        lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
 

@@ -31,12 +31,17 @@ class GaussianDisturbance:
                              for c in self.cov_per_step]
         if len(self.mean_per_step) != len(self.cov_per_step):
             raise ValueError("mean/cov step count mismatch")
+        checked = set()  # ids of the covariance arrays checked, as iid
+        # shares one array among all the steps
         for mu, cov in zip(self.mean_per_step, self.cov_per_step):
             if cov.shape != (mu.size, mu.size):
                 raise ValueError("covariance shape mismatch")
             if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
                 raise ValueError("disturbance mean and covariance must be "
                                  "finite")
+            if id(cov) in checked:
+                continue
+            checked.add(id(cov))
             if np.max(np.abs(cov - cov.T)) > _PSD_TOL * max(1.0, np.abs(cov).max()):
                 raise ValueError("covariance must be symmetric")
             if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) < -_PSD_TOL:

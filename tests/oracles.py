@@ -285,6 +285,24 @@ def brentq_secant_gap(a: float, b: float) -> float:
     return fa + slope * (x - a) - _upper_quantile(x)
 
 
+def loop_box_bounds(normals: np.ndarray, offsets: np.ndarray):
+    """(lower, upper) of {x : normals @ x <= offsets} if every face is
+    axis-aligned, else None, one row at a time (the former loop of
+    geometry.HPolytope.as_box_bounds)."""
+    lo = np.full(normals.shape[1], -np.inf)
+    hi = np.full(normals.shape[1], np.inf)
+    for row, off in zip(normals, offsets):
+        nz = np.flatnonzero(row)
+        if nz.size != 1:
+            return None
+        j = nz[0]
+        if row[j] > 0:
+            hi[j] = min(hi[j], off / row[j])
+        else:
+            lo[j] = max(lo[j], off / row[j])
+    return lo, hi
+
+
 def lp_prune_vertices(verts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """The rows of verts left after dropping, in order, each point within
     tol of an earlier one, then each point that some convex weights on

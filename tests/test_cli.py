@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tubereach import chance, reachalgo
+from tubereach import chance, gaussian, reachalgo
 from tubereach.cli import (_EXAMPLES, EXIT_BAD_CONFIG, EXIT_EMPTY_SET,
                            EXIT_OK, EXIT_SOLVER_FAILURE, _instantiate,
                            load_config, main)
@@ -380,6 +380,48 @@ def test_rerun_is_byte_identical(tmp_path):
         assert read(a / name) == read(b / name), name
 
 
+def test_compute_with_a_first_piece_of_1e_15(tmp_path, monkeypatch):
+    # delta_lb 1e-15 used to hang the envelope's knot search; 10 000
+    # secant-gap evaluations are three times what it takes now
+    cfg = tmp_path / "cfg.json"
+    assert main(["example", "integrator2", "-o", str(cfg)]) == EXIT_OK
+    doc = json.loads(cfg.read_text())
+    doc.update(pwa={"delta_lb": 1e-15}, alphas=[0.6], directions={"count": 8})
+    cfg.write_text(json.dumps(doc))
+    evaluations = 0
+    real_gap = gaussian._secant_gap
+
+    def counted(a, b):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > 10_000:
+            raise RuntimeError("the knot search does not stop")
+        return real_gap(a, b)
+
+    monkeypatch.setattr(gaussian, "_secant_gap", counted)
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    setup = json.loads((out / "timings.json").read_text())["setup"]
+    assert setup["envelope_pieces"] == 167
+
+
+def test_compute_records_the_envelope_build(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert main(["example", "stochy-uncontrolled", "-o", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    setup = json.loads((out / "timings.json").read_text())["setup"]
+    assert setup["envelope"] > 0.0
+    assert setup["envelope_pieces"] == 78
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["setup", "alpha=0.6"]
+    assert lines[0].endswith(" pieces=78")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["setup"] == setup
+
+
 def test_compute_a_200_state_integrator_chain(tmp_path, capsys):
     # ts^k / k! for k up to 200: 200! alone overflows a float
     cfg = tmp_path / "cfg.json"
@@ -695,7 +737,8 @@ def test_report_summarizes_directory(tmp_path, capsys):
     for _ in range(2):  # a rerun overwrites the timings sidecar
         assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_EMPTY_SET
     sidecar = json.loads((out / "timings.json").read_text())
-    assert sorted(sidecar) == ["0.4", "0.6", "0.99"]
+    # the thresholds, and the envelope's build under "setup"
+    assert sorted(sidecar) == ["0.4", "0.6", "0.99", "setup"]
     # the LP counts of each set; the empty set had no searches
     for alpha in ("0.4", "0.6"):
         assert sidecar[alpha]["search_iterations"] >= 0
@@ -705,7 +748,7 @@ def test_report_summarizes_directory(tmp_path, capsys):
     assert "search_rows" not in sidecar["0.99"]
     assert "hull" not in sidecar["0.99"]
     assert all(sidecar[alpha]["anchor_iterations"] >= 0
-               for alpha in sidecar)
+               for alpha in ("0.4", "0.6", "0.99"))
     capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_OK
     text = capsys.readouterr().out

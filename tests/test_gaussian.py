@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,14 +42,88 @@ def test_closed_form_envelope_matches_root_finding(tol, monkeypatch):
     monkeypatch.setattr(gaussian, "_secant_gap", brentq_secant_gap)
     brent = build_pwa_quantile(tol=tol)
     assert len(closed) == len(brent)
-    # a bisection step whose gap lies within an ulp of tol may go either
+    # a search step whose gap lies within an ulp of tol may go either
     # way, which moves that knot and the ones after it in the last bits
-    # (at most 1.6e-10 relative on the pieces at tol 1e-4)
+    # (at most 2.7e-12 relative on the pieces at tol 1e-4)
     np.testing.assert_allclose(closed.pieces, brent.pieces, rtol=1e-9,
                                atol=0)
     grid = np.exp(np.linspace(np.log(1e-6), np.log(0.5), 20_001))
     np.testing.assert_allclose(closed.envelope(grid), brent.envelope(grid),
                                rtol=0, atol=1e-11)
+
+
+def recorded_build(delta_lb, tol):
+    """build_pwa_quantile(delta_lb=delta_lb, tol=tol) with its knots and
+    its count of secant-gap evaluations: every evaluation is gap(a, b) from
+    a knot a, so the knots are the first arguments, then 0.5."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(a)
+        return real_gap(a, b)
+
+    real_gap = gaussian._secant_gap
+    with mock.patch.object(gaussian, "_secant_gap", spy):
+        pwa = build_pwa_quantile(delta_lb=delta_lb, tol=tol)
+    knots = sorted(set(calls)) + [0.5]
+    assert len(knots) == len(pwa) + 1
+    return pwa, knots, len(calls)
+
+
+def check_envelope(pwa, knots, tol):
+    """Every piece's secant gap is within tol, each knot before 0.5 is the
+    last one that is (its gap grows past tol within 1e-9 of the piece
+    beyond it), and the envelope lies above the quantile."""
+    gap = gaussian._secant_gap
+    for a, b in zip(knots[:-1], knots[1:]):
+        assert gap(a, b) <= tol
+        if b < 0.5:
+            assert gap(a, b + 1e-9 * (b - a)) > tol
+    grid = np.exp(np.linspace(np.log(knots[0]), np.log(0.5), 2001))
+    assert np.all(pwa.envelope(grid) >= -ndtri(grid) - 1e-12)
+
+
+def test_pwa_search_takes_few_evaluations_per_knot():
+    # bisection to 1e-15 took about 49 per knot (3 845 for 78 pieces)
+    pwa, _, evaluations = recorded_build(1e-6, 1e-3)
+    assert len(pwa) == 78
+    assert evaluations <= 20 * len(pwa)
+
+
+@pytest.mark.parametrize("delta_lb", [1e-15, 1e-30])
+def test_pwa_narrow_first_piece_advances(delta_lb):
+    # an absolute 1e-15 stop never moved the first knot off delta_lb here
+    pwa, knots, _ = recorded_build(delta_lb, 1e-3)
+    check_envelope(pwa, knots, 1e-3)
+    grid = np.exp(np.linspace(np.log(delta_lb), np.log(0.5), 20_001))
+    assert np.all(pwa.envelope(grid) - -ndtri(grid) <= 1e-3 + 1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(math.log(1e-30), math.log(0.4)), st.floats(1e-4, 1e-1))
+def test_pwa_knots_are_maximal_and_conservative(log_delta_lb, tol):
+    delta_lb = math.exp(log_delta_lb)
+    pwa, knots, _ = recorded_build(delta_lb, tol)
+    check_envelope(pwa, knots, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf, -math.inf,
+                                 1e-300])
+def test_pwa_refuses_tol_that_is_not_finite_positive_and_resolvable(tol):
+    with pytest.raises(ValueError, match="tol"):
+        build_pwa_quantile(tol=tol)
+
+
+def test_pwa_refuses_delta_lb_whose_secants_overflow():
+    # the quantile's slope near 1e-320 is beyond the float range
+    with pytest.raises(ValueError, match="overflow"):
+        build_pwa_quantile(delta_lb=1e-320)
+
+
+def test_pwa_knot_that_cannot_advance_is_refused(monkeypatch):
+    monkeypatch.setattr(gaussian, "_secant_gap", lambda a, b: 1.0)
+    with pytest.raises(ValueError, match="a=1e-06"):
+        build_pwa_quantile(tol=1e-3)
 
 
 def test_pwa_tighter_tolerance_needs_more_pieces():

@@ -9,7 +9,7 @@ from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
-from oracles import lp_prune_vertices
+from oracles import loop_box_bounds, lp_prune_vertices
 
 
 def square():
@@ -28,6 +28,41 @@ def test_box_bounds_roundtrip():
     lo, hi = b.as_box_bounds()
     np.testing.assert_allclose(lo, [0.5, -5.0])
     np.testing.assert_allclose(hi, [1.5, 1.0])
+
+
+def test_box_bounds_are_worked_out_once():
+    # the tightest of repeated faces; faces along one axis only leave the
+    # other unbounded
+    b = HPolytope(normals=np.array([[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+                  offsets=np.array([4.0, 1.5, 0.5]))
+    box = b.as_box_bounds()
+    np.testing.assert_array_equal(box, ([-0.5, -np.inf], [1.5, np.inf]))
+    assert b.as_box_bounds() is box
+    with pytest.raises(ValueError, match="read-only"):
+        box[0][0] = 0.0
+    assert not b.is_bounded() and not b.is_empty()
+    assert HPolytope(normals=np.zeros((0, 2)),
+                     offsets=np.zeros(0)).as_box_bounds() is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 9), st.integers(0, 2**32 - 1))
+def test_box_bounds_match_the_row_loop(dim, rows, seed):
+    # axis-aligned rows with random scales and signs, several per axis or
+    # none; a seed that tilts one row gives no box form
+    rng = np.random.default_rng(seed)
+    normals = np.zeros((rows, dim))
+    normals[np.arange(rows), rng.integers(0, dim, rows)] = \
+        rng.choice([-1.0, 1.0], rows) * rng.uniform(0.1, 10.0, rows)
+    if rows and dim > 1 and seed % 3 == 0:
+        normals[rng.integers(rows)] += 0.5
+    offsets = rng.uniform(-5.0, 5.0, rows)
+    box = HPolytope(normals, offsets).as_box_bounds()
+    expected = loop_box_bounds(normals, offsets)
+    if expected is None:
+        assert box is None
+    else:
+        np.testing.assert_array_equal(box, expected)
 
 
 def test_general_polytope_has_no_box_form():

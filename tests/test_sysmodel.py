@@ -21,6 +21,20 @@ def test_disturbance_validation():
                                                        [0.4, 1.0]]), 3)
 
 
+def test_shared_covariance_is_checked_once(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or real(a))
+    GaussianDisturbance.iid(np.zeros(2), np.eye(2), 55)
+    assert len(calls) == 1
+    # distinct arrays are each checked: a bad one at the last step is found
+    covs = [np.eye(2)] * 4 + [-np.eye(2)]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        GaussianDisturbance([np.zeros(2)] * 5, covs)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_noise_rejected(bad):
     # a NaN or infinite sigma would read as no noise, and certify 1.0
