@@ -258,10 +258,9 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
-    """System, tube, directions and PWA envelope of a config as
-    load_config returns it; costs, when given, gets the envelope's build
-    seconds and piece count."""
+def _problem(cfg: dict):
+    """System, tube and directions of a config as load_config returns
+    it."""
     sys = build_system(cfg["system"], cfg["horizon"])
     tube = build_tube(cfg["tube"], sys)
     dirs_cfg = cfg.get("directions", {})
@@ -269,13 +268,22 @@ def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
         dirs_cfg.get("count", 8 if sys.state_dim != 1 else 2),
         sys.state_dim,
         dirs_cfg.get("slice", (0, 1) if sys.state_dim > 2 else None))
+    return sys, tube, directions
+
+
+def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
+    """_problem's system, tube and directions, and the config's PWA
+    envelope; costs, when given, gets the envelope's build seconds, piece
+    count and secant-gap evaluations."""
+    sys, tube, directions = _problem(cfg)
     pwa_cfg = cfg.get("pwa", {})
     start = time.perf_counter()
     pwa = build_pwa_quantile(delta_lb=pwa_cfg.get("delta_lb", 1e-6),
                              tol=pwa_cfg.get("tolerance", 1e-3))
     if costs is not None:
         costs.update(envelope=time.perf_counter() - start,
-                     envelope_pieces=len(pwa))
+                     envelope_pieces=len(pwa),
+                     envelope_evaluations=pwa.evaluations)
     return sys, tube, directions, pwa
 
 
@@ -409,7 +417,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_dp(args) -> int:
     cfg = load_config(args.config)
-    sys, tube, _, _ = _instantiate(cfg)
+    sys, tube, _ = _problem(cfg)
     table = reachalgo.dp_values(sys, tube,
                                 cfg["dp"].get("state_spacing", 0.05),
                                 cfg["dp"].get("input_spacing", 0.05))
@@ -434,6 +442,8 @@ def cmd_dp(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    # the envelope is built though nothing here reads it yet, so that
+    # validate refuses the pwa settings that compute refuses
     sys, tube, _, _ = _instantiate(cfg)
     result = _read_result(args.result)
     if result.is_empty:
@@ -486,7 +496,8 @@ def cmd_report(args) -> int:
     setup = merged["setup"] or {}
     if "envelope" in setup:
         print(f"setup envelope={setup['envelope']:.4f}s "
-              f"pieces={setup.get('envelope_pieces', 'n/a')}")
+              f"pieces={setup.get('envelope_pieces', 'n/a')} "
+              f"evaluations={setup.get('envelope_evaluations', 'n/a')}")
     for row in merged["results"]:
         spent = row["timings"]
         total = spent.get("total")

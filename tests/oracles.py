@@ -6,9 +6,10 @@
   probability (Genz, JCGS 1992): the reference for certified bounds.
 - A hit-or-miss estimate of the volume gap between two polytopes.
 - Membership of a whole trajectory in a target tube.
-- The largest gap between a secant and the upper normal quantile, with
-  the tangent point found by Brent's method: the reference for the
-  closed form in gaussian._secant_gap.
+- The largest gap between a secant and the upper normal quantile, and
+  its derivative in the secant's right end, with the tangent point found
+  by Brent's method: the reference for the closed form in
+  gaussian._secant_gap.
 - Vertex pruning by one feasibility LP per point, in any dimension: the
   reference for geometry.extreme_indices.
 """
@@ -24,7 +25,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from tubereach.gaussian import _upper_quantile, _upper_quantile_deriv
+from tubereach.gaussian import _upper_quantile
 from tubereach.geometry import VPolytope, prune_vertices
 from tubereach.lpsolve import LinearProgram, solve_lp
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
@@ -272,17 +273,25 @@ def volume_ratio(inner: VPolytope, outer: VPolytope, bounding_box,
     return ratio, std, violations
 
 
-def brentq_secant_gap(a: float, b: float) -> float:
+def _upper_quantile_deriv(delta: float) -> float:
+    """d/d delta of Phi^{-1}(1 - delta): -1 / phi(Phi^{-1}(delta))."""
+    q = ndtri(delta)
+    return -math.sqrt(2.0 * math.pi) * math.exp(0.5 * q * q)
+
+
+def brentq_secant_gap(a: float, fa: float, b: float) -> Tuple[float, float]:
     """Max of secant-minus-function over [a, b] for the upper quantile
-    Phi^{-1}(1 - delta), with the tangent point found by Brent's method
-    (the former gaussian._secant_gap)."""
+    f = Phi^{-1}(1 - delta), and its derivative in b, with the tangent
+    point found by Brent's method (gaussian._secant_gap's signature; fa,
+    f(a), is worked out afresh rather than taken)."""
     fa, fb = _upper_quantile(a), _upper_quantile(b)
     slope = (fb - fa) / (b - a)
     da, db = _upper_quantile_deriv(a), _upper_quantile_deriv(b)
     if not (da < slope < db):
-        return 0.0
+        return 0.0, 0.0
     x = brentq(lambda t: _upper_quantile_deriv(t) - slope, a, b, xtol=1e-14)
-    return fa + slope * (x - a) - _upper_quantile(x)
+    return (fa + slope * (x - a) - _upper_quantile(x),
+            (db - slope) * (x - a) / (b - a))
 
 
 def loop_box_bounds(normals: np.ndarray, offsets: np.ndarray):

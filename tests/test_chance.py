@@ -88,7 +88,12 @@ def test_segments_bound_the_quantile_within_tol(sys1d, tube1d, pwa, alpha):
     grid = np.exp(np.linspace(np.log(risk.delta_lb),
                               np.log(risk.delta_cap), 20_001))
     value = segment_envelope(risk, grid)
-    assert np.all(value >= -ndtri(grid))
+    # the segment form adds one rounded product per piece to
+    # env(delta_lb) ~ 4.75, so where envelope and quantile meet exactly
+    # (both 0 at delta = 0.5) it lands within a few ulps of 4.75 either
+    # side: -8.9e-16 for alpha 0.5, and >= 0 at every other grid point
+    slack = 4.0 * np.spacing(risk._knot_env[0])
+    assert np.all(value >= -ndtri(grid) - slack)
     assert np.all(value <= -ndtri(grid) + pwa.tol + 1e-9)
 
 

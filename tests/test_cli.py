@@ -382,7 +382,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_compute_with_a_first_piece_of_1e_15(tmp_path, monkeypatch):
     # delta_lb 1e-15 used to hang the envelope's knot search; 10 000
-    # secant-gap evaluations are three times what it takes now
+    # secant-gap evaluations are fourteen times what it takes now
     cfg = tmp_path / "cfg.json"
     assert main(["example", "integrator2", "-o", str(cfg)]) == EXIT_OK
     doc = json.loads(cfg.read_text())
@@ -391,18 +391,19 @@ def test_compute_with_a_first_piece_of_1e_15(tmp_path, monkeypatch):
     evaluations = 0
     real_gap = gaussian._secant_gap
 
-    def counted(a, b):
+    def counted(a, fa, b):
         nonlocal evaluations
         evaluations += 1
         if evaluations > 10_000:
             raise RuntimeError("the knot search does not stop")
-        return real_gap(a, b)
+        return real_gap(a, fa, b)
 
     monkeypatch.setattr(gaussian, "_secant_gap", counted)
     out = tmp_path / "out"
     assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
     setup = json.loads((out / "timings.json").read_text())["setup"]
     assert setup["envelope_pieces"] == 167
+    assert setup["envelope_evaluations"] == evaluations
 
 
 def test_compute_records_the_envelope_build(tmp_path, capsys):
@@ -413,11 +414,13 @@ def test_compute_records_the_envelope_build(tmp_path, capsys):
     setup = json.loads((out / "timings.json").read_text())["setup"]
     assert setup["envelope"] > 0.0
     assert setup["envelope_pieces"] == 78
+    assert 78 <= setup["envelope_evaluations"] <= 8 * 78
     capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ", 1)[0] for line in lines] == ["setup", "alpha=0.6"]
-    assert lines[0].endswith(" pieces=78")
+    assert lines[0].endswith(
+        f" pieces=78 evaluations={setup['envelope_evaluations']}")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["setup"] == setup
 
@@ -552,6 +555,29 @@ def test_dp_writes_value_table(tmp_path):
     out = tmp_path / "out"
     assert main(["dp", str(cfg), "-d", str(out)]) == EXIT_OK
     assert (out / "dp_values.csv").exists()
+
+
+def test_dp_builds_no_envelope_and_validate_does(tmp_path, monkeypatch):
+    cfg = scalar_config(tmp_path, [0.6],
+                        extra={"dp": {"state_spacing": 0.05,
+                                      "input_spacing": 0.05}})
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    builds = 0
+
+    def counted(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return gaussian.build_pwa_quantile(*args, **kwargs)
+
+    monkeypatch.setattr("tubereach.cli.build_pwa_quantile", counted)
+    assert main(["dp", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert builds == 0
+    # validate keeps its build: it refuses the pwa settings compute refuses
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "1000", "-d", str(out)]) == EXIT_OK
+    assert builds == 1
 
 
 def test_dp_writes_level_polygon_in_2d(tmp_path):

@@ -30,21 +30,34 @@ def test_closed_form_secant_gap_matches_root_finding():
     pairs = np.sort(np.exp(rng.uniform(np.log(1e-6), np.log(0.5),
                                        (2000, 2))), axis=1)
     for a, b in pairs:
+        fa = gaussian._upper_quantile(a)
+        gap, slope = gaussian._secant_gap(a, fa, b)
+        ref_gap, ref_slope = brentq_secant_gap(a, fa, b)
         # both sum terms near Phi^{-1}(1 - 1e-6) ~ 4.75, so a few ulps of
         # that apart (1.8e-15 at worst over 5 000 pairs)
-        assert abs(gaussian._secant_gap(a, b) - brentq_secant_gap(a, b)) \
-            <= 4e-15
+        assert abs(gap - ref_gap) <= 4e-15
+        # Brent's tangent point is good to its xtol, 1e-14 (2.8e-9
+        # relative on the derivative at worst)
+        assert slope == pytest.approx(ref_slope, rel=1e-7, abs=0)
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
 def test_closed_form_envelope_matches_root_finding(tol, monkeypatch):
     closed = build_pwa_quantile(tol=tol)
-    monkeypatch.setattr(gaussian, "_secant_gap", brentq_secant_gap)
+    knots = []
+
+    def oracle(a, fa, b):
+        knots.append(a)
+        return brentq_secant_gap(a, fa, b)
+
+    monkeypatch.setattr(gaussian, "_secant_gap", oracle)
     brent = build_pwa_quantile(tol=tol)
-    assert len(closed) == len(brent)
+    # the oracle drove every evaluation of every knot's search
+    assert len(knots) == brent.evaluations
+    assert len(set(knots)) == len(brent) == len(closed)
     # a search step whose gap lies within an ulp of tol may go either
     # way, which moves that knot and the ones after it in the last bits
-    # (at most 2.7e-12 relative on the pieces at tol 1e-4)
+    # (at most 6.1e-12 relative on the pieces at tol 1e-4)
     np.testing.assert_allclose(closed.pieces, brent.pieces, rtol=1e-9,
                                atol=0)
     grid = np.exp(np.linspace(np.log(1e-6), np.log(0.5), 20_001))
@@ -54,19 +67,20 @@ def test_closed_form_envelope_matches_root_finding(tol, monkeypatch):
 
 def recorded_build(delta_lb, tol):
     """build_pwa_quantile(delta_lb=delta_lb, tol=tol) with its knots and
-    its count of secant-gap evaluations: every evaluation is gap(a, b) from
-    a knot a, so the knots are the first arguments, then 0.5."""
+    its count of secant-gap evaluations: every evaluation is gap(a, f(a),
+    b) from a knot a, so the knots are the first arguments, then 0.5."""
     calls = []
 
-    def spy(a, b):
+    def spy(a, fa, b):
         calls.append(a)
-        return real_gap(a, b)
+        return real_gap(a, fa, b)
 
     real_gap = gaussian._secant_gap
     with mock.patch.object(gaussian, "_secant_gap", spy):
         pwa = build_pwa_quantile(delta_lb=delta_lb, tol=tol)
     knots = sorted(set(calls)) + [0.5]
     assert len(knots) == len(pwa) + 1
+    assert len(calls) == pwa.evaluations
     return pwa, knots, len(calls)
 
 
@@ -74,7 +88,9 @@ def check_envelope(pwa, knots, tol):
     """Every piece's secant gap is within tol, each knot before 0.5 is the
     last one that is (its gap grows past tol within 1e-9 of the piece
     beyond it), and the envelope lies above the quantile."""
-    gap = gaussian._secant_gap
+    def gap(a, b):
+        return gaussian._secant_gap(a, gaussian._upper_quantile(a), b)[0]
+
     for a, b in zip(knots[:-1], knots[1:]):
         assert gap(a, b) <= tol
         if b < 0.5:
@@ -84,10 +100,22 @@ def check_envelope(pwa, knots, tol):
 
 
 def test_pwa_search_takes_few_evaluations_per_knot():
-    # bisection to 1e-15 took about 49 per knot (3 845 for 78 pieces)
-    pwa, _, evaluations = recorded_build(1e-6, 1e-3)
-    assert len(pwa) == 78
-    assert evaluations <= 20 * len(pwa)
+    # false position took 16.4 per knot at delta_lb 1e-6, 58 at 1e-200
+    # and 68 at 1e-250 (tol 0.1), bisection to 1e-15 about 49 at 1e-6;
+    # safeguarded Newton takes 4.2, 5.6 and 5.1.  The first piece at
+    # 1e-250 is 490 times wider than delta_lb, and bisecting towards it
+    # at arithmetic means took 828 evaluations
+    for delta_lb, tol, pieces in [(1e-6, 1e-3, 78), (1e-200, 1e-3, 1237),
+                                  (1e-250, 0.1, 132)]:
+        pwa, _, evaluations = recorded_build(delta_lb, tol)
+        assert len(pwa) == pieces
+        assert evaluations <= 8 * len(pwa)
+
+
+def test_pwa_built_by_hand_records_no_evaluations():
+    pwa = gaussian.PwaQuantile(pieces=[(-2.5, 1.25)], domain=(0.4, 0.5),
+                               tol=1e-3)
+    assert pwa.evaluations == 0
 
 
 @pytest.mark.parametrize("delta_lb", [1e-15, 1e-30])
@@ -121,9 +149,13 @@ def test_pwa_refuses_delta_lb_whose_secants_overflow():
 
 
 def test_pwa_knot_that_cannot_advance_is_refused(monkeypatch):
-    monkeypatch.setattr(gaussian, "_secant_gap", lambda a, b: 1.0)
-    with pytest.raises(ValueError, match="a=1e-06"):
-        build_pwa_quantile(tol=1e-3)
+    # a gap above tol everywhere: Newton steps (slope 1) and bisection
+    # (slope 0) both close the bracket on a itself
+    for slope in (0.0, 1.0):
+        monkeypatch.setattr(gaussian, "_secant_gap",
+                            lambda a, fa, b: (1.0, slope))
+        with pytest.raises(ValueError, match="a=1e-06"):
+            build_pwa_quantile(tol=1e-3)
 
 
 def test_pwa_tighter_tolerance_needs_more_pieces():
