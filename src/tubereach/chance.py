@@ -37,7 +37,9 @@ class AnchorResult:
     radius: Optional[float] = None
     status: str = "optimal"  # optimal | empty | solver_failure
     diagnostic: str = ""
-    iterations: int = 0  # simplex iterations of its LPs; not stored
+    # simplex iterations and HiGHS seconds of its LPs; not stored
+    iterations: int = 0
+    seconds: float = 0.0
 
     @property
     def feasible(self) -> bool:
@@ -56,8 +58,10 @@ class BoundaryPoint:
     lower_bound: float
     status: str  # ok | infeasible | solver_failure | skipped
     diagnostic: str = ""
-    # simplex iterations of its solve and its chain's LP size; not stored
+    # simplex iterations and HiGHS seconds of its solve, and its chain's
+    # LP size; not stored
     iterations: int = 0
+    seconds: float = 0.0
     lp_rows: int = 0
     lp_cols: int = 0
 
@@ -70,6 +74,7 @@ class _Solution:
     deltas: Optional[np.ndarray] = None
     extra: Optional[np.ndarray] = None  # y, then the radius if asked for
     iterations: int = 0
+    seconds: float = 0.0
 
     @property
     def lower_bound(self) -> float:
@@ -102,7 +107,14 @@ class RiskLP:
     budget row, the per-step input rows (box input sets go to bounds)
     and T_0's rows, in that order.  rows holds their [U (m*N) |
     segments] coefficients, _x0 their x0 coefficients, rhs their right
-    sides and _ball the norm of each T_0 face (0 elsewhere).  The PWA
+    sides and _ball the norm of each T_0 face (0 elsewhere).  rows is
+    column-wise, built once from its nonzeros: a U column holds those
+    of its tube and input rows, rows ascending, and a segment column
+    exactly two entries, in its row and in the budget row.  _model takes
+    the [U | kept segments] columns by their offsets, drops the rows it
+    does not keep and renumbers the rest, and appends the nonzeros of
+    the y and radius columns, so HiGHS gets the model's column-wise
+    arrays, rows sorted and no zero stored, without a conversion.  The PWA
     envelope is convex, its slopes m_l rising from piece to piece, so on
     [delta_lb, cap] it is envelope(delta_lb) plus one segment per piece
     (the delta-method of Markowitz & Manne, 1957): stochastic tube row i
@@ -208,38 +220,44 @@ class RiskLP:
         # largest value of the input's share of each stochastic row's mean
         self._u_max = _interval_max(coef_u[:nr], u_lo, u_hi)
 
-        # the table: tube rows (a stochastic one at delta_lb), budget,
-        # input rows, T_0's rows
+        # the table's rows: tube rows (a stochastic one at delta_lb),
+        # budget, input rows, T_0's rows, with their U coefficients
         t0 = tube[0]
-        blocks = [(sp.csr_array(coef_u), x0, np.concatenate(
+        blocks = [(coef_u, x0, np.concatenate(
             [rhs[:nr] - sig * self._knot_env[0], rhs[nr:]]))]
         if nr:
-            blocks.append((sp.csr_array((1, self.n_u)), np.zeros((1, n)),
+            blocks.append((np.zeros((1, self.n_u)), np.zeros((1, n)),
                            [budget - floor]))
         box = sys.input_set.as_box_bounds() if m else None
         if m and box is None:
-            inputs = sp.block_diag([sys.input_set.normals] * nsteps)
+            inputs = np.kron(np.eye(nsteps), sys.input_set.normals)
             blocks.append((inputs, np.zeros((inputs.shape[0], n)),
                            np.tile(sys.input_set.offsets, nsteps)))
-        blocks.append((sp.csr_array((t0.n_rows, self.n_u)), t0.normals,
+        blocks.append((np.zeros((t0.n_rows, self.n_u)), t0.normals,
                        t0.offsets))
         u_rows, x0_rows, rhs_rows = zip(*blocks)
         self._x0 = np.vstack(x0_rows)
         self.rhs = np.concatenate(rhs_rows)
         self._ball = np.concatenate([np.zeros(self.rhs.size - t0.n_rows),
                                      np.linalg.norm(t0.normals, axis=1)])
-        # segment column (i, l) is column n_u + i * len(pieces) + l, in
-        # row i and in the budget row, which follows the tube rows
+        # the table's columns: each U column holds its nonzeros, rows
+        # ascending; segment column (i, l), column n_u + i * len(pieces)
+        # + l, holds sigma_i m_l in row i and 1 in the budget row, which
+        # follows the tube rows
+        u_cols = np.vstack(u_rows).T
+        u_col, u_row = np.nonzero(u_cols)
         n_seg = nr * slopes.size
         owner = np.repeat(np.arange(nr), slopes.size)
-        segments = sp.csr_array(
-            (np.concatenate([sig[owner] * np.tile(slopes, nr),
-                             np.ones(n_seg)]),
-             (np.concatenate([owner, np.full(n_seg, x0.shape[0])]),
-              np.tile(np.arange(n_seg), 2))),
-            shape=(self.rhs.size, n_seg))
-        self.rows = sp.hstack([sp.vstack(u_rows), segments], format="csr")
-        self.rows.eliminate_zeros()  # sp.block_diag keeps explicit zeros
+        seg_data = np.column_stack([sig[owner] * np.tile(slopes, nr),
+                                    np.ones(n_seg)])
+        seg_rows = np.column_stack([owner, np.full(n_seg, x0.shape[0])])
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(u_col, minlength=self.n_u)),
+             u_col.size + 2 * np.arange(1, n_seg + 1)])
+        self.rows = sp.csc_array(
+            (np.concatenate([u_cols[u_col, u_row], seg_data.ravel()]),
+             np.concatenate([u_row, seg_rows.ravel()]), indptr),
+            shape=(self.rhs.size, self.n_u + n_seg))
         self._u_bounds = np.tile(np.column_stack(box), (nsteps, 1)) \
             if box is not None else np.tile([-np.inf, np.inf], (self.n_u, 1))
 
@@ -282,9 +300,10 @@ class RiskLP:
         if trial and sol.status != "infeasible" and not (
                 sol.status == "optimal"
                 and self._pinned_rows_hold(sol.extra[:n], sol.U)):
-            iterations = sol.iterations
+            trial_sol = sol
             sol = solve(full)
-            sol.iterations += iterations
+            sol.iterations += trial_sol.iterations
+            sol.seconds += trial_sol.seconds
         lb = sol.lower_bound
         if sol.status != "optimal":
             status = "empty" if sol.status == "infeasible" else sol.status
@@ -299,7 +318,7 @@ class RiskLP:
             res = AnchorResult(x_anchor=sol.extra[:n], U=sol.U,
                                lower_bound=lb, mode=mode,
                                radius=float(sol.extra[n]) if cheby else None)
-        res.iterations = sol.iterations
+        res.iterations, res.seconds = sol.iterations, sol.seconds
         return res
 
     def _pinned_rows_hold(self, x0: np.ndarray, U: np.ndarray) -> bool:
@@ -327,8 +346,9 @@ class RiskLP:
         the model holds every segment column that the window of any
         direction keeps, with its row, each spanning its whole piece.
         For each direction only the step column y changes: its
-        coefficients _x0 d on the kept rows, and its upper bound, the exit
-        of the ray from T_0 (which the T_0 rows already imply).
+        coefficients _x0 d on the kept rows, of which only those that
+        differ from the last direction's are sent, and its upper bound,
+        the exit of the ray from T_0 (which the T_0 rows already imply).
         The step found is still the full LP's: a row that no window keeps
         holds at delta_lb for every step and input in this direction's
         box, so the chain's LP lies between the full LP and this
@@ -360,10 +380,16 @@ class RiskLP:
                             exits[0], maximize=True)
         keep = self._kept_rows(cols)
         y = model.n_vars - 1
+        held = x0_cols[0][keep]
         for j, (d, col, top) in enumerate(zip(directions, x0_cols, exits)):
             if j:
-                model.change_column(y, range(model.n_rows), col[keep])
+                # only the entries that differ: resending an equal value,
+                # or a zero where none is held, leaves the model as it is
+                new = col[keep]
+                changed = np.flatnonzero(new != held)
+                model.change_column(y, changed, new[changed])
                 model.change_bounds([y], [0.0], [top])
+                held = new
             sol = self._solution(highs_solve(model), cols)
             ok = sol.status == "optimal"
             theta = max(float(sol.extra[0]), 0.0) if ok else 0.0
@@ -377,7 +403,8 @@ class RiskLP:
                 direction=d, theta=theta, point=point, U=sol.U,
                 lower_bound=sol.lower_bound, status="ok" if ok else sol.status,
                 diagnostic=sol.diagnostic, iterations=sol.iterations,
-                lp_rows=model.n_rows, lp_cols=model.n_vars)
+                seconds=sol.seconds, lp_rows=model.n_rows,
+                lp_cols=model.n_vars)
 
     def _kept_rows(self, cols: np.ndarray) -> np.ndarray:
         """The rows of the table kept with the segment columns in cols:
@@ -399,11 +426,30 @@ class RiskLP:
         n_y, n_r = E.shape[1], int(radius)
         keep = self._kept_rows(cols)
         segments = np.flatnonzero(cols)
-        matrix = sp.hstack(
-            [self.rows[keep][:, np.concatenate(
-                [np.arange(self.n_u), self.n_u + segments])],
-             sp.csr_array((self._x0 @ E)[keep]),
-             sp.csr_array(self._ball[keep, None][:, :n_r])], format="csr")
+        # the table's entries in the [U | kept segments] columns, and
+        # where each column starts among them: the U columns lead the
+        # table and a segment column holds two entries
+        u_end = self.rows.indptr[self.n_u]
+        entries = np.concatenate([np.arange(u_end), (
+            u_end + 2 * segments[:, None] + [0, 1]).ravel()])
+        starts = np.concatenate([self.rows.indptr[:self.n_u],
+                                 u_end + 2 * np.arange(segments.size + 1)])
+        # those in the kept rows, renumbered, then the nonzeros of the y
+        # and radius columns: column by column, rows ascending
+        table_rows = self.rows.indices[entries]
+        kept = keep[table_rows]
+        kept_before = np.concatenate([[0], np.cumsum(kept)])
+        extra = np.column_stack([(self._x0 @ E)[keep],
+                                 self._ball[keep, None][:, :n_r]]).T
+        extra_col, extra_row = np.nonzero(extra)
+        data = np.concatenate([self.rows.data[entries[kept]],
+                               extra[extra_col, extra_row]])
+        indices = np.concatenate([(np.cumsum(keep) - 1)[table_rows[kept]],
+                                  extra_row])
+        indptr = np.concatenate([kept_before[starts], kept_before[-1]
+                                 + np.cumsum(np.count_nonzero(extra, axis=1))])
+        matrix = sp.csc_array((data, indices, indptr),
+                              shape=(int(keep.sum()), indptr.size - 1))
         bounds = np.concatenate([
             self._u_bounds,
             np.column_stack([np.zeros(segments.size),
@@ -427,17 +473,18 @@ class RiskLP:
                 "infeasible", "risk-allocated LP infeasible: the "
                 "chance-constrained underapproximation is empty (the true "
                 "reach set may still be nonempty)",
-                iterations=sol.iterations)
+                iterations=sol.iterations, seconds=sol.seconds)
         if not sol.optimal:
             return _Solution("solver_failure",
                              f"LP solver returned {sol.status}",
-                             iterations=sol.iterations)
+                             iterations=sol.iterations, seconds=sol.seconds)
         k = self.n_u + int(cols.sum())
         owner = np.flatnonzero(cols) // cols.shape[1]
         deltas = self.delta_lb + np.bincount(
             owner, weights=sol.z[self.n_u:k], minlength=self.n_risk)
         return _Solution("optimal", U=sol.z[:self.n_u], deltas=deltas,
-                         extra=sol.z[k:], iterations=sol.iterations)
+                         extra=sol.z[k:], iterations=sol.iterations,
+                         seconds=sol.seconds)
 
     def _windows(self, x0_col: np.ndarray, x0_const: np.ndarray,
                  top: float) -> np.ndarray:

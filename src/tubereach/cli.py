@@ -503,7 +503,8 @@ def cmd_report(args) -> int:
         total = spent.get("total")
         shown = "n/a" if total is None else f"{total:.4f}s"
         phases = "".join(f" {phase}={spent[phase]:.4f}s" for phase in
-                         ("assemble", "anchor", "searches", "hull")
+                         ("assemble", "anchor", "anchor_solve", "searches",
+                          "search_solve", "hull")
                          if phase in spent)
         print(f"alpha={row['alpha']:g} status={row['status']} "
               f"vertices={row['n_vertices']} time={shown}{phases}")

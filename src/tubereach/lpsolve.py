@@ -18,6 +18,7 @@ solver reaches, and callers do not depend on which.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -99,6 +100,7 @@ class LpSolution:
     z: Optional[np.ndarray] = None
     objective_value: float = np.nan
     iterations: int = 0  # simplex iterations of this solve
+    seconds: float = 0.0  # wall time of the HiGHS run, whatever its status
 
     @property
     def optimal(self) -> bool:
@@ -107,10 +109,13 @@ class LpSolution:
 
 class LpModel:
     """One LP held by a HiGHS instance: the rows as a column-wise matrix
-    (the inequalities, then the equalities) and the column bounds.  Each
-    solve after the first starts from the last basis, so changing one
-    column's coefficients or some bounds and solving again costs only the
-    simplex iterations the change asks for.  Not for concurrent use."""
+    (the inequalities, then the equalities) and the column bounds.  A
+    lone block of rows that is a canonical csc_array (rows sorted within
+    each column, no duplicates) is handed to HiGHS as it is; any other
+    input is stacked and converted to one.  Each solve after the first
+    starts from the last basis, so changing one column's coefficients or
+    some bounds and solving again costs only the simplex iterations the
+    change asks for.  Not for concurrent use."""
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
@@ -123,8 +128,11 @@ class LpModel:
             blocks.append(lp.eq[0])
             lower.append(lp.eq[1])
             upper.append(lp.eq[1])
-        a = sp.csc_array(sp.vstack([sp.csr_array(b) for b in blocks])
-                         if blocks else (0, n))
+        a = blocks[0] if len(blocks) == 1 else None
+        if not (sp.issparse(a) and a.format == "csc"
+                and a.has_canonical_format):
+            a = sp.csc_array(sp.vstack([sp.csr_array(b) for b in blocks])
+                             if blocks else (0, n))
         self.n_vars, self.n_rows = n, a.shape[0]
         bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
             else lp.bounds
@@ -138,8 +146,9 @@ class LpModel:
             n, self.n_rows, a.nnz, int(_core.MatrixFormat.kColwise),
             int(_core.ObjSense.kMinimize), 0.0, lp.objective, bounds[:, 0],
             bounds[:, 1], np.concatenate(lower), np.concatenate(upper),
-            a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32),
-            a.data, np.zeros(n, dtype=np.int32))
+            a.indptr[:-1].astype(np.int32, copy=False),
+            a.indices.astype(np.int32, copy=False), a.data,
+            np.zeros(n, dtype=np.int32))
 
     def change_column(self, col: int, rows, values) -> None:
         """Set column col's coefficients in the given rows; a zero
@@ -165,20 +174,24 @@ _STATUS = {_core.HighsModelStatus.kInfeasible: "infeasible",
 def highs_solve(model: LpModel) -> LpSolution:
     """Solve the model as it stands, from its last basis if it has one.
     An empty bound interval (lo > hi) makes the LP infeasible; a status
-    other than optimal carries no solution."""
+    other than optimal carries no solution.  A failed run reports its
+    seconds but no iterations: HiGHS invalidates its count."""
     highs = model.highs
-    if highs.run() == _core.HighsStatus.kError:
-        return LpSolution(status="numerical_trouble")
+    start = time.perf_counter()
+    failed = highs.run() == _core.HighsStatus.kError
+    seconds = time.perf_counter() - start
+    if failed:
+        return LpSolution(status="numerical_trouble", seconds=seconds)
     status = highs.getModelStatus()
     info = highs.getInfo()
     iterations = int(info.simplex_iteration_count)
     if status != _core.HighsModelStatus.kOptimal:
         return LpSolution(status=_STATUS.get(status, "numerical_trouble"),
-                          iterations=iterations)
+                          iterations=iterations, seconds=seconds)
     return LpSolution(status="optimal",
                       z=np.array(highs.getSolution().col_value),
                       objective_value=float(info.objective_function_value),
-                      iterations=iterations)
+                      iterations=iterations, seconds=seconds)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

@@ -43,8 +43,8 @@ class ReachSetResult:
     diagnostic: str = ""
     # seconds per phase of this run (assemble, anchor, searches, hull and
     # total; an empty set stops after the anchor), the simplex iterations
-    # of the anchor and of the searches, and the rows and columns of the
-    # largest search LP; not part of the JSON document
+    # and HiGHS seconds of the anchor and of the searches, and the rows
+    # and columns of the largest search LP; not part of the JSON document
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -169,7 +169,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     t_anchored = time.perf_counter()
     timings = {"assemble": t_assembled - t0,
                "anchor": t_anchored - t_assembled,
-               "anchor_iterations": anchor.iterations}
+               "anchor_iterations": anchor.iterations,
+               "anchor_solve": anchor.seconds}
     if not anchor.feasible:
         return ReachSetResult(
             alpha=alpha, anchor=anchor, boundary_points=[], polytope=None,
@@ -203,8 +204,11 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         points = [bp for found in pool.map(search, chains) for bp in found]
     timings["searches"] = time.perf_counter() - t_anchored
-    # simplex iterations of every search, and the largest chain's LP
+    # simplex iterations and HiGHS seconds of every search, summed over
+    # chains (so above searches when chains run side by side), and the
+    # largest chain's LP
     timings["search_iterations"] = sum(bp.iterations for bp in points)
+    timings["search_solve"] = sum(bp.seconds for bp in points)
     timings["search_rows"] = max((bp.lp_rows for bp in points), default=0)
     timings["search_cols"] = max((bp.lp_cols for bp in points), default=0)
 

@@ -12,6 +12,9 @@
   gaussian._secant_gap.
 - Vertex pruning by one feasibility LP per point, in any dimension: the
   reference for geometry.extreme_indices.
+- The risk LP's table and each of its models assembled by scipy.sparse
+  stacking, and the arrays LpModel's CSR -> CSC conversion hands to
+  HiGHS: the reference for the column-wise slicing of chance.RiskLP.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from tubereach.chance import RiskLP, _tube_rows
 from tubereach.gaussian import _upper_quantile
 from tubereach.geometry import VPolytope, prune_vertices
 from tubereach.lpsolve import LinearProgram, solve_lp
@@ -338,3 +343,67 @@ def lp_prune_vertices(verts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         else:
             i += 1
     return verts[survivors]
+
+
+def scipy_risk_table(sys: StochasticLTVSystem, tube: TargetTube,
+                     risk: RiskLP) -> sp.csr_array:
+    """risk.rows as scipy.sparse stacking assembles it: the tube rows' U
+    coefficients, an empty budget row, block-diagonal input rows (a
+    non-box input set) and T_0's empty rows, beside the segment columns
+    (the former assembly of chance.RiskLP)."""
+    _, coef_u, _, sigma = _tube_rows(sys, tube)
+    nr, n_u = risk.n_risk, risk.n_u
+    slopes = np.array([slope for slope, _ in risk.pieces])
+    u_rows = [sp.csr_array(coef_u)]
+    if nr:
+        u_rows.append(sp.csr_array((1, n_u)))
+    if sys.input_dim and sys.input_set.as_box_bounds() is None:
+        u_rows.append(sp.block_diag([sys.input_set.normals] * sys.horizon))
+    u_rows.append(sp.csr_array((tube[0].n_rows, n_u)))
+    n_seg = nr * slopes.size
+    owner = np.repeat(np.arange(nr), slopes.size)
+    segments = sp.csr_array(
+        (np.concatenate([sigma[:nr][owner] * np.tile(slopes, nr),
+                         np.ones(n_seg)]),
+         (np.concatenate([owner, np.full(n_seg, coef_u.shape[0])]),
+          np.tile(np.arange(n_seg), 2))),
+        shape=(risk.rhs.size, n_seg))
+    table = sp.hstack([sp.vstack(u_rows), segments], format="csr")
+    table.eliminate_zeros()  # sp.block_diag keeps explicit zeros
+    return table
+
+
+def scipy_model_arrays(risk: RiskLP, table, c, E, cols, y_lo, y_hi,
+                       radius=False, maximize=False) -> dict:
+    """The arrays that passModel receives for risk._model(c, E, cols,
+    y_lo, y_hi, radius, maximize) when the model is the hstack of
+    table[keep][:, cols], _x0 @ E and _ball, and LpModel stacks it and
+    converts it from CSR to CSC (the former assembly of both), by
+    passModel's argument names."""
+    n_y, n_r = E.shape[1], int(radius)
+    keep = risk._kept_rows(cols)
+    segments = np.flatnonzero(cols)
+    matrix = sp.hstack(
+        [table[keep][:, np.concatenate(
+            [np.arange(risk.n_u), risk.n_u + segments])],
+         sp.csr_array((risk._x0 @ E)[keep]),
+         sp.csr_array(risk._ball[keep, None][:, :n_r])], format="csr")
+    a = sp.csc_array(sp.vstack([sp.csr_array(matrix)]))
+    bounds = np.concatenate([
+        risk._u_bounds,
+        np.column_stack([np.zeros(segments.size),
+                         risk._lengths[segments % cols.shape[1]]]),
+        np.tile([y_lo, y_hi], (n_y, 1)),
+        np.tile([0.0, np.inf], (n_r, 1))])
+    objective = np.zeros(len(bounds))
+    if maximize:
+        objective[-1] = -1.0
+    else:
+        objective[risk.n_u:risk.n_u + segments.size] = 1.0
+    rhs = risk.rhs[keep] - (risk._x0 @ c)[keep]
+    return {"num_col": len(bounds), "num_row": rhs.size, "num_nz": a.nnz,
+            "col_cost": objective, "col_lower": bounds[:, 0],
+            "col_upper": bounds[:, 1],
+            "row_lower": np.full(rhs.size, -np.inf), "row_upper": rhs,
+            "a_start": a.indptr[:-1].astype(np.int32),
+            "a_index": a.indices.astype(np.int32), "a_value": a.data}

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import ndtri
 
-from tubereach import chance
+from tubereach import chance, lpsolve
 from tubereach.chance import RiskLP, _interval_max
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.gaussian import build_pwa_quantile
@@ -19,7 +19,7 @@ from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 make_integrator_chain, viability_tube)
 
-from oracles import concat_matrices
+from oracles import concat_matrices, scipy_model_arrays, scipy_risk_table
 
 # Frozen oracle from the 0.01-grid dynamic program on the scalar example
 # (tests/conftest.py fixtures): V0 >= 0.6 on [-0.495, 0.495].
@@ -387,15 +387,20 @@ def assert_rows_close(actual, expected):
     assert np.all(np.abs(actual - expected) <= 1e-12 * scale)
 
 
+def five_systems(example, sys1d, tube1d):
+    """(system, tube) of each system the row-table tests cover."""
+    return {"scalar": lambda: (sys1d, tube1d),
+            "hexagon": hexagon_input_system,
+            "chain": lambda: chain_system(6),
+            "cwh": lambda: _instantiate(_EXAMPLES["cwh"])[:2],
+            "dubins": lambda: _instantiate(_EXAMPLES["dubins"])[:2]
+            }[example]()
+
+
 @pytest.mark.parametrize("example",
                          ["scalar", "hexagon", "chain", "cwh", "dubins"])
 def test_row_table_matches_copied_rows(example, sys1d, tube1d, pwa):
-    sys, tube = {"scalar": lambda: (sys1d, tube1d),
-                 "hexagon": hexagon_input_system,
-                 "chain": lambda: chain_system(6),
-                 "cwh": lambda: _instantiate(_EXAMPLES["cwh"])[:2],
-                 "dubins": lambda: _instantiate(_EXAMPLES["dubins"])[:2]
-                 }[example]()
+    sys, tube = five_systems(example, sys1d, tube1d)
     risk = RiskLP(sys, tube, 0.8, pwa)
     oracle = CopiedRows(sys, tube, 0.8, pwa)
     nr, n_u = risk.n_risk, risk.n_u
@@ -426,6 +431,72 @@ def test_row_table_matches_copied_rows(example, sys1d, tube1d, pwa):
     np.testing.assert_array_equal(
         risk._ball, np.concatenate([np.zeros(risk.rhs.size - t0.n_rows),
                                     np.linalg.norm(t0.normals, axis=1)]))
+
+
+# passModel's arguments, in order
+PASS_MODEL_ARGS = ("num_col", "num_row", "num_nz", "a_format", "sense",
+                   "offset", "col_cost", "col_lower", "col_upper",
+                   "row_lower", "row_upper", "a_start", "a_index", "a_value",
+                   "integrality")
+
+
+def passed_models(monkeypatch):
+    """The arguments of every passModel call from now on, by name, one
+    dict a model."""
+    passed = []
+
+    class Recording(lpsolve._core._Highs):
+        def passModel(self, *args):
+            passed.append(dict(zip(PASS_MODEL_ARGS, args)))
+            return super().passModel(*args)
+    monkeypatch.setattr(lpsolve._core, "_Highs", Recording)
+    return passed
+
+
+@pytest.mark.parametrize("example",
+                         ["scalar", "hexagon", "chain", "cwh", "dubins"])
+def test_models_reach_highs_as_the_scipy_assembly_built_them(
+        example, sys1d, tube1d, pwa, monkeypatch):
+    sys, tube = five_systems(example, sys1d, tube1d)
+    risk = RiskLP(sys, tube, 0.6, pwa)
+    table = scipy_risk_table(sys, tube, risk)
+    # the column-wise table holds the stacked table's entries in the same
+    # order: rows ascending within each column, and no explicit zero
+    stacked = table.tocsc()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(risk.rows, name),
+                                      getattr(stacked, name))
+    assert risk.rows.shape == table.shape
+    starts, ends = risk.rows.indptr[:-1], risk.rows.indptr[1:]
+    assert all(np.all(np.diff(risk.rows.indices[a:b]) > 0)
+               for a, b in zip(starts, ends))
+    assert np.all(risk.rows.data != 0.0)
+    # every model built: the Chebyshev trial (where there is one), the
+    # full anchor LP, then one chain
+    built = []
+    model = risk._model
+
+    def spy_model(*args, **kwargs):
+        built.append((args, kwargs))
+        return model(*args, **kwargs)
+    monkeypatch.setattr(risk, "_model", spy_model)
+    monkeypatch.setattr(risk, "_pinned_rows_hold", lambda *_: False)
+    passed = passed_models(monkeypatch)
+    anchor = risk.anchor("cheby")
+    assert anchor.feasible
+    directions = spread_directions(
+        8, tube.dim, None if tube.dim <= 2 else (0, 1)).directions
+    assert any(bp.status == "ok"
+               for bp in risk.lines(anchor.x_anchor, directions))
+    assert len(built) == len(passed) == 2 + (risk._pinned is not None)
+    # HiGHS receives exactly the arrays of the stacked assembly
+    for (args, kwargs), handed in zip(built, passed):
+        want = scipy_model_arrays(risk, table, *args, **kwargs)
+        for name, value in want.items():
+            np.testing.assert_array_equal(handed[name], value,
+                                          err_msg=name)
+        assert handed["a_start"].dtype == handed["a_index"].dtype \
+            == np.int32
 
 
 def copied_rows_solve(sys, tube, alpha, pwa, c, E, y_lo=-np.inf,
@@ -574,6 +645,51 @@ def test_chain_changes_only_its_step_column(sys2d, tube2d, pwa,
         np.testing.assert_array_equal(
             upper[segments],
             np.broadcast_to(risk._lengths, mask.shape)[mask])
+
+
+def test_chain_sends_only_changed_coefficients(sys2d, tube2d, pwa,
+                                               monkeypatch):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    anchor = risk.anchor("cheby").x_anchor
+    masks, sent, held = [], [], []
+    model = risk._model
+
+    def spy_model(c, E, cols, *args, **kwargs):
+        masks.append(cols)
+        return model(c, E, cols, *args, **kwargs)
+    monkeypatch.setattr(risk, "_model", spy_model)
+    change_column = LpModel.change_column
+
+    def spy_change(model, col, rows, values):
+        sent.append(np.asarray(rows).tolist())
+        return change_column(model, col, rows, values)
+    monkeypatch.setattr(LpModel, "change_column", spy_change)
+
+    def solve(model):
+        # the step column as HiGHS holds it, dense
+        lp = model.highs.getLp()
+        start = lp.a_matrix_.start_[model.n_vars - 1]
+        column = np.zeros(model.n_rows)
+        column[lp.a_matrix_.index_[start:]] = lp.a_matrix_.value_[start:]
+        held.append(column)
+        return highs_solve(model)
+    patch_highs_solve(monkeypatch, solve)
+    # an axis flipped keeps the other axis's zeros: rows that stay zero
+    directions = [np.array(d) for d in
+                  ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
+    assert all(bp.status == "ok" for bp in risk.lines(anchor, directions))
+    keep = risk._kept_rows(masks[0])
+    coefs = [(risk._x0 @ d)[keep] for d in directions]
+    # each direction sends the rows whose coefficient changed, a
+    # nonzero turning zero included, and no other
+    assert sent == [np.flatnonzero(new != old).tolist()
+                    for old, new in zip(coefs, coefs[1:])]
+    assert all(len(rows) < keep.sum() for rows in sent)
+    assert any(np.any((old != 0) & (new == 0))
+               for old, new in zip(coefs, coefs[1:]))
+    # so HiGHS holds each direction's column, as when every row is sent
+    for column, coef in zip(held, coefs):
+        np.testing.assert_array_equal(column, coef)
 
 
 def test_infeasible_risk_lp_is_empty_without_presolve(sys1d, tube1d, pwa,

@@ -783,9 +783,11 @@ def test_report_summarizes_directory(tmp_path, capsys):
     # each phase of a set; the empty set stops after its anchor
     lines = dict(line.split(" ", 1) for line in text.splitlines())
     for alpha in ("0.4", "0.6"):
-        for phase in ("assemble", "anchor", "searches", "hull"):
+        for phase in ("assemble", "anchor", "anchor_solve", "searches",
+                      "search_solve", "hull"):
             assert f" {phase}=" in lines[f"alpha={alpha}"]
     assert " anchor=" in lines["alpha=0.99"]
+    assert " anchor_solve=" in lines["alpha=0.99"]
     assert " hull=" not in lines["alpha=0.99"]
     summary = json.loads((out / "summary.json").read_text())
     assert [r["alpha"] for r in summary["results"]] == [0.4, 0.6, 0.99]

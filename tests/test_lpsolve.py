@@ -71,17 +71,32 @@ def test_sparse_ineq_matches_dense_twin():
                               ineq=(np.array([[-1.0, 0.0]]), np.array([0.0])))
     lps = [random_bounded_lp(rng, 4) for _ in range(5)] + [infeasible,
                                                           unbounded]
+    sorted_rows = []
     for dense in lps:
         a, b = dense.ineq
-        twin = LinearProgram(objective=dense.objective,
-                             ineq=(sparse.csr_array(a), b),
-                             bounds=dense.bounds)
-        assert sparse.issparse(twin.ineq[0])
-        want, got = solve_lp(dense), solve_lp(twin)
-        assert got.status == want.status
-        if want.optimal:
-            assert got.objective_value == pytest.approx(want.objective_value,
-                                                        abs=1e-9)
+        columns = sparse.csc_array(a)
+        # the same columns with each one's rows in reverse: not the order
+        # HiGHS reads, so LpModel sorts them
+        unsorted = sparse.csc_array(
+            (np.concatenate([columns.data[i:j][::-1] for i, j in
+                             zip(columns.indptr[:-1], columns.indptr[1:])]),
+             np.concatenate([columns.indices[i:j][::-1] for i, j in
+                             zip(columns.indptr[:-1], columns.indptr[1:])]),
+             columns.indptr), shape=a.shape)
+        sorted_rows.append(unsorted.has_canonical_format)
+        want = solve_lp(dense)
+        # a CSC block goes to HiGHS as it is, any other is converted to it
+        for rows in (sparse.csr_array(a), columns, unsorted):
+            twin = LinearProgram(objective=dense.objective, ineq=(rows, b),
+                                 bounds=dense.bounds)
+            assert sparse.issparse(twin.ineq[0])
+            got = solve_lp(twin)
+            assert got.status == want.status
+            assert got.iterations == want.iterations
+            if want.optimal:
+                np.testing.assert_array_equal(got.z, want.z)
+                assert got.objective_value == want.objective_value
+    assert not any(sorted_rows[:5])
 
 
 def test_simple_max():

@@ -215,16 +215,20 @@ def test_timings_split_assembly_from_anchor(sys1d, tube1d, pwa, alpha):
     t = res.timings
     # an empty set has no line searches and no hull
     searches = ["hull", "search_cols", "search_iterations", "search_rows",
-                "searches"] if alpha == 0.6 else []
-    assert sorted(t) == sorted(["anchor", "anchor_iterations", "assemble",
-                                "total"] + searches)
+                "search_solve", "searches"] if alpha == 0.6 else []
+    assert sorted(t) == sorted(["anchor", "anchor_iterations", "anchor_solve",
+                                "assemble", "total"] + searches)
     assert t["assemble"] > 0.0 and t["anchor"] >= 0.0
     assert t["assemble"] + t["anchor"] + t.get("searches", 0.0) \
         + t.get("hull", 0.0) <= t["total"]
     assert t["anchor_iterations"] == res.anchor.iterations >= 0
+    # HiGHS's share of each phase, at one worker
+    assert 0.0 < t["anchor_solve"] == res.anchor.seconds <= t["anchor"]
     if searches:
         assert t["search_iterations"] == \
             sum(bp.iterations for bp in res.boundary_points)
+        assert 0.0 < t["search_solve"] == \
+            sum(bp.seconds for bp in res.boundary_points) <= t["searches"]
         # one chain: the budget row, a tail row and T_0's two rows, over
         # U, segment columns and the step
         assert 4 <= t["search_rows"] <= 1 + 10 + 2
