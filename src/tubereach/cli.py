@@ -313,14 +313,15 @@ def _naming(paths, fn, *args):
 
 
 def _timings(text) -> Dict[str, Dict[str, float]]:
-    """The timings sidecar: seconds by phase, by threshold, and the
-    envelope's build under "setup"."""
+    """The timings sidecar: numbers by name, by threshold (seconds by
+    phase, simplex iterations, LP sizes), and the envelope's build under
+    "setup"."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and all(
             isinstance(phases, dict) and all(
                 isinstance(s, (int, float)) and not isinstance(s, bool)
                 for s in phases.values()) for phases in doc.values())):
-        raise ValueError("timings are not seconds by phase by threshold")
+        raise ValueError("timings are not numbers by name by threshold")
     return doc
 
 
@@ -336,9 +337,8 @@ def cmd_compute(args) -> int:
             sys, tube, alpha, directions,
             anchor_mode=cfg.get("anchor_mode", "cheby"), pwa=pwa,
             jobs=args.jobs)
-        if res.anchor.status == "solver_failure":
-            log.error("solver failure at alpha=%s: %s", alpha,
-                      res.anchor.diagnostic)
+        if res.status == "solver_failure":
+            log.error("solver failure at alpha=%s: %s", alpha, res.diagnostic)
             return EXIT_SOLVER_FAILURE
         statuses = {bp.status for bp in res.boundary_points}
         if "solver_failure" in statuses and "ok" not in statuses:

@@ -34,9 +34,8 @@ class HPolytope:
         if self.normals.shape[1] > 0 and np.any(
                 np.linalg.norm(self.normals, axis=1) == 0.0):
             raise ValueError("every normal row must be nonzero")
-        self._empty: Optional[bool] = None
-        self._bounded: Optional[bool] = None
         self._box = self._axis_box()
+        self._bounds: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
 
     @property
     def dim(self) -> int:
@@ -70,54 +69,45 @@ class HPolytope:
         return max(float(np.min(slack / rates[ahead])), 0.0)
 
     def is_empty(self) -> bool:
-        if self._empty is None:
-            box = self.as_box_bounds()
-            if box is not None:
-                self._empty = bool(np.any(box[0] > box[1]))
-            else:
-                lp = LinearProgram(objective=np.zeros(self.dim),
-                                   ineq=(self.normals, self.offsets))
-                self._empty = not solve_lp(lp).optimal
-        return self._empty
+        return self._support()[2]
 
     def is_bounded(self) -> bool:
-        """Empty sets count as bounded.  A nonempty {x : A x <= b} is
-        bounded iff its recession cone {d : A d <= 0} is {0}, that is
-        (Stiemke's lemma) iff rank A = n and some y > 0 has A^T y = 0."""
-        if self._bounded is None:
-            box = self.as_box_bounds()
-            if self.is_empty():
-                self._bounded = True
-            elif box is not None:
-                self._bounded = bool(np.all(np.isfinite(box)))
-            elif np.linalg.matrix_rank(self.normals) < self.dim:
-                self._bounded = False
-            else:
-                unit = self.normals / np.linalg.norm(self.normals, axis=1,
-                                                     keepdims=True)
-                lp = LinearProgram(objective=np.zeros(self.n_rows),
-                                   eq=(unit.T, np.zeros(self.dim)),
-                                   bounds=[(1.0, np.inf)] * self.n_rows)
-                self._bounded = solve_lp(lp).optimal
-        return self._bounded
+        """Empty sets count as bounded; a nonempty one is bounded iff
+        every side of its bounding box is finite."""
+        lo, hi, empty = self._support()
+        return empty or bool(np.isfinite((lo, hi)).all())
 
     def interval_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding intervals: the box itself when every face
-        is axis-aligned, else 2n support LPs (+/-inf where unbounded)."""
-        box = self.as_box_bounds()
-        if box is not None:
-            return box
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        for j in range(self.dim):
-            for sign, out in ((1.0, hi), (-1.0, lo)):
-                c = np.zeros(self.dim)
-                c[j] = -sign
-                sol = solve_lp(LinearProgram(
-                    objective=c, ineq=(self.normals, self.offsets)))
-                if sol.optimal:
-                    out[j] = sign * -sol.objective_value
+        """Axis-aligned bounding intervals (+/-inf where unbounded), as
+        read-only arrays; see _support."""
+        lo, hi, _ = self._support()
         return lo, hi
+
+    def _support(self) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """(lo, hi, empty), worked out on the first call: the box itself
+        when every face is axis-aligned, else 2n cold support LPs max and
+        min x_j.  An infeasible one proves the set empty; any other status
+        but optimal leaves that side infinite."""
+        if self._bounds is None:
+            if self._box is not None:
+                lo, hi = self._box
+                empty = bool(np.any(lo > hi))
+            else:
+                lo = np.full(self.dim, -np.inf)
+                hi = np.full(self.dim, np.inf)
+                empty = False
+                for j in range(self.dim):
+                    for sign, out in ((1.0, hi), (-1.0, lo)):
+                        c = np.zeros(self.dim)
+                        c[j] = -sign
+                        sol = solve_lp(LinearProgram(
+                            objective=c, ineq=(self.normals, self.offsets)))
+                        empty |= sol.status == "infeasible"
+                        if sol.optimal:
+                            out[j] = sign * -sol.objective_value
+                lo.flags.writeable = hi.flags.writeable = False
+            self._bounds = lo, hi, empty
+        return self._bounds
 
     def as_box_bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """(lower, upper) if every face is axis-aligned, else None.  Worked
@@ -244,10 +234,7 @@ def _hull_2d(pts: np.ndarray) -> np.ndarray:
                 _cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= tol:
             upper.pop()
         upper.append(i)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear
-        return order[[0, -1]]
-    return np.array(hull)
+    return np.array(lower[:-1] + upper[:-1])
 
 
 # a point set is flat when at most two singular values of its offsets

@@ -39,7 +39,7 @@ class ReachSetResult:
     anchor: AnchorResult
     boundary_points: List[BoundaryPoint]
     polytope: Optional[VPolytope]
-    status: str  # ok | empty
+    status: str  # ok | empty | solver_failure (anchor LP gave no verdict)
     diagnostic: str = ""
     # seconds per phase of this run (assemble, anchor, searches, hull and
     # total; an empty set stops after the anchor), the simplex iterations
@@ -172,9 +172,10 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                "anchor_iterations": anchor.iterations,
                "anchor_solve": anchor.seconds}
     if not anchor.feasible:
+        # empty, or solver_failure when the anchor LP gave no verdict
         return ReachSetResult(
             alpha=alpha, anchor=anchor, boundary_points=[], polytope=None,
-            status="empty", diagnostic=anchor.diagnostic,
+            status=anchor.status, diagnostic=anchor.diagnostic,
             timings={**timings, "total": t_anchored - t0})
 
     dirs = directions.directions

@@ -101,6 +101,17 @@ def test_compute_empty_set_exit_code(tmp_path):
     assert doc["diagnostic"]
 
 
+def test_validate_empty_result_exit_code(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.99])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_EMPTY_SET
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p99.json"),
+                 "-d", str(tmp_path / "val")]) == EXIT_EMPTY_SET
+    assert "empty set" in caplog.text
+    assert not (tmp_path / "val").exists()
+
+
 def fail_line_lps(line_lps, failing):
     """Solve the anchor LP; the line LPs numbered in failing (from 1)
     stop at the iteration limit."""
@@ -129,6 +140,21 @@ def test_compute_partial_search_failure_still_ok(tmp_path, line_lps):
     doc = json.loads((out / "reach_alpha0p6.json").read_text())
     assert [v["status"] for v in doc["vertices"]] == \
         ["ok", "solver_failure"]
+
+
+def test_compute_anchor_without_verdict_exit_code(tmp_path, monkeypatch,
+                                                  caplog):
+    # every LP, the anchor's among them, stops without a verdict: no
+    # result is written and one line says why
+    monkeypatch.setattr(chance, "highs_solve",
+                        lambda model: LpSolution(status="numerical_trouble"))
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_SOLVER_FAILURE
+    logged = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(logged) == 1 and logged[0].levelname == "ERROR"
+    assert "numerical_trouble" in logged[0].getMessage()
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -459,6 +485,21 @@ def test_interpolate_between_computed_sets(tmp_path, capsys):
     assert doc["beta"] == 0.5
     assert 0.0 < doc["gamma"] < 1.0
     assert len(doc["vertices"]) >= 2
+
+
+def test_interpolate_ignores_the_order_of_the_sets(tmp_path):
+    cfg = scalar_config(tmp_path, [0.4, 0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    low, high = out / "reach_alpha0p4.json", out / "reach_alpha0p6.json"
+    written = []
+    for i, (first, second) in enumerate([(low, high), (high, low)]):
+        dst = tmp_path / f"interp{i}.json"
+        assert main(["interpolate", "--set1", str(first),
+                     "--set2", str(second), "--beta", "0.5",
+                     "-o", str(dst)]) == EXIT_OK
+        written.append(read(dst))
+    assert written[0] == written[1]
 
 
 def test_interpolate_beta_out_of_range(tmp_path):

@@ -6,7 +6,7 @@ from tubereach import geometry
 from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
                                 extreme_indices, minkowski_interpolate,
                                 prune_vertices, spread_directions)
-from tubereach.lpsolve import LinearProgram, solve_lp
+from tubereach.lpsolve import LinearProgram, LpSolution, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
 from oracles import loop_box_bounds, lp_prune_vertices
@@ -71,6 +71,29 @@ def test_general_polytope_has_no_box_form():
     assert tri.as_box_bounds() is None
     assert tri.is_bounded()
     assert not tri.is_empty()
+
+
+def test_support_lps_are_solved_once(monkeypatch):
+    def triangle():
+        return HPolytope(normals=np.array([[1.0, 1.0], [-1.0, 0.0],
+                                           [0.0, -1.0]]),
+                         offsets=np.array([1.0, 0.0, 0.0]))
+    solve, lps = geometry.solve_lp, []
+    monkeypatch.setattr(geometry, "solve_lp",
+                        lambda lp: lps.append(lp) or solve(lp))
+    tri = triangle()
+    lo, hi = tri.interval_bounds()
+    assert not tri.is_empty() and tri.is_bounded()
+    assert tri.interval_bounds()[0] is lo and len(lps) == 4
+    np.testing.assert_allclose((lo, hi), ([0.0, 0.0], [1.0, 1.0]),
+                               atol=1e-12)
+    with pytest.raises(ValueError, match="read-only"):
+        hi[0] = 0.0
+    # a support LP without a verdict proves nothing: that side stays open
+    monkeypatch.setattr(geometry, "solve_lp",
+                        lambda lp: LpSolution(status="numerical_trouble"))
+    tri = triangle()
+    assert not tri.is_empty() and not tri.is_bounded()
 
 
 def test_empty_and_unbounded_detection():

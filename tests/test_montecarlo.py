@@ -8,6 +8,7 @@ from scipy.special import ndtr
 from tubereach import montecarlo
 from tubereach.geometry import (DirectionSet, VPolytope, box_polytope,
                                 spread_directions)
+from tubereach.lpsolve import LpSolution
 from tubereach.montecarlo import (ValidationReport, simulate_reach_prob,
                                   simulate_reach_probs, validate_vertices)
 from tubereach.reachalgo import compute_reach_set
@@ -39,6 +40,23 @@ def test_near_deterministic_interior_start_is_one():
     sys, tube = near_deterministic()
     p, s = simulate_reach_prob(sys, tube, np.zeros(1), np.zeros(4), 1000)
     assert p == 1.0 and s == 0.0
+
+
+def test_semidefinite_noise_is_sampled_by_its_eigenvectors():
+    # Cholesky refuses diag(1, 0), so the factor comes from eigh; x_1 = w
+    # stays in |x_i| <= 1 with probability P(|N(0, 1)| <= 1)
+    cov = np.diag([1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    factor = montecarlo._cov_factor(cov)
+    np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-15)
+    sys = StochasticLTVSystem.lti(np.eye(2), np.zeros((2, 0)), np.zeros(2),
+                                  cov, None, 1)
+    n = 100_000
+    p, _ = simulate_reach_prob(sys, viability_tube(2, 1.0, 1), np.zeros(2),
+                               np.zeros(0), n)
+    want = 2.0 * ndtr(1.0) - 1.0
+    assert abs(p - want) <= 4.0 * np.sqrt(want * (1.0 - want) / n)
 
 
 def test_seed_determinism(sys1d, tube1d):
@@ -296,6 +314,21 @@ def test_validation_rejects_empty_result(sys1d, tube1d, pwa):
     empty = compute_reach_set(sys1d, tube1d, 0.99, dirs, pwa=pwa)
     with pytest.raises(ValueError):
         validate_vertices(empty, sys1d, tube1d, 1000)
+
+
+def test_validation_falls_back_to_the_anchor(sys1d, tube1d, pwa, line_lps):
+    # no line search succeeds, so the anchor and its controller are the
+    # one vertex rolled out
+    line_lps(lambda model: LpSolution(status="iteration_limit"))
+    res = compute_reach_set(sys1d, tube1d, 0.6,
+                            DirectionSet(np.array([[1.0], [-1.0]])), pwa=pwa)
+    assert {bp.status for bp in res.boundary_points} == {"solver_failure"}
+    report = validate_vertices(res, sys1d, tube1d, 1000)
+    assert len(report.records) == 1
+    record = report.records[0]
+    np.testing.assert_array_equal(record.point, res.anchor.x_anchor)
+    assert record.empirical_probability == simulate_reach_prob(
+        sys1d, tube1d, res.anchor.x_anchor, res.anchor.U, 1000)[0]
 
 
 def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):

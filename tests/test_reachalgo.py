@@ -78,6 +78,27 @@ def test_value_function_quasiconcave(dp1d):
                 assert np.all(np.diff(idx) == 1)
 
 
+def test_noiseless_coordinate_keeps_its_cell():
+    # x+ = x + (u, 0) + (w, 0): the second coordinate never moves, so the
+    # DP of the pair is, in every column, the DP of the noisy coordinate
+    sigma, horizon = 0.1, 5
+    inputs = box_polytope(np.zeros(1), np.array([0.1]))
+    planar = StochasticLTVSystem.lti(
+        np.eye(2), np.array([[1.0], [0.0]]), np.zeros(2),
+        np.diag([sigma ** 2, 0.0]), inputs, horizon)
+    scalar = StochasticLTVSystem.lti(
+        np.eye(1), np.eye(1), np.zeros(1), sigma ** 2 * np.eye(1), inputs,
+        horizon)
+    both = dp_values(planar, viability_tube(2, 1.0, horizon), 0.05, 0.05)
+    one = dp_values(scalar, viability_tube(1, 1.0, horizon), 0.05, 0.05)
+    v0 = one.values[0]
+    assert ((v0 > 0.0) & (v0 < 1.0)).any()
+    for v2, v1 in zip(both.values, one.values):
+        assert v2.shape == (v1.size, v1.size)
+        np.testing.assert_allclose(v2, np.tile(v1[:, None], v1.size),
+                                   rtol=0.0, atol=1e-12)
+
+
 def test_dp_rejects_high_dimension():
     sys = StochasticLTVSystem.lti(
         np.eye(3), np.eye(3), np.zeros(3), 0.01 * np.eye(3),
@@ -142,6 +163,17 @@ def test_reach_set_empty_at_unreachable_threshold(sys1d, tube1d, pwa):
     assert res.is_empty
     assert res.status == "empty"
     assert res.polytope is None
+
+
+def test_anchor_without_verdict_is_no_empty_set(sys1d, tube1d, pwa,
+                                                monkeypatch):
+    monkeypatch.setattr(chance, "highs_solve",
+                        lambda model: LpSolution(status="numerical_trouble"))
+    res = compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, pwa=pwa)
+    assert res.status == "solver_failure"
+    assert res.polytope is None and res.boundary_points == []
+    assert res.diagnostic == res.anchor.diagnostic
+    assert "numerical_trouble" in res.diagnostic
 
 
 def test_reach_sets_nested_in_alpha(sys2d, tube2d, pwa):
