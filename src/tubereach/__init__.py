@@ -7,7 +7,7 @@ from .geometry import (DirectionSet, HPolytope, VPolytope, box_polytope,
 from .sysmodel import GaussianDisturbance, StochasticLTVSystem, TargetTube
 from .gaussian import PwaQuantile, build_pwa_quantile
 from .chance import AnchorResult, BoundaryPoint, RiskLP
-from .lpsolve import LinearProgram, LpSolution, solve_lp
+from .lpsolve import LpModel, LpSolution, solve_lp
 
 __version__ = "0.1.0"
 
@@ -17,6 +17,6 @@ __all__ = [
     "GaussianDisturbance", "StochasticLTVSystem", "TargetTube",
     "PwaQuantile", "build_pwa_quantile",
     "AnchorResult", "BoundaryPoint", "RiskLP",
-    "LinearProgram", "LpSolution", "solve_lp",
+    "LpModel", "LpSolution", "solve_lp",
     "__version__",
 ]

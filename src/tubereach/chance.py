@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gaussian import PwaQuantile
-from .lpsolve import LinearProgram, LpModel, LpSolution, highs_solve
+from .lpsolve import LpModel, LpSolution, highs_solve
 from .sysmodel import StochasticLTVSystem, TargetTube, step_moments
 
 SIGMA_DETERMINISTIC = 1e-12
@@ -461,10 +461,8 @@ class RiskLP:
             objective[-1] = -1.0
         else:
             objective[self.n_u:self.n_u + segments.size] = 1.0
-        return LpModel(LinearProgram(
-            objective=objective,
-            ineq=(matrix, self.rhs[keep] - (self._x0 @ c)[keep]),
-            bounds=bounds))
+        return LpModel(objective, matrix,
+                       self.rhs[keep] - (self._x0 @ c)[keep], bounds=bounds)
 
     def _solution(self, sol: LpSolution, cols: np.ndarray) -> _Solution:
         """The solution of an LP over the segment columns in cols."""

@@ -14,14 +14,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .lpsolve import LinearProgram, solve_lp
+from .lpsolve import solve_lp
 
 DEFAULT_TOL = 1e-9
 
 
 @dataclass
 class HPolytope:
-    """The set {x : normals @ x <= offsets}."""
+    """The set {x : normals @ x <= offsets}.  Normals are finite and
+    offsets are never NaN; a +inf offset is a vacuous face."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -31,6 +32,8 @@ class HPolytope:
         self.offsets = np.asarray(self.offsets, dtype=float).ravel()
         if self.normals.shape[0] != self.offsets.size:
             raise ValueError("normals/offsets row count mismatch")
+        if not np.isfinite(self.normals).all() or np.isnan(self.offsets).any():
+            raise ValueError("normals must be finite and offsets not NaN")
         if self.normals.shape[1] > 0 and np.any(
                 np.linalg.norm(self.normals, axis=1) == 0.0):
             raise ValueError("every normal row must be nonzero")
@@ -100,8 +103,7 @@ class HPolytope:
                     for sign, out in ((1.0, hi), (-1.0, lo)):
                         c = np.zeros(self.dim)
                         c[j] = -sign
-                        sol = solve_lp(LinearProgram(
-                            objective=c, ineq=(self.normals, self.offsets)))
+                        sol = solve_lp(c, self.normals, self.offsets)
                         empty |= sol.status == "infeasible"
                         if sol.optimal:
                             out[j] = sign * -sol.objective_value
@@ -123,9 +125,8 @@ class HPolytope:
         up = coef > 0
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
-        # fmin and fmax pass over a NaN bound
-        np.fmin.at(hi, axes[up], bound[up])
-        np.fmax.at(lo, axes[~up], bound[~up])
+        np.minimum.at(hi, axes[up], bound[up])
+        np.maximum.at(lo, axes[~up], bound[~up])
         lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
@@ -166,15 +167,13 @@ class VPolytope:
             raise ValueError("tol must be nonnegative")
         k = self.n_vertices
         v = self.vertices.T
-        # variables [w, t]
+        # variables [w, t]; rows |V^T w - x| <= t, then sum(w) = 1
         gap = -np.ones((self.dim, 1))
-        lp = LinearProgram(objective=np.append(np.zeros(k), 1.0),
-                           ineq=(np.block([[v, gap], [-v, gap]]),
-                                 np.concatenate([x, -x])),
-                           eq=(np.append(np.ones(k), 0.0)[None, :],
-                               np.ones(1)),
-                           bounds=[(0.0, np.inf)] * (k + 1))
-        sol = solve_lp(lp)
+        sol = solve_lp(np.append(np.zeros(k), 1.0),
+                       np.block([[v, gap], [-v, gap], [np.ones(k), 0.0]]),
+                       np.concatenate([x, -x, [1.0]]),
+                       np.append(np.full(2 * self.dim, -np.inf), 1.0),
+                       [(0.0, np.inf)] * (k + 1))
         return sol.z[:k] if sol.optimal and sol.z[k] <= tol else None
 
 
@@ -188,7 +187,8 @@ class DirectionSet:
     def __post_init__(self):
         self.directions = np.atleast_2d(np.asarray(self.directions, dtype=float))
         norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        # a NaN or infinite entry makes its norm NaN or inf, which fails too
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("directions must have unit Euclidean norm")
 
     def __len__(self) -> int:

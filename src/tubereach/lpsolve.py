@@ -1,12 +1,12 @@
-"""Linear programs in a plain matrix form and their one solver, HiGHS,
-called through the bindings that scipy bundles.
+"""Linear programs in the form HiGHS itself takes, and HiGHS, their one
+solver, called through the bindings that scipy bundles.
 
-:func:`solve_lp` is the entry point for one LP; it reports the solver's
-verdict as a status string, never as an exception.  :class:`LpModel`
-keeps one HiGHS instance, so that a sequence of LPs that differ in one
-column's coefficients and bounds is re-solved from the last basis; it
-hands the LP over as column-wise arrays in one call.
-:func:`highs_solve` is the one function that runs the solver.
+:class:`LpModel` is the one LP type: a cost vector, rows bounded below
+and above, and a bound pair per variable, held by one HiGHS instance so
+that an LP changed in one column is re-solved from the last basis.
+:func:`solve_lp` solves one LP cold; :func:`highs_solve`, the one
+function that runs the solver, reports its verdict as a status string,
+never as an exception.
 
 Every LP, risk LP or geometry LP, runs with the one option set
 ``_OPTIONS``.  A risk LP of :mod:`tubereach.chance` is solved once, or
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,63 +34,6 @@ _OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "off",
 
 class LpError(ValueError):
     """Malformed linear program."""
-
-
-@dataclass
-class LinearProgram:
-    """min objective @ z  subject to  ineq, eq, and per-variable bounds.
-
-    bounds holds one (lo, hi) pair per variable, +/-inf allowed, as an
-    (n, 2) array or a list of pairs; it is kept as an (n, 2) float
-    array.  Variables default to free when bounds is None.  A constraint
-    matrix may be a scipy.sparse array; it is passed to the solver as it
-    is.
-    """
-
-    objective: np.ndarray
-    ineq: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    eq: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    bounds: Optional[Union[np.ndarray, Sequence[Tuple[float, float]]]] = None
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float).ravel()
-        n = self.objective.size
-        for name in ("ineq", "eq"):
-            pair = getattr(self, name)
-            if pair is None:
-                continue
-            a, b = pair
-            if not sp.issparse(a):
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-            b = np.asarray(b, dtype=float).ravel()
-            if a.shape[1] != n or a.shape[0] != b.size:
-                raise LpError(
-                    f"{name} dimensions {a.shape} incompatible with "
-                    f"{n} variables / {b.size} rhs entries"
-                )
-            setattr(self, name, (a, b))
-        if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=float)
-            if not self.bounds.size:
-                self.bounds = self.bounds.reshape(0, 2)
-            if self.bounds.shape != (n, 2):
-                raise LpError("bounds must hold one (lo, hi) pair per "
-                              "variable")
-        # HiGHS takes NaN and infinite costs without complaint and may
-        # call the LP optimal; infinite bounds and rhs entries are legal
-        parts = [np.zeros(0) if self.bounds is None else self.bounds]
-        for pair in (self.ineq, self.eq):
-            if pair is not None:
-                parts += [pair[0].data if sp.issparse(pair[0]) else pair[0],
-                          pair[1]]
-        if any(np.isnan(part).any() for part in parts):
-            raise LpError("linear program holds NaN")
-        if not np.isfinite(self.objective).all():
-            raise LpError("objective holds NaN or an infinite cost")
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
 
 
 @dataclass
@@ -108,34 +51,48 @@ class LpSolution:
 
 
 class LpModel:
-    """One LP held by a HiGHS instance: the rows as a column-wise matrix
-    (the inequalities, then the equalities) and the column bounds.  A
-    lone block of rows that is a canonical csc_array (rows sorted within
-    each column, no duplicates) is handed to HiGHS as it is; any other
-    input is stacked and converted to one.  Each solve after the first
-    starts from the last basis, so changing one column's coefficients or
-    some bounds and solving again costs only the simplex iterations the
-    change asks for.  Not for concurrent use."""
+    """min objective @ z  subject to  row_lower <= rows @ z <= row_upper
+    and bounds[:, 0] <= z <= bounds[:, 1], held by one HiGHS instance.
 
-    def __init__(self, lp: LinearProgram):
-        n = lp.n_vars
-        blocks, lower, upper = [], [np.zeros(0)], [np.zeros(0)]
-        if lp.ineq is not None:
-            blocks.append(lp.ineq[0])
-            lower.append(np.full(lp.ineq[1].size, -np.inf))
-            upper.append(lp.ineq[1])
-        if lp.eq is not None:
-            blocks.append(lp.eq[0])
-            lower.append(lp.eq[1])
-            upper.append(lp.eq[1])
-        a = blocks[0] if len(blocks) == 1 else None
-        if not (sp.issparse(a) and a.format == "csc"
-                and a.has_canonical_format):
-            a = sp.csc_array(sp.vstack([sp.csr_array(b) for b in blocks])
-                             if blocks else (0, n))
+    rows, dense or any scipy.sparse array, reaches HiGHS as a canonical
+    csc_array (rows sorted within each column, no duplicates), passed
+    through when it already is one and made one on a copy otherwise.
+    row_lower defaults to -inf, so a row is an inequality; an equality
+    has equal bounds.  bounds holds one (lo, hi) pair per variable,
+    +/-inf allowed; None leaves every variable free.  Each solve after
+    the first starts from the last basis, so changing one column's
+    coefficients or some bounds and solving again costs only the simplex
+    iterations the change asks for.  Not for concurrent use."""
+
+    def __init__(self, objective, rows, row_upper, row_lower=None,
+                 bounds=None):
+        objective = np.asarray(objective, dtype=float).ravel()
+        n = objective.size
+        a = sp.csc_array(rows, dtype=float)
+        if not a.has_canonical_format:
+            # sorted and summed on new arrays: a may share the caller's
+            a = a.tocoo().tocsc()
+        row_upper = np.asarray(row_upper, dtype=float).ravel()
+        row_lower = np.full(row_upper.size, -np.inf) if row_lower is None \
+            else np.asarray(row_lower, dtype=float).ravel()
+        if a.shape[1] != n or a.shape[0] != row_upper.size \
+                or row_lower.size != row_upper.size:
+            raise LpError(f"rows {a.shape} incompatible with {n} variables "
+                          f"/ {row_lower.size}, {row_upper.size} row bounds")
+        bounds = np.tile([-np.inf, np.inf], (n, 1)) if bounds is None \
+            else np.asarray(bounds, dtype=float)
+        if not bounds.size:
+            bounds = bounds.reshape(0, 2)
+        if bounds.shape != (n, 2):
+            raise LpError("bounds must hold one (lo, hi) pair per variable")
+        # HiGHS takes NaN and infinite costs without complaint and may
+        # call the LP optimal; infinite bounds are legal
+        if any(np.isnan(part).any()
+               for part in (a.data, row_lower, row_upper, bounds)):
+            raise LpError("linear program holds NaN")
+        if not np.isfinite(objective).all():
+            raise LpError("objective holds NaN or an infinite cost")
         self.n_vars, self.n_rows = n, a.shape[0]
-        bounds = np.tile([-np.inf, np.inf], (n, 1)) if lp.bounds is None \
-            else lp.bounds
         self.highs = _core._Highs()
         for name, value in _OPTIONS.items():
             self.highs.setOptionValue(name, value)
@@ -144,8 +101,8 @@ class LpModel:
         # run() fail; lo > hi passes with a warning and solves as infeasible
         self.highs.passModel(
             n, self.n_rows, a.nnz, int(_core.MatrixFormat.kColwise),
-            int(_core.ObjSense.kMinimize), 0.0, lp.objective, bounds[:, 0],
-            bounds[:, 1], np.concatenate(lower), np.concatenate(upper),
+            int(_core.ObjSense.kMinimize), 0.0, objective, bounds[:, 0],
+            bounds[:, 1], row_lower, row_upper,
             a.indptr[:-1].astype(np.int32, copy=False),
             a.indices.astype(np.int32, copy=False), a.data,
             np.zeros(n, dtype=np.int32))
@@ -194,7 +151,8 @@ def highs_solve(model: LpModel) -> LpSolution:
                       iterations=iterations, seconds=seconds)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve lp cold with _OPTIONS; see :class:`LpSolution` for the
-    statuses."""
-    return highs_solve(LpModel(lp))
+def solve_lp(objective, rows, row_upper, row_lower=None,
+             bounds=None) -> LpSolution:
+    """The LP of LpModel(objective, rows, row_upper, row_lower, bounds),
+    solved cold; see :class:`LpSolution` for the statuses."""
+    return highs_solve(LpModel(objective, rows, row_upper, row_lower, bounds))

@@ -102,12 +102,15 @@ class ReachSetResult:
     def from_json(cls, text: str) -> "ReachSetResult":
         """Inverse of :meth:`to_json`.  The "timings" and "backend" keys
         that older releases wrote are ignored; a document that lacks a key
-        raises ValueError naming it."""
+        raises ValueError naming it, and so does an alpha outside (0, 1]."""
         doc = json.loads(text)
         try:
             anchor = doc["anchor"]
+            alpha = float(doc["alpha"])
+            if not 0.0 < alpha <= 1.0:
+                raise ValueError(f"alpha {alpha} outside (0, 1]")
             return cls(
-                alpha=float(doc["alpha"]),
+                alpha=alpha,
                 anchor=AnchorResult(
                     x_anchor=_array(anchor["point"]),
                     U=_array(anchor["controls"]),
@@ -158,6 +161,10 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    dirs = directions.directions[:max_directions]
+    if dirs.shape[1] != sys.state_dim:
+        raise ValueError(f"directions have {dirs.shape[1]} entries, but the "
+                         f"state has {sys.state_dim}")
     if pwa is None:
         pwa = build_pwa_quantile()
     t0 = time.perf_counter()
@@ -178,9 +185,6 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
             status=anchor.status, diagnostic=anchor.diagnostic,
             timings={**timings, "total": t_anchored - t0})
 
-    dirs = directions.directions
-    if max_directions is not None:
-        dirs = dirs[:max_directions]
     deadline = None if time_budget is None else t0 + time_budget
 
     def search(chain: np.ndarray) -> List[BoundaryPoint]:

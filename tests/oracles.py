@@ -13,8 +13,8 @@
 - Vertex pruning by one feasibility LP per point, in any dimension: the
   reference for geometry.extreme_indices.
 - The risk LP's table and each of its models assembled by scipy.sparse
-  stacking, and the arrays LpModel's CSR -> CSC conversion hands to
-  HiGHS: the reference for the column-wise slicing of chance.RiskLP.
+  stacking, and the arrays its CSR -> CSC conversion hands to HiGHS: the
+  reference for the column-wise slicing of chance.RiskLP.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 from tubereach.chance import RiskLP, _tube_rows
 from tubereach.gaussian import _upper_quantile
 from tubereach.geometry import VPolytope, prune_vertices
-from tubereach.lpsolve import LinearProgram, solve_lp
+from tubereach.lpsolve import solve_lp
 from tubereach.sysmodel import StochasticLTVSystem, TargetTube
 
 
@@ -333,10 +333,9 @@ def lp_prune_vertices(verts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         others = verts[[s for s in survivors if s != survivors[i]]]
         x = verts[survivors[i]]
         k = others.shape[0]
-        sol = solve_lp(LinearProgram(
-            objective=np.zeros(k),
-            eq=(np.vstack([others.T, np.ones((1, k))]), np.append(x, 1.0)),
-            bounds=[(0.0, 1.0)] * k))
+        target = np.append(x, 1.0)
+        sol = solve_lp(np.zeros(k), np.vstack([others.T, np.ones((1, k))]),
+                       target, target, [(0.0, 1.0)] * k)
         if sol.optimal and \
                 np.linalg.norm(others.T @ sol.z - x) <= max(tol, 1e-7):
             survivors.pop(i)
@@ -377,9 +376,9 @@ def scipy_model_arrays(risk: RiskLP, table, c, E, cols, y_lo, y_hi,
                        radius=False, maximize=False) -> dict:
     """The arrays that passModel receives for risk._model(c, E, cols,
     y_lo, y_hi, radius, maximize) when the model is the hstack of
-    table[keep][:, cols], _x0 @ E and _ball, and LpModel stacks it and
-    converts it from CSR to CSC (the former assembly of both), by
-    passModel's argument names."""
+    table[keep][:, cols], _x0 @ E and _ball, stacked and converted from
+    CSR to CSC (the former assembly of both), by passModel's argument
+    names."""
     n_y, n_r = E.shape[1], int(radius)
     keep = risk._kept_rows(cols)
     segments = np.flatnonzero(cols)

@@ -200,10 +200,10 @@ def test_criterion_7_oracles(pwa):
     checked = 0
     while checked < 200:
         lp = random_bounded_lp(rng, int(rng.integers(2, 5)))
-        ref, _ = brute_force_min(lp)
+        ref, _ = brute_force_min(**lp)
         if ref is None:
             continue
-        sol = solve_lp(lp)
+        sol = solve_lp(**lp)
         assert sol.optimal
         assert abs(sol.objective_value - ref) < 1e-7
         checked += 1

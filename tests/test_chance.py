@@ -12,8 +12,7 @@ from tubereach.chance import RiskLP, _interval_max
 from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.gaussian import build_pwa_quantile
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
-from tubereach.lpsolve import (LinearProgram, LpModel, LpSolution,
-                               highs_solve, solve_lp)
+from tubereach.lpsolve import LpModel, LpSolution, highs_solve
 from tubereach.montecarlo import simulate_reach_prob
 from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
@@ -352,13 +351,12 @@ class CopiedRows:
             objective[-1] = -1.0
         else:
             objective[self.n_u:self.n_u + self.nr] = 1.0
-        return LinearProgram(objective=objective,
-                             ineq=(matrix, self.rhs - self.x0_rows @ c),
-                             bounds=bounds)
+        return LpModel(objective, matrix, self.rhs - self.x0_rows @ c,
+                       bounds=bounds)
 
     def solve(self, c, E, y_lo=-np.inf, radius=False, maximize=False):
         """The solution over [U | deltas | y | radius], solved cold."""
-        sol = solve_lp(self.program(c, E, y_lo, radius, maximize))
+        sol = highs_solve(self.program(c, E, y_lo, radius, maximize))
         assert sol.optimal, sol.status
         k = self.n_u + self.nr
         return sol.z[:self.n_u], sol.z[self.n_u:k], sol.z[k:]
@@ -368,8 +366,8 @@ class CopiedRows:
         model re-solved per direction with its y column changed.  Each
         step is the optimum of its own LP, so solving from the last
         basis changes only the time it takes."""
-        model = LpModel(self.program(anchor, directions[0][:, None],
-                                     y_lo=0.0, maximize=True))
+        model = self.program(anchor, directions[0][:, None], y_lo=0.0,
+                             maximize=True)
         rows = np.arange(self.rhs.size)
         for d in directions:
             model.change_column(model.n_vars - 1, rows, self.x0_rows @ d)

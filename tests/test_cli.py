@@ -325,6 +325,31 @@ def test_validate_with_a_malformed_result(tmp_path, caplog):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, float("nan")])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_result_alpha_outside_the_unit_interval(tmp_path, caplog, command,
+                                                alpha):
+    # a result whose alpha was edited out of (0, 1] is refused by name,
+    # not validated against a threshold it was never computed for
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    bad = out / "reach_alpha0p6.json"
+    doc = json.loads(bad.read_text())
+    doc["alpha"] = alpha
+    bad.write_text(json.dumps(doc))
+    argv = ["report", str(out)] if command == "report" else \
+        ["validate", str(cfg), "--result", str(bad), "-d",
+         str(tmp_path / "checked")]
+    caplog.clear()
+    assert main(argv) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert str(bad) in errors[0] and "outside (0, 1]" in errors[0]
+    assert not (tmp_path / "checked").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_interpolate_with_a_malformed_set(tmp_path, caplog):
     cfg = scalar_config(tmp_path, [0.6])
     out = tmp_path / "out"

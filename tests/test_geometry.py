@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubereach import geometry
-from tubereach.geometry import (HPolytope, VPolytope, box_polytope,
+from tubereach.geometry import (DirectionSet, HPolytope, VPolytope,
+                                box_polytope,
                                 extreme_indices, minkowski_interpolate,
                                 prune_vertices, spread_directions)
-from tubereach.lpsolve import LinearProgram, LpSolution, solve_lp
+from tubereach.lpsolve import LpSolution, solve_lp
 from tubereach.sysmodel import cwh_los_tube
 
 from oracles import loop_box_bounds, lp_prune_vertices
@@ -80,7 +81,7 @@ def test_support_lps_are_solved_once(monkeypatch):
                          offsets=np.array([1.0, 0.0, 0.0]))
     solve, lps = geometry.solve_lp, []
     monkeypatch.setattr(geometry, "solve_lp",
-                        lambda lp: lps.append(lp) or solve(lp))
+                        lambda *lp: lps.append(lp) or solve(*lp))
     tri = triangle()
     lo, hi = tri.interval_bounds()
     assert not tri.is_empty() and tri.is_bounded()
@@ -91,7 +92,7 @@ def test_support_lps_are_solved_once(monkeypatch):
         hi[0] = 0.0
     # a support LP without a verdict proves nothing: that side stays open
     monkeypatch.setattr(geometry, "solve_lp",
-                        lambda lp: LpSolution(status="numerical_trouble"))
+                        lambda *lp: LpSolution(status="numerical_trouble"))
     tri = triangle()
     assert not tri.is_empty() and not tri.is_bounded()
 
@@ -141,6 +142,29 @@ def test_ray_exit():
 def test_zero_normal_row_rejected():
     with pytest.raises(ValueError):
         HPolytope(normals=np.array([[0.0, 0.0]]), offsets=np.array([1.0]))
+
+
+@pytest.mark.parametrize("normals, offsets", [
+    ([[1.0], [-1.0], [1.0]], [1.0, 1.0, np.nan]),
+    ([[np.inf], [-1.0]], [1.0, 1.0]), ([[np.nan], [-1.0]], [1.0, 1.0]),
+    ([[1.0, -np.inf]], [1.0])], ids=["nan-offset", "inf-normal",
+                                     "nan-normal", "minus-inf-normal"])
+def test_non_finite_faces_rejected(normals, offsets):
+    with pytest.raises(ValueError, match="finite"):
+        HPolytope(normals=normals, offsets=offsets)
+
+
+def test_infinite_offset_is_a_vacuous_face():
+    p = HPolytope(normals=[[1.0], [-1.0], [1.0]], offsets=[1.0, 1.0, np.inf])
+    np.testing.assert_array_equal(p.interval_bounds(), ([-1.0], [1.0]))
+    assert p.contains([0.0]) and p.is_bounded()
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0],
+                                 [1.0, -np.inf]])
+def test_non_finite_directions_rejected(bad):
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        DirectionSet([bad, [1.0, 0.0]])
 
 
 def test_vpolytope_contains_and_weights():
@@ -225,9 +249,9 @@ def hull_lps(monkeypatch):
     """The LPs the geometry module solves from now on."""
     solved = []
 
-    def counting_solve_lp(lp, *args, **kwargs):
-        solved.append(lp)
-        return solve_lp(lp, *args, **kwargs)
+    def counting_solve_lp(*args, **kwargs):
+        solved.append(args)
+        return solve_lp(*args, **kwargs)
     monkeypatch.setattr(geometry, "solve_lp", counting_solve_lp)
     return solved
 
@@ -400,7 +424,7 @@ def lp_reference(poly):
     """(empty, bounded, lo, hi) from a feasibility LP and 2n support LPs."""
     n = poly.dim
     ineq = (poly.normals, poly.offsets)
-    empty = not solve_lp(LinearProgram(objective=np.zeros(n), ineq=ineq)).optimal
+    empty = not solve_lp(np.zeros(n), *ineq).optimal
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     bounded = True
     if not empty:
@@ -408,7 +432,7 @@ def lp_reference(poly):
             for sign, out in ((1.0, hi), (-1.0, lo)):
                 c = np.zeros(n)
                 c[j] = -sign
-                sol = solve_lp(LinearProgram(objective=c, ineq=ineq))
+                sol = solve_lp(c, *ineq)
                 if sol.status == "unbounded":
                     bounded = False
                 else:

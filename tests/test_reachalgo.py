@@ -341,6 +341,16 @@ def test_malformed_result_json_is_a_value_error(text, problem):
         ReachSetResult.from_json(text)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.6, float("nan")])
+def test_result_alpha_outside_the_unit_interval_rejected(reach06, alpha):
+    doc = json.loads(reach06.to_json())
+    doc["alpha"] = alpha
+    with pytest.raises(ValueError, match=r"alpha .* outside \(0, 1\]"):
+        ReachSetResult.from_json(json.dumps(doc))
+    doc["alpha"] = 1.0
+    assert ReachSetResult.from_json(json.dumps(doc)).alpha == 1.0
+
+
 def test_backend_and_mode_validation(sys1d, tube1d):
     for mode in ("both", "nope"):
         with pytest.raises(ValueError, match="anchor_mode"):
@@ -353,6 +363,15 @@ def test_fewer_than_one_job_rejected_before_assembly(sys1d, tube1d,
     monkeypatch.setattr(chance, "step_moments", None)  # any call fails
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, jobs=jobs)
+
+
+def test_directions_of_the_wrong_length_rejected(sys2d, tube2d, pwa,
+                                                monkeypatch):
+    monkeypatch.setattr(chance, "step_moments", None)  # any call fails
+    with pytest.raises(ValueError, match="directions have 3 entries, but "
+                                         "the state has 2"):
+        compute_reach_set(sys2d, tube2d, 0.6,
+                          spread_directions(8, 3, (0, 1)), pwa=pwa)
 
 
 # ---------------------------------------------------------------------------
