@@ -360,6 +360,8 @@ class RiskLP:
         anchor = np.asarray(anchor, dtype=float).ravel()
         directions = [np.asarray(d, dtype=float).ravel()
                       for d in directions]
+        if not directions:
+            return
         t0 = self.tube[0]
         failed = "anchor lies outside T_0" \
             if not t0.contains(anchor, tol=1e-7) else self._floor_diagnostic

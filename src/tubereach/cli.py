@@ -3,8 +3,9 @@
 Subcommands: example (write a ready-made config), compute (polytopic
 underapproximation), interpolate (cross-threshold set), dp (grid
 baseline), validate (Monte-Carlo vertex check), report (merge artifacts).
-All randomness is seeded from the config (default 0) so reruns reproduce
-byte-identical artifacts.
+The config's seed seeds validation, the one random part, so reruns
+reproduce byte-identical artifacts.  A config key left out takes the
+default of the function that receives it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import montecarlo, reachalgo
 from .gaussian import build_pwa_quantile
 from .geometry import HPolytope, VPolytope, box_polytope, spread_directions
+from .reachalgo import ReachSetResult
 from .sysmodel import (GaussianDisturbance, StochasticLTVSystem, TargetTube,
                        cwh_los_tube, make_cwh, make_dubins,
                        make_integrator_chain, make_uncontrolled,
@@ -44,8 +46,7 @@ class ConfigError(ValueError):
 def _check_keys(node: dict, allowed, where: str) -> None:
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(node) - set(allowed)
-    if unknown:
+    if unknown := set(node) - set(allowed):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
@@ -68,7 +69,7 @@ def _number(value, kind, where: str):
     if not abs(value) <= _sys.float_info.max:  # NaN, inf, a huge int
         raise ConfigError(f"{where} must be finite, not {value!r}")
     if kind is int and value != int(value):
-        raise ConfigError(f"{where} must be an integer, not {value!r}")
+        raise ConfigError(f"{where} must be an integer, not {value}")
     return kind(value)
 
 
@@ -84,79 +85,92 @@ def _numbers(value, where: str) -> np.ndarray:
     return entries.astype(float)
 
 
-def _value(node: dict, key: str, where: str, kind=float, default=_REQUIRED):
-    """node[key] through _number, or through _numbers for kind list;
-    default when node lacks the key, and a missing key without a default
-    raises ConfigError."""
-    if default is not _REQUIRED and key not in node:
-        return default
-    value = _require(node, key, where)
-    name = f"{where}.{key}"
-    return _numbers(value, name) if kind is list else \
-        _number(value, kind, name)
+def _value(value, kind, where: str):
+    """A config value as kind: through _number for int and float, through
+    _numbers for list, as it is for None."""
+    if kind is None:
+        return value
+    return _numbers(value, where) if kind is list else \
+        _number(value, kind, where)
+
+
+# the default of a key that, left out, is not passed on, so that the
+# function receiving it applies its own
+_PASS = object()
+
+
+def _fields(node: dict, where: str, **keys) -> dict:
+    """The keys of a config object, each read by _value.  keys declares
+    every key it may hold: its kind (int, float, list for a list of
+    numbers, None for the value as it is) or, if it may be left out,
+    (kind, default); a default of _PASS leaves it out of the result."""
+    _check_keys(node, keys, where)
+    fields = {}
+    for key, kind in keys.items():
+        kind, default = kind if isinstance(kind, tuple) else (kind, _REQUIRED)
+        if key in node or default is _REQUIRED:
+            fields[key] = _value(_require(node, key, where), kind,
+                                 f"{where}.{key}")
+        elif default is not _PASS:
+            fields[key] = default
+    return fields
+
+
+def _passed(fields: dict, *names, **renamed) -> dict:
+    """Keyword arguments from those of fields that a config sets: each
+    of names under its own name, each key of renamed under the name it
+    maps to."""
+    params = {**{name: name for name in names}, **renamed}
+    return {params[key]: v for key, v in fields.items() if key in params}
 
 
 def _polytope(node: dict, where: str) -> HPolytope:
-    _check_keys(node, {"normals", "offsets"}, where)
-    return HPolytope(normals=_value(node, "normals", where, list),
-                     offsets=_value(node, "offsets", where, list))
+    return HPolytope(**_fields(node, where, normals=list, offsets=list))
 
 
 def build_system(spec: dict, horizon: int) -> StochasticLTVSystem:
     kind = _require(spec, "type", "system")
     if kind == "integrator":
-        _check_keys(spec, {"type", "dimension", "sampling_time",
-                           "covariance", "input_bound"}, "system")
-        return make_integrator_chain(
-            _value(spec, "dimension", "system", int),
-            _value(spec, "sampling_time", "system", default=0.1), horizon,
-            _value(spec, "covariance", "system"),
-            _value(spec, "input_bound", "system"))
+        f = _fields(spec, "system", type=None, dimension=int,
+                    sampling_time=(float, 0.1), covariance=float,
+                    input_bound=float)
+        return make_integrator_chain(f["dimension"], f["sampling_time"],
+                                     horizon, f["covariance"],
+                                     f["input_bound"])
     if kind == "uncontrolled":
-        _check_keys(spec, {"type", "dimension", "gain", "covariance"},
-                    "system")
-        return make_uncontrolled(
-            _value(spec, "dimension", "system", int),
-            gain=_value(spec, "gain", "system", default=0.8),
-            cov=_value(spec, "covariance", "system", default=0.05),
-            horizon=horizon)
+        f = _fields(spec, "system", type=None, dimension=int,
+                    gain=(float, _PASS), covariance=(float, _PASS))
+        return make_uncontrolled(f["dimension"], horizon=horizon,
+                                 **_passed(f, "gain", covariance="cov"))
     if kind == "cwh":
-        _check_keys(spec, {"type", "orbital_rate", "mass", "sampling_time",
-                           "covariance_diagonal", "input_bound"}, "system")
-        kwargs = {key: _value(spec, key, "system") for key in
-                  ("orbital_rate", "mass", "sampling_time", "input_bound")
-                  if key in spec}
-        if "covariance_diagonal" in spec:
-            kwargs["cov_diag"] = _value(spec, "covariance_diagonal",
-                                        "system", list)
-        return make_cwh(horizon=horizon, **kwargs)
+        f = _fields(spec, "system", type=None, orbital_rate=(float, _PASS),
+                    mass=(float, _PASS), sampling_time=(float, _PASS),
+                    input_bound=(float, _PASS),
+                    covariance_diagonal=(list, _PASS))
+        return make_cwh(horizon=horizon, **_passed(
+            f, "orbital_rate", "mass", "sampling_time", "input_bound",
+            covariance_diagonal="cov_diag"))
     if kind == "dubins":
-        _check_keys(spec, {"type", "sampling_time", "heading", "turn_rates",
-                           "input_bound", "disturbance_mean",
-                           "disturbance_covariance"}, "system")
-        return make_dubins(
-            _value(spec, "sampling_time", "system", default=0.1), horizon,
-            _value(spec, "heading", "system", default=0.3141592653589793),
-            _value(spec, "turn_rates", "system", list),
-            _value(spec, "input_bound", "system", default=10.0),
-            mu_eta=_value(spec, "disturbance_mean", "system", list,
-                          default=(0.0, 0.0)),
-            cov_eta=_value(spec, "disturbance_covariance", "system", list,
-                           default=None))
+        f = _fields(spec, "system", type=None, sampling_time=(float, 0.1),
+                    heading=(float, 0.3141592653589793), turn_rates=list,
+                    input_bound=(float, 10.0),
+                    disturbance_mean=(list, _PASS),
+                    disturbance_covariance=(list, _PASS))
+        return make_dubins(f["sampling_time"], horizon, f["heading"],
+                           f["turn_rates"], f["input_bound"],
+                           **_passed(f, disturbance_mean="mu_eta",
+                                     disturbance_covariance="cov_eta"))
     if kind == "custom":
-        _check_keys(spec, {"type", "A_seq", "B_seq", "disturbance",
-                           "input_set"}, "system")
-        dist = _require(spec, "disturbance", "system")
-        _check_keys(dist, {"mean", "covariance"}, "system.disturbance")
-        gd = GaussianDisturbance.iid(
-            _value(dist, "mean", "system.disturbance", list),
-            _value(dist, "covariance", "system.disturbance", list), horizon)
-        iset = spec.get("input_set")
+        f = _fields(spec, "system", type=None, A_seq=list, B_seq=list,
+                    disturbance=None, input_set=(None, None))
+        dist = _fields(f["disturbance"], "system.disturbance", mean=list,
+                       covariance=list)
         return StochasticLTVSystem(
-            A_seq=_value(spec, "A_seq", "system", list),
-            B_seq=_value(spec, "B_seq", "system", list), disturbance=gd,
-            input_set=None if iset is None
-            else _polytope(iset, "system.input_set"),
+            A_seq=f["A_seq"], B_seq=f["B_seq"],
+            disturbance=GaussianDisturbance.iid(
+                dist["mean"], dist["covariance"], horizon),
+            input_set=None if f["input_set"] is None
+            else _polytope(f["input_set"], "system.input_set"),
             horizon=horizon)
     raise ConfigError(f"unknown system type {kind!r}")
 
@@ -165,32 +179,28 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
     kind = _require(spec, "type", "tube")
     horizon = sys.horizon
     if kind == "viability":
-        _check_keys(spec, {"type", "half_width", "terminal_half_width"},
-                    "tube")
-        return viability_tube(
-            sys.state_dim, _value(spec, "half_width", "tube"), horizon,
-            _value(spec, "terminal_half_width", "tube", default=None))
+        f = _fields(spec, "tube", type=None, half_width=float,
+                    terminal_half_width=(float, _PASS))
+        return viability_tube(sys.state_dim, f["half_width"], horizon,
+                              **_passed(f, "terminal_half_width"))
     if kind == "shrinking-box":
-        _check_keys(spec, {"type", "base_half_width", "decay"}, "tube")
-        base = _value(spec, "base_half_width", "tube")
-        decay = _value(spec, "decay", "tube")
-        return TargetTube([box_polytope(np.zeros(sys.state_dim),
-                                        [base * decay ** k] * sys.state_dim)
-                           for k in range(horizon + 1)])
+        f = _fields(spec, "tube", type=None, base_half_width=float,
+                    decay=float)
+        return TargetTube([box_polytope(
+            np.zeros(sys.state_dim),
+            [f["base_half_width"] * f["decay"] ** k] * sys.state_dim)
+            for k in range(horizon + 1)])
     if kind == "cwh-los":
-        _check_keys(spec, {"type"}, "tube")
+        _fields(spec, "tube", type=None)
         return cwh_los_tube(horizon)
     if kind == "dubins-nominal":
-        _check_keys(spec, {"type", "delta", "decay_steps",
-                           "base_half_width"}, "tube")
-        return nominal_dubins_tube(
-            sys, _value(spec, "delta", "tube", default=0.7),
-            decay_steps=_value(spec, "decay_steps", "tube", default=100.0),
-            base_half_width=_value(spec, "base_half_width", "tube",
-                                   default=4.0))
+        f = _fields(spec, "tube", type=None, delta=(float, 0.7),
+                    decay_steps=(float, _PASS),
+                    base_half_width=(float, _PASS))
+        return nominal_dubins_tube(sys, f["delta"], **_passed(
+            f, "decay_steps", "base_half_width"))
     if kind == "explicit":
-        _check_keys(spec, {"type", "sets"}, "tube")
-        sets = _require(spec, "sets", "tube")
+        sets = _fields(spec, "tube", type=None, sets=None)["sets"]
         if not isinstance(sets, list):
             raise ConfigError(f"tube.sets must be a list, not {sets!r}")
         return TargetTube([_polytope(s, f"tube.sets[{k}]")
@@ -198,19 +208,23 @@ def build_tube(spec: dict, sys: StochasticLTVSystem) -> TargetTube:
     raise ConfigError(f"unknown tube type {kind!r}")
 
 
-_TOP_KEYS = {"system", "tube", "horizon", "alphas", "directions",
-             "anchor_mode", "seed", "pwa", "output_dir", "dp", "validation"}
-# the optional sections, their keys and the kind of number each holds; the
-# slice is a pair of state indices
-_SECTIONS = {"directions": {"count": int, "slice": None},
-             "pwa": {"tolerance": float, "delta_lb": float},
-             "dp": {"state_spacing": float, "input_spacing": float},
-             "validation": {"n_traj": int, "seed": int}}
+# the optional sections: each key's kind and its default (all may be left
+# out); the slice is a pair of state indices
+_SECTIONS = {"directions": {"count": (int, 8), "slice": (list, (0, 1))},
+             "pwa": {"tolerance": (float, _PASS), "delta_lb": (float, _PASS)},
+             "dp": {"state_spacing": (float, 0.05),
+                    "input_spacing": (float, 0.05)},
+             "validation": {"n_traj": (int, 100000)}}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """An optional section of a config, read through its declaration."""
+    return _fields(cfg.get(name, {}), name, **_SECTIONS[name])
 
 
 def load_config(path: str) -> dict:
-    """The config at path, with every number of its top level and of its
-    optional sections checked and converted by _number."""
+    """The config at path, its top level read by _fields and checked; its
+    optional sections are checked here and read where they are used."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -218,57 +232,40 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for key in ("system", "tube", "horizon", "alphas"):
-        _require(cfg, key, "config")
+    cfg = _fields(cfg, "config", system=None, tube=None, horizon=int,
+                  alphas=None, seed=(int, _PASS), anchor_mode=(None, _PASS),
+                  output_dir=(None, "."),
+                  **{name: (None, _PASS) for name in _SECTIONS})
     if not isinstance(cfg["alphas"], list) or not cfg["alphas"]:
         raise ConfigError("alphas must be a nonempty list")
     cfg["alphas"] = [_number(a, float, "alpha") for a in cfg["alphas"]]
     for a in cfg["alphas"]:
         if not 0.0 < a <= 1.0:
             raise ConfigError(f"alpha {a} outside (0, 1]")
-    cfg["horizon"] = _number(cfg["horizon"], int, "horizon")
     if cfg["horizon"] < 1:
         raise ConfigError("horizon must be >= 1")
-    cfg["seed"] = _number(cfg.get("seed", 0), int, "seed")
-    anchor_mode = cfg.get("anchor_mode", "cheby")
-    if anchor_mode not in ("cheby", "xmax"):
-        raise ConfigError(f"unknown anchor_mode {anchor_mode!r}")
-    for section, kinds in _SECTIONS.items():
-        node = cfg.setdefault(section, {})
-        _check_keys(node, kinds, section)
-        for key, value in node.items():
-            if key != "slice":
-                node[key] = _number(value, kinds[key], f"{section}.{key}")
-    slice_dims = cfg["directions"].get("slice")
-    if slice_dims is not None:
-        if not isinstance(slice_dims, list) or len(slice_dims) != 2:
-            raise ConfigError("directions.slice must be a pair of state "
-                              f"indices, not {slice_dims!r}")
-        cfg["directions"]["slice"] = [_number(d, int, "directions.slice")
-                                      for d in slice_dims]
-    for name, seed in (("seed", cfg["seed"]),
-                       ("validation.seed", cfg["validation"].get("seed", 0))):
-        if seed < 0:
-            raise ConfigError(f"{name} must be >= 0, not {seed}")
-    output_dir = cfg.get("output_dir", ".")
-    if not isinstance(output_dir, str) or not output_dir:
+    if "seed" in cfg and cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, not {cfg['seed']}")
+    if cfg.get("anchor_mode") not in (None, "cheby", "xmax"):
+        raise ConfigError(f"unknown anchor_mode {cfg['anchor_mode']!r}")
+    for name in _SECTIONS:
+        _section(cfg, name)
+    if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
         raise ConfigError("output_dir must be a nonempty string, not "
-                          f"{output_dir!r}")
+                          f"{cfg['output_dir']!r}")
     return cfg
 
 
 def _problem(cfg: dict):
-    """System, tube and directions of a config as load_config returns
-    it."""
+    """System, tube and directions of a config."""
     sys = build_system(cfg["system"], cfg["horizon"])
     tube = build_tube(cfg["tube"], sys)
-    dirs_cfg = cfg.get("directions", {})
-    directions = spread_directions(
-        dirs_cfg.get("count", 8 if sys.state_dim != 1 else 2),
-        sys.state_dim,
-        dirs_cfg.get("slice", (0, 1) if sys.state_dim > 2 else None))
-    return sys, tube, directions
+    dirs = _section(cfg, "directions")
+    pair = [_number(d, int, "directions.slice") for d in dirs["slice"]]
+    if len(pair) != 2:
+        raise ConfigError("directions.slice must be a pair of state "
+                          f"indices, not {pair}")
+    return sys, tube, spread_directions(dirs["count"], sys.state_dim, pair)
 
 
 def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
@@ -276,10 +273,9 @@ def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
     envelope; costs, when given, gets the envelope's build seconds, piece
     count and secant-gap evaluations."""
     sys, tube, directions = _problem(cfg)
-    pwa_cfg = cfg.get("pwa", {})
     start = time.perf_counter()
-    pwa = build_pwa_quantile(delta_lb=pwa_cfg.get("delta_lb", 1e-6),
-                             tol=pwa_cfg.get("tolerance", 1e-3))
+    pwa = build_pwa_quantile(**_passed(_section(cfg, "pwa"), "delta_lb",
+                                       tolerance="tol"))
     if costs is not None:
         costs.update(envelope=time.perf_counter() - start,
                      envelope_pieces=len(pwa),
@@ -292,22 +288,16 @@ def _alpha_tag(alpha: float) -> str:
     return f"alpha{alpha:g}".replace(".", "p")
 
 
-def _read_result(path) -> reachalgo.ReachSetResult:
-    """A result file as `compute` writes it; a malformed one raises
-    ValueError naming the file."""
-    return _read(path, reachalgo.ReachSetResult.from_json)
-
-
 def _read(path, reader):
     """reader applied to the text of a file; a ValueError it raises
     names the file."""
     return _naming([path], reader, Path(path).read_text())
 
 
-def _naming(paths, fn, *args):
-    """fn(*args); a ValueError it raises names the files in paths."""
+def _naming(paths, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValueError it raises names paths' files."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{', '.join(map(str, paths))}: {exc}") from None
 
@@ -329,14 +319,13 @@ def cmd_compute(args) -> int:
     cfg = load_config(args.config)
     setup: Dict[str, float] = {}
     sys, tube, directions, pwa = _instantiate(cfg, setup)
-    outdir = args.output_dir or cfg.get("output_dir", ".")
+    outdir = args.output_dir or cfg["output_dir"]
     any_empty = False
     timings: Dict[str, Dict[str, float]] = {"setup": setup}
     for alpha in cfg["alphas"]:
         res = reachalgo.compute_reach_set(
-            sys, tube, alpha, directions,
-            anchor_mode=cfg.get("anchor_mode", "cheby"), pwa=pwa,
-            jobs=args.jobs)
+            sys, tube, alpha, directions, pwa=pwa, jobs=args.jobs,
+            **_passed(cfg, "anchor_mode"))
         if res.status == "solver_failure":
             log.error("solver failure at alpha=%s: %s", alpha, res.diagnostic)
             return EXIT_SOLVER_FAILURE
@@ -398,7 +387,8 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_interpolate(args) -> int:
-    set1, set2 = _read_result(args.set1), _read_result(args.set2)
+    set1, set2 = (_read(path, ReachSetResult.from_json)
+                  for path in (args.set1, args.set2))
     if set1.alpha > set2.alpha:
         set1, set2 = set2, set1
     t0 = time.perf_counter()
@@ -418,10 +408,10 @@ def cmd_interpolate(args) -> int:
 def cmd_dp(args) -> int:
     cfg = load_config(args.config)
     sys, tube, _ = _problem(cfg)
-    table = reachalgo.dp_values(sys, tube,
-                                cfg["dp"].get("state_spacing", 0.05),
-                                cfg["dp"].get("input_spacing", 0.05))
-    outdir = args.output_dir or cfg.get("output_dir", ".")
+    dp = _section(cfg, "dp")
+    table = reachalgo.dp_values(sys, tube, dp["state_spacing"],
+                                dp["input_spacing"])
+    outdir = args.output_dir or cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     mesh = np.meshgrid(*table.grids, indexing="ij")
     _write_csv(os.path.join(outdir, "dp_values.csv"),
@@ -445,17 +435,15 @@ def cmd_validate(args) -> int:
     # the envelope is built though nothing here reads it yet, so that
     # validate refuses the pwa settings that compute refuses
     sys, tube, _, _ = _instantiate(cfg)
-    result = _read_result(args.result)
+    result = _read(args.result, ReachSetResult.from_json)
     if result.is_empty:
         log.error("result artifact holds an empty set; nothing to validate")
         return EXIT_EMPTY_SET
-    val_cfg = cfg["validation"]
     n_traj = args.n_traj if args.n_traj is not None \
-        else val_cfg.get("n_traj", 100000)
-    seed = val_cfg.get("seed", cfg["seed"])
+        else _section(cfg, "validation")["n_traj"]
     report = _naming([args.result], montecarlo.validate_vertices, result,
-                     sys, tube, n_traj, seed)
-    outdir = args.output_dir or cfg.get("output_dir", ".")
+                     sys, tube, n_traj, **_passed(cfg, "seed"))
+    outdir = args.output_dir or cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     base = os.path.join(outdir, "validation")
     Path(base + ".json").write_text(report.to_json())
@@ -479,7 +467,7 @@ def cmd_report(args) -> int:
     for name in sorted(os.listdir(args.dir)):
         path = os.path.join(args.dir, name)
         if name.startswith("reach_") and name.endswith(".json"):
-            res = _read_result(path)
+            res = _read(path, ReachSetResult.from_json)
             merged["results"].append({
                 "alpha": res.alpha, "status": res.status,
                 "n_vertices": None if res.is_empty

@@ -256,10 +256,14 @@ def extreme_indices(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] == 2:
         return _hull_2d(pts)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    # each point is compared only with the points kept before it, held
+    # in one buffer, so memory stays linear in the points
+    kept = np.empty_like(pts)
     keep: List[int] = []
-    for i in range(pts.shape[0]):
-        if not keep or dist[i, keep].min() > DEFAULT_TOL:
+    for i, p in enumerate(pts):
+        if not keep or np.linalg.norm(kept[:len(keep)] - p,
+                                      axis=1).min() > DEFAULT_TOL:
+            kept[len(keep)] = p
             keep.append(i)
     if len(keep) <= 1:
         return np.array(keep, dtype=int)

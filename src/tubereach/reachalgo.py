@@ -153,7 +153,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     (anytime). Per-direction failures are recorded, never fatal.
     The searches run in chains of CHAIN_LENGTH consecutive directions,
     each chain re-solving one LP model (RiskLP.lines).  max_directions
-    truncates the direction list; a search that would start more than
+    (at least 0) truncates the direction list; a search that would start more than
     time_budget seconds after the call is skipped (status "skipped");
     jobs (at least 1) caps concurrent chains.
     """
@@ -161,6 +161,9 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if max_directions is not None and max_directions < 0:
+        raise ValueError("max_directions must be at least 0, not "
+                         f"{max_directions}")
     dirs = directions.directions[:max_directions]
     if dirs.shape[1] != sys.state_dim:
         raise ValueError(f"directions have {dirs.shape[1]} entries, but the "

@@ -705,6 +705,15 @@ def test_infeasible_risk_lp_is_empty_without_presolve(sys1d, tube1d, pwa,
     assert seen == [{"presolve": "off"}] * len(seen) and len(seen) == 4
 
 
+def test_no_directions_yield_no_points(sys2d, tube2d, pwa, line_lps):
+    risk = RiskLP(sys2d, tube2d, 0.6, pwa)
+    anchor = risk.anchor("cheby")
+    solved = []
+    line_lps(lambda model: solved.append(model))
+    assert list(risk.lines(anchor.x_anchor, [])) == []
+    assert solved == []
+
+
 def chain_system(n):
     """Integrator chain in a wide box tube, as in the integrator40
     example: most tail conditions have room to spare along a slice."""

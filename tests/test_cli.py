@@ -224,7 +224,7 @@ INTEGRATOR2 = _EXAMPLES["integrator2"]["system"]
         "horizon-fraction", "horizon-bool", "horizon-beyond-float",
         "count-fraction",
         "n-traj-fraction", "seed-string", "seed-negative",
-        "validation-seed-negative", "output-dir-number", "output-dir-null",
+        "validation-seed-unknown", "output-dir-number", "output-dir-null",
         "output-dir-list", "output-dir-empty", "slice-fraction",
         "dimension-null",
         "covariance-list", "covariance-nan", "input-bound-inf",
@@ -240,6 +240,66 @@ def test_malformed_config_is_one_error_line(tmp_path, caplog, capsys,
     assert [r.levelname for r in logged] == ["ERROR"]
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+# every optional key at its default, the CLI's own or the receiving
+# function's
+DEFAULTS = {"directions": {"count": 8, "slice": [0, 1]},
+            "pwa": {"delta_lb": 1e-6, "tolerance": 1e-3},
+            "dp": {"state_spacing": 0.05, "input_spacing": 0.05},
+            "validation": {"n_traj": 100000},
+            "seed": 0, "anchor_mode": "cheby", "output_dir": "."}
+SPELLED_OUT = {
+    # a terminal box as wide as the others is no terminal box
+    "integrator2": {"system": {"sampling_time": 0.1},
+                    "tube": {"terminal_half_width": 1.0}},
+    "cwh": {"system": {"orbital_rate": 0.00106, "mass": 1.0,
+                       "sampling_time": 20.0, "input_bound": 0.1,
+                       "covariance_diagonal": [1e-4, 1e-4, 5e-8, 5e-8]}},
+    "dubins": {"system": {"sampling_time": 0.1, "input_bound": 10.0,
+                          "heading": 0.3141592653589793,
+                          "disturbance_mean": [0.0, 0.0],
+                          "disturbance_covariance": [[1e-3, 0.0],
+                                                     [0.0, 1e-3]]},
+               "tube": {"delta": 0.7, "decay_steps": 100.0,
+                        "base_half_width": 4.0}}}
+
+
+@pytest.mark.parametrize("example", sorted(SPELLED_OUT))
+def test_defaults_spelled_out_change_no_artifact(tmp_path, example):
+    shipped = _EXAMPLES[example]
+    spelled = {**shipped}
+    for key, default in DEFAULTS.items():
+        spelled[key] = {**default, **shipped.get(key, {})} \
+            if isinstance(default, dict) else shipped.get(key, default)
+    for section, keys in SPELLED_OUT[example].items():
+        spelled[section] = {**keys, **shipped[section]}
+        # where the example sets a key, it sets it at the default too
+        assert spelled[section] == {**shipped[section], **keys}
+    written = {}
+    for name, cfg in (("shipped", shipped), ("spelled", spelled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["compute", str(path), "-d", str(out)]) == EXIT_OK
+        written[name] = {f.name: f.read_bytes() for f in out.iterdir()
+                         if f.name != "timings.json"}
+    assert len(written["shipped"]) >= 2
+    assert written["spelled"] == written["shipped"]
+
+
+def test_validation_seed_is_refused(tmp_path, caplog):
+    cfg = scalar_config(tmp_path, [0.6])
+    assert main(["compute", str(cfg), "-d", str(tmp_path)]) == EXIT_OK
+    # one seed: the top-level seed is the one validation reads
+    cfg = scalar_config(tmp_path, [0.6], extra={"validation": {"seed": 1}})
+    caplog.clear()
+    assert main(["validate", str(cfg), "--result",
+                 str(tmp_path / "reach_alpha0p6.json"), "--n-traj", "1000",
+                 "-d", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", "unknown key(s) in validation: ['seed']")]
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json_rejected(tmp_path):

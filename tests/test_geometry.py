@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +245,22 @@ def test_prune_vertices_high_dim():
     v = VPolytope(np.vstack([np.eye(4), [[0.25, 0.25, 0.25, 0.25]]]))
     pruned = prune_vertices(v)
     assert pruned.n_vertices == 4
+
+
+def test_pruning_memory_is_linear_in_the_points():
+    # near-duplicates are found against the points kept so far, not from
+    # an n x n x d table of differences (420 MB here)
+    rng = np.random.default_rng(0)
+    flat = rng.normal(size=(800, 2))
+    points = flat @ rng.normal(size=(2, 40))
+    tracemalloc.start()
+    try:
+        kept = extreme_indices(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    np.testing.assert_array_equal(kept, np.sort(extreme_indices(flat)))
 
 
 def hull_lps(monkeypatch):

@@ -213,6 +213,46 @@ def test_detector_flags_private_names_no_module_reads():
         "a.py:_Orphan", "a.py:_dead", "a.py:_unused", "b.py:_stored"]
 
 
+def readers_of(source, name):
+    """The top-level definitions of source that read name (None for a
+    read outside any): a call, or any other load of the bare name."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else None
+        found.update(owner for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id == name
+                     and isinstance(node.ctx, ast.Load))
+    return found
+
+
+def test_one_reader_reads_the_config_keys():
+    # a key can be accepted only where it is read, so only _fields checks
+    # keys and converts values
+    source = (PACKAGE / "cli.py").read_text()
+    assert readers_of(source, "_value") == {"_fields"}
+    assert readers_of(source, "_check_keys") == {"_fields"}
+
+
+def test_detector_flags_readers():
+    source = ("def _value(x):\n"
+              "    return x\n"
+              "def _fields(node):\n"
+              "    return [_value(v) for v in node]\n"
+              "FIRST = _value(1)\n"
+              "class Reader:\n"
+              "    def read(self, v):\n"
+              "        return _value(v)\n"
+              "def alias():\n"
+              "    return map(_value, [])\n"
+              "def other(_value):\n"
+              "    _value = obj._value(1)\n")
+    assert readers_of(source, "_value") == {"_fields", None, "Reader",
+                                            "alias"}
+    assert readers_of(source, "_fields") == set()
+
+
 def imports_highspy(source: str) -> bool:
     """Whether source imports scipy's bundled HiGHS bindings,
     scipy.optimize._highspy or a module of it."""

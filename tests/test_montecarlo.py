@@ -339,7 +339,7 @@ def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):
     assert len(data["records"]) == len(report.records)
     # `tubereach validate` on the same system, result and seed writes
     # this report, and beside it a CSV row a vertex
-    cfg = scalar_config(tmp_path, [0.6], extra={"validation": {"seed": 1}})
+    cfg = scalar_config(tmp_path, [0.6], extra={"seed": 1})
     result = tmp_path / "reach_alpha0p6.json"
     result.write_text(reach06.to_json())
     assert main(["validate", str(cfg), "--result", str(result),
@@ -354,7 +354,7 @@ def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):
 
 def test_validate_artifact_independent_of_worker_count(monkeypatch, reach06,
                                                       tmp_path):
-    cfg = scalar_config(tmp_path, [0.6], extra={"validation": {"seed": 1}})
+    cfg = scalar_config(tmp_path, [0.6], extra={"seed": 1})
     result = tmp_path / "reach_alpha0p6.json"
     result.write_text(reach06.to_json())
     texts = []

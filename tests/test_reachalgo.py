@@ -365,6 +365,19 @@ def test_fewer_than_one_job_rejected_before_assembly(sys1d, tube1d,
         compute_reach_set(sys1d, tube1d, 0.6, DIRS_1D, jobs=jobs)
 
 
+def test_negative_max_directions_rejected(sys2d, tube2d, pwa, monkeypatch):
+    directions = spread_directions(8, 2)
+    # 0 is legal: the set is the anchor alone
+    res = compute_reach_set(sys2d, tube2d, 0.6, directions, pwa=pwa,
+                            max_directions=0)
+    assert res.status == "ok" and res.boundary_points == []
+    monkeypatch.setattr(chance, "step_moments", None)  # any call fails
+    with pytest.raises(ValueError, match="max_directions must be at least "
+                                         "0, not -1"):
+        compute_reach_set(sys2d, tube2d, 0.6, directions, pwa=pwa,
+                          max_directions=-1)
+
+
 def test_directions_of_the_wrong_length_rejected(sys2d, tube2d, pwa,
                                                 monkeypatch):
     monkeypatch.setattr(chance, "step_moments", None)  # any call fails
