@@ -15,6 +15,7 @@ each question only says how the initial state enters.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -334,17 +335,23 @@ class RiskLP:
         return self.rows[:nr, :self.n_u] @ U + self._x0[:nr] @ x0 \
             <= self.rhs[:nr]
 
-    def lines(self, anchor, directions) -> Iterator[BoundaryPoint]:
+    def lines(self, anchor, directions,
+              deadline: Optional[float] = None) -> Iterator[BoundaryPoint]:
         """Boundary points at the maximal steps along directions from the
         anchor keeping the risk allocation feasible, yielded in order,
         each solved when it is asked for; each point's input sequence
         certifies its lower bound.  A failed search stays at the anchor
-        and marks only its own direction.
+        and marks only its own direction.  So does a point that no
+        search reaches, with no controller: every point is "infeasible"
+        when the anchor lies outside T_0 or the budget is below its
+        floor, and "skipped" from the first search that would start
+        after deadline (a time.perf_counter() reading) on.
 
-        The directions form one chain: one LP model, re-solved from the
-        last basis.  Every direction's risk window is found first, and
-        the model holds every segment column that the window of any
-        direction keeps, with its row, each spanning its whole piece.
+        The directions form one chain: one LP model, built for the first
+        search and re-solved from the last basis.  Every direction's
+        risk window is found first, and the model holds every segment
+        column that the window of any direction keeps, with its row,
+        each spanning its whole piece.
         For each direction only the step column y changes: its
         coefficients _x0 d on the kept rows, of which only those that
         differ from the last direction's are sent, and its upper bound,
@@ -360,37 +367,39 @@ class RiskLP:
         anchor = np.asarray(anchor, dtype=float).ravel()
         directions = [np.asarray(d, dtype=float).ravel()
                       for d in directions]
-        if not directions:
-            return
         t0 = self.tube[0]
+        status = "infeasible"
         failed = "anchor lies outside T_0" \
             if not t0.contains(anchor, tol=1e-7) else self._floor_diagnostic
-        if failed:
-            for d in directions:
+        for j, d in enumerate(directions):
+            if not failed and deadline is not None \
+                    and time.perf_counter() > deadline:
+                status, failed = "skipped", "time budget exhausted"
+            if failed:
                 yield BoundaryPoint(direction=d, theta=0.0,
                                     point=anchor.copy(), U=None,
-                                    lower_bound=0.0, status="infeasible",
+                                    lower_bound=0.0, status=status,
                                     diagnostic=failed)
-            return
-        x0_const = self._x0 @ anchor
-        exits = [t0.ray_exit(anchor, d) for d in directions]
-        x0_cols = [self._x0 @ d for d in directions]
-        cols = np.logical_or.reduce(
-            [self._windows(col, x0_const, top)
-             for col, top in zip(x0_cols, exits)])
-        model = self._model(anchor, directions[0][:, None], cols, 0.0,
-                            exits[0], maximize=True)
-        keep = self._kept_rows(cols)
-        y = model.n_vars - 1
-        held = x0_cols[0][keep]
-        for j, (d, col, top) in enumerate(zip(directions, x0_cols, exits)):
-            if j:
+                continue
+            if not j:
+                x0_const = self._x0 @ anchor
+                exits = [t0.ray_exit(anchor, e) for e in directions]
+                x0_cols = [self._x0 @ e for e in directions]
+                cols = np.logical_or.reduce(
+                    [self._windows(col, x0_const, top)
+                     for col, top in zip(x0_cols, exits)])
+                model = self._model(anchor, d[:, None], cols, 0.0,
+                                    exits[0], maximize=True)
+                keep = self._kept_rows(cols)
+                y = model.n_vars - 1
+                held = x0_cols[0][keep]
+            else:
                 # only the entries that differ: resending an equal value,
                 # or a zero where none is held, leaves the model as it is
-                new = col[keep]
+                new = x0_cols[j][keep]
                 changed = np.flatnonzero(new != held)
                 model.change_column(y, changed, new[changed])
-                model.change_bounds([y], [0.0], [top])
+                model.change_bounds([y], [0.0], [exits[j]])
                 held = new
             sol = self._solution(highs_solve(model), cols)
             ok = sol.status == "optimal"

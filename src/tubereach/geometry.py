@@ -320,8 +320,9 @@ def spread_directions(count: int, dim: int,
     if dim > 2 and slice_dims is None:
         raise ValueError("slice_dims required for dim > 2")
     if slice_dims is not None and not (
-            slice_dims[0] != slice_dims[1]
-            and all(0 <= d < dim for d in slice_dims)):
+            len(slice_dims) == 2 and slice_dims[0] != slice_dims[1]
+            and all(isinstance(d, (int, np.integer)) and 0 <= d < dim
+                    for d in slice_dims)):
         raise ValueError(f"slice_dims {tuple(slice_dims)} must be two "
                          f"distinct coordinates in [0, {dim})")
     i, j = (0, 1) if dim == 2 else slice_dims

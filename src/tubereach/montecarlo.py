@@ -203,14 +203,6 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
     return probs, stds, _binomial_std(c1, c2, len(x0s), n_traj)
 
 
-def simulate_reach_prob(sys: StochasticLTVSystem, tube: TargetTube, x0, U,
-                        n_traj: int, seed: int = 0) -> Tuple[float, float]:
-    """Empirical probability that open-loop trajectories from x0 stay in
-    the tube at every step, with its binomial standard deviation."""
-    probs, stds, _ = simulate_reach_probs(sys, tube, [x0], [U], n_traj, seed)
-    return float(probs[0]), float(stds[0])
-
-
 @dataclass
 class VertexRecord:
     point: np.ndarray
@@ -301,10 +293,10 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     Every vertex is rolled out on the same n_traj trajectories (common
     random numbers), split into an even number of balanced chunks, chunk j
     drawn from the SFC64 stream spawned from SeedSequence(seed) with spawn
-    key (j,).  Each vertex's estimate equals simulate_reach_prob of that
-    vertex alone at `seed`.  The chunks run on one worker thread per CPU
-    available, and the report does not depend on how many; memory is
-    bounded by workers x chunk, whatever n_traj."""
+    key (j,).  Each vertex's estimate equals the one simulate_reach_probs
+    gives that vertex alone at `seed`.  The chunks run on one worker
+    thread per CPU available, and the report does not depend on how
+    many; memory is bounded by workers x chunk, whatever n_traj."""
     if result.is_empty:
         raise ValueError("cannot validate an empty result")
     points = [(bp.point, bp.U) for bp in result.boundary_points

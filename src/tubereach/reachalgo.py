@@ -153,9 +153,11 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     (anytime). Per-direction failures are recorded, never fatal.
     The searches run in chains of CHAIN_LENGTH consecutive directions,
     each chain re-solving one LP model (RiskLP.lines).  max_directions
-    (at least 0) truncates the direction list; a search that would start more than
-    time_budget seconds after the call is skipped (status "skipped");
-    jobs (at least 1) caps concurrent chains.
+    (at least 0) truncates the direction list.  time_budget (at least 0
+    seconds; inf allowed) puts one deadline, that many seconds after the
+    call starts, on every chain: a search that would start after it is
+    skipped (status "skipped"), and so is the rest of its chain.  jobs
+    (at least 1) caps concurrent chains.
     """
     if anchor_mode not in ("xmax", "cheby"):
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
@@ -164,6 +166,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     if max_directions is not None and max_directions < 0:
         raise ValueError("max_directions must be at least 0, not "
                          f"{max_directions}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be at least 0, not {time_budget}")
     dirs = directions.directions[:max_directions]
     if dirs.shape[1] != sys.state_dim:
         raise ValueError(f"directions have {dirs.shape[1]} entries, but the "
@@ -188,29 +192,16 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
             status=anchor.status, diagnostic=anchor.diagnostic,
             timings={**timings, "total": t_anchored - t0})
 
-    deadline = None if time_budget is None else t0 + time_budget
-
-    def search(chain: np.ndarray) -> List[BoundaryPoint]:
-        points = []
-        found = risk.lines(anchor.x_anchor, chain)
-        for _ in chain:
-            if deadline is not None and time.perf_counter() > deadline:
-                break
-            points.append(next(found))
-        return points + [
-            BoundaryPoint(direction=d, theta=0.0,
-                          point=anchor.x_anchor.copy(), U=None,
-                          lower_bound=0.0, status="skipped",
-                          diagnostic="time budget exhausted")
-            for d in chain[len(points):]]
-
     # neighbouring directions give nearly the same LP, so each chain of
     # them shares one model; the cut depends on the direction list alone,
     # which keeps the results independent of jobs
     chains = [dirs[i:i + CHAIN_LENGTH]
               for i in range(0, len(dirs), CHAIN_LENGTH)]
+    deadline = None if time_budget is None else t0 + time_budget
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        points = [bp for found in pool.map(search, chains) for bp in found]
+        points = [bp for found in pool.map(
+            lambda chain: list(risk.lines(anchor.x_anchor, chain, deadline)),
+            chains) for bp in found]
     timings["searches"] = time.perf_counter() - t_anchored
     # simplex iterations and HiGHS seconds of every search, summed over
     # chains (so above searches when chains run side by side), and the

@@ -13,7 +13,7 @@ from tubereach.cli import _EXAMPLES, _instantiate
 from tubereach.gaussian import build_pwa_quantile
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
 from tubereach.lpsolve import LpModel, LpSolution, highs_solve
-from tubereach.montecarlo import simulate_reach_prob
+from tubereach.montecarlo import simulate_reach_probs
 from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 make_integrator_chain, viability_tube)
@@ -264,8 +264,8 @@ def test_conservatism_against_monte_carlo(sys1d, tube1d, pwa):
     risk = RiskLP(sys1d, tube1d, 0.6, pwa)
     anchor = risk.anchor("xmax")
     ls = line(risk, anchor.x_anchor, np.array([1.0]))
-    p, s = simulate_reach_prob(sys1d, tube1d, ls.point, ls.U, 100_000,
-                               seed=0)
+    (p,), (s,), _ = simulate_reach_probs(sys1d, tube1d, [ls.point], [ls.U],
+                                         100_000, seed=0)
     assert p >= ls.lower_bound - 3 * s
 
 

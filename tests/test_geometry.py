@@ -416,8 +416,8 @@ def test_spread_directions_sliced():
 def test_spread_directions_needs_slice_above_2d():
     with pytest.raises(ValueError):
         spread_directions(8, 3)
-    # a slice names two distinct coordinates of the state
-    for bad in [(0, 45), (1, 1), (-1, 0)]:
+    # a slice names two distinct integer coordinates of the state
+    for bad in [(0, 45), (1, 1), (-1, 0), (0,), (0, 1.5), (0, 1, 2)]:
         with pytest.raises(ValueError, match="distinct coordinates"):
             spread_directions(8, 40, slice_dims=bad)
 

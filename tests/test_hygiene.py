@@ -253,6 +253,59 @@ def test_detector_flags_readers():
     assert readers_of(source, "_fields") == set()
 
 
+def callers_of(source, name):
+    """The definition that holds each call of name in source, as name(...)
+    or obj.name(...): the dotted path of its enclosing classes and
+    functions, "<module>" outside any; sorted, one entry per call."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name) and func.id == name or \
+                        isinstance(func, ast.Attribute) and func.attr == name:
+                    found.append(".".join(path) or "<module>")
+            visit(child, path)
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_boundary_points_are_built_by_the_search_and_the_reader():
+    # a search's outcome, skipped and infeasible points included, is
+    # decided in RiskLP.lines alone; from_json only reads points back
+    places = sorted((path.name, owner) for path in MODULES
+                    for owner in callers_of(path.read_text(), "BoundaryPoint"))
+    # lines builds two: the point it solves, and the point that stays at
+    # the anchor
+    assert places == [("chance.py", "RiskLP.lines")] * 2 + [
+        ("reachalgo.py", "ReachSetResult.from_json")]
+
+
+def test_detector_flags_callers():
+    source = ("from . import chance\n"
+              "from .chance import BoundaryPoint\n"
+              "FIRST = BoundaryPoint(1)\n"
+              "class Result:\n"
+              "    kind = BoundaryPoint\n"
+              "    @classmethod\n"
+              "    def read(cls, docs):\n"
+              "        return [chance.BoundaryPoint(d) for d in docs]\n"
+              "def search(chains):\n"
+              "    def one(chain):\n"
+              "        return [BoundaryPoint(d) for d in chain]\n"
+              "    return map(lambda c: BoundaryPoint(c), chains)\n"
+              "def other(BoundaryPoint):\n"
+              "    return BoundaryPoint\n")
+    assert callers_of(source, "BoundaryPoint") == [
+        "<module>", "Result.read", "search", "search.one"]
+    assert callers_of(source, "search") == []
+
+
 def imports_highspy(source: str) -> bool:
     """Whether source imports scipy's bundled HiGHS bindings,
     scipy.optimize._highspy or a module of it."""

@@ -9,8 +9,8 @@ from tubereach import montecarlo
 from tubereach.geometry import (DirectionSet, VPolytope, box_polytope,
                                 spread_directions)
 from tubereach.lpsolve import LpSolution
-from tubereach.montecarlo import (ValidationReport, simulate_reach_prob,
-                                  simulate_reach_probs, validate_vertices)
+from tubereach.montecarlo import (ValidationReport, simulate_reach_probs,
+                                  validate_vertices)
 from tubereach.reachalgo import compute_reach_set
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 cwh_los_tube, make_cwh, make_dubins,
@@ -23,8 +23,8 @@ from tubereach.cli import EXIT_OK, main
 
 
 def test_start_outside_initial_set_is_zero(sys1d, tube1d):
-    p, s = simulate_reach_prob(sys1d, tube1d, np.array([1.5]),
-                               np.zeros(5), 1000)
+    (p,), (s,), _ = simulate_reach_probs(sys1d, tube1d, [np.array([1.5])],
+                                         [np.zeros(5)], 1000)
     assert p == 0.0 and s == 0.0
 
 
@@ -38,7 +38,8 @@ def near_deterministic():
 
 def test_near_deterministic_interior_start_is_one():
     sys, tube = near_deterministic()
-    p, s = simulate_reach_prob(sys, tube, np.zeros(1), np.zeros(4), 1000)
+    (p,), (s,), _ = simulate_reach_probs(sys, tube, [np.zeros(1)],
+                                         [np.zeros(4)], 1000)
     assert p == 1.0 and s == 0.0
 
 
@@ -53,28 +54,28 @@ def test_semidefinite_noise_is_sampled_by_its_eigenvectors():
     sys = StochasticLTVSystem.lti(np.eye(2), np.zeros((2, 0)), np.zeros(2),
                                   cov, None, 1)
     n = 100_000
-    p, _ = simulate_reach_prob(sys, viability_tube(2, 1.0, 1), np.zeros(2),
-                               np.zeros(0), n)
+    (p,), _, _ = simulate_reach_probs(sys, viability_tube(2, 1.0, 1),
+                                      [np.zeros(2)], [np.zeros(0)], n)
     want = 2.0 * ndtr(1.0) - 1.0
     assert abs(p - want) <= 4.0 * np.sqrt(want * (1.0 - want) / n)
 
 
 def test_seed_determinism(sys1d, tube1d):
-    a = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
-                            5000, seed=42)
-    b = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
-                            5000, seed=42)
-    c = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
-                            5000, seed=43)
-    assert a == b
-    assert a != c
+    (pa,), (sa,), _ = simulate_reach_probs(
+        sys1d, tube1d, [np.array([0.1])], [np.zeros(5)], 5000, seed=42)
+    (pb,), (sb,), _ = simulate_reach_probs(
+        sys1d, tube1d, [np.array([0.1])], [np.zeros(5)], 5000, seed=42)
+    (pc,), (sc,), _ = simulate_reach_probs(
+        sys1d, tube1d, [np.array([0.1])], [np.zeros(5)], 5000, seed=43)
+    assert (pa, sa) == (pb, sb)
+    assert (pa, sa) != (pc, sc)
 
 
 def test_std_shrinks_with_sample_size(sys1d, tube1d):
-    _, s1 = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
-                                10_000, seed=0)
-    _, s2 = simulate_reach_prob(sys1d, tube1d, np.array([0.1]), np.zeros(5),
-                                40_000, seed=0)
+    _, (s1,), _ = simulate_reach_probs(
+        sys1d, tube1d, [np.array([0.1])], [np.zeros(5)], 10_000, seed=0)
+    _, (s2,), _ = simulate_reach_probs(
+        sys1d, tube1d, [np.array([0.1])], [np.zeros(5)], 40_000, seed=0)
     assert s2 == pytest.approx(s1 / 2, rel=0.2)
 
 
@@ -103,8 +104,9 @@ def test_estimates_frozen_for_fixed_seeds(sys1d, tube1d):
          (0.85475, 0.005571185634584437)),
     ]
     for sys, tube, x0, u, n_traj, seed, expected in cases:
-        assert simulate_reach_prob(sys, tube, np.array(x0), u, n_traj,
-                                   seed=seed) == expected
+        (p,), (s,), _ = simulate_reach_probs(sys, tube, [np.array(x0)], [u],
+                                             n_traj, seed=seed)
+        assert (p, s) == expected
 
 
 def full_state_rollout(sys, tube, x0, U, n_traj, seed):
@@ -154,7 +156,8 @@ def test_mean_plus_noise_matches_full_state_rollout():
          [0.2, 0.0, -0.1], None, 2 * montecarlo._CHUNK + 3000),
     ]
     for sys, tube, x0, u, n_traj in cases:
-        p, _ = simulate_reach_prob(sys, tube, x0, u, n_traj, seed=21)
+        (p,), _, _ = simulate_reach_probs(sys, tube, [x0], [u], n_traj,
+                                          seed=21)
         assert 0.05 < p < 0.95
         assert p == full_state_rollout(sys, tube, x0, u, n_traj, 21)
 
@@ -181,7 +184,7 @@ def test_chunks_are_even_balanced_and_cover_the_run(monkeypatch, sys1d,
         return roll(*args[:-1], chunks)
 
     monkeypatch.setattr(montecarlo, "_roll_chunks", record)
-    simulate_reach_prob(sys1d, tube1d, [0.1], None, n_traj)
+    simulate_reach_probs(sys1d, tube1d, [[0.1]], [None], n_traj)
     assert len(shares) == 2 and sum(shares) == n_traj
     assert abs(shares[0] - shares[1]) <= k_chunks // 2
 
@@ -194,13 +197,14 @@ def test_chunk_streams_match_the_closed_form():
     sys = make_uncontrolled(1, gain=1.0, cov=1.0, horizon=1)
     tube = viability_tube(1, b, 1)
     for seed in range(5):
-        p, std = simulate_reach_prob(sys, tube, [0.0], None, 20_000, seed)
+        (p,), (std,), _ = simulate_reach_probs(sys, tube, [[0.0]], [None],
+                                               20_000, seed)
         assert abs(p - exact) <= 4 * std
 
 
 def test_small_sample_rejected(sys1d, tube1d):
     with pytest.raises(ValueError, match="n_traj"):
-        simulate_reach_prob(sys1d, tube1d, np.zeros(1), np.zeros(5), 50)
+        simulate_reach_probs(sys1d, tube1d, [np.zeros(1)], [np.zeros(5)], 50)
 
 
 def test_batch_needs_one_input_per_state(sys1d, tube1d):
@@ -219,7 +223,8 @@ def test_sizes_must_match_the_system(sys1d, tube1d):
         with pytest.raises(ValueError, match=(
                 f"input sequence 0 has {steps} entries, but the system "
                 "takes 5: 1 per step over a horizon of 5")):
-            simulate_reach_prob(sys1d, tube1d, [0.1], np.zeros(steps), 1000)
+            simulate_reach_probs(sys1d, tube1d, [[0.1]], [np.zeros(steps)],
+                                 1000)
 
 
 @pytest.mark.parametrize("case", ["integrator2", "cwh"])
@@ -239,8 +244,9 @@ def test_validation_matches_each_vertex_alone(case, sys2d, tube2d, pwa):
                 if bp.status == "ok" and bp.U is not None]
     assert len(report.records) == len(controls) >= 3
     for rec, u in zip(report.records, controls):
-        alone = simulate_reach_prob(sys, tube, rec.point, u, n_traj, seed=5)
-        assert alone == (rec.empirical_probability, rec.binomial_std)
+        (p,), (s,), _ = simulate_reach_probs(sys, tube, [rec.point], [u],
+                                             n_traj, seed=5)
+        assert (p, s) == (rec.empirical_probability, rec.binomial_std)
 
 
 def test_outside_vertex_leaves_the_batch_alone(sys1d, tube1d):
@@ -260,8 +266,9 @@ def test_outside_vertex_leaves_the_batch_alone(sys1d, tube1d):
     probs, stds, _ = simulate_reach_probs(
         sys1d, tube1d, [[1.5], [0.1]], [np.zeros(5)] * 2, n_traj, seed=9)
     assert (probs[0], stds[0]) == (0.0, 0.0)
-    assert (probs[1], stds[1]) == simulate_reach_prob(
-        sys1d, tube1d, [0.1], np.zeros(5), n_traj, seed=9)
+    (p,), (s,), _ = simulate_reach_probs(sys1d, tube1d, [[0.1]],
+                                         [np.zeros(5)], n_traj, seed=9)
+    assert (probs[1], stds[1]) == (p, s)
 
 
 def test_pooled_std_of_identical_vertices_is_their_own(sys1d, tube1d):
@@ -327,8 +334,8 @@ def test_validation_falls_back_to_the_anchor(sys1d, tube1d, pwa, line_lps):
     assert len(report.records) == 1
     record = report.records[0]
     np.testing.assert_array_equal(record.point, res.anchor.x_anchor)
-    assert record.empirical_probability == simulate_reach_prob(
-        sys1d, tube1d, res.anchor.x_anchor, res.anchor.U, 1000)[0]
+    assert record.empirical_probability == simulate_reach_probs(
+        sys1d, tube1d, [res.anchor.x_anchor], [res.anchor.U], 1000)[0][0]
 
 
 def test_validation_report_serialization(reach06, sys1d, tube1d, tmp_path):

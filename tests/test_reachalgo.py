@@ -222,10 +222,12 @@ def test_zero_time_budget_keeps_only_the_anchor(sys2d, tube2d, pwa):
 
 def test_time_budget_checked_when_each_search_starts(sys2d, tube2d, pwa,
                                                      monkeypatch):
-    # a fake clock that advances one second per line search
+    # a fake clock that advances one second per line search, read where
+    # the deadline is set and where each search checks it
     clock = SimpleNamespace(now=0.0)
-    monkeypatch.setattr(reachalgo, "time",
-                        SimpleNamespace(perf_counter=lambda: clock.now))
+    fake_time = SimpleNamespace(perf_counter=lambda: clock.now)
+    monkeypatch.setattr(reachalgo, "time", fake_time)
+    monkeypatch.setattr(chance, "time", fake_time)
     search = chance.RiskLP.lines
 
     def slow_search(*args, **kwargs):
@@ -376,6 +378,21 @@ def test_negative_max_directions_rejected(sys2d, tube2d, pwa, monkeypatch):
                                          "0, not -1"):
         compute_reach_set(sys2d, tube2d, 0.6, directions, pwa=pwa,
                           max_directions=-1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+def test_nan_or_negative_time_budget_rejected(sys2d, tube2d, pwa, budget,
+                                              monkeypatch):
+    directions = spread_directions(8, 2)
+    # inf is legal: every search runs, as without a budget
+    res = compute_reach_set(sys2d, tube2d, 0.6, directions, pwa=pwa,
+                            time_budget=float("inf"))
+    assert [b.status for b in res.boundary_points] == ["ok"] * 8
+    monkeypatch.setattr(chance, "step_moments", None)  # any call fails
+    with pytest.raises(ValueError, match=f"time_budget must be at least 0, "
+                                         f"not {budget}"):
+        compute_reach_set(sys2d, tube2d, 0.6, directions, pwa=pwa,
+                          time_budget=budget)
 
 
 def test_directions_of_the_wrong_length_rejected(sys2d, tube2d, pwa,
