@@ -82,11 +82,11 @@ class _Solution:
         return 0.0 if self.deltas is None else float(1.0 - self.deltas.sum())
 
 
-def _tube_rows(sys: StochasticLTVSystem, tube: TargetTube):
-    """x0 coefficients, U coefficients, rhs and sigma of the tube rows of
-    steps 1..N: face p x_k <= q of T_k reads p Phi_k x0 + p H_k U <= q -
-    p mu_k, with noise sigma = sqrt(p Sigma_k p).  The stochastic rows
-    come first; each group keeps its (step, face) order."""
+def tube_rows(sys: StochasticLTVSystem, tube: TargetTube):
+    """x0 coefficients, U coefficients, rhs and sigma of every face of
+    T_1..T_N in step order: face p x_k <= q of T_k reads p Phi_k x0 + p H_k
+    U <= q - p mu_k, with noise sigma = sqrt(p Sigma_k p).  A row's margin
+    at (x0, U) is its rhs less its mean there."""
     parts = []
     for k, (phi, h, mu, cov) in enumerate(step_moments(sys), start=1):
         normals = tube[k].normals
@@ -95,18 +95,16 @@ def _tube_rows(sys: StochasticLTVSystem, tube: TargetTube):
         parts.append((normals @ phi, normals @ h,
                       tube[k].offsets - normals @ mu,
                       np.sqrt(np.maximum(variances, 0.0))))
-    x0, u, rhs, sigma = (np.concatenate(part) for part in zip(*parts))
-    order = np.argsort(sigma < SIGMA_DETERMINISTIC, kind="stable")
-    return x0[order], u[order], rhs[order], sigma[order]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 class RiskLP:
     """The risk-allocated LP of one (system, tube, alpha), assembled once.
 
     Every LP that the instance solves is a row and column selection of
-    one table: the stochastic tube rows, the deterministic tube rows, the
-    budget row, the per-step input rows (box input sets go to bounds)
-    and T_0's rows, in that order.  rows holds their [U (m*N) |
+    one table: the tube rows (stochastic first, each group in tube_rows'
+    order), the budget row, the per-step input rows (box input sets go
+    to bounds) and T_0's rows, in that order.  rows holds their [U (m*N) |
     segments] coefficients, _x0 their x0 coefficients, rhs their right
     sides and _ball the norm of each T_0 face (0 elsewhere).  rows is
     column-wise, built once from its nonzeros: a U column holds those
@@ -178,7 +176,9 @@ class RiskLP:
         if tube.dim != sys.state_dim:
             raise ValueError("tube dimension must match the state dimension")
 
-        x0, coef_u, rhs, sigma = _tube_rows(sys, tube)
+        rows = tube_rows(sys, tube)
+        order = np.argsort(rows[3] < SIGMA_DETERMINISTIC, kind="stable")
+        x0, coef_u, rhs, sigma = (part[order] for part in rows)
         n, m, nsteps = sys.state_dim, sys.input_dim, sys.horizon
         self.alpha = alpha
         self.tube = tube

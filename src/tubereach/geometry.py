@@ -133,7 +133,7 @@ class HPolytope:
 
 @dataclass
 class VPolytope:
-    """Convex hull of a finite list of points."""
+    """Convex hull of a finite list of points, each with finite entries."""
 
     vertices: np.ndarray
 
@@ -141,6 +141,8 @@ class VPolytope:
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if self.vertices.shape[0] == 0:
             raise ValueError("vertex list must be nonempty")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
 
     @property
     def dim(self) -> int:

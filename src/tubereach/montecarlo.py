@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .chance import tube_rows
 from .reachalgo import ReachSetResult
 from .sysmodel import StochasticLTVSystem, TargetTube
 
@@ -135,7 +136,7 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
     is exact under that correlation.  A trajectory is x_k = m_k + e_k: the
     mean path m_k depends on the vertex, the zero-mean noise path e_k does
     not.  The noise path is projected once per step onto the tube rows,
-    and each vertex compares those projections with its own margins.
+    and each vertex compares them with its margins from chance.tube_rows.
 
     The trajectories go in the chunks of _chunk_bounds(n_traj): an even
     number of them, at most _CHUNK each, whose sizes differ by at most one.
@@ -149,38 +150,41 @@ def simulate_reach_probs(sys: StochasticLTVSystem, tube: TargetTube, x0s, Us,
 
     Raises ValueError when an initial state does not have the system's n
     entries, or an input sequence not its m N (input dimension times
-    horizon), naming both sizes."""
+    horizon), naming both sizes, and when either holds a NaN or infinite
+    entry, naming the vertex."""
     if n_traj < 100:
         raise ValueError("n_traj must be at least 100")
+    n, m, N = sys.state_dim, sys.input_dim, sys.horizon
     x0s = [np.asarray(x0, dtype=float).ravel() for x0 in x0s]
-    Us = [None if u is None else np.asarray(u, dtype=float).ravel()
+    Us = [np.zeros(m * N) if u is None else np.asarray(u, dtype=float).ravel()
           for u in Us]
     if not x0s or len(Us) != len(x0s):
         raise ValueError("need at least one initial state and one input "
                          "sequence (or None) per initial state")
-    n, m, N = sys.state_dim, sys.input_dim, sys.horizon
     for v, (x0, u) in enumerate(zip(x0s, Us)):
         if x0.size != n:
             raise ValueError(f"initial state {v} has {x0.size} entries, "
                              f"but the system state has {n}")
-        if u is not None and u.size != m * N:
+        if u.size != m * N:
             raise ValueError(
                 f"input sequence {v} has {u.size} entries, but the system "
                 f"takes {m * N}: {m} per step over a horizon of {N}")
+        if not np.isfinite(x0).all():
+            raise ValueError(f"initial state {v} has a NaN or infinite "
+                             "entry")
+        if not np.isfinite(u).all():
+            raise ValueError(f"input sequence {v} has a NaN or infinite "
+                             "entry")
     inside = [v for v, x0 in enumerate(x0s) if tube[0].contains(x0)]
 
     # margins[k][i, v]: how far row i of T_{k+1} lies beyond the mean state
-    # of vertex inside[v], with the 1e-12 slack of a closed-set test; each
-    # vertex on its own, so its margins do not depend on the batch
-    margins = [np.empty((tube[k + 1].n_rows, len(inside))) for k in range(N)]
-    for v, idx in enumerate(inside):
-        mean, u = x0s[idx], Us[idx]
-        for k in range(N):
-            mean = sys.A_seq[k] @ mean + sys.disturbance.mean_per_step[k]
-            if m and u is not None:
-                mean = mean + sys.B_seq[k] @ u[k * m:(k + 1) * m]
-            t = tube[k + 1]
-            margins[k][:, v] = t.offsets + 1e-12 - t.normals @ mean
+    # of vertex inside[v], with the 1e-12 slack of a closed-set test; the
+    # products are stacked per vertex, so they do not depend on the batch
+    x0c, uc, rhs, _ = tube_rows(sys, tube)
+    X0, U = (np.array(a)[inside, :, None] for a in (x0s, Us))
+    margins = np.split(
+        rhs[:, None] + 1e-12 - (x0c @ X0)[..., 0].T - (uc @ U)[..., 0].T,
+        np.cumsum([tube[k].n_rows for k in range(1, N)]))
     factors = [_cov_factor(c) for c in sys.disturbance.cov_per_step]
 
     counts = np.zeros(len(x0s), dtype=np.int64)

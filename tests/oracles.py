@@ -29,7 +29,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from tubereach.chance import RiskLP, _tube_rows
+from tubereach.chance import SIGMA_DETERMINISTIC, RiskLP, tube_rows
 from tubereach.gaussian import _upper_quantile
 from tubereach.geometry import VPolytope, prune_vertices
 from tubereach.lpsolve import solve_lp
@@ -350,7 +350,10 @@ def scipy_risk_table(sys: StochasticLTVSystem, tube: TargetTube,
     coefficients, an empty budget row, block-diagonal input rows (a
     non-box input set) and T_0's empty rows, beside the segment columns
     (the former assembly of chance.RiskLP)."""
-    _, coef_u, _, sigma = _tube_rows(sys, tube)
+    _, coef_u, _, sigma = tube_rows(sys, tube)
+    # RiskLP's order: the stochastic rows first, each group in step order
+    order = np.argsort(sigma < SIGMA_DETERMINISTIC, kind="stable")
+    coef_u, sigma = coef_u[order], sigma[order]
     nr, n_u = risk.n_risk, risk.n_u
     slopes = np.array([slope for slope, _ in risk.pieces])
     u_rows = [sp.csr_array(coef_u)]

@@ -674,6 +674,41 @@ def test_validate_names_a_result_of_another_state_dimension(tmp_path,
     assert not (out / "validation.json").exists()
 
 
+def test_interpolate_refuses_a_non_finite_vertex(tmp_path, caplog):
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    doc["alpha"] = 0.6
+    doc["polytope"][0][0] = math.nan
+    bad = tmp_path / "reach_alpha0p6.json"
+    bad.write_text(json.dumps(doc))
+    dst = tmp_path / "x.json"
+    refusal_names_the_files(
+        ["interpolate", "--set1", str(bad), "--set2", str(good),
+         "--beta", "0.7", "-o", str(dst)], [bad],
+        "vertices must be finite", caplog)
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("controls", 0, math.nan), ("point", 1, math.inf)],
+     "input sequence 0 has a NaN or infinite entry"),
+    ([("point", 1, math.inf)], "initial state 1 has a NaN or infinite entry")],
+    ids=["nan-control", "inf-point"])
+def test_validate_refuses_a_non_finite_vertex(tmp_path, caplog, edits,
+                                              message):
+    cfg, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    for key, vertex, value in edits:
+        doc["vertices"][vertex][key][0] = value
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    refusal_names_the_files(
+        ["validate", str(cfg), "--result", str(bad), "--n-traj", "1000",
+         "-d", str(out)], [bad], message, caplog)
+    assert not (out / "validation.json").exists()
+
+
 def test_dp_writes_value_table(tmp_path):
     cfg = scalar_config(tmp_path, [0.6],
                         extra={"dp": {"state_spacing": 0.05,

@@ -169,6 +169,13 @@ def test_non_finite_directions_rejected(bad):
         DirectionSet([bad, [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertices_rejected(bad):
+    # prune_vertices would keep a NaN vertex and return another one twice
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 0.5]])
+
+
 def test_vpolytope_contains_and_weights():
     v = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert v.contains([0.2, 0.2])

@@ -253,6 +253,49 @@ def test_detector_flags_readers():
     assert readers_of(source, "_fields") == set()
 
 
+def attribute_readers(source, attr):
+    """The top-level definitions of source that read the attribute attr
+    of anything (None for a read outside any); assignments do not
+    count."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else None
+        found.update(owner for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute) and node.attr == attr
+                     and isinstance(node.ctx, ast.Load))
+    return found
+
+
+def test_one_mean_recursion():
+    # a mean path is built from the noise mean by sysmodel alone
+    # (step_moments, whose rows chance.tube_rows tabulates) and by the
+    # dynamic-programming baseline's one-step transition; the rollout
+    # takes its margins from the table and draws only the noise
+    places = {(path.name, owner) for path in MODULES
+              if path.name != "sysmodel.py"
+              for owner in attribute_readers(path.read_text(),
+                                             "mean_per_step")}
+    assert places == {("reachalgo.py", "dp_values")}
+    rollout = (PACKAGE / "montecarlo.py").read_text()
+    assert attribute_readers(rollout, "mean_per_step") == set()
+    assert attribute_readers(rollout, "B_seq") == set()
+
+
+def test_detector_flags_attribute_readers():
+    source = ("LAST = sys.disturbance.mean_per_step[-1]\n"
+              "def step(sys, k):\n"
+              "    return sys.B_seq[k] @ sys.disturbance.mean_per_step[k]\n"
+              "class Noise:\n"
+              "    def __init__(self, mean_per_step):\n"
+              "        self.mean_per_step = list(mean_per_step)\n"
+              "    def first(self):\n"
+              "        return getattr(self, 'B_seq')\n")
+    assert attribute_readers(source, "mean_per_step") == {None, "step"}
+    assert attribute_readers(source, "B_seq") == {"step"}
+
+
 def callers_of(source, name):
     """The definition that holds each call of name in source, as name(...)
     or obj.name(...): the dotted path of its enclosing classes and

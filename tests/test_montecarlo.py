@@ -227,6 +227,21 @@ def test_sizes_must_match_the_system(sys1d, tube1d):
                                  1000)
 
 
+@pytest.mark.parametrize("x0s, Us, message", [
+    ([[0.1], [np.inf]], [None, None], "initial state 1"),
+    ([[0.1], [np.nan]], [None, None], "initial state 1"),
+    ([[0.1], [0.1]], [None, [0.0, 0.0, np.nan, 0.0, 0.0]],
+     "input sequence 1"),
+    ([[0.1]], [[0.0, -np.inf, 0.0, 0.0, 0.0]], "input sequence 0")],
+    ids=["inf-state", "nan-state", "nan-input", "minus-inf-input"])
+def test_non_finite_vertices_refused(sys1d, tube1d, x0s, Us, message):
+    # unchecked, a NaN start reads as outside T_0 and a NaN input as a
+    # trajectory that leaves the tube: both would give 0.0, with no error
+    with pytest.raises(ValueError,
+                       match=f"{message} has a NaN or infinite entry"):
+        simulate_reach_probs(sys1d, tube1d, x0s, Us, 1000)
+
+
 @pytest.mark.parametrize("case", ["integrator2", "cwh"])
 def test_validation_matches_each_vertex_alone(case, sys2d, tube2d, pwa):
     # all vertices share the stream `seed`: each one's estimate is what it
