@@ -239,9 +239,15 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg["alphas"], list) or not cfg["alphas"]:
         raise ConfigError("alphas must be a nonempty list")
     cfg["alphas"] = [_number(a, float, "alpha") for a in cfg["alphas"]]
+    named = {}
     for a in cfg["alphas"]:
         if not 0.0 < a <= 1.0:
             raise ConfigError(f"alpha {a} outside (0, 1]")
+        if _threshold(a) in named:
+            raise ConfigError(f"alphas {named[_threshold(a)]} and {a} share "
+                              f"the name {_alpha_tag(a)}, so their "
+                              "artifacts would collide")
+        named[_threshold(a)] = a
     if cfg["horizon"] < 1:
         raise ConfigError("horizon must be >= 1")
     if "seed" in cfg and cfg["seed"] < 0:
@@ -283,9 +289,16 @@ def _instantiate(cfg: dict, costs: Optional[Dict[str, float]] = None):
     return sys, tube, directions, pwa
 
 
+def _threshold(alpha: float) -> str:
+    """A threshold's name, in the CSVs' number format: the timings key,
+    and the report's; a threshold of at most 6 significant digits reads
+    as with :g."""
+    return f"{alpha:.12g}"
+
+
 def _alpha_tag(alpha: float) -> str:
     """The file name part for a threshold: 0.6 -> alpha0p6."""
-    return f"alpha{alpha:g}".replace(".", "p")
+    return "alpha" + _threshold(alpha).replace(".", "p")
 
 
 def _read(path, reader):
@@ -340,7 +353,7 @@ def cmd_compute(args) -> int:
         Path(jpath).write_text(res.to_json())
         # timings go to a sidecar that each run overwrites, so the other
         # artifacts stay byte-identical across reruns
-        timings[f"{alpha:g}"] = res.timings
+        timings[_threshold(alpha)] = res.timings
         _write_json(os.path.join(outdir, "timings.json"), timings)
         if res.is_empty:
             any_empty = True
@@ -472,7 +485,7 @@ def cmd_report(args) -> int:
                 "alpha": res.alpha, "status": res.status,
                 "n_vertices": None if res.is_empty
                 else res.polytope.n_vertices,
-                "timings": times.get(f"{res.alpha:g}", {}),
+                "timings": times.get(_threshold(res.alpha), {}),
             })
         elif name == "validation.json":
             report = _read(path, montecarlo.ValidationReport.from_json)
@@ -494,7 +507,7 @@ def cmd_report(args) -> int:
                          ("assemble", "anchor", "anchor_solve", "searches",
                           "search_solve", "hull")
                          if phase in spent)
-        print(f"alpha={row['alpha']:g} status={row['status']} "
+        print(f"alpha={_threshold(row['alpha'])} status={row['status']} "
               f"vertices={row['n_vertices']} time={shown}{phases}")
     return EXIT_OK
 

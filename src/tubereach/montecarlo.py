@@ -290,9 +290,9 @@ class ValidationReport:
 def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
                       tube: TargetTube, n_traj: int,
                       seed: int = 0) -> ValidationReport:
-    """Simulate each certified boundary point under its stored controller
-    (the anchor when there is none) and report the empirical probability
-    against alpha.
+    """Simulate each ok boundary point under its stored controller (the
+    anchor alone when no search succeeded; every certified point has
+    one) and report the empirical probability against alpha.
 
     Every vertex is rolled out on the same n_traj trajectories (common
     random numbers), split into an even number of balanced chunks, chunk j
@@ -304,18 +304,16 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     if result.is_empty:
         raise ValueError("cannot validate an empty result")
     points = [(bp.point, bp.U) for bp in result.boundary_points
-              if bp.status == "ok" and bp.U is not None]
-    if not points and result.anchor.U is not None:
+              if bp.status == "ok"]
+    if not points:
         points = [(result.anchor.x_anchor, result.anchor.U)]
-    records, pooled = [], float("nan")
-    if points:
-        probs, stds, pooled = simulate_reach_probs(
-            sys, tube, [x for x, _ in points], [u for _, u in points],
-            n_traj, seed)
-        records = [VertexRecord(point=x, alpha=result.alpha,
-                                empirical_probability=float(p),
-                                binomial_std=float(sd))
-                   for (x, _), p, sd in zip(points, probs, stds)]
+    probs, stds, pooled = simulate_reach_probs(
+        sys, tube, [x for x, _ in points], [u for _, u in points],
+        n_traj, seed)
+    records = [VertexRecord(point=x, alpha=result.alpha,
+                            empirical_probability=float(p),
+                            binomial_std=float(sd))
+               for (x, _), p, sd in zip(points, probs, stds)]
     return ValidationReport(records=records, alpha=result.alpha,
                             n_traj=n_traj, seed=seed,
                             pooled_binomial_std=pooled)

@@ -28,17 +28,19 @@ from .sysmodel import StochasticLTVSystem, TargetTube
 
 # directions per chain of line searches that share one LP model
 CHAIN_LENGTH = 8
+_ANCHOR_MODES = ("xmax", "cheby")
 
 
 @dataclass
 class ReachSetResult:
-    """Anytime output: hull of the boundary points found so far, each
-    carrying a certified open-loop controller and lower bound >= alpha."""
+    """Anytime output: the hull of the anchor and the boundary points
+    found so far, each carrying a certified open-loop controller and
+    lower bound >= alpha; the hull is derived, never given."""
 
     alpha: float
     anchor: AnchorResult
     boundary_points: List[BoundaryPoint]
-    polytope: Optional[VPolytope]
+    polytope: Optional[VPolytope] = field(init=False)
     status: str  # ok | empty | solver_failure (anchor LP gave no verdict)
     diagnostic: str = ""
     # seconds per phase of this run (assemble, anchor, searches, hull and
@@ -47,23 +49,28 @@ class ReachSetResult:
     # and columns of the largest search LP; not part of the JSON document
     timings: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for i, bp in enumerate(self.boundary_points):
+            if bp.status == "ok" and bp.U is None:
+                raise ValueError(f"vertex {i} controls: none on an ok point")
+        if not self.is_empty and self.anchor.U is None:
+            raise ValueError("anchor controls: none with a point")
+        # the ok points in list order, then the anchor
+        self.polytope = None if self.is_empty else prune_vertices(
+            VPolytope(np.roll(self.controller_points()[0], -1, axis=0)))
+
     @property
     def is_empty(self) -> bool:
-        return self.polytope is None
+        return self.anchor.x_anchor is None
 
     def controller_points(self) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """All stored points that carry a controller (anchor included)."""
-        pts, ctrls = [], []
-        if self.anchor.x_anchor is not None and self.anchor.U is not None:
-            pts.append(self.anchor.x_anchor)
-            ctrls.append(self.anchor.U)
-        for bp in self.boundary_points:
-            if bp.status == "ok" and bp.U is not None:
-                pts.append(bp.point)
-                ctrls.append(bp.U)
-        if not pts:
+        """The certified points, the anchor then the ok vertices in list
+        order, and their controllers."""
+        if self.is_empty:
             raise ValueError("result holds no certified points")
-        return np.stack(pts), ctrls
+        ok = [bp for bp in self.boundary_points if bp.status == "ok"]
+        return (np.stack([self.anchor.x_anchor] + [bp.point for bp in ok]),
+                [self.anchor.U] + [bp.U for bp in ok])
 
     def to_json(self) -> str:
         """The result document that `tubereach compute` stores: everything
@@ -100,9 +107,11 @@ class ReachSetResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ReachSetResult":
-        """Inverse of :meth:`to_json`.  The "timings" and "backend" keys
-        that older releases wrote are ignored; a document that lacks a key
-        raises ValueError naming it, and so does an alpha outside (0, 1]."""
+        """Inverse of :meth:`to_json`; the polytope is derived from the
+        points again, never read.  The "timings" and "backend" keys that
+        older releases wrote are ignored.  A missing key, an alpha outside
+        (0, 1], a NaN or infinite number and a status or mode outside its
+        set raise ValueError naming the record and the key."""
         doc = json.loads(text)
         try:
             anchor = doc["anchor"]
@@ -112,22 +121,27 @@ class ReachSetResult:
             return cls(
                 alpha=alpha,
                 anchor=AnchorResult(
-                    x_anchor=_array(anchor["point"]),
-                    U=_array(anchor["controls"]),
-                    lower_bound=float(anchor["lower_bound"]),
-                    mode=anchor["mode"], radius=anchor.get("radius"),
-                    status=anchor["status"]),
+                    x_anchor=_finite(anchor, "point", "anchor", True),
+                    U=_finite(anchor, "controls", "anchor", True),
+                    lower_bound=_finite(anchor, "lower_bound", "anchor"),
+                    mode=_name(anchor, "mode", "anchor", _ANCHOR_MODES),
+                    radius=_finite(anchor, "radius", "anchor", True)
+                    if "radius" in anchor else None,
+                    status=_name(anchor, "status", "anchor",
+                                 ("optimal", "empty", "solver_failure"))),
                 boundary_points=[
-                    BoundaryPoint(direction=_array(v["direction"]),
-                                  theta=float(v["theta"]),
-                                  point=_array(v["point"]),
-                                  U=_array(v["controls"]),
-                                  lower_bound=float(v["lower_bound"]),
-                                  status=v["status"])
-                    for v in doc["vertices"]],
-                polytope=None if doc["polytope"] is None
-                else VPolytope(_array(doc["polytope"])),
-                status=doc["status"],
+                    BoundaryPoint(
+                        direction=_finite(v, "direction", f"vertex {i}"),
+                        theta=_finite(v, "theta", f"vertex {i}"),
+                        point=_finite(v, "point", f"vertex {i}"),
+                        U=_finite(v, "controls", f"vertex {i}", True),
+                        lower_bound=_finite(v, "lower_bound", f"vertex {i}"),
+                        status=_name(v, "status", f"vertex {i}",
+                                     ("ok", "infeasible", "solver_failure",
+                                      "skipped")))
+                    for i, v in enumerate(doc["vertices"])],
+                status=_name(doc, "status", "result",
+                             ("ok", "empty", "solver_failure")),
                 diagnostic=doc.get("diagnostic", ""))
         except KeyError as exc:
             raise ValueError(f"result document lacks the key {exc}") from None
@@ -135,8 +149,30 @@ class ReachSetResult:
             raise ValueError(f"malformed result document: {exc}") from None
 
 
-def _array(values) -> Optional[np.ndarray]:
-    return None if values is None else np.asarray(values, dtype=float)
+def _finite(record: dict, key: str, where: str, nullable: bool = False):
+    """record[key], a JSON number or a list of them, as a float or a
+    float array; null stays None where nullable.  Anything else, and a
+    NaN or infinite entry, raises ValueError naming where and key."""
+    value = record[key]
+    if value is None and nullable:
+        return None
+    try:
+        values = np.asarray(value, dtype=float)  # a null reads as NaN
+    except (TypeError, ValueError):  # a string, a ragged list
+        raise ValueError(f"{where} {key}: not a number or a list of "
+                         "numbers") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where} {key}: NaN or infinite entry")
+    return values if values.ndim else float(values)
+
+
+def _name(record: dict, key: str, where: str, names) -> str:
+    """record[key] if it is one of names; ValueError naming where and
+    key if not."""
+    if record[key] not in names:
+        raise ValueError(f"{where} {key}: {record[key]!r} is not one of "
+                         f"{', '.join(names)}")
+    return record[key]
 
 
 def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
@@ -150,7 +186,9 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     One anchor ("cheby" or "xmax"), then one line search per direction
     from it; the hull of the anchor and the successful boundary points is
     a valid underapproximation after any prefix of the direction list
-    (anytime). Per-direction failures are recorded, never fatal.
+    (anytime). The result forms that hull itself; building it is timed
+    as the "hull" phase. Per-direction failures are recorded, never
+    fatal.
     The searches run in chains of CHAIN_LENGTH consecutive directions,
     each chain re-solving one LP model (RiskLP.lines).  max_directions
     (at least 0) truncates the direction list.  time_budget (at least 0
@@ -159,7 +197,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     skipped (status "skipped"), and so is the rest of its chain.  jobs
     (at least 1) caps concurrent chains.
     """
-    if anchor_mode not in ("xmax", "cheby"):
+    if anchor_mode not in _ANCHOR_MODES:
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
@@ -188,7 +226,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     if not anchor.feasible:
         # empty, or solver_failure when the anchor LP gave no verdict
         return ReachSetResult(
-            alpha=alpha, anchor=anchor, boundary_points=[], polytope=None,
+            alpha=alpha, anchor=anchor, boundary_points=[],
             status=anchor.status, diagnostic=anchor.diagnostic,
             timings={**timings, "total": t_anchored - t0})
 
@@ -211,16 +249,12 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     timings["search_rows"] = max((bp.lp_rows for bp in points), default=0)
     timings["search_cols"] = max((bp.lp_cols for bp in points), default=0)
 
-    verts = [bp.point for bp in points if bp.status == "ok"]
-    verts.append(anchor.x_anchor)
     t_hull = time.perf_counter()
-    polytope = prune_vertices(VPolytope(np.stack(verts)))
+    result = ReachSetResult(alpha=alpha, anchor=anchor, boundary_points=points,
+                            status="ok", timings=timings)
     t_end = time.perf_counter()
-    timings["hull"] = t_end - t_hull
-    return ReachSetResult(
-        alpha=alpha, anchor=anchor, boundary_points=points,
-        polytope=polytope, status="ok",
-        timings={**timings, "total": t_end - t0})
+    timings.update(hull=t_end - t_hull, total=t_end - t0)
+    return result
 
 
 def interpolate_sets(set1: ReachSetResult, set2: ReachSetResult,

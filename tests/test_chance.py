@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from tubereach.gaussian import build_pwa_quantile
 from tubereach.geometry import HPolytope, box_polytope, spread_directions
 from tubereach.lpsolve import LpModel, LpSolution, highs_solve
 from tubereach.montecarlo import simulate_reach_probs
-from tubereach.reachalgo import CHAIN_LENGTH, compute_reach_set
+from tubereach.reachalgo import (CHAIN_LENGTH, ReachSetResult,
+                                 compute_reach_set)
 from tubereach.sysmodel import (StochasticLTVSystem, TargetTube,
                                 make_integrator_chain, viability_tube)
 
@@ -1089,6 +1091,20 @@ def test_example_vertices_lie_in_t0_exactly(example, alpha):
         assert tube[0].contains(bp.point, tol=0.0)
         np.testing.assert_array_equal(
             bp.point, res.anchor.x_anchor + bp.theta * bp.direction)
+
+
+@pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)
+def test_example_hull_is_derived_from_certified_points(example, alpha):
+    # every hull vertex is a certified point; a document read back
+    # without its polytope derives the same one, bit for bit
+    _, _, res, _ = example_set(example, alpha)
+    pts, _ = res.controller_points()
+    for v in res.polytope.vertices:
+        assert (pts == v).all(axis=1).any()
+    text = res.to_json()
+    doc = json.loads(text)
+    del doc["polytope"]
+    assert ReachSetResult.from_json(json.dumps(doc)).to_json() == text
 
 
 @pytest.mark.parametrize("example, alpha", EXAMPLE_SETS)

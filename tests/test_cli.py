@@ -6,12 +6,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from tubereach import chance, gaussian, reachalgo
 from tubereach.cli import (_EXAMPLES, EXIT_BAD_CONFIG, EXIT_EMPTY_SET,
-                           EXIT_OK, EXIT_SOLVER_FAILURE, _instantiate,
-                           load_config, main)
+                           EXIT_OK, EXIT_SOLVER_FAILURE, _alpha_tag,
+                           _instantiate, load_config, main)
+from tubereach.geometry import VPolytope, prune_vertices
 from tubereach.reachalgo import ReachSetResult
 from tubereach.lpsolve import LpSolution, highs_solve
 
@@ -678,21 +680,21 @@ def test_interpolate_refuses_a_non_finite_vertex(tmp_path, caplog):
     _, good = integrator2_result(tmp_path)
     doc = json.loads(good.read_text())
     doc["alpha"] = 0.6
-    doc["polytope"][0][0] = math.nan
+    doc["vertices"][0]["point"][0] = math.nan
     bad = tmp_path / "reach_alpha0p6.json"
     bad.write_text(json.dumps(doc))
     dst = tmp_path / "x.json"
     refusal_names_the_files(
         ["interpolate", "--set1", str(bad), "--set2", str(good),
          "--beta", "0.7", "-o", str(dst)], [bad],
-        "vertices must be finite", caplog)
+        "vertex 0 point: NaN or infinite entry", caplog)
     assert not dst.exists()
 
 
 @pytest.mark.parametrize("edits, message", [
     ([("controls", 0, math.nan), ("point", 1, math.inf)],
-     "input sequence 0 has a NaN or infinite entry"),
-    ([("point", 1, math.inf)], "initial state 1 has a NaN or infinite entry")],
+     "vertex 0 controls: NaN or infinite entry"),
+    ([("point", 1, math.inf)], "vertex 1 point: NaN or infinite entry")],
     ids=["nan-control", "inf-point"])
 def test_validate_refuses_a_non_finite_vertex(tmp_path, caplog, edits,
                                               message):
@@ -707,6 +709,88 @@ def test_validate_refuses_a_non_finite_vertex(tmp_path, caplog, edits,
         ["validate", str(cfg), "--result", str(bad), "--n-traj", "1000",
          "-d", str(out)], [bad], message, caplog)
     assert not (out / "validation.json").exists()
+
+
+def test_interpolate_ignores_a_stored_polytope(tmp_path):
+    # the hull is derived from the certified points: a polytope replaced
+    # by T_0's corners gives the same interpolation as the untouched file
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    low = tmp_path / "reach_alpha0p6.json"
+    low.write_text(json.dumps({**doc, "alpha": 0.6}))
+    doc["polytope"] = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    outputs = []
+    for high in (good, tampered):
+        dst = tmp_path / f"from_{high.stem}.json"
+        assert main(["interpolate", "--set1", str(low), "--set2", str(high),
+                     "--beta", "0.7", "-o", str(dst)]) == EXIT_OK
+        outputs.append(json.loads(dst.read_text())["vertices"])
+    assert outputs[0] == outputs[1]
+
+
+def test_skipped_vertices_leave_the_hull(tmp_path, capsys):
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    for vertex in doc["vertices"][::2]:
+        vertex.update(status="skipped", controls=None)
+    kept = [v["point"] for v in doc["vertices"] if v["status"] == "ok"]
+    hull = prune_vertices(VPolytope(np.array(kept + [doc["anchor"]["point"]])))
+    assert hull.n_vertices < len(doc["polytope"])
+    out = tmp_path / "skipped"
+    out.mkdir()
+    path = out / "reach_alpha0p9.json"
+    path.write_text(json.dumps(doc))
+    np.testing.assert_array_equal(
+        ReachSetResult.from_json(path.read_text()).polytope.vertices,
+        hull.vertices)
+    assert main(["report", str(out)]) == EXIT_OK
+    assert f"vertices={hull.n_vertices} " in capsys.readouterr().out
+
+
+def test_report_refuses_a_non_finite_bound(tmp_path, caplog):
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    doc["vertices"][2]["lower_bound"] = math.nan
+    good.write_text(json.dumps(doc))
+    refusal_names_the_files(["report", str(good.parent)], [good],
+                            "vertex 2 lower_bound: NaN or infinite entry",
+                            caplog)
+    assert not (good.parent / "summary.json").exists()
+
+
+@pytest.mark.parametrize("alphas", [[0.9, 0.9 + 1e-13], [0.6, 0.6]])
+def test_alphas_that_share_a_name_are_refused(tmp_path, caplog, alphas):
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(tmp_path, alphas)),
+                 "-d", str(out)]) == EXIT_BAD_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"alphas {alphas[0]} and {alphas[1]} share the name "
+                      f"{_alpha_tag(alphas[0])}, so their artifacts would "
+                      "collide"]
+    assert not out.exists()
+
+
+def test_a_threshold_is_named_at_twelve_digits(tmp_path, capsys):
+    # a threshold of at most 6 significant digits keeps its :g name
+    rng = np.random.default_rng(0)
+    for alpha in [0.6, 0.8, 0.9, 1.0, 1e-05, 0.123456, 0.999999] + [
+            float(f"{a:.6g}") for a in rng.uniform(1e-6, 1.0, 1000)]:
+        assert _alpha_tag(alpha) == f"alpha{alpha:g}".replace(".", "p")
+    # a longer one is no longer cut to 6 digits
+    out = tmp_path / "out"
+    assert main(["compute", str(scalar_config(
+        tmp_path, [0.9, 0.9000001, 0.9999999])), "-d", str(out)]) in (
+            EXIT_OK, EXIT_EMPTY_SET)
+    assert sorted(p.name for p in out.glob("reach_*.json")) == [
+        "reach_alpha0p9.json", "reach_alpha0p9000001.json",
+        "reach_alpha0p9999999.json"]
+    assert set(json.loads((out / "timings.json").read_text())) == {
+        "setup", "0.9", "0.9000001", "0.9999999"}
+    assert main(["report", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "alpha=0.9999999 " in printed and "alpha=1 " not in printed
 
 
 def test_dp_writes_value_table(tmp_path):

@@ -353,6 +353,77 @@ def test_result_alpha_outside_the_unit_interval_rejected(reach06, alpha):
     assert ReachSetResult.from_json(json.dumps(doc)).alpha == 1.0
 
 
+def test_a_result_derives_its_polytope(reach06):
+    # the hull of the ok points and the anchor; no polytope is taken
+    with pytest.raises(TypeError, match="polytope"):
+        ReachSetResult(alpha=0.6, anchor=reach06.anchor, boundary_points=[],
+                       polytope=reach06.polytope, status="ok")
+    alone = ReachSetResult(alpha=0.6, anchor=reach06.anchor,
+                           boundary_points=[], status="ok")
+    np.testing.assert_array_equal(alone.polytope.vertices,
+                                  reach06.anchor.x_anchor[None])
+
+
+@pytest.mark.parametrize("record", ["anchor", "vertex"])
+def test_a_certified_point_without_controls_is_refused(reach06, record):
+    doc = json.loads(reach06.to_json())
+    if record == "anchor":
+        doc["anchor"]["controls"] = None
+        message = "anchor controls: none with a point"
+    else:
+        i = [v["status"] for v in doc["vertices"]].index("ok")
+        doc["vertices"][i]["controls"] = None
+        message = f"vertex {i} controls: none on an ok point"
+    with pytest.raises(ValueError, match=message):
+        ReachSetResult.from_json(json.dumps(doc))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+BAD_ENTRIES = [
+    (("anchor", "point", 0), INF, "anchor point: NaN or infinite entry"),
+    (("anchor", "controls", 2), NAN,
+     "anchor controls: NaN or infinite entry"),
+    (("anchor", "lower_bound"), NAN,
+     "anchor lower_bound: NaN or infinite entry"),
+    (("anchor", "radius"), INF, "anchor radius: NaN or infinite entry"),
+    (("vertices", 0, "direction", 0), NAN,
+     "vertex 0 direction: NaN or infinite entry"),
+    (("vertices", 0, "theta"), -INF, "vertex 0 theta: NaN or infinite entry"),
+    (("vertices", 1, "point", 0), INF, "vertex 1 point: NaN or infinite entry"),
+    (("vertices", 1, "controls", 0), -INF,
+     "vertex 1 controls: NaN or infinite entry"),
+    (("vertices", 1, "lower_bound"), NAN,
+     "vertex 1 lower_bound: NaN or infinite entry"),
+    (("vertices", 1, "theta"), None, "vertex 1 theta: NaN or infinite entry"),
+    (("anchor", "point"), "origin",
+     "anchor point: not a number or a list of numbers"),
+    (("vertices", 1, "status"), "OK", "vertex 1 status: 'OK' is not one of "
+     "ok, infeasible, solver_failure, skipped"),
+    (("anchor", "status"), "feasible", "anchor status: 'feasible' is not "
+     "one of optimal, empty, solver_failure"),
+    (("anchor", "mode"), "both",
+     "anchor mode: 'both' is not one of xmax, cheby"),
+    (("status",), "done",
+     "result status: 'done' is not one of ok, empty, solver_failure")]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_ENTRIES, ids=[
+    "-".join(map(str, path)) for path, _, _ in BAD_ENTRIES])
+def test_result_reader_refuses_bad_numbers_and_names(reach06, path, value,
+                                                     message):
+    doc = json.loads(reach06.to_json())
+    *inner, last = path
+    node = doc
+    for key in inner:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError) as caught:
+        ReachSetResult.from_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
 def test_backend_and_mode_validation(sys1d, tube1d):
     for mode in ("both", "nope"):
         with pytest.raises(ValueError, match="anchor_mode"):
