@@ -340,8 +340,9 @@ class RiskLP:
         """Boundary points at the maximal steps along directions from the
         anchor keeping the risk allocation feasible, yielded in order,
         each solved when it is asked for; each point's input sequence
-        certifies its lower bound.  A failed search stays at the anchor
-        and marks only its own direction.  So does a point that no
+        certifies its lower bound.  A point is anchor + theta d if ok, else
+        the anchor itself, bit for bit: a failed search stays there and
+        marks only its own direction.  So does a point that no
         search reaches, with no controller: every point is "infeasible"
         when the anchor lies outside T_0 or the budget is below its
         floor, and "skipped" from the first search that would start
@@ -404,7 +405,7 @@ class RiskLP:
             sol = self._solution(highs_solve(model), cols)
             ok = sol.status == "optimal"
             theta = max(float(sol.extra[0]), 0.0) if ok else 0.0
-            point = anchor + theta * d
+            point = anchor + theta * d if ok else anchor.copy()
             for _ in range(8):
                 if theta == 0.0 or t0.contains(point, tol=0.0):
                     break

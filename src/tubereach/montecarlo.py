@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .chance import tube_rows
-from .reachalgo import ReachSetResult
+from .reachalgo import ReachSetResult, _finite
 from .sysmodel import StochasticLTVSystem, TargetTube
 
 
@@ -267,19 +267,30 @@ class ValidationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ValidationReport":
-        """Inverse of :meth:`to_json`; a document that lacks a key other
-        than pooled_binomial_std raises ValueError naming it."""
+        """Inverse of :meth:`to_json`.  A document that lacks a key other
+        than pooled_binomial_std, holds a NaN, infinite or non-number value
+        (pooled_binomial_std may be null) or a fractional n_traj or seed
+        raises ValueError naming the key, as the result reader does."""
         doc = json.loads(text)
         try:
-            alpha = float(doc["alpha"])
+            alpha = _finite(doc, "alpha", "validation")
+            n_traj, seed = (_finite(doc, key, "validation")
+                            for key in ("n_traj", "seed"))
+            for key, value in (("n_traj", n_traj), ("seed", seed)):
+                if value != int(value):
+                    raise ValueError(f"validation {key}: {value} is not an "
+                                     "integer")
             return cls(
                 records=[VertexRecord(
-                    point=np.asarray(r["point"], dtype=float), alpha=alpha,
-                    empirical_probability=float(r["empirical_probability"]),
-                    binomial_std=float(r["binomial_std"]))
-                    for r in doc["records"]],
-                alpha=alpha, n_traj=int(doc["n_traj"]), seed=int(doc["seed"]),
-                pooled_binomial_std=doc.get("pooled_binomial_std"))
+                    point=_finite(r, "point", f"record {i}", ndim=1),
+                    alpha=alpha, empirical_probability=_finite(
+                        r, "empirical_probability", f"record {i}"),
+                    binomial_std=_finite(r, "binomial_std", f"record {i}"))
+                    for i, r in enumerate(doc["records"])],
+                alpha=alpha, n_traj=int(n_traj), seed=int(seed),
+                pooled_binomial_std=_finite(
+                    doc, "pooled_binomial_std", "validation", True)
+                if "pooled_binomial_std" in doc else None)
         except KeyError as exc:
             raise ValueError(
                 f"validation document lacks the key {exc}") from None
@@ -291,8 +302,8 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
                       tube: TargetTube, n_traj: int,
                       seed: int = 0) -> ValidationReport:
     """Simulate each ok boundary point under its stored controller (the
-    anchor alone when no search succeeded; every certified point has
-    one) and report the empirical probability against alpha.
+    anchor alone when no search succeeded), as controller_points() gives
+    them, and report the empirical probability against alpha.
 
     Every vertex is rolled out on the same n_traj trajectories (common
     random numbers), split into an even number of balanced chunks, chunk j
@@ -301,19 +312,15 @@ def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,
     gives that vertex alone at `seed`.  The chunks run on one worker
     thread per CPU available, and the report does not depend on how
     many; memory is bounded by workers x chunk, whatever n_traj."""
-    if result.is_empty:
-        raise ValueError("cannot validate an empty result")
-    points = [(bp.point, bp.U) for bp in result.boundary_points
-              if bp.status == "ok"]
-    if not points:
-        points = [(result.anchor.x_anchor, result.anchor.U)]
-    probs, stds, pooled = simulate_reach_probs(
-        sys, tube, [x for x, _ in points], [u for _, u in points],
-        n_traj, seed)
+    points, controls = result.controller_points()
+    if len(points) > 1:  # the anchor leads
+        points, controls = points[1:], controls[1:]
+    probs, stds, pooled = simulate_reach_probs(sys, tube, points, controls,
+                                               n_traj, seed)
     records = [VertexRecord(point=x, alpha=result.alpha,
                             empirical_probability=float(p),
                             binomial_std=float(sd))
-               for (x, _), p, sd in zip(points, probs, stds)]
+               for x, p, sd in zip(points, probs, stds)]
     return ValidationReport(records=records, alpha=result.alpha,
                             n_traj=n_traj, seed=seed,
                             pooled_binomial_std=pooled)

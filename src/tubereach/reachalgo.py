@@ -29,20 +29,19 @@ from .sysmodel import StochasticLTVSystem, TargetTube
 # directions per chain of line searches that share one LP model
 CHAIN_LENGTH = 8
 _ANCHOR_MODES = ("xmax", "cheby")
+_VERTEX_STATUSES = ("ok", "infeasible", "solver_failure", "skipped")
 
 
 @dataclass
 class ReachSetResult:
-    """Anytime output: the hull of the anchor and the boundary points
-    found so far, each carrying a certified open-loop controller and
-    lower bound >= alpha; the hull is derived, never given."""
+    """Anytime output: an anchor and the line searches from it.  The set
+    is the hull of the anchor and the ok points, each certified by its
+    controller; verdict and hull are derived, contradictions refused."""
 
     alpha: float
     anchor: AnchorResult
     boundary_points: List[BoundaryPoint]
     polytope: Optional[VPolytope] = field(init=False)
-    status: str  # ok | empty | solver_failure (anchor LP gave no verdict)
-    diagnostic: str = ""
     # seconds per phase of this run (assemble, anchor, searches, hull and
     # total; an empty set stops after the anchor), the simplex iterations
     # and HiGHS seconds of the anchor and of the searches, and the rows
@@ -50,14 +49,28 @@ class ReachSetResult:
     timings: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for i, bp in enumerate(self.boundary_points):
-            if bp.status == "ok" and bp.U is None:
-                raise ValueError(f"vertex {i} controls: none on an ok point")
+        if self.anchor.feasible == self.is_empty:
+            held = "none" if self.is_empty else "given"
+            raise ValueError(f"anchor point: {held} on an anchor that is "
+                             f"{self.anchor.status}")
         if not self.is_empty and self.anchor.U is None:
             raise ValueError("anchor controls: none with a point")
+        for i, bp in enumerate(self.boundary_points):
+            if self.is_empty:
+                raise ValueError(f"vertex {i}: no anchor point to start from")
+            if bp.status == "ok" and bp.U is None:
+                raise ValueError(f"vertex {i} controls: none on an ok point")
         # the ok points in list order, then the anchor
         self.polytope = None if self.is_empty else prune_vertices(
             VPolytope(np.roll(self.controller_points()[0], -1, axis=0)))
+
+    @property
+    def status(self) -> str:  # ok, empty or solver_failure
+        return "ok" if self.anchor.feasible else self.anchor.status
+
+    @property
+    def diagnostic(self) -> str:
+        return self.anchor.diagnostic
 
     @property
     def is_empty(self) -> bool:
@@ -107,63 +120,76 @@ class ReachSetResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ReachSetResult":
-        """Inverse of :meth:`to_json`; the polytope is derived from the
-        points again, never read.  The "timings" and "backend" keys that
-        older releases wrote are ignored.  A missing key, an alpha outside
-        (0, 1], a NaN or infinite number and a status or mode outside its
-        set raise ValueError naming the record and the key."""
+        """Inverse of :meth:`to_json` that reads the anchor, the top-level
+        diagnostic being its own, and the searches; the status, the
+        polytope and each point (RiskLP.lines' rule) are derived again.
+        Older releases' "timings" and "backend" keys are ignored.  A
+        missing key, an alpha outside (0, 1], a NaN or infinite number, a
+        status or mode outside its set, a direction not of the anchor's
+        length and a record that disagrees with itself raise ValueError
+        naming the record and the key."""
         doc = json.loads(text)
         try:
             anchor = doc["anchor"]
             alpha = float(doc["alpha"])
             if not 0.0 < alpha <= 1.0:
                 raise ValueError(f"alpha {alpha} outside (0, 1]")
+            x = _finite(anchor, "point", "anchor", True, ndim=1)
+            points = []
+            for i, v in enumerate(doc["vertices"]):
+                d = _finite(v, "direction", f"vertex {i}", ndim=1)
+                theta = _finite(v, "theta", f"vertex {i}")
+                status = _name(v, "status", f"vertex {i}", _VERTEX_STATUSES)
+                if x is not None and d.size != x.size:
+                    raise ValueError(f"vertex {i} direction: {d.size} "
+                                     f"entries, but the anchor has {x.size}")
+                points.append(BoundaryPoint(
+                    direction=d, theta=theta,
+                    point=x if x is None or status != "ok" else x + theta * d,
+                    U=_finite(v, "controls", f"vertex {i}", True, ndim=1),
+                    lower_bound=_finite(v, "lower_bound", f"vertex {i}"),
+                    status=status))
             return cls(
                 alpha=alpha,
                 anchor=AnchorResult(
-                    x_anchor=_finite(anchor, "point", "anchor", True),
-                    U=_finite(anchor, "controls", "anchor", True),
+                    x_anchor=x,
+                    U=_finite(anchor, "controls", "anchor", True, ndim=1),
                     lower_bound=_finite(anchor, "lower_bound", "anchor"),
                     mode=_name(anchor, "mode", "anchor", _ANCHOR_MODES),
                     radius=_finite(anchor, "radius", "anchor", True)
                     if "radius" in anchor else None,
                     status=_name(anchor, "status", "anchor",
-                                 ("optimal", "empty", "solver_failure"))),
-                boundary_points=[
-                    BoundaryPoint(
-                        direction=_finite(v, "direction", f"vertex {i}"),
-                        theta=_finite(v, "theta", f"vertex {i}"),
-                        point=_finite(v, "point", f"vertex {i}"),
-                        U=_finite(v, "controls", f"vertex {i}", True),
-                        lower_bound=_finite(v, "lower_bound", f"vertex {i}"),
-                        status=_name(v, "status", f"vertex {i}",
-                                     ("ok", "infeasible", "solver_failure",
-                                      "skipped")))
-                    for i, v in enumerate(doc["vertices"])],
-                status=_name(doc, "status", "result",
-                             ("ok", "empty", "solver_failure")),
-                diagnostic=doc.get("diagnostic", ""))
+                                 ("optimal", "empty", "solver_failure")),
+                    diagnostic=doc.get("diagnostic", "")),
+                boundary_points=points)
         except KeyError as exc:
             raise ValueError(f"result document lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed result document: {exc}") from None
 
 
-def _finite(record: dict, key: str, where: str, nullable: bool = False):
-    """record[key], a JSON number or a list of them, as a float or a
-    float array; null stays None where nullable.  Anything else, and a
-    NaN or infinite entry, raises ValueError naming where and key."""
+def _finite(record: dict, key: str, where: str, nullable: bool = False,
+            ndim: int = 0):
+    """record[key], a JSON number (ndim 0) or a list of them (ndim 1), as
+    a float or a float array; null stays None where nullable.  Anything
+    else, and a NaN or infinite entry, raises ValueError naming where and
+    key."""
     value = record[key]
     if value is None and nullable:
         return None
+    # a null reads as NaN; a string, a boolean, a ragged list, an integer
+    # beyond the float range and an object read as no number
     try:
-        values = np.asarray(value, dtype=float)  # a null reads as NaN
-    except (TypeError, ValueError):  # a string, a ragged list
-        raise ValueError(f"{where} {key}: not a number or a list of "
-                         "numbers") from None
+        values = np.asarray(value)
+        values = None if values.dtype.kind in "USb" else values.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or values.ndim != ndim:
+        raise ValueError(f"{where} {key}: not "
+                         f"{'a list of numbers' if ndim else 'a number'}")
     if not np.isfinite(values).all():
         raise ValueError(f"{where} {key}: NaN or infinite entry")
-    return values if values.ndim else float(values)
+    return values if ndim else float(values)
 
 
 def _name(record: dict, key: str, where: str, names) -> str:
@@ -186,9 +212,9 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
     One anchor ("cheby" or "xmax"), then one line search per direction
     from it; the hull of the anchor and the successful boundary points is
     a valid underapproximation after any prefix of the direction list
-    (anytime). The result forms that hull itself; building it is timed
-    as the "hull" phase. Per-direction failures are recorded, never
-    fatal.
+    (anytime). The result takes its verdict and diagnostic from the
+    anchor and forms that hull itself; building it is timed as the "hull"
+    phase. Per-direction failures are recorded, never fatal.
     The searches run in chains of CHAIN_LENGTH consecutive directions,
     each chain re-solving one LP model (RiskLP.lines).  max_directions
     (at least 0) truncates the direction list.  time_budget (at least 0
@@ -225,10 +251,8 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
                "anchor_solve": anchor.seconds}
     if not anchor.feasible:
         # empty, or solver_failure when the anchor LP gave no verdict
-        return ReachSetResult(
-            alpha=alpha, anchor=anchor, boundary_points=[],
-            status=anchor.status, diagnostic=anchor.diagnostic,
-            timings={**timings, "total": t_anchored - t0})
+        return ReachSetResult(alpha=alpha, anchor=anchor, boundary_points=[],
+                              timings={**timings, "total": t_anchored - t0})
 
     # neighbouring directions give nearly the same LP, so each chain of
     # them shares one model; the cut depends on the direction list alone,
@@ -251,7 +275,7 @@ def compute_reach_set(sys: StochasticLTVSystem, tube: TargetTube, alpha: float,
 
     t_hull = time.perf_counter()
     result = ReachSetResult(alpha=alpha, anchor=anchor, boundary_points=points,
-                            status="ok", timings=timings)
+                            timings=timings)
     t_end = time.perf_counter()
     timings.update(hull=t_end - t_hull, total=t_end - t0)
     return result

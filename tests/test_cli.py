@@ -680,22 +680,23 @@ def test_interpolate_refuses_a_non_finite_vertex(tmp_path, caplog):
     _, good = integrator2_result(tmp_path)
     doc = json.loads(good.read_text())
     doc["alpha"] = 0.6
-    doc["vertices"][0]["point"][0] = math.nan
+    doc["vertices"][0]["theta"] = math.nan
     bad = tmp_path / "reach_alpha0p6.json"
     bad.write_text(json.dumps(doc))
     dst = tmp_path / "x.json"
     refusal_names_the_files(
         ["interpolate", "--set1", str(bad), "--set2", str(good),
          "--beta", "0.7", "-o", str(dst)], [bad],
-        "vertex 0 point: NaN or infinite entry", caplog)
+        "vertex 0 theta: NaN or infinite entry", caplog)
     assert not dst.exists()
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([("controls", 0, math.nan), ("point", 1, math.inf)],
+    ([("controls", 0, math.nan), ("direction", 1, math.inf)],
      "vertex 0 controls: NaN or infinite entry"),
-    ([("point", 1, math.inf)], "vertex 1 point: NaN or infinite entry")],
-    ids=["nan-control", "inf-point"])
+    ([("direction", 1, math.inf)],
+     "vertex 1 direction: NaN or infinite entry")],
+    ids=["nan-control", "inf-direction"])
 def test_validate_refuses_a_non_finite_vertex(tmp_path, caplog, edits,
                                               message):
     cfg, good = integrator2_result(tmp_path)
@@ -712,22 +713,46 @@ def test_validate_refuses_a_non_finite_vertex(tmp_path, caplog, edits,
 
 
 def test_interpolate_ignores_a_stored_polytope(tmp_path):
-    # the hull is derived from the certified points: a polytope replaced
-    # by T_0's corners gives the same interpolation as the untouched file
+    # the hull, the status and the vertex points are derived from the
+    # anchor and the searches: a polytope replaced by T_0's corners, a
+    # vertex point moved to (5, 5) and a top-level status of empty each
+    # give the same interpolation as the untouched file
     _, good = integrator2_result(tmp_path)
     doc = json.loads(good.read_text())
     low = tmp_path / "reach_alpha0p6.json"
     low.write_text(json.dumps({**doc, "alpha": 0.6}))
-    doc["polytope"] = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    moved = json.loads(good.read_text())
+    moved["vertices"][0]["point"] = [5.0, 5.0]
+    highs = [good]
+    for name, tampered in [
+            ("polytope", {**doc, "polytope": [[-1.0, -1.0], [1.0, -1.0],
+                                              [1.0, 1.0], [-1.0, 1.0]]}),
+            ("point", moved), ("status", {**doc, "status": "empty"})]:
+        highs.append(tmp_path / f"tampered_{name}.json")
+        highs[-1].write_text(json.dumps(tampered))
     outputs = []
-    for high in (good, tampered):
+    for high in highs:
         dst = tmp_path / f"from_{high.stem}.json"
         assert main(["interpolate", "--set1", str(low), "--set2", str(high),
                      "--beta", "0.7", "-o", str(dst)]) == EXIT_OK
         outputs.append(json.loads(dst.read_text())["vertices"])
-    assert outputs[0] == outputs[1]
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"point": None}, "anchor point: none on an anchor that is optimal"),
+    ({"status": "empty"}, "anchor point: given on an anchor that is empty")],
+    ids=["optimal-without-point", "empty-with-ok-vertices"])
+def test_report_refuses_a_result_that_disagrees_with_itself(tmp_path, caplog,
+                                                            edit, message):
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    assert {v["status"] for v in doc["vertices"]} == {"ok"}
+    doc["anchor"].update(edit)
+    good.write_text(json.dumps(doc))
+    refusal_names_the_files(["report", str(good.parent)], [good], message,
+                            caplog)
+    assert not (good.parent / "summary.json").exists()
 
 
 def test_skipped_vertices_leave_the_hull(tmp_path, capsys):

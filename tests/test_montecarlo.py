@@ -432,7 +432,24 @@ def test_validation_report_json_roundtrip(reach06, sys1d, tube1d):
      "lacks the key 'point'"),
     ('{"alpha": 0.6, "records": null, "n_traj": 10, "seed": 0}',
      "malformed validation document"),
-    ("[]", "malformed validation document")])
+    ("[]", "malformed validation document"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": NaN, "binomial_std": 0.0}]}',
+     "record 0 empirical_probability: NaN or infinite entry"),
+    ('{"alpha": 0.6, "n_traj": 1.5, "seed": 0, "records": []}',
+     "validation n_traj: 1.5 is not an integer"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0.5, "records": []}',
+     "validation seed: 0.5 is not an integer"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [], '
+     '"pooled_binomial_std": "x"}',
+     "validation pooled_binomial_std: not a number"),
+    ('{"alpha": [0.6], "n_traj": 100, "seed": 0, "records": []}',
+     "validation alpha: not a number"),
+    ('{"alpha": Infinity, "n_traj": 100, "seed": 0, "records": []}',
+     "validation alpha: NaN or infinite entry"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": "0.1"}]}',
+     "record 0 binomial_std: not a number")])
 def test_malformed_validation_json_is_a_value_error(text, problem):
     with pytest.raises(ValueError, match=problem):
         ValidationReport.from_json(text)

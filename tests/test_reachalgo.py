@@ -293,6 +293,11 @@ def test_line_search_solver_failure_is_recorded(sys2d, tube2d, pwa,
     assert res.anchor.feasible
     assert [b.status for b in res.boundary_points] == ["solver_failure"] * 4
     assert all(trouble in b.diagnostic for b in res.boundary_points)
+    # a failed point is the anchor itself, bit for bit, -0.0 entries and
+    # all, so the file reads back to the same bytes
+    assert all(b.point.tobytes() == res.anchor.x_anchor.tobytes()
+               for b in res.boundary_points)
+    assert ReachSetResult.from_json(res.to_json()).to_json() == res.to_json()
 
 
 def test_failed_search_marks_only_its_own_direction(sys2d, tube2d, pwa,
@@ -354,12 +359,15 @@ def test_result_alpha_outside_the_unit_interval_rejected(reach06, alpha):
 
 
 def test_a_result_derives_its_polytope(reach06):
-    # the hull of the ok points and the anchor; no polytope is taken
-    with pytest.raises(TypeError, match="polytope"):
-        ReachSetResult(alpha=0.6, anchor=reach06.anchor, boundary_points=[],
-                       polytope=reach06.polytope, status="ok")
+    # the hull of the ok points and the anchor; no polytope, status or
+    # diagnostic is taken
+    for key, value in [("polytope", reach06.polytope), ("status", "ok"),
+                       ("diagnostic", "")]:
+        with pytest.raises(TypeError, match=key):
+            ReachSetResult(alpha=0.6, anchor=reach06.anchor,
+                           boundary_points=[], **{key: value})
     alone = ReachSetResult(alpha=0.6, anchor=reach06.anchor,
-                           boundary_points=[], status="ok")
+                           boundary_points=[])
     np.testing.assert_array_equal(alone.polytope.vertices,
                                   reach06.anchor.x_anchor[None])
 
@@ -391,37 +399,87 @@ BAD_ENTRIES = [
     (("vertices", 0, "direction", 0), NAN,
      "vertex 0 direction: NaN or infinite entry"),
     (("vertices", 0, "theta"), -INF, "vertex 0 theta: NaN or infinite entry"),
-    (("vertices", 1, "point", 0), INF, "vertex 1 point: NaN or infinite entry"),
+    (("vertices", 1, "direction", 0), INF,
+     "vertex 1 direction: NaN or infinite entry"),
     (("vertices", 1, "controls", 0), -INF,
      "vertex 1 controls: NaN or infinite entry"),
     (("vertices", 1, "lower_bound"), NAN,
      "vertex 1 lower_bound: NaN or infinite entry"),
     (("vertices", 1, "theta"), None, "vertex 1 theta: NaN or infinite entry"),
-    (("anchor", "point"), "origin",
-     "anchor point: not a number or a list of numbers"),
+    (("anchor", "point"), "origin", "anchor point: not a list of numbers"),
     (("vertices", 1, "status"), "OK", "vertex 1 status: 'OK' is not one of "
      "ok, infeasible, solver_failure, skipped"),
     (("anchor", "status"), "feasible", "anchor status: 'feasible' is not "
      "one of optimal, empty, solver_failure"),
     (("anchor", "mode"), "both",
      "anchor mode: 'both' is not one of xmax, cheby"),
-    (("status",), "done",
-     "result status: 'done' is not one of ok, empty, solver_failure")]
+    (("vertices", 1, "direction"), [1.0, 0.0],
+     "vertex 1 direction: 2 entries, but the anchor has 1")]
+
+
+def edited(doc: dict, path, value) -> dict:
+    """doc with the entry at path set to value."""
+    *inner, last = path
+    node = doc
+    for key in inner:
+        node = node[key]
+    node[last] = value
+    return doc
 
 
 @pytest.mark.parametrize("path, value, message", BAD_ENTRIES, ids=[
     "-".join(map(str, path)) for path, _, _ in BAD_ENTRIES])
 def test_result_reader_refuses_bad_numbers_and_names(reach06, path, value,
                                                      message):
-    doc = json.loads(reach06.to_json())
-    *inner, last = path
-    node = doc
-    for key in inner:
-        node = node[key]
-    node[last] = value
+    doc = edited(json.loads(reach06.to_json()), path, value)
     with pytest.raises(ValueError) as caught:
         ReachSetResult.from_json(json.dumps(doc))
     assert str(caught.value) == message
+
+
+# records that disagree with themselves: an optimal anchor without a
+# point, a point on an anchor that is not optimal, vertices (ok ones
+# here) with no anchor point to start from
+DISAGREEING = {
+    "optimal-without-point": ([(("anchor", "point"), None)],
+                              "anchor point: none on an anchor that is "
+                              "optimal"),
+    "empty-with-point": ([(("anchor", "status"), "empty")],
+                         "anchor point: given on an anchor that is empty"),
+    "empty-with-vertices": ([(("anchor", "status"), "empty"),
+                             (("anchor", "point"), None),
+                             (("anchor", "controls"), None)],
+                            "vertex 0: no anchor point to start from")}
+
+
+@pytest.mark.parametrize("edits, message", DISAGREEING.values(),
+                         ids=DISAGREEING.keys())
+def test_a_result_that_disagrees_with_itself_is_refused(reach06, edits,
+                                                        message):
+    doc = json.loads(reach06.to_json())
+    assert all(v["status"] == "ok" for v in doc["vertices"])
+    for path, value in edits:
+        edited(doc, path, value)
+    with pytest.raises(ValueError) as caught:
+        ReachSetResult.from_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+def test_the_reader_derives_status_diagnostic_and_points(reach06):
+    # the top-level status and the vertex points are not read; a point
+    # that is not ok is the anchor itself, -0.0 entries and all
+    doc = json.loads(reach06.to_json())
+    doc.update(status="empty", diagnostic="kept")
+    doc["vertices"][0].update(point=[5.0])
+    doc["vertices"][1].update(status="infeasible", theta=0.0, point=[9.0],
+                              controls=None)
+    doc["anchor"]["point"] = [-0.0]
+    res = ReachSetResult.from_json(json.dumps(doc))
+    assert res.status == "ok" and res.diagnostic == "kept"
+    first = res.boundary_points[0]
+    assert first.point == -0.0 + first.theta * first.direction
+    assert np.signbit(res.boundary_points[1].point[0])
+    assert res.to_json() == ReachSetResult.from_json(res.to_json()).to_json()
 
 
 def test_backend_and_mode_validation(sys1d, tube1d):
