@@ -2,9 +2,10 @@
 Minkowski sums, and direction-vector generation.
 
 H-representation is used for constraints (input sets, target tubes) and
-V-representation for computed sets.  General H<->V conversion is out of
-scope; point membership in a V-polytope is decided by an LP feasibility
-problem so hulls above 2D are never facet-enumerated.
+V-representation for computed sets.  A computed set lies in a coordinate
+plane (its directions do), so its hull is a planar monotone chain.
+General H<->V conversion is out of scope; point membership in a
+V-polytope is decided by an LP.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ class VPolytope:
 
 @dataclass
 class DirectionSet:
-    """Unit direction vectors, optionally confined to a 2D coordinate slice."""
+    """Unit direction vectors in one coordinate plane: the whole space in
+    1D and 2D, else the slice_dims pair, every other entry zero."""
 
     directions: np.ndarray
     slice_dims: Optional[Tuple[int, int]] = None
@@ -192,6 +194,11 @@ class DirectionSet:
         # a NaN or infinite entry makes its norm NaN or inf, which fails too
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("directions must have unit Euclidean norm")
+        if self.directions.shape[1] > 2:
+            _check_slice(self.slice_dims, self.directions.shape[1])
+            if np.delete(self.directions, self.slice_dims, axis=1).any():
+                raise ValueError("a direction has a nonzero entry outside "
+                                 f"slice_dims {tuple(self.slice_dims)}")
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -224,68 +231,37 @@ def _hull_2d(pts: np.ndarray) -> np.ndarray:
     if order.size <= 2:
         return order
     tol = 1e-12  # cross products this small count as collinear
-    lower: List[int] = []
-    for i in order:
-        while len(lower) >= 2 and \
-                _cross(pts[lower[-2]], pts[lower[-1]], pts[i]) <= tol:
-            lower.pop()
-        lower.append(i)
-    upper: List[int] = []
-    for i in order[::-1]:
-        while len(upper) >= 2 and \
-                _cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= tol:
-            upper.pop()
-        upper.append(i)
-    return np.array(lower[:-1] + upper[:-1])
-
-
-# a point set is flat when at most two singular values of its offsets
-# from its first point exceed this share of the largest
-_FLAT_RCOND = 1e-10
+    hull: List[int] = []
+    # the lower chain left to right, then the upper one right to left
+    for sweep in (order, order[::-1]):
+        chain: List[int] = []
+        for i in sweep:
+            while len(chain) >= 2 and \
+                    _cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= tol:
+                chain.pop()
+            chain.append(i)
+        hull += chain[:-1]
+    return np.array(hull)
 
 
 def extreme_indices(points) -> np.ndarray:
-    """Row indices of the vertices of the convex hull of points (n x d).
+    """Row indices of the vertices of the convex hull of points (n x d),
+    which must differ from the first row in at most two coordinates (a
+    reach set and any interpolation of two lie in anchor + span(e_i,
+    e_j)), compared exactly; more raise ValueError.
 
-    In 2D: the monotone chain (Andrew, 1979), counterclockwise, each
-    vertex the first of its exact duplicates.  In other dimensions,
-    points within DEFAULT_TOL of an earlier point are dropped first and
-    the indices come in input order: the two ends of a set that spans at
-    most a line (every 1-D set); the 2D hull in the plane's coordinates
-    of a set that spans a plane (see _FLAT_RCOND); else, one feasibility
-    LP per point, the points farther than 1e-7 from the hull of the
-    others."""
+    The monotone chain (Andrew, 1979) on those coordinates, each vertex
+    the first of its exact duplicates: counterclockwise for 2D input, in
+    input order otherwise (the two ends of a line, the first row of a
+    point)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] == 2:
-        return _hull_2d(pts)
-    # each point is compared only with the points kept before it, held
-    # in one buffer, so memory stays linear in the points
-    kept = np.empty_like(pts)
-    keep: List[int] = []
-    for i, p in enumerate(pts):
-        if not keep or np.linalg.norm(kept[:len(keep)] - p,
-                                      axis=1).min() > DEFAULT_TOL:
-            kept[len(keep)] = p
-            keep.append(i)
-    if len(keep) <= 1:
-        return np.array(keep, dtype=int)
-    offsets = pts[keep] - pts[keep[0]]
-    _, sv, axes = np.linalg.svd(offsets, full_matrices=False)
-    rank = int(np.count_nonzero(sv > _FLAT_RCOND * sv[0]))
-    if rank == 1:
-        along = offsets @ axes[0]
-        return np.array(keep)[np.sort([np.argmin(along), np.argmax(along)])]
-    if rank == 2:
-        return np.array(keep)[np.sort(_hull_2d(offsets @ axes[:2].T))]
-    survivors = keep
-    i = 0
-    while i < len(survivors):
-        others = pts[survivors[:i] + survivors[i + 1:]]
-        if VPolytope(others).contains(pts[survivors[i]], 1e-7):
-            survivors.pop(i)
-        else:
-            i += 1
-    return np.array(survivors)
+    plane = np.flatnonzero((pts != pts[0]).any(axis=0))
+    if plane.size > 2:
+        raise ValueError(f"points differ in {plane.size} coordinates, so "
+                         "they lie in no coordinate plane")
+    # a line or a point is the chain on its coordinates beside zeros
+    hull = _hull_2d(np.pad(pts[:, plane], ((0, 0), (0, 2 - plane.size))))
+    return hull if pts.shape[1] == 2 else np.sort(hull)
 
 
 def prune_vertices(vpoly: VPolytope) -> VPolytope:
@@ -319,14 +295,8 @@ def spread_directions(count: int, dim: int,
         raise ValueError("dim must be positive")
     if dim == 1:
         return DirectionSet(directions=np.array([[1.0], [-1.0]]))
-    if dim > 2 and slice_dims is None:
-        raise ValueError("slice_dims required for dim > 2")
-    if slice_dims is not None and not (
-            len(slice_dims) == 2 and slice_dims[0] != slice_dims[1]
-            and all(isinstance(d, (int, np.integer)) and 0 <= d < dim
-                    for d in slice_dims)):
-        raise ValueError(f"slice_dims {tuple(slice_dims)} must be two "
-                         f"distinct coordinates in [0, {dim})")
+    if dim > 2 or slice_dims is not None:
+        _check_slice(slice_dims, dim)
     i, j = (0, 1) if dim == 2 else slice_dims
     angles = 2.0 * np.pi * np.arange(count) / count
     dirs = np.zeros((count, dim))
@@ -334,3 +304,15 @@ def spread_directions(count: int, dim: int,
     dirs[:, j] = np.sin(angles)
     return DirectionSet(directions=dirs,
                         slice_dims=None if dim == 2 else (i, j))
+
+
+def _check_slice(slice_dims, dim: int) -> None:
+    """ValueError unless slice_dims names two distinct integer coordinates
+    of a dim-vector."""
+    if slice_dims is None:
+        raise ValueError(f"slice_dims required for dim {dim} > 2")
+    if not (len(slice_dims) == 2 and slice_dims[0] != slice_dims[1]
+            and all(isinstance(d, (int, np.integer)) and 0 <= d < dim
+                    for d in slice_dims)):
+        raise ValueError(f"slice_dims {tuple(slice_dims)} must be two "
+                         f"distinct coordinates in [0, {dim})")

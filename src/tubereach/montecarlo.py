@@ -270,7 +270,10 @@ class ValidationReport:
         """Inverse of :meth:`to_json`.  A document that lacks a key other
         than pooled_binomial_std, holds a NaN, infinite or non-number value
         (pooled_binomial_std may be null) or a fractional n_traj or seed
-        raises ValueError naming the key, as the result reader does."""
+        raises ValueError naming the key, as the result reader does; so
+        does a value out of range: alpha outside (0, 1], n_traj below the
+        rollout's 100, no record, a probability outside [0, 1] or a
+        negative standard deviation."""
         doc = json.loads(text)
         try:
             alpha = _finite(doc, "alpha", "validation")
@@ -280,7 +283,7 @@ class ValidationReport:
                 if value != int(value):
                     raise ValueError(f"validation {key}: {value} is not an "
                                      "integer")
-            return cls(
+            report = cls(
                 records=[VertexRecord(
                     point=_finite(r, "point", f"record {i}", ndim=1),
                     alpha=alpha, empirical_probability=_finite(
@@ -296,6 +299,24 @@ class ValidationReport:
                 f"validation document lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed validation document: {exc}") from None
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"validation alpha: {alpha} outside (0, 1]")
+        if n_traj < 100:
+            raise ValueError(f"validation n_traj: {n_traj:g} is below 100")
+        if not report.records:
+            raise ValueError("validation records: none")
+        for i, r in enumerate(report.records):
+            if not 0.0 <= r.empirical_probability <= 1.0:
+                raise ValueError(f"record {i} empirical_probability: "
+                                 f"{r.empirical_probability} outside [0, 1]")
+            if r.binomial_std < 0.0:
+                raise ValueError(f"record {i} binomial_std: "
+                                 f"{r.binomial_std} is negative")
+        pooled = report.pooled_binomial_std
+        if pooled is not None and pooled < 0.0:
+            raise ValueError(f"validation pooled_binomial_std: {pooled} is "
+                             "negative")
+        return report
 
 
 def validate_vertices(result: ReachSetResult, sys: StochasticLTVSystem,

@@ -124,16 +124,24 @@ class ReachSetResult:
         diagnostic being its own, and the searches; the status, the
         polytope and each point (RiskLP.lines' rule) are derived again.
         Older releases' "timings" and "backend" keys are ignored.  A
-        missing key, an alpha outside (0, 1], a NaN or infinite number, a
-        status or mode outside its set, a direction not of the anchor's
-        length and a record that disagrees with itself raise ValueError
-        naming the record and the key."""
+        missing key, a value that is not a number where one belongs (an
+        alpha outside (0, 1] too), a NaN or infinite number, a diagnostic
+        that is not a string, a status or mode outside its set, a
+        direction not of the anchor's length and a record that disagrees
+        with itself raise ValueError naming the record and the key.  Ok
+        points in no coordinate plane raise it too (extreme_indices)."""
         doc = json.loads(text)
         try:
             anchor = doc["anchor"]
-            alpha = float(doc["alpha"])
+            alpha = doc["alpha"]
+            # a NaN alpha is refused as out of range, below
+            if not (isinstance(alpha, float) and math.isnan(alpha)):
+                alpha = _finite(doc, "alpha", "result")
             if not 0.0 < alpha <= 1.0:
                 raise ValueError(f"alpha {alpha} outside (0, 1]")
+            diagnostic = doc.get("diagnostic", "")
+            if not isinstance(diagnostic, str):
+                raise ValueError("result diagnostic: not a string")
             x = _finite(anchor, "point", "anchor", True, ndim=1)
             points = []
             for i, v in enumerate(doc["vertices"]):
@@ -160,7 +168,7 @@ class ReachSetResult:
                     if "radius" in anchor else None,
                     status=_name(anchor, "status", "anchor",
                                  ("optimal", "empty", "solver_failure")),
-                    diagnostic=doc.get("diagnostic", "")),
+                    diagnostic=diagnostic),
                 boundary_points=points)
         except KeyError as exc:
             raise ValueError(f"result document lacks the key {exc}") from None

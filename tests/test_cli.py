@@ -755,6 +755,45 @@ def test_report_refuses_a_result_that_disagrees_with_itself(tmp_path, caplog,
     assert not (good.parent / "summary.json").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", "0.9", "result alpha: not a number"),
+    ("alpha", True, "result alpha: not a number"),
+    ("diagnostic", ["none"], "result diagnostic: not a string")],
+    ids=["string-alpha", "boolean-alpha", "list-diagnostic"])
+def test_report_refuses_a_non_number_alpha_and_diagnostic(tmp_path, caplog,
+                                                          key, value,
+                                                          message):
+    _, good = integrator2_result(tmp_path)
+    doc = json.loads(good.read_text())
+    doc[key] = value
+    good.write_text(json.dumps(doc))
+    refusal_names_the_files(["report", str(good.parent)], [good], message,
+                            caplog)
+    assert not (good.parent / "summary.json").exists()
+
+
+def test_validate_refuses_a_direction_off_the_slice(tmp_path, caplog):
+    cfg = tmp_path / "integrator40.json"
+    assert main(["example", "integrator40", "-o", str(cfg)]) == EXIT_OK
+    doc = json.loads(cfg.read_text())
+    doc.update(alphas=[0.9], directions={"count": 8, "slice": [0, 1]})
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "integrator40"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    bad = out / "reach_alpha0p9.json"
+    doc = json.loads(bad.read_text())
+    assert doc["vertices"][0]["status"] == "ok"
+    doc["vertices"][0]["direction"][5] = 0.5
+    bad.write_text(json.dumps(doc))
+    checked = tmp_path / "checked"
+    refusal_names_the_files(
+        ["validate", str(cfg), "--result", str(bad), "--n-traj", "1000",
+         "-d", str(checked)], [bad],
+        "points differ in 3 coordinates, so they lie in no coordinate plane",
+        caplog)
+    assert not checked.exists()
+
+
 def test_skipped_vertices_leave_the_hull(tmp_path, capsys):
     _, good = integrator2_result(tmp_path)
     doc = json.loads(good.read_text())
@@ -998,6 +1037,24 @@ def test_report_with_a_malformed_validation(tmp_path, caplog):
     malformed_input_is_bad_config(["report", str(tmp_path)], bad, "alpha",
                                   caplog)
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_report_refuses_a_validation_out_of_range(tmp_path, caplog):
+    # no record, no trajectory and a threshold above 1: a NaN mean error
+    # and n_traj 0 must not reach summary.json
+    cfg = scalar_config(tmp_path, [0.6])
+    out = tmp_path / "out"
+    assert main(["compute", str(cfg), "-d", str(out)]) == EXIT_OK
+    assert main(["validate", str(cfg),
+                 "--result", str(out / "reach_alpha0p6.json"),
+                 "--n-traj", "1000", "-d", str(out)]) == EXIT_OK
+    bad = out / "validation.json"
+    doc = json.loads(bad.read_text())
+    doc.update(records=[], n_traj=0, alpha=7.5)
+    bad.write_text(json.dumps(doc))
+    refusal_names_the_files(["report", str(out)], [bad],
+                            "validation alpha: 7.5 outside (0, 1]", caplog)
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -169,6 +169,19 @@ def test_non_finite_directions_rejected(bad):
         DirectionSet([bad, [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("directions, slice_dims, problem", [
+    (np.full((1, 3), 3.0 ** -0.5), (0, 1), "nonzero entry outside"),
+    (spread_directions(4, 3, (0, 1)).directions, None, "slice_dims required"),
+    (spread_directions(4, 3, (0, 2)).directions, (0, 1),
+     r"nonzero entry outside slice_dims \(0, 1\)")],
+    ids=["diagonal", "no-slice", "outside-the-slice"])
+def test_directions_off_one_coordinate_plane_rejected(directions, slice_dims,
+                                                      problem):
+    # refused before any LP: the hull of a reach set is planar
+    with pytest.raises(ValueError, match=problem):
+        DirectionSet(directions, slice_dims)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_vertices_rejected(bad):
     # prune_vertices would keep a NaN vertex and return another one twice
@@ -249,17 +262,25 @@ def test_prune_vertices_drops_interior():
 
 
 def test_prune_vertices_high_dim():
+    # a simplex spans four coordinates, so it lies in no coordinate plane
     v = VPolytope(np.vstack([np.eye(4), [[0.25, 0.25, 0.25, 0.25]]]))
-    pruned = prune_vertices(v)
-    assert pruned.n_vertices == 4
+    with pytest.raises(ValueError, match="differ in 4 coordinates"):
+        prune_vertices(v)
+
+
+def in_coordinate_plane(rng, flat, dim, plane=(2, 0)):
+    """The 2D points flat as the plane coordinates of points in R^dim
+    whose other coordinates all hold one random shift."""
+    points = np.tile(rng.normal(scale=5.0, size=dim), (len(flat), 1))
+    points[:, plane] = flat
+    return points
 
 
 def test_pruning_memory_is_linear_in_the_points():
-    # near-duplicates are found against the points kept so far, not from
-    # an n x n x d table of differences (420 MB here)
+    # no n x n x d table of differences (420 MB here) is ever formed
     rng = np.random.default_rng(0)
     flat = rng.normal(size=(800, 2))
-    points = flat @ rng.normal(size=(2, 40))
+    points = in_coordinate_plane(rng, flat, 40)
     tracemalloc.start()
     try:
         kept = extreme_indices(points)
@@ -283,7 +304,7 @@ def hull_lps(monkeypatch):
 
 def planar_points(rng, dim):
     """Hull points of a random convex polygon, points inside it and
-    near-duplicates of both, rotated and shifted into R^dim; and the
+    exact duplicates of both, in a coordinate plane of R^dim; and the
     polygon's vertices among them."""
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 12))
     # keep corners at least 0.2 rad apart, so none is nearly flat
@@ -297,13 +318,9 @@ def planar_points(rng, dim):
     inside = centroid + 0.9 * (rng.dirichlet(np.ones(len(corners)), size=8)
                                @ corners - centroid)
     flat = np.vstack([corners, inside])
-    flat = np.vstack([flat, flat[rng.choice(len(flat), 5)]
-                      + rng.normal(scale=1e-11, size=(5, 2))])
-    order = rng.permutation(len(flat))
-    rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    points = np.pad(flat[order], ((0, 0), (0, dim - 2))) @ rotation.T \
-        + rng.normal(scale=5.0, size=dim)
-    return points, len(corners)
+    flat = np.vstack([flat, flat[rng.choice(len(flat), 5)]])
+    return in_coordinate_plane(rng, flat[rng.permutation(len(flat))],
+                               dim), len(corners)
 
 
 @pytest.mark.parametrize("dim", [3, 40])
@@ -320,7 +337,8 @@ def test_planar_prune_matches_the_lp_oracle(dim, seed, monkeypatch):
 
 def test_collinear_points_keep_their_ends(monkeypatch):
     rng = np.random.default_rng(7)
-    start, step = rng.normal(size=5), rng.normal(size=5)
+    start, step = rng.normal(size=5), np.zeros(5)
+    step[2] = rng.normal()  # a line along one coordinate
     points = start + np.array([0.3, -1.2, 0.0, 2.5, 1.0, 0.3])[:, None] * step
     tested = hull_lps(monkeypatch)
     got = prune_vertices(VPolytope(points)).vertices
@@ -328,25 +346,23 @@ def test_collinear_points_keep_their_ends(monkeypatch):
     assert not tested
 
 
-def test_full_rank_points_keep_the_lp_path(monkeypatch):
+def test_full_rank_points_are_refused(monkeypatch):
     rng = np.random.default_rng(3)
     points = np.vstack([rng.normal(size=(8, 3)), np.zeros((1, 3)),
                         0.1 * rng.normal(size=(4, 3))])
-    want = lp_prune_vertices(points)
     tested = hull_lps(monkeypatch)
-    got = prune_vertices(VPolytope(points)).vertices
-    np.testing.assert_array_equal(got, want)
-    assert tested and len(got) < len(points)
+    with pytest.raises(ValueError, match="differ in 3 coordinates"):
+        prune_vertices(VPolytope(points))
+    assert not tested
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_1d_sets_keep_their_ends_with_no_lp(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(9, 1))
-    # exact and near duplicates, the ends among them
+    # exact duplicates, the ends among them
     ends = [int(np.argmin(points)), int(np.argmax(points))]
-    points = np.vstack([points, points[ends + [4]],
-                        points[ends] + rng.normal(scale=1e-11, size=(2, 1))])
+    points = np.vstack([points, points[ends + [4]], points[ends]])
     want = lp_prune_vertices(points)
     tested = hull_lps(monkeypatch)
     got = extreme_indices(points)
@@ -375,7 +391,7 @@ def test_small_planar_sets_match_the_lp_oracle(points, monkeypatch):
 
 def test_rank_zero_set_keeps_its_first_point(monkeypatch):
     rng = np.random.default_rng(5)
-    points = rng.normal(size=5) + rng.normal(scale=1e-12, size=(4, 5))
+    points = np.tile(rng.normal(size=5), (4, 1))
     want = lp_prune_vertices(points)
     tested = hull_lps(monkeypatch)
     got = extreme_indices(points)

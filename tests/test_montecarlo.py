@@ -449,7 +449,28 @@ def test_validation_report_json_roundtrip(reach06, sys1d, tube1d):
      "validation alpha: NaN or infinite entry"),
     ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
      ' "empirical_probability": 0.7, "binomial_std": "0.1"}]}',
-     "record 0 binomial_std: not a number")])
+     "record 0 binomial_std: not a number"),
+    ('{"alpha": 7.5, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": 0.1}]}',
+     r"validation alpha: 7.5 outside \(0, 1\]"),
+    ('{"alpha": 0.0, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": 0.1}]}',
+     r"validation alpha: 0.0 outside \(0, 1\]"),
+    ('{"alpha": 0.6, "n_traj": 0, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": 0.1}]}',
+     "validation n_traj: 0 is below 100"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": []}',
+     "validation records: none"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 1.5, "binomial_std": 0.1}]}',
+     r"record 0 empirical_probability: 1.5 outside \[0, 1\]"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": -0.1}]}',
+     "record 0 binomial_std: -0.1 is negative"),
+    ('{"alpha": 0.6, "n_traj": 100, "seed": 0, "records": [{"point": [0.0],'
+     ' "empirical_probability": 0.7, "binomial_std": 0.1}], '
+     '"pooled_binomial_std": -0.1}',
+     "validation pooled_binomial_std: -0.1 is negative")])
 def test_malformed_validation_json_is_a_value_error(text, problem):
     with pytest.raises(ValueError, match=problem):
         ValidationReport.from_json(text)

@@ -437,6 +437,32 @@ def test_result_reader_refuses_bad_numbers_and_names(reach06, path, value,
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", "0.6", "result alpha: not a number"),
+    ("alpha", True, "result alpha: not a number"),
+    ("diagnostic", 3, "result diagnostic: not a string")],
+    ids=["string-alpha", "boolean-alpha", "number-diagnostic"])
+def test_result_reader_refuses_a_non_number_alpha_and_diagnostic(
+        reach06, key, value, message):
+    doc = json.loads(reach06.to_json())
+    doc[key] = value
+    with pytest.raises(ValueError) as caught:
+        ReachSetResult.from_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+def test_result_reader_refuses_points_in_no_coordinate_plane(reach06):
+    # the 1D result set in R^3; its hull lies on the first axis
+    doc = json.loads(reach06.to_json())
+    doc["anchor"]["point"] += [0.0, 0.0]
+    for vertex in doc["vertices"]:
+        vertex["direction"] += [0.0, 0.0]
+    assert ReachSetResult.from_json(json.dumps(doc)).polytope.dim == 3
+    doc["vertices"][0]["direction"] = [0.6, 0.48, 0.64]
+    with pytest.raises(ValueError, match="points differ in 3 coordinates"):
+        ReachSetResult.from_json(json.dumps(doc))
+
+
 # records that disagree with themselves: an optimal anchor without a
 # point, a point on an anchor that is not optimal, vertices (ok ones
 # here) with no anchor point to start from
